@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebra import ValueSet, parse_degree
 from .bruteforce import brute_force_consistency
-from .errors import BudgetExceededError, ReasonerError
+from .errors import BudgetExceededError, ParseError, ReasonerError
 from .extraction import extract_fuzzy_model
 from .ontology import (
     ConceptAssertion,
@@ -90,7 +90,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> FuzzyOntology:
     with open(args.ontology, encoding="utf-8") as handle:
-        return parse_ontology(handle.read(), at_most=args.atmost)
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8 (byte offset {exc.start})") from exc
+    return parse_ontology(text, at_most=args.atmost)
 
 
 def _grid(args, ontology):

@@ -51,16 +51,17 @@ class ValueAssignment:
         """All P1-P4 violations, empty when the assignment is coherent."""
         violations = []
         elems = self.structure.elements
+        table = self.structure.table
         atoms = self.tree.true_atoms
         for node in self.tree.domain:
             for q in self.structure.values:
                 if self.values[(node, ValueElement(q))] != q:
                     violations.append(f"P1 fails at node {node} for constant {q}")
-            for a in elems:
+            for i, a in enumerate(elems):
                 va = self.values[(node, a)]
-                for b in elems:
+                for j, b in enumerate(elems):
                     vb = self.values[(node, b)]
-                    has_atom = Leq(a, b) in atoms[node]
+                    has_atom = table[i][j] in atoms[node]
                     if (va <= vb) != has_atom:
                         violations.append(
                             f"P2 fails at node {node}: {a!r} vs {b!r}"
@@ -88,7 +89,7 @@ def _node_preorder(structure: OrderStructure, atoms: frozenset, node: int):
     transitivity, boundedness, the constant facts, or antitonicity.
     """
     elems = structure.elements
-    index = {e: i for i, e in enumerate(elems)}
+    index = structure.index
     n = len(elems)
     leq = [[False] * n for _ in range(n)]
     for atom in atoms:
@@ -125,10 +126,10 @@ def _node_preorder(structure: OrderStructure, atoms: frozenset, node: int):
                 raise MalformedModelError(
                     node, f"constant order fails for {qa} vs {qb}"
                 )
+    inv = structure.inverse
     for i in range(n):
-        inv_i = index[invert(elems[i])]
         for j in range(n):
-            if leq[i][j] and not leq[index[invert(elems[j])]][inv_i]:
+            if leq[i][j] and not leq[inv[j]][inv[i]]:
                 raise MalformedModelError(
                     node, f"antitonicity fails for {elems[i]!r}, {elems[j]!r}"
                 )

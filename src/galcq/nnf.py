@@ -4,11 +4,16 @@ Negation is pushed onto atoms; at-most restrictions are first-class and keep
 their qualifier positive (the tableau's choose rule decides the qualifier
 per neighbor).  And/Or are n-ary, flattened, deduplicated and sorted, so
 structurally equal formulas are representationally equal.
+
+Every node computes its sort key once and keeps it.  A `Literals` table
+passed through `nnf`, `nnf_not` and `negate_nnf` shares one literal node per
+atom, so the keys of literals, the bulk of every clause, are computed once
+per table rather than once per occurrence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .concepts import (
@@ -34,30 +39,40 @@ from .orders import (
 )
 
 
+def _key_slot():
+    """Per-node cache of `sort_key`, invisible to equality, hash and repr."""
+    return field(default=None, init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True, slots=True)
 class NAtom:
     atom: object  # Name or Leq
+    _key: tuple = _key_slot()
 
 
 @dataclass(frozen=True, slots=True)
 class NNegAtom:
     atom: object
+    _key: tuple = _key_slot()
 
 
 @dataclass(frozen=True, slots=True)
 class NAnd:
     args: tuple
+    _key: tuple = _key_slot()
 
 
 @dataclass(frozen=True, slots=True)
 class NOr:
     args: tuple
+    _key: tuple = _key_slot()
 
 
 @dataclass(frozen=True, slots=True)
 class NForall:
     role: str
     sub: "NNFConcept"
+    _key: tuple = _key_slot()
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,6 +80,7 @@ class NAtLeast:
     count: int
     role: str
     sub: "NNFConcept"
+    _key: tuple = _key_slot()
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,12 +88,39 @@ class NAtMost:
     count: int
     role: str
     sub: "NNFConcept"
+    _key: tuple = _key_slot()
 
 
 NNFConcept = Union[NAtom, NNegAtom, NAnd, NOr, NForall, NAtLeast, NAtMost]
 
 NTRUE = NAnd(())
 NFALSE = NOr(())
+
+
+class Literals:
+    """One shared NAtom and one shared NNegAtom per atom.
+
+    A table lives as long as the formulas built with it; the tableau keeps
+    one per construction.
+    """
+
+    __slots__ = ("pos", "neg")
+
+    def __init__(self):
+        self.pos: dict = {}
+        self.neg: dict = {}
+
+    def atom(self, a) -> NAtom:
+        n = self.pos.get(a)
+        if n is None:
+            n = self.pos[a] = NAtom(a)
+        return n
+
+    def negated(self, a) -> NNegAtom:
+        n = self.neg.get(a)
+        if n is None:
+            n = self.neg[a] = NNegAtom(a)
+        return n
 
 
 def _element_key(e):
@@ -123,7 +166,15 @@ def _concept_key(c):
 
 
 def sort_key(n: NNFConcept):
-    """Deterministic structural ordering key."""
+    """Deterministic structural ordering key, computed once per node."""
+    key = n._key
+    if key is None:
+        key = _structural_key(n)
+        object.__setattr__(n, "_key", key)
+    return key
+
+
+def _structural_key(n: NNFConcept):
     match n:
         case NAtom(atom):
             return (0, _concept_key(atom))
@@ -147,7 +198,7 @@ def mk_and(args) -> NNFConcept:
     for a in args:
         if isinstance(a, NAnd):
             flat.extend(a.args)
-        elif a == NFALSE:
+        elif isinstance(a, NOr) and not a.args:  # NFALSE
             return NFALSE
         else:
             flat.append(a)
@@ -164,7 +215,7 @@ def mk_or(args) -> NNFConcept:
     for a in args:
         if isinstance(a, NOr):
             flat.extend(a.args)
-        elif a == NTRUE:
+        elif isinstance(a, NAnd) and not a.args:  # NTRUE
             return NTRUE
         else:
             flat.append(a)
@@ -176,77 +227,86 @@ def mk_or(args) -> NNFConcept:
     return NOr(tuple(unique))
 
 
-def nnf(c: Concept) -> NNFConcept:
+def nnf(c: Concept, lits: Literals | None = None) -> NNFConcept:
+    """Negation normal form of `c`; literals come from `lits` (default: a
+    fresh table)."""
+    if lits is None:
+        lits = Literals()
     match c:
         case Top():
             return NTRUE
         case Bot():
             return NFALSE
         case Name() | Leq():
-            return NAtom(c)
+            return lits.atom(c)
         case Not(sub):
-            return nnf_not(sub)
+            return nnf_not(sub, lits)
         case And(left, right):
-            return mk_and((nnf(left), nnf(right)))
+            return mk_and((nnf(left, lits), nnf(right, lits)))
         case Or(left, right):
-            return mk_or((nnf(left), nnf(right)))
+            return mk_or((nnf(left, lits), nnf(right, lits)))
         case Implies(left, right):
-            return mk_or((nnf_not(left), nnf(right)))
+            return mk_or((nnf_not(left, lits), nnf(right, lits)))
         case Exists(role, sub):
-            return NAtLeast(1, role, nnf(sub))
+            return NAtLeast(1, role, nnf(sub, lits))
         case Forall(role, sub):
-            return NForall(role, nnf(sub))
+            return NForall(role, nnf(sub, lits))
         case AtLeast(count, role, sub):
             if count == 0:
                 return NTRUE
-            return NAtLeast(count, role, nnf(sub))
+            return NAtLeast(count, role, nnf(sub, lits))
         case AtMost(count, role, sub):
-            return NAtMost(count, role, nnf(sub))
+            return NAtMost(count, role, nnf(sub, lits))
     raise TypeError(f"not a concept: {c!r}")
 
 
-def nnf_not(c: Concept) -> NNFConcept:
+def nnf_not(c: Concept, lits: Literals | None = None) -> NNFConcept:
+    """Negation normal form of the complement of `c`."""
+    if lits is None:
+        lits = Literals()
     match c:
         case Top():
             return NFALSE
         case Bot():
             return NTRUE
         case Name() | Leq():
-            return NNegAtom(c)
+            return lits.negated(c)
         case Not(sub):
-            return nnf(sub)
+            return nnf(sub, lits)
         case And(left, right):
-            return mk_or((nnf_not(left), nnf_not(right)))
+            return mk_or((nnf_not(left, lits), nnf_not(right, lits)))
         case Or(left, right):
-            return mk_and((nnf_not(left), nnf_not(right)))
+            return mk_and((nnf_not(left, lits), nnf_not(right, lits)))
         case Implies(left, right):
-            return mk_and((nnf(left), nnf_not(right)))
+            return mk_and((nnf(left, lits), nnf_not(right, lits)))
         case Exists(role, sub):
-            return NAtMost(0, role, nnf(sub))
+            return NAtMost(0, role, nnf(sub, lits))
         case Forall(role, sub):
-            return NAtLeast(1, role, nnf_not(sub))
+            return NAtLeast(1, role, nnf_not(sub, lits))
         case AtLeast(count, role, sub):
             if count == 0:
                 return NFALSE
-            return NAtMost(count - 1, role, nnf(sub))
+            return NAtMost(count - 1, role, nnf(sub, lits))
         case AtMost(count, role, sub):
-            return NAtLeast(count + 1, role, nnf(sub))
+            return NAtLeast(count + 1, role, nnf(sub, lits))
     raise TypeError(f"not a concept: {c!r}")
 
 
-def negate_nnf(n: NNFConcept) -> NNFConcept:
+def negate_nnf(n: NNFConcept, lits: Literals | None = None) -> NNFConcept:
     """Semantic complement, staying in NNF."""
+    if lits is None:
+        lits = Literals()
     match n:
         case NAtom(atom):
-            return NNegAtom(atom)
+            return lits.negated(atom)
         case NNegAtom(atom):
-            return NAtom(atom)
+            return lits.atom(atom)
         case NAnd(args):
-            return mk_or(tuple(negate_nnf(a) for a in args))
+            return mk_or(tuple(negate_nnf(a, lits) for a in args))
         case NOr(args):
-            return mk_and(tuple(negate_nnf(a) for a in args))
+            return mk_and(tuple(negate_nnf(a, lits) for a in args))
         case NForall(role, sub):
-            return NAtLeast(1, role, negate_nnf(sub))
+            return NAtLeast(1, role, negate_nnf(sub, lits))
         case NAtLeast(count, role, sub):
             if count == 0:
                 return NFALSE

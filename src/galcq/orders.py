@@ -6,13 +6,21 @@ subconcept here, the value of each subconcept at the tree parent (the
 "shifted" copies), and the degree of the incoming role edge.  Atomic
 classical concepts `Leq(a, b)` assert "value of a <= value of b"; every
 other comparison is a Boolean macro over such atoms.
+
+An `OrderStructure` hash-conses its atoms: it builds the n x n table of
+`Leq` objects once, together with index maps for inversion and shifting,
+and the reduction takes every atom from that table.  Each atom is then one
+shared object per reduction whose hash is computed once, so the tableau's
+and the oracles' atom-keyed dictionaries hit on identity instead of
+re-hashing and re-comparing the concept trees inside the elements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from functools import cached_property
+from typing import Callable, Union
 
 from .algebra import ONE, ValueSet
 from .concepts import And, Concept, Implies, Not, Or, negate
@@ -37,12 +45,20 @@ class ShiftedElement:
 
     concept: Concept
 
+    def __hash__(self) -> int:
+        # the dataclass hash, (concept,), would collide with ConceptElement's
+        return hash((self.concept, True))
+
 
 @dataclass(frozen=True, slots=True)
 class EdgeElement:
     """Degree of the role edge from the tree parent (or its complement)."""
 
     positive: bool
+
+    def __hash__(self) -> int:
+        # the dataclass hash, (positive,), would collide with the constants 0 and 1
+        return hash((None, self.positive))
 
 
 EDGE = EdgeElement(True)
@@ -53,10 +69,25 @@ OrderElement = Union[ValueElement, ConceptElement, ShiftedElement, EdgeElement]
 
 @dataclass(frozen=True, slots=True)
 class Leq:
-    """Atomic classical concept: value of lhs <= value of rhs."""
+    """Atomic classical concept: value of lhs <= value of rhs.
+
+    The hash is the dataclass's structural hash, computed once at
+    construction because the elements can wrap deep concepts.
+    """
 
     lhs: OrderElement
     rhs: OrderElement
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.lhs, self.rhs)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild, never copy, _hash
+        return (Leq, (self.lhs, self.rhs))
 
 
 def invert(e: OrderElement) -> OrderElement:
@@ -102,41 +133,48 @@ class ResExpr:
 OrderOperand = Union[OrderElement, MinExpr, ResExpr]
 
 
-def _le(alpha: OrderElement, e: OrderOperand) -> Concept:
-    if isinstance(e, MinExpr):
-        return And(_le(alpha, e.a), _le(alpha, e.b))
-    if isinstance(e, ResExpr):
-        return Or(Leq(e.a, e.b), Leq(alpha, e.b))
-    return Leq(alpha, e)
+AtomFactory = Callable[[OrderElement, OrderElement], Leq]
 
 
-def _ge(alpha: OrderElement, e: OrderOperand) -> Concept:
+def _le(alpha: OrderElement, e: OrderOperand, leq: AtomFactory) -> Concept:
     if isinstance(e, MinExpr):
-        return Or(Leq(e.a, alpha), Leq(e.b, alpha))
+        return And(_le(alpha, e.a, leq), _le(alpha, e.b, leq))
     if isinstance(e, ResExpr):
+        return Or(leq(e.a, e.b), leq(alpha, e.b))
+    return leq(alpha, e)
+
+
+def _ge(alpha: OrderElement, e: OrderOperand, leq: AtomFactory) -> Concept:
+    if isinstance(e, MinExpr):
+        return Or(leq(e.a, alpha), leq(e.b, alpha))
+    if isinstance(e, ResExpr):
+        guard = leq(e.a, e.b)
         return And(
-            Implies(Leq(e.a, e.b), Leq(ValueElement(ONE), alpha)),
-            Implies(Not(Leq(e.a, e.b)), Leq(e.b, alpha)),
+            Implies(guard, leq(ValueElement(ONE), alpha)),
+            Implies(Not(guard), leq(e.b, alpha)),
         )
-    return Leq(e, alpha)
+    return leq(e, alpha)
 
 
-def order_concept(lhs: OrderElement, rel: str, rhs: OrderOperand) -> Concept:
+def order_concept(
+    lhs: OrderElement, rel: str, rhs: OrderOperand, leq: AtomFactory = Leq
+) -> Concept:
     """Classical concept expressing `lhs rel rhs` over Leq atoms.
 
     rel is one of < <= = >= >; strictness and equality are resolved by outer
-    Boolean combination of the <= and >= expansions.
+    Boolean combination of the <= and >= expansions.  `leq` makes the atoms;
+    the reduction passes `OrderStructure.leq` to take them from the table.
     """
     if rel == "<=":
-        return _le(lhs, rhs)
+        return _le(lhs, rhs, leq)
     if rel == ">=":
-        return _ge(lhs, rhs)
+        return _ge(lhs, rhs, leq)
     if rel == "=":
-        return And(_le(lhs, rhs), _ge(lhs, rhs))
+        return And(_le(lhs, rhs, leq), _ge(lhs, rhs, leq))
     if rel == "<":
-        return Not(_ge(lhs, rhs))
+        return Not(_ge(lhs, rhs, leq))
     if rel == ">":
-        return Not(_le(lhs, rhs))
+        return Not(_le(lhs, rhs, leq))
     raise ValueError(f"unknown relator {rel!r}")
 
 
@@ -148,12 +186,41 @@ class OrderStructure:
     constant, one ConceptElement and one ShiftedElement per closed
     subconcept, then the edge pair.  ShiftedElement never wraps a constant;
     shifting identifies shifted constants with the constants themselves.
+
+    Derived on first use, by element position i:
+      - `index` maps each element to its position;
+      - `table[i][j]` is the one shared atom `Leq(elements[i], elements[j])`;
+      - `inverse[i]` is the position of `invert(elements[i])`;
+      - `up[i]` is the position of `shift(elements[i])`, for the base
+        elements (constants and current-level subconcepts), which come first.
     """
 
     values: ValueSet
     subconcepts: tuple[Concept, ...]
     roles: tuple[str, ...]
     elements: tuple[OrderElement, ...]
+
+    @cached_property
+    def index(self) -> dict[OrderElement, int]:
+        return {e: i for i, e in enumerate(self.elements)}
+
+    @cached_property
+    def table(self) -> tuple[tuple[Leq, ...], ...]:
+        elems = self.elements
+        return tuple(tuple(Leq(a, b) for b in elems) for a in elems)
+
+    @cached_property
+    def inverse(self) -> tuple[int, ...]:
+        return tuple(self.index[invert(e)] for e in self.elements)
+
+    @cached_property
+    def up(self) -> tuple[int, ...]:
+        base = self.elements[: len(self.values) + len(self.subconcepts)]
+        return tuple(self.index[shift(e)] for e in base)
+
+    def leq(self, a: OrderElement, b: OrderElement) -> Leq:
+        """The table atom `Leq(a, b)`; both elements must be in the structure."""
+        return self.table[self.index[a]][self.index[b]]
 
     @classmethod
     def from_ontology(cls, o: FuzzyOntology) -> "OrderStructure":
@@ -166,12 +233,6 @@ class OrderStructure:
             + (EDGE, EDGE_INV)
         )
         return cls(values, subs, roles(o), elements)
-
-    def base_elements(self) -> tuple[OrderElement, ...]:
-        """Constants and current-level subconcepts (the shiftable part)."""
-        return tuple(ValueElement(q) for q in self.values) + tuple(
-            ConceptElement(c) for c in self.subconcepts
-        )
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -5,7 +5,10 @@ preorder over the order structure (constants, subconcept values here and at
 the parent, and the incoming edge degree), encoded by the Leq atoms.  The
 emitted axiom families force those preorders to be well-formed, tie each
 complex subconcept's position to its parts, and propagate order facts along
-role edges.  Consistency is preserved in both directions.
+role edges.  Consistency is preserved in both directions.  Every atom is
+taken from the structure's table (`OrderStructure.table`), by element
+position in the n^3 and n^2 families and through `OrderStructure.leq` in the
+macro expansions, so each atom is one object across the whole ontology.
 """
 
 from __future__ import annotations
@@ -17,13 +20,13 @@ from .errors import LocalityError
 from .ontology import ConceptAssertion, FuzzyOntology, is_local
 from .orders import (
     EDGE,
+    AtomFactory,
     ConceptElement,
     Leq,
     MinExpr,
     OrderStructure,
     ResExpr,
     ValueElement,
-    invert,
     order_concept,
     shift,
 )
@@ -36,7 +39,7 @@ def build_order_structure(o: FuzzyOntology) -> OrderStructure:
     return OrderStructure.from_ontology(o)
 
 
-def semantics_axioms(c: Concept) -> tuple[Inclusion, ...]:
+def semantics_axioms(c: Concept, leq: AtomFactory = Leq) -> tuple[Inclusion, ...]:
     """Axioms tying the order position of `c` to those of its parts.
 
     Concept names and negations contribute nothing: names are unconstrained
@@ -45,35 +48,33 @@ def semantics_axioms(c: Concept) -> tuple[Inclusion, ...]:
     here = ConceptElement(c)
     match c:
         case Top():
-            return (Inclusion(TOP, order_concept(ValueElement(ONE), "<=", here)),)
+            return (Inclusion(TOP, order_concept(ValueElement(ONE), "<=", here, leq)),)
         case And(left, right):
             rhs = MinExpr(ConceptElement(left), ConceptElement(right))
-            return (Inclusion(TOP, order_concept(here, "=", rhs)),)
+            return (Inclusion(TOP, order_concept(here, "=", rhs, leq)),)
         case Implies(left, right):
             rhs = ResExpr(ConceptElement(left), ConceptElement(right))
-            return (Inclusion(TOP, order_concept(here, "=", rhs)),)
+            return (Inclusion(TOP, order_concept(here, "=", rhs, leq)),)
         case Forall(role, sub):
             up = shift(here)
             bound = ResExpr(EDGE, ConceptElement(sub))
-            witness = AtLeast(1, role, order_concept(up, ">=", bound))
-            ceiling = Forall(role, order_concept(up, "<=", bound))
+            witness = AtLeast(1, role, order_concept(up, ">=", bound, leq))
+            ceiling = Forall(role, order_concept(up, "<=", bound, leq))
             return (Inclusion(TOP, And(witness, ceiling)),)
         case AtLeast(count, role, sub):
             up = shift(here)
             bound = MinExpr(EDGE, ConceptElement(sub))
-            floor = AtLeast(count, role, order_concept(up, "<=", bound))
-            cap = Not(AtLeast(count, role, order_concept(up, "<", bound)))
+            floor = AtLeast(count, role, order_concept(up, "<=", bound, leq))
+            cap = Not(AtLeast(count, role, order_concept(up, "<", bound, leq)))
             return (Inclusion(TOP, And(floor, cap)),)
     return ()
 
 
 def transitivity_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
-    elems = u.elements
+    t = u.table
+    span = range(len(u))
     return tuple(
-        Inclusion(And(Leq(a, b), Leq(b, c)), Leq(a, c))
-        for a in elems
-        for b in elems
-        for c in elems
+        Inclusion(And(t[i][j], t[j][k]), t[i][k]) for i in span for j in span for k in span
     )
 
 
@@ -83,32 +84,31 @@ def transitivity_axioms_reduced(u: OrderStructure) -> tuple[Inclusion, ...]:
     Those instances are tautologies once totality holds, so skipping them is
     sound; the faithful full set is the default elsewhere.
     """
-    elems = u.elements
+    t = u.table
+    span = range(len(u))
     return tuple(
-        Inclusion(And(Leq(a, b), Leq(b, c)), Leq(a, c))
-        for a in elems
-        for b in elems
-        for c in elems
-        if a != b and b != c and a != c
+        Inclusion(And(t[i][j], t[j][k]), t[i][k])
+        for i in span
+        for j in span
+        for k in span
+        if i != j and j != k and i != k
     )
 
 
 def totality_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
-    elems = u.elements
-    return tuple(
-        Inclusion(TOP, Or(Leq(a, b), Leq(b, a))) for a in elems for b in elems
-    )
+    t = u.table
+    span = range(len(u))
+    return tuple(Inclusion(TOP, Or(t[i][j], t[j][i])) for i in span for j in span)
 
 
 def bounds_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
-    zero = ValueElement(u.values.degrees[0])
-    one = ValueElement(u.values.degrees[-1])
-    return tuple(
-        Inclusion(TOP, And(Leq(zero, a), Leq(a, one))) for a in u.elements
-    )
+    # constants come first, ascending
+    t = u.table
+    zero, one = 0, len(u.values) - 1
+    return tuple(Inclusion(TOP, And(t[zero][i], t[i][one])) for i in range(len(u)))
 
 
-def value_order_axioms(values: ValueSet) -> tuple[Inclusion, ...]:
+def value_order_axioms(values: ValueSet, leq: AtomFactory = Leq) -> tuple[Inclusion, ...]:
     """Facts between constants: q <= q' for every ordered pair, and the
     negated converse for every strict pair."""
     out = []
@@ -116,17 +116,16 @@ def value_order_axioms(values: ValueSet) -> tuple[Inclusion, ...]:
     for q in degrees:
         for p in degrees:
             if q <= p:
-                out.append(Inclusion(TOP, Leq(ValueElement(q), ValueElement(p))))
+                out.append(Inclusion(TOP, leq(ValueElement(q), ValueElement(p))))
             if q < p:
-                out.append(Inclusion(TOP, Not(Leq(ValueElement(p), ValueElement(q)))))
+                out.append(Inclusion(TOP, Not(leq(ValueElement(p), ValueElement(q)))))
     return tuple(out)
 
 
 def antitonicity_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
-    elems = u.elements
-    return tuple(
-        Inclusion(Leq(a, b), Leq(invert(b), invert(a))) for a in elems for b in elems
-    )
+    t, inv = u.table, u.inverse
+    span = range(len(u))
+    return tuple(Inclusion(t[i][j], t[inv[j]][inv[i]]) for i in span for j in span)
 
 
 def preorder_axioms(u: OrderStructure, skip_trivial_transitivity: bool = False) -> tuple[Inclusion, ...]:
@@ -141,7 +140,7 @@ def preorder_axioms(u: OrderStructure, skip_trivial_transitivity: bool = False) 
         trans
         + totality_axioms(u)
         + bounds_axioms(u)
-        + value_order_axioms(u.values)
+        + value_order_axioms(u.values, u.leq)
         + antitonicity_axioms(u)
     )
 
@@ -153,19 +152,19 @@ def transfer_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
     `shift(a) rel shift(b)` at every role successor; the other relators are
     Boolean combinations of these.
     """
-    base = u.base_elements()
+    t, up = u.table, u.up
     out = []
-    for a in base:
-        for b in base:
-            atom = Leq(a, b)
-            shifted = Leq(shift(a), shift(b))
+    for i in range(len(up)):
+        for j in range(len(up)):
+            atom = t[i][j]
+            shifted = t[up[i]][up[j]]
             for r in u.roles:
                 out.append(Inclusion(atom, Forall(r, shifted)))
                 out.append(Inclusion(Not(atom), Forall(r, Not(shifted))))
     return tuple(out)
 
 
-def abox_assertions(o: FuzzyOntology) -> tuple[tuple[str, Concept], ...]:
+def abox_assertions(o: FuzzyOntology, leq: AtomFactory = Leq) -> tuple[tuple[str, Concept], ...]:
     out = []
     for a in o.abox:
         lhs = ConceptElement(a.left.concept)
@@ -173,7 +172,7 @@ def abox_assertions(o: FuzzyOntology) -> tuple[tuple[str, Concept], ...]:
             rhs = ConceptElement(a.right.concept)
         else:
             rhs = ValueElement(a.right)
-        out.append((o.individual, order_concept(lhs, a.rel, rhs)))
+        out.append((o.individual, order_concept(lhs, a.rel, rhs, leq)))
     return tuple(out)
 
 
@@ -183,9 +182,9 @@ def tbox_axioms(o: FuzzyOntology, u: OrderStructure) -> tuple[Inclusion, ...]:
     out = []
     for g in o.tbox:
         rhs = ResExpr(ConceptElement(g.lhs), ConceptElement(g.rhs))
-        out.append(Inclusion(TOP, order_concept(ValueElement(g.degree), "<=", rhs)))
+        out.append(Inclusion(TOP, order_concept(ValueElement(g.degree), "<=", rhs, u.leq)))
     for c in u.subconcepts:
-        out.extend(semantics_axioms(c))
+        out.extend(semantics_axioms(c, u.leq))
     return tuple(out)
 
 
@@ -201,4 +200,4 @@ def reduce_ontology(
         + transfer_axioms(u)
         + tbox_axioms(o, u)
     )
-    return ClassicalOntology(inclusions, abox_assertions(o), o.individual)
+    return ClassicalOntology(inclusions, abox_assertions(o, u.leq), o.individual)

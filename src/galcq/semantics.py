@@ -9,6 +9,7 @@ finite interpretations are witnessed by construction.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -91,15 +92,17 @@ def evaluate_concept(
                 default=ONE,
             )
         case AtLeast(count, role, sub):
-            best = ZERO
-            for combo in itertools.combinations(i.domain, count):
-                value = min(
+            # the best pairwise-different count-tuple takes the count largest
+            # edge values, so the supremum of their minimum is the count-th
+            # largest; an empty supremum (domain smaller than count) is 0
+            top = heapq.nlargest(
+                count,
+                (
                     t_norm(i.role_value(role, d, e), evaluate_concept(i, sub, e, memo))
-                    for e in combo
-                )
-                if value > best:
-                    best = value
-            v = best  # empty supremum (domain smaller than count) is 0
+                    for e in i.domain
+                ),
+            )
+            v = top[-1] if len(top) == count else ZERO
         case _:
             raise TypeError(f"not a normalized fuzzy concept: {c!r}")
     memo[key] = v

@@ -84,6 +84,12 @@ class SList:
     column: int
 
 
+# Deepest list nesting accepted.  Every later stage recurses over concepts,
+# so input nested past Python's recursion limit must be refused here; the
+# bound leaves room for the few levels a reduction adds around a concept.
+MAX_NESTING = 200
+
+
 def read_forms(text: str) -> list:
     """Tokenize and read all top-level forms, tracking positions."""
     forms = []
@@ -110,6 +116,8 @@ def read_forms(text: str) -> list:
             while i < n and text[i] != "\n":
                 i += 1
         elif ch == "(":
+            if len(stack) >= MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", line, col)
             node = SList([], line, col)
             stack.append(node)
             col += 1

@@ -6,7 +6,11 @@ number restrictions (choose and merge).  Every GCI `C [= D` contributes the
 clause nnf(not C or D) to every node label.
 
 Search organization:
-  - concepts are interned to dense integers; node labels are dicts from
+  - concepts are interned to dense integers, looked up by their kind and
+    their children's ids rather than by the structural NNF object; the
+    NNF literals share one node per atom for the whole construction, and
+    every node's sort key is computed once, so building the base clauses
+    never re-walks an atom's concept trees; node labels are dicts from
     concept id to a dependency bitmask of decision levels;
   - disjunctions branch semantically (failed disjuncts are asserted
     negatively before the next try), with unit propagation driven by a
@@ -30,6 +34,7 @@ from typing import Callable, Optional
 from .classical_model import ClassicalInterpretation, ClassicalOntology
 from .errors import BudgetExceededError
 from .nnf import (
+    Literals,
     NAnd,
     NAtLeast,
     NAtMost,
@@ -67,13 +72,18 @@ class _Clash(Exception):
 class _Interner:
     """Bijection between NNF concepts and dense integer ids.
 
-    `parts` holds a per-id rule descriptor: child ids for and/or, (role,
-    sub) for forall, (n, role, sub) for the counting restrictions;
-    `or_negs` caches the complement ids of every disjunction's disjuncts;
-    `fingerprints` are fixed random words for xor label fingerprints.
+    A concept is looked up by `(kind, part)`, where `part` is the atom of a
+    literal and otherwise already holds the child ids, so a lookup hashes a
+    shallow tuple whatever the concept's depth.  `parts` holds the per-id
+    rule descriptor: child ids for and/or, (role, sub) for forall, (n, role,
+    sub) for the counting restrictions; `or_negs` caches the complement ids
+    of every disjunction's disjuncts; `fingerprints` are fixed random words
+    for xor label fingerprints.  `lits` shares literal nodes across every
+    formula built for this tableau.
     """
 
     def __init__(self):
+        self.lits = Literals()
         self.ids: dict = {}
         self.objs: list = []
         self.kinds: list[int] = []
@@ -85,9 +95,6 @@ class _Interner:
         self._fp_rng = random.Random(0xA1C9)
 
     def intern(self, n) -> int:
-        cid = self.ids.get(n)
-        if cid is not None:
-            return cid
         match n:
             case NAtom(atom):
                 kind, part = _KIND_ATOM, atom
@@ -105,8 +112,12 @@ class _Interner:
                 kind, part = _KIND_ATMOST, (count, role, self.intern(sub))
             case _:
                 raise TypeError(f"not an NNF concept: {n!r}")
+        key = (kind, part)
+        cid = self.ids.get(key)
+        if cid is not None:
+            return cid
         cid = len(self.objs)
-        self.ids[n] = cid
+        self.ids[key] = cid
         self.objs.append(n)
         self.kinds.append(kind)
         self.parts.append(part)
@@ -123,7 +134,7 @@ class _Interner:
     def negation(self, cid: int) -> int:
         neg = self.negs[cid]
         if neg is None:
-            neg = self.intern(negate_nnf(self.objs[cid]))
+            neg = self.intern(negate_nnf(self.objs[cid], self.lits))
             self.negs[cid] = neg
             self.negs[neg] = cid
         return neg
@@ -214,9 +225,10 @@ class Tableau:
         self.neq: dict = {}  # frozenset{a,b} -> dependency bitmask
         self.stack: list = []
 
+        lits = self.interner.lits
         base = set()
         for inc in ontology.inclusions:
-            clause = mk_or((nnf_not(inc.lhs), nnf(inc.rhs)))
+            clause = mk_or((nnf_not(inc.lhs, lits), nnf(inc.rhs, lits)))
             base.add(self.interner.intern(clause))
         self.base_list = tuple(
             sorted(base, key=lambda cid: sort_key(self.interner.objs[cid]))
@@ -229,7 +241,7 @@ class Tableau:
         if individuals - {ontology.individual}:
             raise ValueError("assertions must use the ontology's single individual")
         self.root_ids = tuple(
-            self.interner.intern(nnf(c)) for _, c in ontology.assertions
+            self.interner.intern(nnf(c, lits)) for _, c in ontology.assertions
         )
         self._precompute_static()
 

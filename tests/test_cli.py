@@ -1,3 +1,5 @@
+import time
+
 from galcq import parse_classical
 from galcq.cli import run
 
@@ -40,6 +42,24 @@ def test_check_locality_error_exits_2(tmp_path, capsys):
 
 def test_missing_file_exits_2(tmp_path, capsys):
     assert run(["check", str(tmp_path / "nope.sexp")]) == 2
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.sexp"
+    path.write_bytes(b"(assert (inst a A) >= 0.5)\n; caf\xe9\n")
+    assert run(["check", str(path)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_deep_nesting_exits_2_quickly(tmp_path, capsys):
+    depth = 3000
+    path = _write(
+        tmp_path, "(assert (inst a " + "(not " * depth + "A" + ")" * depth + ") >= 0.5)"
+    )
+    start = time.monotonic()
+    assert run(["check", path]) == 2
+    assert time.monotonic() - start < 1.0
+    assert "nesting deeper than" in capsys.readouterr().err
 
 
 def test_sat_tautology(tmp_path, capsys):

@@ -7,6 +7,7 @@ all valuations from a small value grid.
 """
 
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -24,9 +25,11 @@ from galcq import (
     invert,
     order_concept,
     parse_ontology,
+    reduce_ontology,
     rel_holds,
     residuum,
     shift,
+    subconcepts,
     t_norm,
 )
 from galcq.orders import (
@@ -163,3 +166,35 @@ def test_expansion_uses_only_leq_atoms():
                         stack.extend((left, right))
                     case _:
                         raise AssertionError(f"unexpected node {node!r}")
+
+
+TWO_ROLES = "(assert (inst a (some r A)) >= 1/2)\n(assert (inst a (some s B)) >= 1/2)"
+
+
+def test_reduction_shares_one_object_per_atom():
+    red = reduce_ontology(parse_ontology(TWO_ROLES))
+    by_id = {}
+    for c in red.concepts():
+        for s in subconcepts(c):
+            if isinstance(s, Leq):
+                by_id[id(s)] = s
+    assert len(by_id) == len(set(by_id.values()))
+
+
+def test_table_atoms_behave_like_fresh_atoms():
+    u = OrderStructure.from_ontology(parse_ontology(TWO_ROLES))
+    for i, a in enumerate(u.elements):
+        for j, b in enumerate(u.elements):
+            atom, fresh = u.table[i][j], Leq(a, b)
+            assert atom == fresh
+            assert hash(atom) == hash(fresh)
+            assert repr(atom) == repr(fresh) == f"Leq(lhs={a!r}, rhs={b!r})"
+            assert u.leq(a, b) is atom
+            match atom:
+                case Leq(lhs, rhs):
+                    assert (lhs, rhs) == (a, b)
+        assert u.elements[u.inverse[i]] == invert(a)
+    for i, up in enumerate(u.up):
+        assert u.elements[up] == shift(u.elements[i])
+    copied = pickle.loads(pickle.dumps(atom))
+    assert copied == atom and hash(copied) == hash(atom)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -72,6 +73,35 @@ def test_atleast_counts_distinct_tuples():
     )
     # best pair is {0, 1}: min(min(3/4, 1), min(1, 1/2)) = 1/2
     assert evaluate_concept(i, AtLeast(2, "r", A), 0) == F(1, 2)
+
+
+def _atleast_by_enumeration(i, count, role, sub, d):
+    """Reference: supremum over pairwise-different count-tuples of the min."""
+    return max(
+        (
+            min(t_norm(i.role_value(role, d, e), evaluate_concept(i, sub, e)) for e in combo)
+            for combo in itertools.combinations(i.domain, count)
+        ),
+        default=F(0),
+    )
+
+
+def test_atleast_matches_tuple_enumeration():
+    rng = random.Random(11)
+    grid = [F(k, 6) for k in range(7)]
+    subs = (A, Not(A), And(A, B), AtLeast(1, "r", B), Forall("r", A))
+    for _ in range(200):
+        domain = tuple(range(rng.randint(1, 4)))
+        i = _single(
+            {(n, d): rng.choice(grid) for n in "AB" for d in domain},
+            {("r", d, e): rng.choice(grid) for d in domain for e in domain},
+            domain=domain,
+        )
+        sub = rng.choice(subs)
+        count = rng.randint(1, 5)
+        d = rng.choice(domain)
+        expected = _atleast_by_enumeration(i, count, "r", sub, d)
+        assert evaluate_concept(i, AtLeast(count, "r", sub), d) == expected
 
 
 def test_forall_infimum_attained():

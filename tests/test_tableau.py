@@ -1,6 +1,8 @@
+import hashlib
 import random
 
 import pytest
+from conftest import CORPUS, NODE_BUDGET, STEP_BUDGET
 
 from galcq import (
     And,
@@ -19,12 +21,14 @@ from galcq import (
     brute_force_consistency,
     check_classical_model,
     check_consistency,
+    classical_to_sexpr,
     extract_classical_model,
     parse_ontology,
     reduce_ontology,
 )
 from galcq.concepts import TOP, quantifier_depth
 from galcq.orders import ValueElement
+from galcq.tableau import Tableau
 from fractions import Fraction
 
 A = Name("A")
@@ -211,3 +215,34 @@ def test_agreement_with_brute_force_on_random_ontologies():
             )
             assert violations == [], f"{o}: {violations[:2]}"
     assert checked >= 60
+
+
+# Search behaviour on the heaviest corpus entries, as (verdict, inclusions,
+# base clauses, interned concepts, nodes created, steps, sha256 prefix of
+# the printed reduction).  Interning order, base clause order and disjunct
+# order decide the search, so any change to them moves these numbers.
+PINNED = {
+    "two-roles": (True, 10659, 10445, 12284, 7, 3890, "f3194964bdce0744"),
+    "count-clash": (False, 17251, 16947, 18858, 3, 1796, "d1b452b3b95c29d4"),
+    "duality": (True, 5681, 5541, 6440, 37, 11168, "0404f426a9d5e3ea"),
+    "atmost-res": (True, 10418, 10204, 11556, 11, 4833, "a9838d4e4a85d866"),
+    "forall-clash": (False, 13615, 13356, 15063, 2, 697, "f66013164866c31b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_search_behaviour_is_pinned(name):
+    red = reduce_ontology(parse_ontology(dict(CORPUS)[name]))
+    tab = Tableau(red, NODE_BUDGET, STEP_BUDGET)
+    result = tab.run()
+    digest = hashlib.sha256(classical_to_sexpr(red).encode("utf-8")).hexdigest()[:16]
+    observed = (
+        result.consistent,
+        len(red.inclusions),
+        len(tab.base_list),
+        len(tab.interner.objs),
+        tab.created,
+        tab.steps,
+        digest,
+    )
+    assert observed == PINNED[name]
