@@ -19,6 +19,7 @@ from typing import Optional
 from .classical_model import (
     ClassicalInterpretation,
     ClassicalOntology,
+    atom_of,
     check_classical_model,
 )
 from .concepts import (
@@ -33,6 +34,7 @@ from .concepts import (
     Not,
     Or,
     Top,
+    first_occurrences,
     quantifier_depth,
 )
 from .errors import BudgetExceededError
@@ -93,12 +95,6 @@ def _eval3(c, assignment: dict) -> Optional[bool]:
     raise TypeError(f"not a classical concept: {c!r}")
 
 
-def _mentioned_atoms(c):
-    from .concepts import subconcepts
-
-    return [s for s in subconcepts(c) if isinstance(s, (Name, Leq))]
-
-
 def _as_clauses(c):
     """Flatten a quantifier-free concept into CNF clauses of (atom, sign),
     or None when its negation normal form nests Or over And."""
@@ -146,7 +142,7 @@ def _candidate_labels(atoms, constraints, budget: int) -> list[frozenset]:
     for c in constraints:
         clauses = _as_clauses(c)
         if clauses is None:
-            for a in set(_mentioned_atoms(c)):
+            for a in first_occurrences((c,), atom_of):
                 eval_index[a].append(c)
         else:
             for cl in clauses:

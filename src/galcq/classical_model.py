@@ -23,9 +23,15 @@ from .concepts import (
     Not,
     Or,
     Top,
-    subconcepts,
+    first_occurrences,
+    role_of,
 )
 from .orders import Leq
+
+
+def atom_of(c: Concept) -> Optional[Concept]:
+    """`c` itself when it is atomic (a name or an order atom), else None."""
+    return c if isinstance(c, (Name, Leq)) else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,25 +57,10 @@ class ClassicalOntology:
 
     def atoms(self) -> tuple:
         """Atomic concepts (names and order atoms), first-occurrence order."""
-        out = []
-        seen = set()
-        for c in self.concepts():
-            for s in subconcepts(c):
-                if isinstance(s, (Name, Leq)) and s not in seen:
-                    seen.add(s)
-                    out.append(s)
-        return tuple(out)
+        return first_occurrences(self.concepts(), atom_of)
 
     def roles(self) -> tuple[str, ...]:
-        out = []
-        seen = set()
-        for c in self.concepts():
-            for s in subconcepts(c):
-                if isinstance(s, (Exists, Forall, AtLeast, AtMost)):
-                    if s.role not in seen:
-                        seen.add(s.role)
-                        out.append(s.role)
-        return tuple(out)
+        return first_occurrences(self.concepts(), role_of)
 
 
 @dataclass

@@ -17,12 +17,8 @@ from .algebra import ValueSet, parse_degree
 from .bruteforce import brute_force_consistency
 from .errors import BudgetExceededError, ParseError, ReasonerError
 from .extraction import extract_fuzzy_model
-from .ontology import (
-    ConceptAssertion,
-    FuzzyOntology,
-    OrderAssertion,
-    value_closure,
-)
+from .ontology import ConceptAssertion, FuzzyOntology, OrderAssertion, value_closure
+from .ontology import roles as ontology_roles
 from .orders import OrderStructure
 from .reduction import reduce_ontology
 from .semantics import check_fuzzy_model, concept_names, grid_search_fuzzy_model
@@ -33,8 +29,7 @@ from .syntax import (
     parse_ontology,
 )
 from .tableau import check_consistency, extract_classical_model
-from .ontology import roles as ontology_roles
-from .concepts import quantifier_depth
+from .concepts import Implies, quantifier_depth
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -180,54 +175,47 @@ def _decide(ontology: FuzzyOntology, args) -> bool:
     return result.consistent
 
 
-def run_consistency(args) -> int:
-    ontology = _load(args)
-    consistent = _decide(ontology, args)
-    print("CONSISTENT" if consistent else "INCONSISTENT")
-    return 0 if consistent else 1
+# (positive, negative) verdict words; `subsumes` is positive when its task
+# ontology is inconsistent, the others when it is consistent
+_VERDICTS = {
+    "check": ("CONSISTENT", "INCONSISTENT"),
+    "sat": ("SATISFIABLE", "UNSATISFIABLE"),
+    "subsumes": ("SUBSUMED", "NOT SUBSUMED"),
+}
 
 
-def run_satisfiability(args) -> int:
+def run_task(args) -> int:
+    """Decide `check`, `sat` or `subsumes` on the input and print the verdict.
+
+    `sat` asserts `C >= d` and `subsumes` asserts `(C => D) < d` at the
+    individual, in place of the input's assertions.
+    """
     ontology = _load(args)
-    if ontology.abox:
-        print(
-            "warning: input assertions are ignored by sat (only the TBox is used)",
-            file=sys.stderr,
+    if args.command != "check":
+        if ontology.abox:
+            print(
+                f"warning: input assertions are ignored by {args.command} "
+                "(only the TBox is used)",
+                file=sys.stderr,
+            )
+        degree = parse_degree(args.degree)
+        mode = args.atmost or "involutive"
+        if args.command == "sat":
+            concept, rel = parse_concept_text(args.concept, mode), ">="
+        else:
+            if degree == 0:
+                raise ReasonerError("subsumption degree must be in (0,1]")
+            lhs = parse_concept_text(args.lhs, mode)
+            rhs = parse_concept_text(args.rhs, mode)
+            concept, rel = Implies(lhs, rhs), "<"
+        assertion = OrderAssertion(
+            ConceptAssertion(ontology.individual, concept), rel, degree
         )
-    degree = parse_degree(args.degree)
-    concept = parse_concept_text(args.concept, args.atmost or "involutive")
-    assertion = OrderAssertion(
-        ConceptAssertion(ontology.individual, concept), ">=", degree
-    )
-    task = FuzzyOntology((assertion,), ontology.tbox, ontology.individual)
-    satisfiable = _decide(task, args)
-    print("SATISFIABLE" if satisfiable else "UNSATISFIABLE")
-    return 0 if satisfiable else 1
-
-
-def run_subsumption(args) -> int:
-    ontology = _load(args)
-    if ontology.abox:
-        print(
-            "warning: input assertions are ignored by subsumes (only the TBox is used)",
-            file=sys.stderr,
-        )
-    degree = parse_degree(args.degree)
-    if degree == 0:
-        raise ReasonerError("subsumption degree must be in (0,1]")
-    mode = args.atmost or "involutive"
-    lhs = parse_concept_text(args.lhs, mode)
-    rhs = parse_concept_text(args.rhs, mode)
-    from .concepts import Implies
-
-    assertion = OrderAssertion(
-        ConceptAssertion(ontology.individual, Implies(lhs, rhs)), "<", degree
-    )
-    task = FuzzyOntology((assertion,), ontology.tbox, ontology.individual)
-    consistent = _decide(task, args)
-    subsumed = not consistent
-    print("SUBSUMED" if subsumed else "NOT SUBSUMED")
-    return 0 if subsumed else 1
+        ontology = FuzzyOntology((assertion,), ontology.tbox, ontology.individual)
+    positive = _decide(ontology, args) != (args.command == "subsumes")
+    positive_word, negative_word = _VERDICTS[args.command]
+    print(positive_word if positive else negative_word)
+    return 0 if positive else 1
 
 
 def run_reduce(args) -> int:
@@ -245,14 +233,9 @@ def run_reduce(args) -> int:
 def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "check": run_consistency,
-        "sat": run_satisfiability,
-        "subsumes": run_subsumption,
-        "reduce": run_reduce,
-    }
+    handler = run_reduce if args.command == "reduce" else run_task
     try:
-        return handlers[args.command](args)
+        return handler(args)
     except (ReasonerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

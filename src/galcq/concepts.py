@@ -10,7 +10,7 @@ expanded by `normalize`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,16 +133,11 @@ def normalize(c: Concept, at_most: str = "involutive") -> Concept:
 
 
 def children(c: Concept) -> tuple:
-    match c:
-        case Top() | Bot() | Name():
-            return ()
-        case Not(sub) | Exists(_, sub) | Forall(_, sub):
-            return (sub,)
-        case AtLeast(_, _, sub) | AtMost(_, _, sub):
-            return (sub,)
-        case And(left, right) | Or(left, right) | Implies(left, right):
-            return (left, right)
-    # orders.Leq and other classical leaves
+    if isinstance(c, (And, Or, Implies)):
+        return (c.left, c.right)
+    if isinstance(c, (Not, Exists, Forall, AtLeast, AtMost)):
+        return (c.sub,)
+    # Top, Bot, Name, orders.Leq and other classical leaves
     return ()
 
 
@@ -153,10 +148,26 @@ def subconcepts(c: Concept) -> Iterator[Concept]:
     yield c
 
 
-def roles_in(c: Concept) -> Iterator[str]:
-    for s in subconcepts(c):
-        if isinstance(s, (Exists, Forall, AtLeast, AtMost)):
-            yield s.role
+def first_occurrences(concepts: Iterable[Concept], pick: Callable) -> tuple:
+    """Distinct non-None `pick(s)` over all subconcepts `s` of `concepts`,
+    in post-order of first occurrence."""
+    out = {}
+    for c in concepts:
+        for s in subconcepts(c):
+            value = pick(s)
+            if value is not None:
+                out[value] = None
+    return tuple(out)
+
+
+def role_of(c: Concept) -> Optional[str]:
+    """The role of a quantified concept, None for any other concept."""
+    return c.role if isinstance(c, (Exists, Forall, AtLeast, AtMost)) else None
+
+
+def roles_in(c: Concept) -> tuple[str, ...]:
+    """Role names in `c`, in order of first occurrence."""
+    return first_occurrences((c,), role_of)
 
 
 def quantifier_depth(c: Concept) -> int:

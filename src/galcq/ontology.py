@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .algebra import ValueSet
-from .concepts import Concept, negate, normalize, roles_in, subconcepts, concept_size
+from .concepts import Concept, concept_size, first_occurrences, negate, normalize, role_of
 
 RELATIONS = ("<", "<=", "=", ">=", ">")
 
@@ -57,6 +57,16 @@ class FuzzyOntology:
     tbox: tuple[FuzzyGCI, ...]
     individual: str = "a"
 
+    def concepts(self) -> Iterator[Concept]:
+        """Assertion concepts, then each inclusion's two sides, in order."""
+        for assertion in self.abox:
+            for side in (assertion.left, assertion.right):
+                if isinstance(side, ConceptAssertion):
+                    yield side.concept
+        for gci in self.tbox:
+            yield gci.lhs
+            yield gci.rhs
+
 
 def is_local(abox: Iterable[OrderAssertion]) -> bool:
     """True iff the ABox has no role assertions and at most one individual."""
@@ -70,26 +80,11 @@ def is_local(abox: Iterable[OrderAssertion]) -> bool:
     return len(individuals) <= 1
 
 
-def _assertion_concepts(o: FuzzyOntology):
-    for assertion in o.abox:
-        for side in (assertion.left, assertion.right):
-            if isinstance(side, ConceptAssertion):
-                yield side.concept
-
-
 def close_under_negation(concepts: Iterable[Concept]) -> tuple[Concept, ...]:
     """Append the negation of each concept, collapsing double negations."""
-    out = []
-    seen = set()
-    for c in concepts:
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
+    out = dict.fromkeys(concepts)
     for c in list(out):
-        n = negate(c)
-        if n not in seen:
-            seen.add(n)
-            out.append(n)
+        out.setdefault(negate(c))
     return tuple(out)
 
 
@@ -100,21 +95,7 @@ def sub_closure(o: FuzzyOntology) -> tuple[Concept, ...]:
     concepts, duplicates dropped, negations appended afterwards.  Expects a
     normalized ontology.
     """
-    base = []
-    seen = set()
-
-    def visit(c):
-        for s in subconcepts(c):
-            if s not in seen:
-                seen.add(s)
-                base.append(s)
-
-    for c in _assertion_concepts(o):
-        visit(c)
-    for gci in o.tbox:
-        visit(gci.lhs)
-        visit(gci.rhs)
-    return close_under_negation(base)
+    return close_under_negation(first_occurrences(o.concepts(), lambda s: s))
 
 
 def value_closure(o: FuzzyOntology) -> ValueSet:
@@ -126,20 +107,7 @@ def value_closure(o: FuzzyOntology) -> ValueSet:
 
 def roles(o: FuzzyOntology) -> tuple[str, ...]:
     """Role names in order of first occurrence."""
-    out = []
-    seen = set()
-    for c in _assertion_concepts(o):
-        for r in roles_in(c):
-            if r not in seen:
-                seen.add(r)
-                out.append(r)
-    for gci in o.tbox:
-        for c in (gci.lhs, gci.rhs):
-            for r in roles_in(c):
-                if r not in seen:
-                    seen.add(r)
-                    out.append(r)
-    return tuple(out)
+    return first_occurrences(o.concepts(), role_of)
 
 
 def normalize_ontology(o: FuzzyOntology, at_most: str = "involutive") -> FuzzyOntology:
@@ -162,9 +130,4 @@ def normalize_ontology(o: FuzzyOntology, at_most: str = "involutive") -> FuzzyOn
 
 def ontology_size(o: FuzzyOntology) -> int:
     """Crude input-size measure: total AST nodes plus one per axiom."""
-    total = len(o.abox) + len(o.tbox)
-    for c in _assertion_concepts(o):
-        total += concept_size(c)
-    for gci in o.tbox:
-        total += concept_size(gci.lhs) + concept_size(gci.rhs)
-    return total
+    return len(o.abox) + len(o.tbox) + sum(concept_size(c) for c in o.concepts())

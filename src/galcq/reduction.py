@@ -16,7 +16,7 @@ from __future__ import annotations
 from .algebra import ONE, ValueSet
 from .concepts import And, AtLeast, Concept, Forall, Implies, Not, Or, Top
 from .classical_model import ClassicalOntology, Inclusion
-from .errors import LocalityError
+from .errors import BudgetExceededError, LocalityError
 from .ontology import ConceptAssertion, FuzzyOntology, is_local
 from .orders import (
     EDGE,
@@ -32,6 +32,11 @@ from .orders import (
 )
 
 TOP = Top()
+
+# Largest order structure reduced.  The preorder family alone has n^3
+# inclusions, so 100 elements already mean a million of them; the largest
+# structure in the test corpus and the benchmark has 37.
+MAX_ORDER_ELEMENTS = 100
 
 
 def build_order_structure(o: FuzzyOntology) -> OrderStructure:
@@ -191,10 +196,20 @@ def tbox_axioms(o: FuzzyOntology, u: OrderStructure) -> tuple[Inclusion, ...]:
 def reduce_ontology(
     o: FuzzyOntology, skip_trivial_transitivity: bool = False
 ) -> ClassicalOntology:
-    """Full reduction; expects a normalized ontology with a local ABox."""
+    """Full reduction; expects a normalized ontology with a local ABox.
+
+    Raises BudgetExceededError, before building any axiom family, when the
+    order structure has more than MAX_ORDER_ELEMENTS elements.
+    """
     if not is_local(o.abox):
         raise LocalityError("unsupported: non-local ABox")
     u = build_order_structure(o)
+    if len(u) > MAX_ORDER_ELEMENTS:
+        raise BudgetExceededError(
+            f"reduction budget exceeded: the order structure has {len(u)} "
+            f"elements, the limit is {MAX_ORDER_ELEMENTS} (the reduction "
+            "grows as n^3)"
+        )
     inclusions = (
         preorder_axioms(u, skip_trivial_transitivity)
         + transfer_axioms(u)

@@ -25,7 +25,7 @@ from .algebra import (
     residuum,
     t_norm,
 )
-from .concepts import And, AtLeast, Concept, Forall, Implies, Name, Not, Top
+from .concepts import And, AtLeast, Concept, Forall, Implies, Name, Not, Top, first_occurrences
 from .errors import BudgetExceededError, DegreeRangeError
 from .ontology import ConceptAssertion, FuzzyOntology, roles as ontology_roles, value_closure
 from .syntax import concept_to_sexpr
@@ -171,24 +171,9 @@ def default_grid(o: FuzzyOntology) -> ValueSet:
 
 def concept_names(o: FuzzyOntology) -> tuple[str, ...]:
     """Concept names occurring in the ontology, in traversal order."""
-    names = []
-    seen = set()
-    from .concepts import subconcepts
-
-    def visit(c):
-        for s in subconcepts(c):
-            if isinstance(s, Name) and s.name not in seen:
-                seen.add(s.name)
-                names.append(s.name)
-
-    for a in o.abox:
-        visit(a.left.concept)
-        if isinstance(a.right, ConceptAssertion):
-            visit(a.right.concept)
-    for g in o.tbox:
-        visit(g.lhs)
-        visit(g.rhs)
-    return tuple(names)
+    return first_occurrences(
+        o.concepts(), lambda s: s.name if isinstance(s, Name) else None
+    )
 
 
 def grid_search_fuzzy_model(

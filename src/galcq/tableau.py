@@ -6,6 +6,9 @@ number restrictions (choose and merge).  Every GCI `C [= D` contributes the
 clause nnf(not C or D) to every node label.
 
 Search organization:
+  - the global axioms are propagated once, by the ordinary rules, on a
+    scratch node of dependency 0; every node starts from a copy of the
+    resulting static seed instead of re-propagating the axioms;
   - concepts are interned to dense integers, looked up by their kind and
     their children's ids rather than by the structural NNF object; the
     NNF literals share one node per atom for the whole construction, and
@@ -215,7 +218,7 @@ class Tableau:
         self.onto = ontology
         self.node_budget = node_budget
         self.step_budget = step_budget
-        self.trace = trace
+        self.trace = None  # set after the silent static pre-pass
         self.interner = _Interner()
         self.nodes: list[_Node] = []
         self.created = 0
@@ -244,89 +247,40 @@ class Tableau:
             self.interner.intern(nnf(c, lits)) for _, c in ontology.assertions
         )
         self._precompute_static()
+        self.trace = trace
 
     def _precompute_static(self):
-        """Simulate base processing on an empty node once.
+        """Propagate the global axioms once, on a scratch node.
 
         Every node starts from the same deterministic consequences of the
         global axioms (numeric facts, bounds, conjunct decompositions and
-        units), so they are computed here and copied into new nodes instead
-        of re-propagating the whole axiom set per node.  A clash here means
-        the axioms are contradictory at every element, hence inconsistency.
+        units), so the ordinary rules derive them once, on a node of
+        dependency 0 without neighbours, and new nodes copy them.  A clash
+        there means the axioms are contradictory at every element, hence
+        inconsistency.  The pass is bounded by the interned concepts; it is
+        not traced and takes no steps.
         """
-        self.static_clash = False
-        label: dict = {}
-        foralls: dict = {}
-        atleasts: set = set()
-        atmosts: set = set()
-        interner = self.interner
-        base = self.base_set
-        pending = deque(self.base_list)
-
-        def examine(oid):
-            candidates = []
-            for d, nd in zip(interner.parts[oid], interner.or_negs[oid]):
-                if d in label or d in base:
-                    return None
-                if not (nd in label or nd in base):
-                    candidates.append(d)
-            if not candidates:
-                raise _Clash(1)
-            if len(candidates) == 1:
-                return candidates[0]
-            return None
-
-        extra_ors: list = []
-
-        def add(cid):
-            if cid in label or cid in base:
-                return
-            if interner.negation(cid) in label or interner.negation(cid) in base:
-                raise _Clash(1)
-            label[cid] = True
-            if interner.kinds[cid] == _KIND_OR:
-                extra_ors.append(cid)
-            pending.append(cid)
-
+        node = _Node(0, None, frozenset(), 0, 0)
+        self.nodes.append(node)
+        queue = self.queue
         try:
-            while pending:
-                cid = pending.popleft()
-                kind = interner.kinds[cid]
-                part = interner.parts[cid]
-                if kind == _KIND_ATOM or kind == _KIND_NEGATOM:
-                    if interner.negation(cid) in label or interner.negation(cid) in base:
-                        raise _Clash(1)
-                elif kind == _KIND_AND:
-                    for a in part:
-                        add(a)
-                elif kind == _KIND_OR:
-                    if not part:
-                        raise _Clash(1)
-                    unit = examine(cid)
-                    if unit is not None:
-                        add(unit)
-                elif kind == _KIND_FORALL:
-                    foralls.setdefault(part[0], {})[part[1]] = cid
-                elif kind == _KIND_ATLEAST:
-                    atleasts.add(cid)
-                elif kind == _KIND_ATMOST:
-                    atmosts.add(cid)
-                for oid in interner.watch.get(cid, ()):
-                    if oid in label or oid in base:
-                        unit = examine(oid)
-                        if unit is not None:
-                            add(unit)
+            # every base clause first, then what they add: queue order
+            for cid in self.base_list:
+                self._process(0, cid)
+            while queue:
+                self._process(*queue.popleft())
+            self.static_clash = False
         except _Clash:
             self.static_clash = True
-        self.static_label = tuple(label)
-        self.static_foralls = foralls
-        self.static_atleasts = frozenset(atleasts)
-        self.static_atmosts = frozenset(atmosts)
-        self.static_extra_ors = tuple(extra_ors)
-        fp = 0
-        for cid in self.static_label:
-            fp ^= self.interner.fingerprints[cid]
-        self.static_fp = fp
+        self.static_label = tuple(node.label)
+        self.static_foralls = node.foralls
+        self.static_atleasts = frozenset(node.atleasts)
+        self.static_atmosts = frozenset(node.atmosts)
+        self.static_extra_ors = tuple(node.extra_ors)
+        self.static_fp = node.fp
+        self.nodes.clear()
+        queue.clear()
+        self.trail.clear()
 
     # ------------------------------------------------------------------
     # label operations
@@ -362,17 +316,18 @@ class Tableau:
         interner = self.interner
         kind = interner.kinds[cid]
         part = interner.parts[cid]
-        dep = self._dep_of(node, cid)
+        # only the rules that use the dependency look it up; clauses do not
         if kind == _KIND_ATOM or kind == _KIND_NEGATOM:
             neg = interner.negation(cid)
             if neg in node.label or neg in self.base_set:
-                raise _Clash(dep | self._dep_of(node, neg))
+                raise _Clash(self._dep_of(node, cid) | self._dep_of(node, neg))
         elif kind == _KIND_AND:
+            dep = self._dep_of(node, cid)
             for a in part:
                 self._add(nid, a, dep)
         elif kind == _KIND_OR:
             if not part:
-                raise _Clash(dep)
+                raise _Clash(self._dep_of(node, cid))
             if cid not in self.base_set:
                 node.extra_ors.append(cid)
                 self.trail.append(("extraor", nid))
@@ -383,6 +338,7 @@ class Tableau:
             if sub not in bucket:
                 bucket[sub] = cid  # remember the forall literal for its dep
                 self.trail.append(("forall", nid, role, sub))
+                dep = self._dep_of(node, cid)
                 for child_id in node.children:
                     child = self.nodes[child_id]
                     if not child.pruned and role in child.parent_roles:

@@ -1,7 +1,12 @@
 import time
+from pathlib import Path
+
+import pytest
 
 from galcq import parse_classical
 from galcq.cli import run
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def _write(tmp_path, text, name="onto.sexp"):
@@ -60,6 +65,45 @@ def test_deep_nesting_exits_2_quickly(tmp_path, capsys):
     assert run(["check", path]) == 2
     assert time.monotonic() - start < 1.0
     assert "nesting deeper than" in capsys.readouterr().err
+
+
+def test_oversized_order_structure_exits_2_quickly(tmp_path, capsys):
+    # 150 nested conjunctions pass the nesting bound but give an order
+    # structure of 609 elements, about 226M transitivity axioms
+    depth = 150
+    path = _write(
+        tmp_path, "(assert (inst a " + "(and A " * depth + "A" + ")" * depth + ") >= 0.5)"
+    )
+    for command in ("check", "reduce"):
+        start = time.monotonic()
+        assert run([command, path]) == 2
+        assert time.monotonic() - start < 1.0
+        assert "reduction budget exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, code",
+    [("graded-chain", 1), ("no-duality", 0), ("residual-atmost", 1), ("tipping-point", 0)],
+)
+def test_samples_verdicts_match_their_comments(name, code, capsys):
+    assert run(["check", str(SAMPLES / f"{name}.sexp")]) == code
+    assert capsys.readouterr().out.strip() == ("INCONSISTENT" if code else "CONSISTENT")
+
+
+def test_sat_and_subsumes_ignore_assertions_with_a_warning(tmp_path, capsys):
+    # taken into account, the assertion would make A >= 1 unsatisfiable
+    path = _write(tmp_path, "(gci A B >= 1)\n(assert (inst a A) < 1/2)")
+    cases = [
+        (["sat", path, "-c", "A", "-d", "1"], 0, "SATISFIABLE"),
+        (["sat", path, "-c", "(and A (not B))", "-d", "0.6"], 1, "UNSATISFIABLE"),
+        (["subsumes", path, "--lhs", "A", "--rhs", "B", "-d", "1"], 0, "SUBSUMED"),
+        (["subsumes", path, "--lhs", "B", "--rhs", "A", "-d", "1"], 1, "NOT SUBSUMED"),
+    ]
+    for argv, code, word in cases:
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out.strip() == word
+        assert f"input assertions are ignored by {argv[0]}" in captured.err
 
 
 def test_sat_tautology(tmp_path, capsys):

@@ -1,7 +1,12 @@
 from fractions import Fraction
 
+from conftest import CORPUS
+
 from galcq import (
+    AtLeast,
+    AtMost,
     ConceptAssertion,
+    Exists,
     Forall,
     FuzzyGCI,
     FuzzyOntology,
@@ -10,12 +15,17 @@ from galcq import (
     OrderAssertion,
     RoleAssertion,
     close_under_negation,
+    Leq,
     is_local,
     parse_ontology,
+    reduce_ontology,
     sub_closure,
+    subconcepts,
     value_closure,
 )
+from galcq.concepts import negate
 from galcq.ontology import ontology_size, roles
+from galcq.semantics import concept_names
 
 F = Fraction
 A = Name("A")
@@ -119,3 +129,39 @@ def test_roles_first_occurrence_order():
         "(gci A (some q A) >= 1/2)"
     )
     assert roles(o) == ("r", "s", "q")
+
+
+def _distinct(values):
+    seen = set()
+    out = []
+    for v in values:
+        if v not in seen:
+            seen.add(v)
+            out.append(v)
+    return tuple(out)
+
+
+def test_walkers_match_a_plain_subconcept_walk():
+    quantified = (Exists, Forall, AtLeast, AtMost)
+    for name, text in CORPUS:
+        o = parse_ontology(text)
+        sides = [
+            side.concept
+            for a in o.abox
+            for side in (a.left, a.right)
+            if isinstance(side, ConceptAssertion)
+        ]
+        sides += [c for g in o.tbox for c in (g.lhs, g.rhs)]
+        subs = [s for c in sides for s in subconcepts(c)]
+        base = _distinct(subs)
+        assert sub_closure(o) == _distinct(base + tuple(negate(c) for c in base)), name
+        assert roles(o) == _distinct(s.role for s in subs if isinstance(s, quantified))
+        assert concept_names(o) == _distinct(s.name for s in subs if isinstance(s, Name))
+        assert ontology_size(o) == len(o.abox) + len(o.tbox) + len(subs)
+
+        red = reduce_ontology(o)
+        sides = [c for inc in red.inclusions for c in (inc.lhs, inc.rhs)]
+        sides += [c for _, c in red.assertions]
+        subs = [s for c in sides for s in subconcepts(c)]
+        assert red.atoms() == _distinct(s for s in subs if isinstance(s, (Name, Leq)))
+        assert red.roles() == _distinct(s.role for s in subs if isinstance(s, quantified))

@@ -246,3 +246,41 @@ def test_search_behaviour_is_pinned(name):
         digest,
     )
     assert observed == PINNED[name]
+
+
+# Static seed of the same entries: (label size, extra disjunctions, label
+# fingerprint) of the facts every node starts from.
+STATIC = {
+    "two-roles": (106, 0, 0x7956169EEF5985B9),
+    "count-clash": (171, 1, 0xE930649611259CE8),
+    "duality": (59, 0, 0xECC6055E8A175D51),
+    "atmost-res": (137, 3, 0x942A9746F8AD6B4F),
+    "forall-clash": (168, 0, 0x3C4CF50B539D38CF),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATIC))
+def test_static_seed_is_pinned(name):
+    tab = Tableau(reduce_ontology(parse_ontology(dict(CORPUS)[name])))
+    observed = (len(tab.static_label), len(tab.static_extra_ors), tab.static_fp)
+    assert observed == STATIC[name]
+    assert not tab.static_clash
+    assert (tab.steps, tab.created, tab.nodes, tab.trail) == (0, 0, [], [])
+
+
+def test_static_clash_decides_inconsistency():
+    tab = Tableau(ClassicalOntology((Inclusion(TOP, And(A, Not(A))),), (), "a"))
+    assert tab.static_clash
+    assert not tab.run().consistent
+
+
+def test_static_pass_is_not_traced():
+    C = Name("C")
+    o = ClassicalOntology(
+        (Inclusion(TOP, A), Inclusion(A, B), Inclusion(TOP, Or(B, C))),
+        (("a", Not(C)),),
+        "a",
+    )
+    lines = []
+    assert Tableau(o, trace=lines.append).run().consistent
+    assert lines == []
