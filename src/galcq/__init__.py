@@ -61,6 +61,7 @@ from .ontology import (
     FuzzyOntology,
     OrderAssertion,
     RoleAssertion,
+    certification_margin,
     close_under_negation,
     is_local,
     normalize_ontology,

@@ -18,6 +18,7 @@ from .bruteforce import brute_force_consistency
 from .errors import BudgetExceededError, ParseError, ReasonerError
 from .extraction import extract_fuzzy_model
 from .ontology import ConceptAssertion, FuzzyOntology, OrderAssertion, value_closure
+from .ontology import certification_margin
 from .ontology import roles as ontology_roles
 from .orders import OrderStructure
 from .reduction import reduce_ontology
@@ -29,7 +30,14 @@ from .syntax import (
     parse_ontology,
 )
 from .tableau import check_consistency, extract_classical_model
-from .concepts import Implies, quantifier_depth
+from .concepts import Implies
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,11 +59,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="cross-check the verdict with an independent oracle")
         p.add_argument("--grid-step", metavar="P/Q", default=None,
                        help="grid oracle step (default: ontology constants plus midpoints)")
-        p.add_argument("--max-domain", type=int, default=2,
+        p.add_argument("--max-domain", type=positive_int, default=2,
                        help="domain bound for the oracles")
         p.add_argument("--budget", type=int, default=5000,
                        help="tableau node budget")
-        p.add_argument("--depth", type=int, default=4,
+        p.add_argument("--depth", type=positive_int, default=4,
                        help="unraveling depth for model extraction")
         p.add_argument("--reduce-opt", action="store_true",
                        help="skip reflexive-trivial transitivity instances")
@@ -155,12 +163,9 @@ def _decide(ontology: FuzzyOntology, args) -> bool:
         structure = OrderStructure.from_ontology(ontology)
         tree = extract_classical_model(result.graph, depth=args.depth)
         interp, _ = extract_fuzzy_model(tree, structure, ontology.individual)
-        margin = max(
-            [quantifier_depth(c) for g in ontology.tbox for c in (g.lhs, g.rhs)]
-            + [quantifier_depth(a.left.concept) for a in ontology.abox]
-            + [0]
+        report = check_fuzzy_model(
+            interp, ontology, elements=tree.interior(certification_margin(ontology))
         )
-        report = check_fuzzy_model(interp, ontology, elements=tree.interior(margin))
         if not report.satisfied:
             raise ReasonerError(f"extracted model failed verification: {report.violation}")
         with open(args.emit_model, "w", encoding="utf-8") as handle:

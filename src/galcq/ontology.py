@@ -12,7 +12,15 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
 from .algebra import ValueSet
-from .concepts import Concept, concept_size, first_occurrences, negate, normalize, role_of
+from .concepts import (
+    Concept,
+    concept_size,
+    first_occurrences,
+    negate,
+    normalize,
+    quantifier_depth,
+    role_of,
+)
 
 RELATIONS = ("<", "<=", "=", ">=", ">")
 
@@ -131,3 +139,12 @@ def normalize_ontology(o: FuzzyOntology, at_most: str = "involutive") -> FuzzyOn
 def ontology_size(o: FuzzyOntology) -> int:
     """Crude input-size measure: total AST nodes plus one per axiom."""
     return len(o.abox) + len(o.tbox) + sum(concept_size(c) for c in o.concepts())
+
+
+def certification_margin(o: FuzzyOntology) -> int:
+    """Distance from the truncated leaves beyond which an extracted model
+    must satisfy the ontology: the largest quantifier depth of a TBox side
+    or an assertion's left-hand concept, 0 when there is none."""
+    depths = [quantifier_depth(c) for g in o.tbox for c in (g.lhs, g.rhs)]
+    depths += [quantifier_depth(a.left.concept) for a in o.abox]
+    return max(depths, default=0)

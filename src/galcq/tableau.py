@@ -15,9 +15,17 @@ Search organization:
     every node's sort key is computed once, so building the base clauses
     never re-walks an atom's concept trees; node labels are dicts from
     concept id to a dependency bitmask of decision levels;
-  - disjunctions branch semantically (failed disjuncts are asserted
-    negatively before the next try), with unit propagation driven by a
-    watch index over disjunct complements;
+  - unit propagation and clause clashes are one rule, `_examine`, driven
+    by a watch index over disjunct complements.  Branching scans a node's
+    base and extra clauses with pointers that pass every clause with a
+    present disjunct; the first clause without one goes to `_examine`, and
+    only a clause that stays open becomes a branch;
+  - every decision is (kind, node, alternatives, exhaustion dependency):
+    "or" tries a clause's open disjuncts semantically (failed atomic ones
+    are asserted negatively before the next try), "choose" tries (not q, q)
+    at a successor, "merge" pairs of successors.  The exhaustion dependency
+    (the refuted disjuncts', 0, the full mask) joins the conflict once
+    every alternative has failed;
   - backtracking is conflict-directed: every derived fact carries the set
     of decision levels it rests on, and a clash jumps straight back to the
     deepest involved level, skipping unrelated decisions.  Dependency sets
@@ -286,10 +294,8 @@ class Tableau:
     # label operations
 
     def _dep_of(self, node: _Node, cid: int) -> int:
-        dep = node.label.get(cid)
-        if dep is not None:
-            return dep
-        return node.dep  # base clauses share the node's own dependency
+        # base clauses share the node's own dependency
+        return node.label.get(cid, node.dep)
 
     def _full_mask(self) -> int:
         return (1 << (len(self.stack) + 1)) - 1
@@ -330,60 +336,62 @@ class Tableau:
                 raise _Clash(self._dep_of(node, cid))
             if cid not in self.base_set:
                 node.extra_ors.append(cid)
-                self.trail.append(("extraor", nid))
+                self.trail.append(("pop", node.extra_ors))
             self._examine(nid, cid)
         elif kind == _KIND_FORALL:
             role, sub = part
             bucket = node.foralls.setdefault(role, {})
             if sub not in bucket:
                 bucket[sub] = cid  # remember the forall literal for its dep
-                self.trail.append(("forall", nid, role, sub))
+                self.trail.append(("del", bucket, sub))
                 dep = self._dep_of(node, cid)
-                for child_id in node.children:
-                    child = self.nodes[child_id]
-                    if not child.pruned and role in child.parent_roles:
-                        self._add(child_id, sub, dep | child.dep, rule="forall")
-        elif kind == _KIND_ATLEAST:
-            if cid not in node.atleasts:
-                node.atleasts.add(cid)
-                self.trail.append(("atleast", nid, cid))
-        elif kind == _KIND_ATMOST:
-            if cid not in node.atmosts:
-                node.atmosts.add(cid)
-                self.trail.append(("atmost", nid, cid))
+                for child_id in self._live_children(node, role):
+                    child_dep = self.nodes[child_id].dep
+                    self._add(child_id, sub, dep | child_dep, rule="forall")
+        elif kind == _KIND_ATLEAST or kind == _KIND_ATMOST:
+            counted = node.atleasts if kind == _KIND_ATLEAST else node.atmosts
+            if cid not in counted:
+                counted.add(cid)
+                self.trail.append(("discard", counted, cid))
         for oid in interner.watch.get(cid, ()):
             if oid in node.label or oid in self.base_set:
                 self._examine(nid, oid)
 
-    def _examine(self, nid: int, oid: int):
+    def _examine(self, nid: int, oid: int) -> bool:
+        """Settle clause `oid` at node `nid`: True if it is satisfied or its
+        one open disjunct was added, False if two or more are open; a clause
+        with every disjunct refuted raises `_Clash`."""
         node = self.nodes[nid]
         interner = self.interner
         label = node.label
         base = self.base_set
-        parts = interner.parts[oid]
-        negs = interner.or_negs[oid]
         unit = -1
         open_count = 0
-        for d, nd in zip(parts, negs):
+        for d, nd in zip(interner.parts[oid], interner.or_negs[oid]):
             if d in label or d in base:
-                return
+                return True
             if not (nd in label or nd in base):
                 open_count += 1
                 if open_count > 1:
-                    return  # genuinely open; a later falsification retriggers
+                    return False  # a later falsification retriggers
                 unit = d
-        # unit propagation or clash: only now collect the falsifier deps
-        dep = label.get(oid)
-        if dep is None:
-            dep = node.dep
-        for d, nd in zip(parts, negs):
-            if d != unit:
-                fd = label.get(nd)
-                if fd is not None:
-                    dep |= fd
+        # unit propagation or clash: only now collect the refuter deps
+        dep = self._refuted_dep(node, oid)
         if open_count == 0:
             raise _Clash(dep)
         self._add(nid, unit, dep, rule="unit")
+        return True
+
+    def _refuted_dep(self, node: _Node, oid: int) -> int:
+        """Dependency of clause `oid` at `node` joined with the dependencies
+        of its refuted disjuncts' complements (an open disjunct has none)."""
+        label = node.label
+        dep = label.get(oid, node.dep)
+        for nd in self.interner.or_negs[oid]:
+            fd = label.get(nd)
+            if fd is not None:
+                dep |= fd
+        return dep
 
     def _propagate(self):
         while self.queue:
@@ -413,18 +421,23 @@ class Tableau:
         self.nodes.append(node)
         self.trail.append(("node", nid))
         if parent_id is not None:
-            parent = self.nodes[parent_id]
-            parent.children.append(nid)
-            for role in roles:
-                for sub, fcid in parent.foralls.get(role, {}).items():
-                    self._add(nid, sub, self._dep_of(parent, fcid) | dep, rule="forall")
+            self.nodes[parent_id].children.append(nid)
+            self._add_fillers(nid, roles, dep)
         return nid
+
+    def _add_fillers(self, nid: int, roles, dep: int):
+        """Add the parent's universal fillers over `roles` to successor `nid`,
+        each depending on its restriction and on `dep`."""
+        parent = self.nodes[self.nodes[nid].parent]
+        for role in roles:
+            for sub, fcid in parent.foralls.get(role, {}).items():
+                self._add(nid, sub, self._dep_of(parent, fcid) | dep, rule="forall")
 
     def _add_neq(self, a: int, b: int, dep: int):
         pair = frozenset((a, b))
         if pair not in self.neq:
             self.neq[pair] = dep
-            self.trail.append(("neq", pair))
+            self.trail.append(("del", self.neq, pair))
 
     def _merge(self, keep_id: int, absorb_id: int):
         # merges are rare; attribute everything they touch to all current
@@ -438,18 +451,16 @@ class Tableau:
             node = self.nodes[x]
             if not node.pruned:
                 node.pruned = True
-                self.trail.append(("prune", x))
+                self.trail.append(("attr", node, "pruned", False))
                 stack.extend(node.children)
         keep = self.nodes[keep_id]
         absorb = self.nodes[absorb_id]
         merged_roles = keep.parent_roles | absorb.parent_roles
         if merged_roles != keep.parent_roles:
-            self.trail.append(("edgeroles", keep_id, keep.parent_roles))
+            self.trail.append(("attr", keep, "parent_roles", keep.parent_roles))
             keep.parent_roles = merged_roles
-            parent = self.nodes[keep.parent]
-            for role in merged_roles:
-                for sub in parent.foralls.get(role, {}):
-                    self._add(keep_id, sub, dep, rule="forall")
+            # the full mask already holds every restriction's dependency
+            self._add_fillers(keep_id, merged_roles, dep)
         for pair in [p for p in self.neq if absorb_id in p]:
             (other,) = pair - {absorb_id}
             if other != keep_id:
@@ -458,6 +469,9 @@ class Tableau:
             self._add(keep_id, cid, dep)
 
     def _undo_to(self, mark: int):
+        """Pop the trail down to `mark`, undoing a label fact, a new node,
+        a dict insertion ("del"), a set insertion ("discard"), a list append
+        ("pop") or an attribute write ("attr": object, name, old value)."""
         trail = self.trail
         while len(trail) > mark:
             entry = trail.pop()
@@ -470,24 +484,14 @@ class Tableau:
                 node = self.nodes.pop()
                 if node.parent is not None:
                     self.nodes[node.parent].children.pop()
-            elif tag == "forall":
-                del self.nodes[entry[1]].foralls[entry[2]][entry[3]]
-            elif tag == "atleast":
-                self.nodes[entry[1]].atleasts.discard(entry[2])
-            elif tag == "atmost":
-                self.nodes[entry[1]].atmosts.discard(entry[2])
-            elif tag == "extraor":
-                self.nodes[entry[1]].extra_ors.pop()
-            elif tag == "neq":
-                del self.neq[entry[1]]
-            elif tag == "prune":
-                self.nodes[entry[1]].pruned = False
-            elif tag == "edgeroles":
-                self.nodes[entry[1]].parent_roles = entry[2]
-            elif tag == "baseptr":
-                self.nodes[entry[1]].base_ptr = entry[2]
-            elif tag == "extraptr":
-                self.nodes[entry[1]].extra_ptr = entry[2]
+            elif tag == "del":
+                del entry[1][entry[2]]
+            elif tag == "discard":
+                entry[1].discard(entry[2])
+            elif tag == "pop":
+                entry[1].pop()
+            elif tag == "attr":
+                setattr(entry[1], entry[2], entry[3])
         self.queue.clear()
 
     # ------------------------------------------------------------------
@@ -562,78 +566,56 @@ class Tableau:
         negated choices provoke.
         """
         kinds = self.interner.kinds
-
-        def bucket(cid):
-            k = kinds[cid]
-            if k == _KIND_ATOM:
-                return 0
-            if k == _KIND_NEGATOM:
-                return 2
-            return 1
-
-        return tuple(sorted(candidates, key=bucket))
+        rank = {_KIND_ATOM: 0, _KIND_NEGATOM: 2}
+        return tuple(sorted(candidates, key=lambda cid: rank.get(kinds[cid], 1)))
 
     def _scan_ors(self, node: _Node):
-        """Advance this node's clause pointers; return a decision or None."""
+        """Advance this node's clause pointers; return a decision or None.
+
+        Each pointer passes the clauses that have a present disjunct and
+        stops at the first one that has none.  `_examine` settles that
+        clause if it is a unit or a clash; otherwise it becomes the branch.
+        """
         label = node.label
         base = self.base_set
-        interner = self.interner
-        parts = interner.parts
-        or_negs = interner.or_negs
-        for ors, ptr_attr, tag in (
-            (self.base_ors, "base_ptr", "baseptr"),
-            (node.extra_ors, "extra_ptr", "extraptr"),
-        ):
-            ptr = getattr(node, ptr_attr)
-            old = ptr
-            decision = None
+        parts = self.interner.parts
+        for ors, attr in ((self.base_ors, "base_ptr"), (node.extra_ors, "extra_ptr")):
+            old = ptr = getattr(node, attr)
             end = len(ors)
             while ptr < end:
-                oid = ors[ptr]
-                satisfied = False
-                candidates = []
-                for d, nd in zip(parts[oid], or_negs[oid]):
+                for d in parts[ors[ptr]]:
                     if d in label or d in base:
-                        satisfied = True
                         break
-                    if not (nd in label or nd in base):
-                        candidates.append(d)
-                if satisfied:
-                    ptr += 1
-                    continue
-                falsified_dep = label.get(oid, node.dep)
-                for nd in or_negs[oid]:
-                    fd = label.get(nd)
-                    if fd is not None:
-                        falsified_dep |= fd
-                if not candidates:
-                    if ptr != old:
-                        self.trail.append((tag, node.id, old))
-                        setattr(node, ptr_attr, ptr)
-                    raise _Clash(falsified_dep)
-                if len(candidates) == 1:
-                    self._add(node.id, candidates[0], falsified_dep, rule="unit")
-                    decision = _ACTED
                 else:
-                    # falsified_dep justifies why the excluded disjuncts are
-                    # unavailable; it is part of any conflict derived from
-                    # exhausting the remaining candidates
-                    decision = (
-                        "or",
-                        node.id,
-                        oid,
-                        self._branch_order(candidates),
-                        falsified_dep,
-                    )
-                break
+                    break
+                ptr += 1
             if ptr != old:
-                self.trail.append((tag, node.id, old))
-                setattr(node, ptr_attr, ptr)
-            if decision is not None:
-                return decision
+                self.trail.append(("attr", node, attr, old))
+                setattr(node, attr, ptr)
+            if ptr == end:
+                continue
+            oid = ors[ptr]
+            if self._examine(node.id, oid):
+                return _ACTED
+            or_negs = self.interner.or_negs[oid]
+            candidates = [
+                d
+                for d, nd in zip(parts[oid], or_negs)
+                if not (nd in label or nd in base)
+            ]
+            # the refuted disjuncts' dependency is part of any conflict
+            # derived from exhausting the remaining candidates
+            return (
+                "or",
+                node.id,
+                self._branch_order(candidates),
+                self._refuted_dep(node, oid),
+            )
         return None
 
     def _find_decision(self):
+        """Return the next `(kind, node id, alternatives, exhaustion dep)`
+        decision, `_ACTED` after a deterministic rule, or None if complete."""
         interner = self.interner
         live = [n for n in self.nodes if not n.pruned]
         merge_option = None
@@ -641,10 +623,7 @@ class Tableau:
         for node in live:
             for amid in sorted(node.atmosts):
                 count, role, qid = interner.parts[amid]
-                children = self._live_children(node, role)
-                holders = [
-                    c for c in children if self._present_id(self.nodes[c], qid)
-                ]
+                holders = self._holders(node, role, qid)
                 if len(holders) > count:
                     distinct_dep = self._distinct_subset_dep(holders, count + 1)
                     if distinct_dep is not None:
@@ -680,7 +659,10 @@ class Tableau:
                     if not self._present_id(child, qid) and not self._present_id(
                         child, nqid
                     ):
-                        return ("choose", child_id, qid)
+                        # negated qualifier first: zero holders always
+                        # satisfies the at-most, and uniform siblings keep
+                        # labels convergent; the two are jointly exhaustive
+                        return ("choose", child_id, (nqid, qid), 0)
         # at-least generation, only at active nodes
         _, active = self._compute_blocking()
         for node in live:
@@ -690,10 +672,7 @@ class Tableau:
                 continue
             for alid in sorted(node.atleasts):
                 count, role, qid = interner.parts[alid]
-                children = self._live_children(node, role)
-                holders = [
-                    c for c in children if self._present_id(self.nodes[c], qid)
-                ]
+                holders = self._holders(node, role, qid)
                 if self._distinct_subset_dep(holders, count) is not None:
                     continue
                 # successor generation is sound whenever the at-least concept
@@ -718,54 +697,39 @@ class Tableau:
     def _present_id(self, node: _Node, cid: int) -> bool:
         return cid in node.label or cid in self.base_set
 
+    def _holders(self, node: _Node, role: str, qid: int) -> list[int]:
+        """Live `role`-successors of `node` whose label holds `qid`."""
+        return [
+            c
+            for c in self._live_children(node, role)
+            if self._present_id(self.nodes[c], qid)
+        ]
+
     # ------------------------------------------------------------------
     # search
 
-    def _alternative_count(self, decision) -> int:
-        tag = decision[0]
-        if tag == "or":
-            return len(decision[3])
-        if tag == "choose":
-            return 2
-        return len(decision[2])
-
-    def _exhaustion_dep(self, decision) -> int:
-        """Conflict contribution of the decision itself once every
-        alternative has failed."""
-        tag = decision[0]
-        if tag == "or":
-            return decision[4]
-        if tag == "choose":
-            return 0  # the two alternatives are jointly exhaustive
-        return decision[3]
-
-    def _apply_alternative(self, decision, idx: int, level: int, conf: int):
-        own = 1 << level
-        tag = decision[0]
-        if tag == "or":
-            _, nid, _, candidates, _ = decision
-            own |= self.nodes[nid].dep
+    def _apply_alternative(self, decision, idx: int, conf: int):
+        kind, nid, alternatives, _ = decision
+        if kind == "merge":
+            self._merge(*alternatives[idx])
+            return
+        own = (1 << len(self.stack)) | self.nodes[nid].dep
+        if kind == "or":
             kinds = self.interner.kinds
             for j in range(idx):
                 # assert failed alternatives negatively, but only atomic
                 # ones: negating a failed forall would force a successor
-                if kinds[candidates[j]] in (_KIND_ATOM, _KIND_NEGATOM):
-                    self._add(nid, self.interner.negation(candidates[j]), conf | own)
-            self._add(nid, candidates[idx], own, rule="or")
-        elif tag == "choose":
-            _, nid, qid = decision
-            own |= self.nodes[nid].dep
-            # negated qualifier first: zero holders always satisfies the
-            # at-most, and uniform siblings keep labels convergent
-            cid = self.interner.negation(qid) if idx == 0 else qid
-            self._add(nid, cid, own, rule="choose")
-        else:
-            _, _, pairs, _ = decision
-            keep, absorb = pairs[idx]
-            self._merge(keep, absorb)
+                if kinds[alternatives[j]] in (_KIND_ATOM, _KIND_NEGATOM):
+                    self._add(nid, self.interner.negation(alternatives[j]), conf | own)
+        self._add(nid, alternatives[idx], own, rule=kind)
 
-    def _step(self):
+    def _step(self, decision, idx: int, conf: int):
+        """Apply alternative `idx` of `decision`, the top of the stack, if
+        there is one, propagate and return the next outcome: a decision,
+        `_ACTED`, None (complete) or `(_CLASHED, conflict)`."""
         try:
+            if decision is not None:
+                self._apply_alternative(decision, idx, conf)
             self._propagate()
             return self._find_decision()
         except _Clash as clash:
@@ -780,7 +744,7 @@ class Tableau:
                 self._add(root, cid, 1)
         except _Clash:
             return TableauResult(False, None)
-        outcome = self._step()
+        outcome = self._step(None, 0, 0)
         stack = self.stack
         while True:
             if isinstance(outcome, tuple) and outcome and outcome[0] is _CLASHED:
@@ -797,30 +761,22 @@ class Tableau:
                     entry[3] |= conflict & ~(1 << target)
                     mark, decision, idx, conf = entry
                     idx += 1
-                    if idx >= self._alternative_count(decision):
+                    if idx >= len(decision[2]):
                         stack.pop()
                         self._undo_to(mark)
-                        conflict = conf | self._exhaustion_dep(decision)
+                        conflict = conf | decision[3]
                         continue
                     entry[2] = idx
                     self._undo_to(mark)
-                    try:
-                        self._apply_alternative(decision, idx, len(stack), conf)
-                        outcome = self._step()
-                    except _Clash as clash:
-                        outcome = (_CLASHED, clash.conflict)
+                    outcome = self._step(decision, idx, conf)
                     break
             elif outcome is None:
                 return TableauResult(True, self._export())
             elif outcome is _ACTED:
-                outcome = self._step()
+                outcome = self._step(None, 0, 0)
             else:
                 stack.append([len(self.trail), outcome, 0, 0])
-                try:
-                    self._apply_alternative(outcome, 0, len(stack), 0)
-                    outcome = self._step()
-                except _Clash as clash:
-                    outcome = (_CLASHED, clash.conflict)
+                outcome = self._step(outcome, 0, 0)
 
     # ------------------------------------------------------------------
     # export

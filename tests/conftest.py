@@ -12,6 +12,7 @@ from typing import Optional
 import pytest
 
 import galcq
+from galcq.tableau import Tableau
 
 CORPUS = [
     # --- consistent -------------------------------------------------------
@@ -97,6 +98,8 @@ class CorpusRun:
     consistent: bool
     graph: Optional[object]
     tableau_seconds: float
+    # (verdict, base clauses, interned concepts, nodes created, steps)
+    search: tuple
     grid_model: Optional[object] = None
     grid_skipped: bool = False
     brute: Optional[object] = None
@@ -110,9 +113,8 @@ def corpus_runs():
         ontology = galcq.parse_ontology(text)
         reduction = galcq.reduce_ontology(ontology)
         start = time.monotonic()
-        result = galcq.check_consistency(
-            reduction, node_budget=NODE_BUDGET, step_budget=STEP_BUDGET
-        )
+        tab = Tableau(reduction, node_budget=NODE_BUDGET, step_budget=STEP_BUDGET)
+        result = tab.run()
         elapsed = time.monotonic() - start
         run = CorpusRun(
             name=name,
@@ -122,6 +124,13 @@ def corpus_runs():
             consistent=result.consistent,
             graph=result.graph,
             tableau_seconds=elapsed,
+            search=(
+                result.consistent,
+                len(tab.base_list),
+                len(tab.interner.objs),
+                tab.created,
+                tab.steps,
+            ),
         )
         try:
             run.grid_model = galcq.grid_search_fuzzy_model(

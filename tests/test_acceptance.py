@@ -12,6 +12,7 @@ from fractions import Fraction
 import galcq
 from galcq import (
     build_order_structure,
+    certification_margin,
     check_fuzzy_model,
     extract_classical_model,
     extract_fuzzy_model,
@@ -21,7 +22,6 @@ from galcq import (
     t_norm,
 )
 from galcq.cli import run
-from galcq.concepts import quantifier_depth
 from galcq.ontology import ontology_size
 from galcq.reduction import transitivity_axioms
 
@@ -30,12 +30,6 @@ F = Fraction
 
 def _report(criterion, detail, elapsed):
     print(f"criterion {criterion}: PASS ({detail}, {elapsed:.2f}s)")
-
-
-def _margin(o):
-    depths = [quantifier_depth(c) for g in o.tbox for c in (g.lhs, g.rhs)]
-    depths += [quantifier_depth(a.left.concept) for a in o.abox]
-    return max(depths, default=0)
 
 
 def test_criterion_1_algebra_adjunction():
@@ -132,7 +126,8 @@ def test_criterion_4_extraction_pipeline(corpus_runs, capsys):
         interp, assignment = extract_fuzzy_model(tree, structure, o.individual)
         violations = assignment.check_properties()
         assert violations == [], f"{run_.name}: {violations[:3]}"
-        report = check_fuzzy_model(interp, o, elements=tree.interior(_margin(o)))
+        elements = tree.interior(certification_margin(o))
+        report = check_fuzzy_model(interp, o, elements=elements)
         assert report.satisfied, f"{run_.name}: {report.violation}"
         checked += 1
     assert checked >= 15

@@ -170,6 +170,20 @@ def test_emit_model_verifies(tmp_path, capsys):
     assert "(role r" in text
 
 
+@pytest.mark.parametrize("flag", ["--depth", "--max-domain"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_counts_below_one_exit_2(tmp_path, capsys, flag, value):
+    # --depth 0 used to reach extract_classical_model and exit 1 with a
+    # ValueError; --max-domain 0 turned both oracles into no-ops
+    path = _write(tmp_path, "(assert (inst a (some r A)) = 1/2)")
+    out = tmp_path / "model.sexp"
+    with pytest.raises(SystemExit) as exit_info:
+        run(["check", path, "--emit-model", str(out), "--oracle", "grid", flag, value])
+    assert exit_info.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_grid_agreement(tmp_path, capsys):
     path = _write(tmp_path, "(assert (inst a (and A (not A))) >= 0.5)")
     assert run(["check", path, "--oracle", "grid"]) == 0

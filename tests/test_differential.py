@@ -1,0 +1,89 @@
+"""Seeded differential test of the tableau against the grid oracle and the
+model checker, on random ontologies within the corpus envelope: at most 3
+concept names, 2 roles, cardinalities up to 3, 4 degrees, two axioms and
+an order structure of at most 25 elements, the corpus's largest.
+"""
+
+import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
+
+from conftest import NODE_BUDGET
+
+import galcq
+
+NAMES = ("A", "B", "C")
+ROLES = ("r", "s")
+DEGREES = ("0", "1/4", "1/2", "1")
+RELATIONS = ("<", "<=", "=", ">=", ">")
+MAX_ELEMENTS = 25
+GRID_BUDGET = 20_000
+STEP_BUDGET = 50_000  # the corpus needs at most 11,168
+
+
+def _compound(sub):
+    role = st.sampled_from(ROLES)
+    return st.one_of(
+        st.builds("(not {})".format, sub),
+        st.builds("(and {} {})".format, sub, sub),
+        st.builds("(or {} {})".format, sub, sub),
+        st.builds("(implies {} {})".format, sub, sub),
+        st.builds("(some {} {})".format, role, sub),
+        st.builds("(all {} {})".format, role, sub),
+        st.builds("(atleast {} {} {})".format, st.integers(1, 3), role, sub),
+        st.builds("(atmost {} {} {})".format, st.integers(0, 2), role, sub),
+    )
+
+
+CONCEPTS = st.recursive(st.sampled_from(NAMES + ("top",)), _compound, max_leaves=2)
+RELATION = st.sampled_from(RELATIONS)
+DEGREE = st.sampled_from(DEGREES)
+ASSERTION = st.one_of(
+    st.builds("(assert (inst a {}) {} {})".format, CONCEPTS, RELATION, DEGREE),
+    st.builds(
+        "(assert-cmp (inst a {}) {} (inst a {}))".format, CONCEPTS, RELATION, CONCEPTS
+    ),
+)
+GCI = st.builds("(gci {} {} >= {})".format, CONCEPTS, CONCEPTS, DEGREE)
+ONTOLOGIES = st.builds(
+    lambda option, axioms: "\n".join(option + axioms),
+    st.sampled_from(([], ["(set-option :atmost residual)"])),
+    st.lists(st.one_of(ASSERTION, GCI), min_size=1, max_size=2),
+)
+
+
+@pytest.mark.filterwarnings("ignore:dropping inclusion with degree 0")
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=45,
+)
+@given(ONTOLOGIES)
+def test_tableau_agrees_with_grid_oracle_and_model_checker(text):
+    ontology = galcq.parse_ontology(text)
+    assume(len(galcq.build_order_structure(ontology).elements) <= MAX_ELEMENTS)
+    reduction = galcq.reduce_ontology(ontology)
+    try:
+        result = galcq.check_consistency(
+            reduction, node_budget=NODE_BUDGET, step_budget=STEP_BUDGET
+        )
+    except galcq.BudgetExceededError:
+        reject()
+    try:
+        grid_model = galcq.grid_search_fuzzy_model(
+            ontology, max_domain=2, budget=GRID_BUDGET
+        )
+    except galcq.BudgetExceededError:
+        grid_model = None  # only the grid half is skipped
+    if grid_model is not None:
+        assert result.consistent, f"grid model of an INCONSISTENT input:\n{text}"
+    if result.consistent:
+        margin = galcq.certification_margin(ontology)
+        tree = galcq.extract_classical_model(result.graph, depth=margin + 2)
+        structure = galcq.build_order_structure(ontology)
+        interp, _ = galcq.extract_fuzzy_model(tree, structure, ontology.individual)
+        report = galcq.check_fuzzy_model(
+            interp, ontology, elements=tree.interior(margin)
+        )
+        assert report.satisfied, f"{report.violation}\n{text}"

@@ -9,6 +9,7 @@ from galcq import (
     Name,
     Not,
     OrderStructure,
+    certification_margin,
     check_consistency,
     check_fuzzy_model,
     extract_classical_model,
@@ -16,7 +17,6 @@ from galcq import (
     parse_ontology,
     reduce_ontology,
 )
-from galcq.concepts import quantifier_depth
 from galcq.orders import ConceptElement, EdgeElement, ShiftedElement, ValueElement
 
 F = Fraction
@@ -136,12 +136,8 @@ def test_pipeline_assigns_coherent_values():
     structure = OrderStructure.from_ontology(o)
     interp, assignment = extract_fuzzy_model(tree, structure, o.individual)
     assert assignment.check_properties() == []
-    margin = max(
-        [quantifier_depth(c) for g in o.tbox for c in (g.lhs, g.rhs)]
-        + [quantifier_depth(x.left.concept) for x in o.abox]
-        + [0]
-    )
-    report = check_fuzzy_model(interp, o, elements=tree.interior(margin))
+    elements = tree.interior(certification_margin(o))
+    report = check_fuzzy_model(interp, o, elements=elements)
     assert report.satisfied
 
 

@@ -248,6 +248,52 @@ def test_search_behaviour_is_pinned(name):
     assert observed == PINNED[name]
 
 
+# Search on every corpus entry, as (verdict, base clauses, interned
+# concepts, nodes created, steps), recorded by the session fixture's own
+# tableau runs.
+CORPUS_SEARCH = {
+    "empty": (True, 175, 214, 1, 10),
+    "assert-half": (True, 869, 1016, 1, 54),
+    "godel-mid": (True, 2476, 2797, 1, 125),
+    "godel-above": (True, 3755, 4172, 1, 165),
+    "cmp-lt": (True, 2475, 2794, 1, 130),
+    "cmp-eq-neg": (True, 2475, 2796, 1, 131),
+    "implies-deg": (True, 7449, 8138, 1, 294),
+    "gci-chain": (True, 3755, 4170, 1, 171),
+    "gci-top": (True, 2477, 2795, 1, 104),
+    "exists-half": (True, 2574, 3099, 3, 479),
+    "forall-low": (True, 2574, 3101, 3, 482),
+    "atleast-two": (True, 2574, 3097, 5, 798),
+    "atmost-inv": (True, 2574, 3097, 5, 798),
+    "atmost-res": (True, 10204, 11556, 11, 4833),
+    "duality": (True, 5541, 6440, 37, 11168),
+    "crisp-sat": (True, 2476, 2795, 1, 131),
+    "two-roles": (True, 10445, 12284, 7, 3890),
+    "loop-gci": (True, 2575, 3098, 3, 478),
+    "open-interval": (True, 869, 1016, 1, 54),
+    "neg-forall": (True, 2574, 3101, 3, 482),
+    "godel-high": (False, 3755, 4172, 1, 5),
+    "squeeze": (False, 1548, 1759, 1, 1),
+    "top-neg": (False, 2477, 2795, 1, 3),
+    "forall-clash": (False, 13356, 15063, 2, 697),
+    "count-clash": (False, 16947, 18858, 3, 1796),
+    "self-implies": (False, 2476, 2801, 1, 0),
+    "top-low": (False, 870, 1016, 1, 0),
+    "below-zero": (False, 869, 1016, 1, 0),
+    "cmp-circle": (False, 2475, 2794, 1, 1),
+    "res-atmost-midway": (False, 5542, 6434, 1, 8),
+    "gci-force": (False, 2477, 2795, 1, 1),
+    "exists-zero": (False, 10204, 11560, 3, 1445),
+    "chain-squeeze": (False, 2477, 2796, 1, 9),
+    "count-squeeze": (False, 3917, 4662, 1, 2),
+}
+
+
+def test_corpus_search_is_pinned(corpus_runs):
+    observed = {run_.name: run_.search for run_ in corpus_runs}
+    assert observed == CORPUS_SEARCH
+
+
 # Static seed of the same entries: (label size, extra disjunctions, label
 # fingerprint) of the facts every node starts from.
 STATIC = {
