@@ -10,6 +10,7 @@ disagreement).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -22,7 +23,12 @@ from .ontology import certification_margin
 from .ontology import roles as ontology_roles
 from .orders import OrderStructure
 from .reduction import reduce_ontology
-from .semantics import check_fuzzy_model, concept_names, grid_search_fuzzy_model
+from .semantics import (
+    GRID_BUDGET,
+    check_fuzzy_model,
+    concept_names,
+    grid_search_fuzzy_model,
+)
 from .syntax import (
     classical_to_sexpr,
     model_to_sexpr,
@@ -106,6 +112,14 @@ def _grid(args, ontology):
     step = parse_degree(args.grid_step)
     if step == 0:
         raise ReasonerError("grid step must be positive")
+    # with any concept name, g points mean at least g interpretations at
+    # domain size 1, so a grid above the budget is refused before it is built
+    count = math.ceil(1 / step) + 1
+    if count > GRID_BUDGET:
+        raise BudgetExceededError(
+            f"grid step {args.grid_step} gives {count} points, more than the "
+            f"grid search budget of {GRID_BUDGET}"
+        )
     points = []
     q = Fraction(0)
     while q < 1:

@@ -176,11 +176,15 @@ def concept_names(o: FuzzyOntology) -> tuple[str, ...]:
     )
 
 
+# Interpretations the grid oracle tries at one domain size, by default.
+GRID_BUDGET = 300_000
+
+
 def grid_search_fuzzy_model(
     o: FuzzyOntology,
     max_domain: int = 2,
     grid: Optional[ValueSet] = None,
-    budget: int = 300_000,
+    budget: int = GRID_BUDGET,
 ) -> Optional[FuzzyInterpretation]:
     """Search for a model with all values drawn from a finite grid.
 

@@ -15,6 +15,7 @@ operands are degrees, concepts, `(up C)`, `edge` or `edge-inv`.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -381,7 +382,18 @@ def element_to_sexpr(e: OrderElement) -> str:
 
 
 def concept_to_sexpr(c: Concept) -> str:
+    return _concept_sexpr(c, _leq_sexpr)
+
+
+def _leq_sexpr(a: Leq) -> str:
+    return f"(leq {element_to_sexpr(a.lhs)} {element_to_sexpr(a.rhs)})"
+
+
+def _concept_sexpr(c: Concept, leq) -> str:
+    """`concept_to_sexpr`, with order atoms rendered by `leq`."""
     match c:
+        case Leq():
+            return leq(c)
         case Top():
             return "top"
         case Bot():
@@ -389,23 +401,21 @@ def concept_to_sexpr(c: Concept) -> str:
         case Name(name):
             return name
         case Not(sub):
-            return f"(not {concept_to_sexpr(sub)})"
+            return f"(not {_concept_sexpr(sub, leq)})"
         case And(left, right):
-            return f"(and {concept_to_sexpr(left)} {concept_to_sexpr(right)})"
+            return f"(and {_concept_sexpr(left, leq)} {_concept_sexpr(right, leq)})"
         case Or(left, right):
-            return f"(or {concept_to_sexpr(left)} {concept_to_sexpr(right)})"
+            return f"(or {_concept_sexpr(left, leq)} {_concept_sexpr(right, leq)})"
         case Implies(left, right):
-            return f"(implies {concept_to_sexpr(left)} {concept_to_sexpr(right)})"
+            return f"(implies {_concept_sexpr(left, leq)} {_concept_sexpr(right, leq)})"
         case Exists(role, sub):
-            return f"(some {role} {concept_to_sexpr(sub)})"
+            return f"(some {role} {_concept_sexpr(sub, leq)})"
         case Forall(role, sub):
-            return f"(all {role} {concept_to_sexpr(sub)})"
+            return f"(all {role} {_concept_sexpr(sub, leq)})"
         case AtLeast(count, role, sub):
-            return f"(atleast {count} {role} {concept_to_sexpr(sub)})"
+            return f"(atleast {count} {role} {_concept_sexpr(sub, leq)})"
         case AtMost(count, role, sub):
-            return f"(atmost {count} {role} {concept_to_sexpr(sub)})"
-        case Leq(lhs, rhs):
-            return f"(leq {element_to_sexpr(lhs)} {element_to_sexpr(rhs)})"
+            return f"(atmost {count} {role} {_concept_sexpr(sub, leq)})"
     raise TypeError(f"not a concept: {c!r}")
 
 
@@ -426,12 +436,17 @@ def ontology_to_sexpr(o: FuzzyOntology) -> str:
 
 
 def classical_to_sexpr(o: ClassicalOntology) -> str:
-    """Deterministic serialization: assertions then inclusions, each sorted."""
+    """Deterministic serialization: assertions then inclusions, each sorted.
+
+    Each distinct order atom is rendered once; the n^3 families repeat the
+    same shared atoms on every line.
+    """
+    leq = functools.cache(_leq_sexpr)  # freed with this call
     assertion_lines = sorted(
-        f"(assert (inst {ind} {concept_to_sexpr(c)}))" for ind, c in o.assertions
+        f"(assert (inst {ind} {_concept_sexpr(c, leq)}))" for ind, c in o.assertions
     )
     inclusion_lines = sorted(
-        f"(gci {concept_to_sexpr(inc.lhs)} {concept_to_sexpr(inc.rhs)})"
+        f"(gci {_concept_sexpr(inc.lhs, leq)} {_concept_sexpr(inc.rhs, leq)})"
         for inc in o.inclusions
     )
     return "\n".join(assertion_lines + inclusion_lines) + "\n"

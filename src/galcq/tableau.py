@@ -12,9 +12,13 @@ Search organization:
   - concepts are interned to dense integers, looked up by their kind and
     their children's ids rather than by the structural NNF object; the
     NNF literals share one node per atom for the whole construction, and
-    every node's sort key is computed once, so building the base clauses
-    never re-walks an atom's concept trees; node labels are dicts from
-    concept id to a dependency bitmask of decision levels;
+    every node's sort key is computed once.  An inclusion that is a clause
+    over order atoms (the preorder families, nearly all of the axioms) is
+    interned straight from its literal nodes, without NNF formulas in
+    between; the rest go through `nnf`.  The base clauses are sorted by
+    sort key, disjunctions by the integer ranks of their disjuncts; node
+    labels are dicts from concept id to a dependency bitmask of decision
+    levels;
   - unit propagation and clause clashes are one rule, `_examine`, driven
     by a watch index over disjunct complements.  Branching scans a node's
     base and extra clauses with pointers that pass every clause with a
@@ -43,6 +47,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .classical_model import ClassicalInterpretation, ClassicalOntology
+from .concepts import And, Not, Or, Top
 from .errors import BudgetExceededError
 from .nnf import (
     Literals,
@@ -59,6 +64,7 @@ from .nnf import (
     nnf_not,
     sort_key,
 )
+from .orders import Leq
 
 _KIND_ATOM = 0
 _KIND_NEGATOM = 1
@@ -123,12 +129,32 @@ class _Interner:
                 kind, part = _KIND_ATMOST, (count, role, self.intern(sub))
             case _:
                 raise TypeError(f"not an NNF concept: {n!r}")
-        key = (kind, part)
-        cid = self.ids.get(key)
-        if cid is not None:
-            return cid
+        cid = self.ids.get((kind, part))
+        return self._new(n, kind, part) if cid is None else cid
+
+    def clause(self, literals: list) -> int:
+        """Id of the disjunction of shared literal nodes.
+
+        Gives what `intern(mk_or(literals))` gives, ids and interning order
+        included, without building the intermediate formulas: the literals
+        are sorted by sort key and deduplicated (equal literals are one
+        node), then interned in that order before the clause itself.
+        """
+        unique = sorted({id(d): d for d in literals}.values(), key=sort_key)
+        if len(unique) == 1:
+            return self._literal(unique[0])
+        part = tuple([self._literal(d) for d in unique])
+        cid = self.ids.get((_KIND_OR, part))
+        return self._new(NOr(tuple(unique)), _KIND_OR, part) if cid is None else cid
+
+    def _literal(self, d) -> int:
+        kind = _KIND_ATOM if type(d) is NAtom else _KIND_NEGATOM
+        cid = self.ids.get((kind, d.atom))
+        return self._new(d, kind, d.atom) if cid is None else cid
+
+    def _new(self, n, kind: int, part) -> int:
         cid = len(self.objs)
-        self.ids[key] = cid
+        self.ids[(kind, part)] = cid
         self.objs.append(n)
         self.kinds.append(kind)
         self.parts.append(part)
@@ -149,6 +175,55 @@ class _Interner:
             self.negs[cid] = neg
             self.negs[neg] = cid
         return neg
+
+
+def _order_clause(inc, lits: Literals) -> Optional[list]:
+    """The literals of `nnf(not lhs or rhs)` when `inc` is a clause over
+    order atoms, else None.
+
+    The shapes are those of the preorder families: the left side an atom,
+    `(and atom atom)` or top; the right side an atom, `(not atom)` or
+    `(or atom atom)`.
+    """
+    lhs, rhs = inc.lhs, inc.rhs
+    if type(lhs) is Leq:
+        literals = [lits.negated(lhs)]
+    elif type(lhs) is And and type(lhs.left) is Leq and type(lhs.right) is Leq:
+        literals = [lits.negated(lhs.left), lits.negated(lhs.right)]
+    elif type(lhs) is Top:
+        literals = []
+    else:
+        return None
+    if type(rhs) is Leq:
+        literals.append(lits.atom(rhs))
+    elif type(rhs) is Not and type(rhs.sub) is Leq:
+        literals.append(lits.negated(rhs.sub))
+    elif type(rhs) is Or and type(rhs.left) is Leq and type(rhs.right) is Leq:
+        literals += (lits.atom(rhs.left), lits.atom(rhs.right))
+    else:
+        return None
+    return literals
+
+
+def _sorted_by_key(cids, interner: _Interner) -> tuple:
+    """`cids` in the order of their concepts' sort keys.
+
+    A disjunction's key is (3, its disjuncts' keys), and its disjuncts are
+    already in key order, so it is compared by the ranks of its disjuncts
+    in one sort of every distinct disjunct instead (distinct concepts have
+    distinct keys).  Other concepts keep their sort key.
+    """
+    objs, kinds, parts = interner.objs, interner.kinds, interner.parts
+    disjuncts = {d for cid in cids if kinds[cid] == _KIND_OR for d in parts[cid]}
+    ranked = sorted(disjuncts, key=lambda d: sort_key(objs[d]))
+    rank = {d: r for r, d in enumerate(ranked)}.__getitem__
+
+    def key(cid):
+        if kinds[cid] == _KIND_OR:
+            return (3, tuple(map(rank, parts[cid])))
+        return sort_key(objs[cid])
+
+    return tuple(sorted(cids, key=key))
 
 
 class _Node:
@@ -236,14 +311,17 @@ class Tableau:
         self.neq: dict = {}  # frozenset{a,b} -> dependency bitmask
         self.stack: list = []
 
-        lits = self.interner.lits
+        interner = self.interner
+        lits = interner.lits
         base = set()
         for inc in ontology.inclusions:
-            clause = mk_or((nnf_not(inc.lhs, lits), nnf(inc.rhs, lits)))
-            base.add(self.interner.intern(clause))
-        self.base_list = tuple(
-            sorted(base, key=lambda cid: sort_key(self.interner.objs[cid]))
-        )
+            literals = _order_clause(inc, lits)
+            if literals is None:
+                clause = mk_or((nnf_not(inc.lhs, lits), nnf(inc.rhs, lits)))
+                base.add(interner.intern(clause))
+            else:
+                base.add(interner.clause(literals))
+        self.base_list = _sorted_by_key(base, interner)
         self.base_set = frozenset(self.base_list)
         self.base_ors = tuple(
             cid for cid in self.base_list if self.interner.kinds[cid] == _KIND_OR

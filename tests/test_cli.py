@@ -2,6 +2,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import CORPUS
 
 from galcq import parse_classical
 from galcq.cli import run
@@ -219,6 +220,19 @@ def test_budget_exit_code(tmp_path, capsys):
 def test_grid_step_flag(tmp_path, capsys):
     path = _write(tmp_path, "(assert (inst a (and A (not A))) >= 0.5)")
     assert run(["check", path, "--oracle", "grid", "--grid-step", "1/10"]) == 0
+
+
+def test_huge_grid_is_skipped_before_it_is_built(tmp_path, capsys):
+    # 1e-9 would mean a billion grid points; the count is predicted from the
+    # step and refused against the grid budget instead
+    path = _write(tmp_path, dict(CORPUS)["assert-half"])
+    start = time.monotonic()
+    assert run(["check", path, "--oracle", "grid", "--grid-step", "1e-9"]) == 0
+    assert time.monotonic() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "CONSISTENT"
+    assert "oracle: grid search skipped" in captured.err
+    assert "1000000001 points" in captured.err
 
 
 def test_reduce_opt_shrinks_output_same_verdicts(tmp_path, capsys):

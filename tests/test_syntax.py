@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import CORPUS
 
 from galcq import (
     And,
@@ -119,6 +120,19 @@ def test_round_trip_classical():
     assert set(back.inclusions) == set(red.inclusions)
     assert set(back.assertions) == set(red.assertions)
     assert classical_to_sexpr(back) == text
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CORPUS])
+def test_classical_printer_matches_per_axiom_rendering(name):
+    # the printer renders each shared atom once; the text is that of
+    # rendering every axiom on its own
+    red = reduce_ontology(parse_ontology(dict(CORPUS)[name]))
+    assertions = sorted(f"(assert (inst {i} {concept_to_sexpr(c)}))" for i, c in red.assertions)
+    inclusions = sorted(
+        f"(gci {concept_to_sexpr(inc.lhs)} {concept_to_sexpr(inc.rhs)})"
+        for inc in red.inclusions
+    )
+    assert classical_to_sexpr(red) == "\n".join(assertions + inclusions) + "\n"
 
 
 def test_reserved_words_rejected_as_names():

@@ -28,7 +28,8 @@ from galcq import (
 )
 from galcq.concepts import TOP, quantifier_depth
 from galcq.orders import ValueElement
-from galcq.tableau import Tableau
+from galcq.nnf import mk_or, nnf, nnf_not, sort_key
+from galcq.tableau import Tableau, _Interner, _order_clause
 from fractions import Fraction
 
 A = Name("A")
@@ -330,3 +331,81 @@ def test_static_pass_is_not_traced():
     lines = []
     assert Tableau(o, trace=lines.append).run().consistent
     assert lines == []
+
+
+# ---------------------------------------------------------------------------
+# clause-level base clauses against the NNF path
+
+
+def _reference_base(ontology):
+    """Every inclusion through `intern(mk_or((nnf_not(lhs), nnf(rhs))))`,
+    sorted by sort key: the base clauses as the NNF path alone builds them."""
+    interner = _Interner()
+    lits = interner.lits
+    base = {
+        interner.intern(mk_or((nnf_not(inc.lhs, lits), nnf(inc.rhs, lits))))
+        for inc in ontology.inclusions
+    }
+    return tuple(sorted(base, key=lambda cid: sort_key(interner.objs[cid]))), interner
+
+
+def _assert_base_matches_reference(ontology):
+    tab = Tableau(ontology)
+    reference, ref = _reference_base(ontology)
+    got = tab.interner
+    n = len(ref.objs)  # the tableau interns assertions and negations after
+    assert tab.base_list == reference
+    assert got.kinds[:n] == ref.kinds
+    assert got.parts[:n] == ref.parts
+    assert got.or_negs[:n] == ref.or_negs
+    assert got.fingerprints[:n] == ref.fingerprints
+    assert [repr(o) for o in got.objs[:n]] == [repr(o) for o in ref.objs]
+    watched = {nd: [c for c in cids if c < n] for nd, cids in got.watch.items()}
+    assert {nd: cids for nd, cids in watched.items() if cids} == ref.watch
+
+
+def _chain(k):
+    axioms = ["(assert (inst a A1) >= 1/2)"]
+    axioms += [f"(gci A{i} A{i + 1} >= 1/2)" for i in range(1, k)]
+    return "\n".join(axioms)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [text for _, text in CORPUS] + [_chain(k) for k in (1, 2, 3)],
+    ids=[name for name, _ in CORPUS] + [f"chain-{k}" for k in (1, 2, 3)],
+)
+def test_clause_path_matches_nnf_path(text):
+    _assert_base_matches_reference(reduce_ontology(parse_ontology(text)))
+
+
+def test_clause_path_literal_shapes():
+    a, b, c, d = (
+        Leq(ValueElement(Fraction(p)), ValueElement(Fraction(q)))
+        for p, q in ((0, 1), (1, 0), (1, 1), (0, 0))
+    )
+    clauses = (
+        Inclusion(And(a, b), c),  # transitivity
+        Inclusion(And(a, a), a),  # i = j = k: dedups to (or a (not a))
+        Inclusion(a, b),  # antitonicity
+        Inclusion(c, c),
+        Inclusion(TOP, Or(b, a)),  # totality
+        Inclusion(TOP, Or(d, d)),  # i = j: one literal
+        Inclusion(TOP, c),  # constant order: a one-literal base entry
+        Inclusion(TOP, Not(d)),
+        Inclusion(a, Not(c)),
+        Inclusion(And(b, c), Not(d)),
+        Inclusion(And(c, d), Or(a, b)),
+    )
+    lits = _Interner().lits
+    assert all(_order_clause(inc, lits) is not None for inc in clauses)
+    others = (
+        Inclusion(TOP, And(a, b)),  # bounds
+        Inclusion(a, Forall("r", b)),  # transfer
+        Inclusion(TOP, Or(Not(a), b)),  # the clause of (a [= b), by the NNF path
+        Inclusion(A, B),
+        Inclusion(TOP, Or(c, Not(c))),
+    )
+    assert all(_order_clause(inc, lits) is None for inc in others)
+    _assert_base_matches_reference(ClassicalOntology(clauses + others, (), "a"))
+    _assert_base_matches_reference(ClassicalOntology(others + clauses, (), "a"))
