@@ -64,7 +64,6 @@ from .ontology import (
     certification_margin,
     close_under_negation,
     is_local,
-    normalize_ontology,
     roles,
     sub_closure,
     value_closure,
@@ -88,7 +87,6 @@ from .reduction import (
     abox_assertions,
     antitonicity_axioms,
     bounds_axioms,
-    build_order_structure,
     preorder_axioms,
     reduce_ontology,
     semantics_axioms,

@@ -26,8 +26,26 @@ def as_degree(value) -> Fraction:
     return d
 
 
+# `Fraction` expands a decimal exponent into a power of ten ("0.5e99999999"
+# would not return), so longer literals and larger exponents are refused.
+MAX_DEGREE_LITERAL = 1000
+MAX_DEGREE_EXPONENT = 1000
+
+
 def parse_degree(text: str) -> Fraction:
     """Parse a decimal ('0.4') or ratio ('2/5') literal exactly."""
+    if len(text) > MAX_DEGREE_LITERAL:
+        raise DegreeRangeError(
+            f"degree literal longer than {MAX_DEGREE_LITERAL} characters"
+        )
+    try:
+        exponent = int(text.lower().partition("e")[2] or 0)
+    except ValueError:  # not an exponent: Fraction rejects the literal
+        exponent = 0
+    if abs(exponent) > MAX_DEGREE_EXPONENT:
+        raise DegreeRangeError(
+            f"degree exponent larger than {MAX_DEGREE_EXPONENT}: {text!r}"
+        )
     try:
         d = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

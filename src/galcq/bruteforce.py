@@ -6,8 +6,10 @@ A found model is definitive; exhausting the bound is not a proof of
 inconsistency.  Candidate element labels are enumerated by backtracking
 over the atoms, pruning assignments that already falsify a quantifier-free
 global axiom; the reachable search space is unchanged, only its traversal
-is cheaper.  An explicit guard raises when the enumeration would be too
-large.
+is cheaper.  The global axioms are read as clauses by `nnf.inclusion_nnf`,
+the reader the tableau uses too; the oracle shares no part of the
+tableau's search.  An explicit guard raises when the enumeration would be
+too large.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .concepts import (
     quantifier_depth,
 )
 from .errors import BudgetExceededError
+from .nnf import Literals, NAnd, NAtom, NNegAtom, NOr, inclusion_nnf
 from .orders import Leq
 
 
@@ -95,59 +98,39 @@ def _eval3(c, assignment: dict) -> Optional[bool]:
     raise TypeError(f"not a classical concept: {c!r}")
 
 
-def _as_clauses(c):
-    """Flatten a quantifier-free concept into CNF clauses of (atom, sign),
-    or None when its negation normal form nests Or over And."""
-    from .nnf import NAnd, NAtom, NNegAtom, NOr, nnf
+def _clause(literals) -> tuple:
+    return tuple((d.atom, type(d) is NAtom) for d in literals)
 
-    def literal(n):
-        if isinstance(n, NAtom):
-            return (n.atom, True)
-        if isinstance(n, NNegAtom):
-            return (n.atom, False)
-        return None
 
-    def clause(n):
-        lit = literal(n)
-        if lit is not None:
-            return (lit,)
-        if isinstance(n, NOr):
-            lits = tuple(literal(a) for a in n.args)
-            if all(l is not None for l in lits):
-                return lits
-        return None
-
-    n = nnf(c)
-    parts = n.args if isinstance(n, NAnd) else (n,)
-    clauses = []
-    for p in parts:
-        cl = clause(p)
-        if cl is None:
+def _flat_clauses(n) -> Optional[list]:
+    """The (atom, sign) clauses of a flat NNF formula (a literal, an or of
+    literals, or an and of those), else None."""
+    out = []
+    for part in n.args if type(n) is NAnd else (n,):
+        disjuncts = part.args if type(part) is NOr else (part,)
+        if not all(type(d) is NAtom or type(d) is NNegAtom for d in disjuncts):
             return None
-        clauses.append(cl)
-    return clauses
+        out.append(_clause(disjuncts))
+    return out
 
 
-def _candidate_labels(atoms, constraints, budget: int) -> list[frozenset]:
+def _candidate_labels(atoms, clauses, evaluated, budget: int) -> list[frozenset]:
     """All atom subsets compatible with the quantifier-free global axioms.
 
-    Backtracking over the atoms.  Clausal constraints are indexed by atom
-    and checked incrementally (a clause can only turn false when one of its
-    atoms is assigned); the rest are re-evaluated three-valued whenever one
-    of their atoms is assigned, so each gets a definite verdict at its last
-    mention.
+    Backtracking over the atoms.  The (atom, sign) `clauses` are indexed by
+    atom and checked incrementally (a clause can only turn false when one
+    of its atoms is assigned); the `evaluated` concepts are re-evaluated
+    three-valued whenever one of their atoms is assigned, so each gets a
+    definite verdict at its last mention.
     """
     clause_index = {a: [] for a in atoms}
+    for cl in clauses:
+        for a, _ in cl:
+            clause_index[a].append(cl)
     eval_index = {a: [] for a in atoms}
-    for c in constraints:
-        clauses = _as_clauses(c)
-        if clauses is None:
-            for a in first_occurrences((c,), atom_of):
-                eval_index[a].append(c)
-        else:
-            for cl in clauses:
-                for a, _ in cl:
-                    clause_index[a].append(cl)
+    for c in evaluated:
+        for a in first_occurrences((c,), atom_of):
+            eval_index[a].append(c)
     out = []
     assignment: dict = {}
     visits = 0
@@ -222,12 +205,19 @@ def brute_force_consistency(
     """
     atoms = _prefix_order(o.atoms())
     roles = o.roles()
-    qf_global = [
-        Or(Not(inc.lhs), inc.rhs)
-        for inc in o.inclusions
-        if quantifier_depth(inc.lhs) == 0 and quantifier_depth(inc.rhs) == 0
-    ]
-    labels = _candidate_labels(atoms, qf_global, budget)
+    lits = Literals()
+    clauses, evaluated = [], []
+    for inc in o.inclusions:
+        read = inclusion_nnf(inc, lits)
+        if type(read) is list:
+            clauses.append(_clause(read))
+        elif quantifier_depth(inc.lhs) == 0 and quantifier_depth(inc.rhs) == 0:
+            flat = _flat_clauses(read)
+            if flat is None:
+                evaluated.append(Or(Not(inc.lhs), inc.rhs))
+            else:
+                clauses += flat
+    labels = _candidate_labels(atoms, clauses, evaluated, budget)
     root_constraints = [c for _, c in o.assertions]
     root_labels = [
         lab

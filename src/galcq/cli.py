@@ -35,7 +35,7 @@ from .syntax import (
     parse_concept_text,
     parse_ontology,
 )
-from .tableau import check_consistency, extract_classical_model
+from .tableau import NODE_BUDGET, check_consistency, extract_classical_model
 from .concepts import Implies
 
 
@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="grid oracle step (default: ontology constants plus midpoints)")
         p.add_argument("--max-domain", type=positive_int, default=2,
                        help="domain bound for the oracles")
-        p.add_argument("--budget", type=int, default=5000,
+        p.add_argument("--budget", type=positive_int, default=NODE_BUDGET,
                        help="tableau node budget")
         p.add_argument("--depth", type=positive_int, default=4,
                        help="unraveling depth for model extraction")

@@ -17,7 +17,6 @@ from .concepts import (
     concept_size,
     first_occurrences,
     negate,
-    normalize,
     quantifier_depth,
     role_of,
 )
@@ -116,24 +115,6 @@ def value_closure(o: FuzzyOntology) -> ValueSet:
 def roles(o: FuzzyOntology) -> tuple[str, ...]:
     """Role names in order of first occurrence."""
     return first_occurrences(o.concepts(), role_of)
-
-
-def normalize_ontology(o: FuzzyOntology, at_most: str = "involutive") -> FuzzyOntology:
-    """Normalize every concept; drops nothing else."""
-
-    def norm_side(side):
-        if isinstance(side, ConceptAssertion):
-            return ConceptAssertion(side.individual, normalize(side.concept, at_most))
-        return side
-
-    abox = tuple(
-        OrderAssertion(norm_side(a.left), a.rel, norm_side(a.right)) for a in o.abox
-    )
-    tbox = tuple(
-        FuzzyGCI(normalize(g.lhs, at_most), normalize(g.rhs, at_most), g.degree)
-        for g in o.tbox
-    )
-    return FuzzyOntology(abox, tbox, o.individual)
 
 
 def ontology_size(o: FuzzyOntology) -> int:

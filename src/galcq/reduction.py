@@ -39,11 +39,6 @@ TOP = Top()
 MAX_ORDER_ELEMENTS = 100
 
 
-def build_order_structure(o: FuzzyOntology) -> OrderStructure:
-    """Order structure of a normalized ontology."""
-    return OrderStructure.from_ontology(o)
-
-
 def semantics_axioms(c: Concept, leq: AtomFactory = Leq) -> tuple[Inclusion, ...]:
     """Axioms tying the order position of `c` to those of its parts.
 
@@ -75,19 +70,14 @@ def semantics_axioms(c: Concept, leq: AtomFactory = Leq) -> tuple[Inclusion, ...
     return ()
 
 
-def transitivity_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
-    t = u.table
-    span = range(len(u))
-    return tuple(
-        Inclusion(And(t[i][j], t[j][k]), t[i][k]) for i in span for j in span for k in span
-    )
+def transitivity_axioms(
+    u: OrderStructure, skip_trivial_transitivity: bool = False
+) -> tuple[Inclusion, ...]:
+    """Transitivity of every element triple.
 
-
-def transitivity_axioms_reduced(u: OrderStructure) -> tuple[Inclusion, ...]:
-    """Transitivity without instances where two vertices coincide.
-
-    Those instances are tautologies once totality holds, so skipping them is
-    sound; the faithful full set is the default elsewhere.
+    With `skip_trivial_transitivity`, instances where two vertices coincide
+    are left out: they are tautologies once totality holds, so skipping them
+    is sound.  The faithful full set is the default.
     """
     t = u.table
     span = range(len(u))
@@ -96,7 +86,7 @@ def transitivity_axioms_reduced(u: OrderStructure) -> tuple[Inclusion, ...]:
         for i in span
         for j in span
         for k in span
-        if i != j and j != k and i != k
+        if not skip_trivial_transitivity or (i != j and j != k and i != k)
     )
 
 
@@ -136,13 +126,8 @@ def antitonicity_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
 def preorder_axioms(u: OrderStructure, skip_trivial_transitivity: bool = False) -> tuple[Inclusion, ...]:
     """All order-structure axioms: each element's atoms form a bounded total
     preorder compatible with the constants, with antitone inversion."""
-    trans = (
-        transitivity_axioms_reduced(u)
-        if skip_trivial_transitivity
-        else transitivity_axioms(u)
-    )
     return (
-        trans
+        transitivity_axioms(u, skip_trivial_transitivity)
         + totality_axioms(u)
         + bounds_axioms(u)
         + value_order_axioms(u.values, u.leq)
@@ -203,7 +188,7 @@ def reduce_ontology(
     """
     if not is_local(o.abox):
         raise LocalityError("unsupported: non-local ABox")
-    u = build_order_structure(o)
+    u = OrderStructure.from_ontology(o)
     if len(u) > MAX_ORDER_ELEMENTS:
         raise BudgetExceededError(
             f"reduction budget exceeded: the order structure has {len(u)} "

@@ -12,13 +12,14 @@ Search organization:
   - concepts are interned to dense integers, looked up by their kind and
     their children's ids rather than by the structural NNF object; the
     NNF literals share one node per atom for the whole construction, and
-    every node's sort key is computed once.  An inclusion that is a clause
+    every node's sort key is computed once.  Every inclusion is read by
+    `nnf.inclusion_nnf`, the reader the brute-force oracle shares: a clause
     over order atoms (the preorder families, nearly all of the axioms) is
     interned straight from its literal nodes, without NNF formulas in
-    between; the rest go through `nnf`.  The base clauses are sorted by
-    sort key, disjunctions by the integer ranks of their disjuncts; node
-    labels are dicts from concept id to a dependency bitmask of decision
-    levels;
+    between, and any other inclusion from its NNF formula.  The base
+    clauses are sorted by sort key, disjunctions by the integer ranks of
+    their disjuncts; node labels are dicts from concept id to a dependency
+    bitmask of decision levels;
   - unit propagation and clause clashes are one rule, `_examine`, driven
     by a watch index over disjunct complements.  Branching scans a node's
     base and extra clauses with pointers that pass every clause with a
@@ -47,7 +48,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .classical_model import ClassicalInterpretation, ClassicalOntology
-from .concepts import And, Not, Or, Top
 from .errors import BudgetExceededError
 from .nnf import (
     Literals,
@@ -58,13 +58,15 @@ from .nnf import (
     NForall,
     NNegAtom,
     NOr,
-    mk_or,
+    inclusion_nnf,
     negate_nnf,
     nnf,
-    nnf_not,
     sort_key,
 )
-from .orders import Leq
+
+# Default resource budgets of a tableau run: nodes created and rule steps.
+NODE_BUDGET = 5000
+STEP_BUDGET = 20_000_000
 
 _KIND_ATOM = 0
 _KIND_NEGATOM = 1
@@ -177,34 +179,6 @@ class _Interner:
         return neg
 
 
-def _order_clause(inc, lits: Literals) -> Optional[list]:
-    """The literals of `nnf(not lhs or rhs)` when `inc` is a clause over
-    order atoms, else None.
-
-    The shapes are those of the preorder families: the left side an atom,
-    `(and atom atom)` or top; the right side an atom, `(not atom)` or
-    `(or atom atom)`.
-    """
-    lhs, rhs = inc.lhs, inc.rhs
-    if type(lhs) is Leq:
-        literals = [lits.negated(lhs)]
-    elif type(lhs) is And and type(lhs.left) is Leq and type(lhs.right) is Leq:
-        literals = [lits.negated(lhs.left), lits.negated(lhs.right)]
-    elif type(lhs) is Top:
-        literals = []
-    else:
-        return None
-    if type(rhs) is Leq:
-        literals.append(lits.atom(rhs))
-    elif type(rhs) is Not and type(rhs.sub) is Leq:
-        literals.append(lits.negated(rhs.sub))
-    elif type(rhs) is Or and type(rhs.left) is Leq and type(rhs.right) is Leq:
-        literals += (lits.atom(rhs.left), lits.atom(rhs.right))
-    else:
-        return None
-    return literals
-
-
 def _sorted_by_key(cids, interner: _Interner) -> tuple:
     """`cids` in the order of their concepts' sort keys.
 
@@ -294,8 +268,8 @@ class Tableau:
     def __init__(
         self,
         ontology: ClassicalOntology,
-        node_budget: int = 5000,
-        step_budget: int = 20_000_000,
+        node_budget: int = NODE_BUDGET,
+        step_budget: int = STEP_BUDGET,
         trace: Optional[Callable[[str], None]] = None,
     ):
         self.onto = ontology
@@ -315,12 +289,11 @@ class Tableau:
         lits = interner.lits
         base = set()
         for inc in ontology.inclusions:
-            literals = _order_clause(inc, lits)
-            if literals is None:
-                clause = mk_or((nnf_not(inc.lhs, lits), nnf(inc.rhs, lits)))
-                base.add(interner.intern(clause))
+            read = inclusion_nnf(inc, lits)
+            if type(read) is list:
+                base.add(interner.clause(read))
             else:
-                base.add(interner.clause(literals))
+                base.add(interner.intern(read))
         self.base_list = _sorted_by_key(base, interner)
         self.base_set = frozenset(self.base_list)
         self.base_ors = tuple(
@@ -894,8 +867,8 @@ class Tableau:
 
 def check_consistency(
     o: ClassicalOntology,
-    node_budget: int = 5000,
-    step_budget: int = 20_000_000,
+    node_budget: int = NODE_BUDGET,
+    step_budget: int = STEP_BUDGET,
     trace: Optional[Callable[[str], None]] = None,
 ) -> TableauResult:
     """Decide consistency; on success the completion graph is attached.

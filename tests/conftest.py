@@ -104,6 +104,8 @@ class CorpusRun:
     grid_skipped: bool = False
     brute: Optional[object] = None
     brute_skipped: bool = False
+    # time spent in the grid and brute-force oracles
+    oracle_seconds: float = 0.0
 
 
 @pytest.fixture(scope="session")
@@ -132,6 +134,7 @@ def corpus_runs():
                 tab.steps,
             ),
         )
+        start = time.monotonic()
         try:
             run.grid_model = galcq.grid_search_fuzzy_model(
                 ontology, max_domain=2, budget=GRID_BUDGET
@@ -144,5 +147,6 @@ def corpus_runs():
             )
         except galcq.BudgetExceededError:
             run.brute_skipped = True
+        run.oracle_seconds = time.monotonic() - start
         runs.append(run)
     return runs

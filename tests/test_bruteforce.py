@@ -72,3 +72,54 @@ def test_root_assertion_prefilter():
     assert result.consistent
     assert A in result.model.true_atoms[0]
     assert B not in result.model.true_atoms[0]
+
+
+# Brute force on every corpus reduction at max domain 4 and budget 25,000,
+# as (verdict, completed domain) or "skipped" when the budget ran out,
+# recorded by the session fixture's own oracle runs.
+CORPUS_BRUTE = {
+    "empty": (True, 4),
+    "assert-half": (True, 4),
+    "godel-mid": "skipped",
+    "godel-above": "skipped",
+    "cmp-lt": "skipped",
+    "cmp-eq-neg": "skipped",
+    "implies-deg": "skipped",
+    "gci-chain": "skipped",
+    "gci-top": "skipped",
+    "exists-half": "skipped",
+    "forall-low": "skipped",
+    "atleast-two": "skipped",
+    "atmost-inv": "skipped",
+    "atmost-res": "skipped",
+    "duality": "skipped",
+    "crisp-sat": "skipped",
+    "two-roles": "skipped",
+    "loop-gci": "skipped",
+    "open-interval": (True, 4),
+    "neg-forall": "skipped",
+    "godel-high": "skipped",
+    "squeeze": "skipped",
+    "top-neg": (False, 4),
+    "forall-clash": "skipped",
+    "count-clash": "skipped",
+    "self-implies": "skipped",
+    "top-low": (False, 4),
+    "below-zero": (False, 4),
+    "cmp-circle": "skipped",
+    "res-atmost-midway": "skipped",
+    "gci-force": (False, 4),
+    "exists-zero": "skipped",
+    "chain-squeeze": "skipped",
+    "count-squeeze": "skipped",
+}
+
+
+def test_corpus_brute_force_is_pinned(corpus_runs):
+    observed = {
+        run_.name: "skipped"
+        if run_.brute_skipped
+        else (run_.brute.consistent, run_.brute.completed_domain)
+        for run_ in corpus_runs
+    }
+    assert observed == CORPUS_BRUTE

@@ -171,11 +171,12 @@ def test_emit_model_verifies(tmp_path, capsys):
     assert "(role r" in text
 
 
-@pytest.mark.parametrize("flag", ["--depth", "--max-domain"])
+@pytest.mark.parametrize("flag", ["--depth", "--max-domain", "--budget"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_counts_below_one_exit_2(tmp_path, capsys, flag, value):
     # --depth 0 used to reach extract_classical_model and exit 1 with a
-    # ValueError; --max-domain 0 turned both oracles into no-ops
+    # ValueError; --max-domain 0 turned both oracles into no-ops; --budget 0
+    # was accepted and then failed with "node budget exhausted"
     path = _write(tmp_path, "(assert (inst a (some r A)) = 1/2)")
     out = tmp_path / "model.sexp"
     with pytest.raises(SystemExit) as exit_info:
@@ -233,6 +234,17 @@ def test_huge_grid_is_skipped_before_it_is_built(tmp_path, capsys):
     assert captured.out.strip() == "CONSISTENT"
     assert "oracle: grid search skipped" in captured.err
     assert "1000000001 points" in captured.err
+
+
+def test_huge_degree_exponent_exits_2_quickly(tmp_path, capsys):
+    # Fraction expands the exponent into a power of ten, which never returned
+    path = _write(tmp_path, "(assert (inst a A) >= 0.5e99999999)")
+    tbox = _write(tmp_path, "", "tbox.sexp")
+    for argv in (["check", path], ["sat", tbox, "-c", "A", "-d", "0.5e99999999"]):
+        start = time.monotonic()
+        assert run(argv) == 2
+        assert time.monotonic() - start < 1.0
+        assert "degree exponent larger than" in capsys.readouterr().err
 
 
 def test_reduce_opt_shrinks_output_same_verdicts(tmp_path, capsys):

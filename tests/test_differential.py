@@ -62,7 +62,7 @@ ONTOLOGIES = st.builds(
 @given(ONTOLOGIES)
 def test_tableau_agrees_with_grid_oracle_and_model_checker(text):
     ontology = galcq.parse_ontology(text)
-    assume(len(galcq.build_order_structure(ontology).elements) <= MAX_ELEMENTS)
+    assume(len(galcq.OrderStructure.from_ontology(ontology).elements) <= MAX_ELEMENTS)
     reduction = galcq.reduce_ontology(ontology)
     try:
         result = galcq.check_consistency(
@@ -81,7 +81,7 @@ def test_tableau_agrees_with_grid_oracle_and_model_checker(text):
     if result.consistent:
         margin = galcq.certification_margin(ontology)
         tree = galcq.extract_classical_model(result.graph, depth=margin + 2)
-        structure = galcq.build_order_structure(ontology)
+        structure = galcq.OrderStructure.from_ontology(ontology)
         interp, _ = galcq.extract_fuzzy_model(tree, structure, ontology.individual)
         report = galcq.check_fuzzy_model(
             interp, ontology, elements=tree.interior(margin)

@@ -13,7 +13,6 @@ from galcq import (
     Name,
     Not,
     ResExpr,
-    build_order_structure,
     check_consistency,
     order_concept,
     parse_ontology,
@@ -23,14 +22,13 @@ from galcq import (
 from galcq.classical_model import Inclusion
 from galcq.concepts import TOP, subconcepts
 from galcq.ontology import FuzzyOntology, OrderAssertion, RoleAssertion
-from galcq.orders import EDGE, ConceptElement, ShiftedElement, ValueElement
+from galcq.orders import EDGE, ConceptElement, OrderStructure, ShiftedElement, ValueElement
 from galcq.reduction import (
     antitonicity_axioms,
     bounds_axioms,
     totality_axioms,
     transfer_axioms,
     transitivity_axioms,
-    transitivity_axioms_reduced,
     value_order_axioms,
 )
 from galcq.syntax import classical_to_sexpr
@@ -94,7 +92,7 @@ def test_semantics_axioms_at_least():
 
 
 def _structure(text="(assert (inst a A) >= 1/2)"):
-    return build_order_structure(parse_ontology(text))
+    return OrderStructure.from_ontology(parse_ontology(text))
 
 
 def test_transitivity_count_is_cubic():
@@ -108,7 +106,7 @@ def test_transitivity_count_is_cubic():
 def test_reduced_transitivity_drops_degenerate_triples():
     u = _structure()
     n = len(u.elements)
-    assert len(transitivity_axioms_reduced(u)) == n * (n - 1) * (n - 2)
+    assert len(transitivity_axioms(u, skip_trivial_transitivity=True)) == n * (n - 1) * (n - 2)
 
 
 def test_family_counts():
@@ -144,7 +142,7 @@ def test_antitonicity_instance():
 
 def test_transfer_axioms_shape_and_count():
     o = parse_ontology("(assert (inst a (some r A)) >= 1/2)")
-    u = build_order_structure(o)
+    u = OrderStructure.from_ontology(o)
     axioms = transfer_axioms(u)
     base = len(u.values) + len(u.subconcepts)
     assert len(axioms) == 2 * base * base * len(u.roles)
@@ -192,7 +190,7 @@ def test_reduce_rejects_non_local():
 def test_empty_ontology_reduces_and_is_consistent():
     o = parse_ontology("")
     red = reduce_ontology(o)
-    u = build_order_structure(o)
+    u = OrderStructure.from_ontology(o)
     assert len(u.elements) == 5  # three constants plus the edge pair
     assert red.assertions == ()
     assert check_consistency(red).consistent
@@ -201,7 +199,7 @@ def test_empty_ontology_reduces_and_is_consistent():
 def test_every_atom_ranges_over_the_structure():
     o = parse_ontology("(assert (inst a (some r (and A B))) > 0.3)")
     red = reduce_ontology(o)
-    u = set(build_order_structure(o).elements)
+    u = set(OrderStructure.from_ontology(o).elements)
     for c in red.concepts():
         for s in subconcepts(c):
             assert not isinstance(s, Name)
