@@ -3,13 +3,22 @@
 Independent oracle for the tableau: enumerates every interpretation over
 domains of size 1..max_domain with the root fixed as the named individual.
 A found model is definitive; exhausting the bound is not a proof of
-inconsistency.  Candidate element labels are enumerated by backtracking
-over the atoms, pruning assignments that already falsify a quantifier-free
-global axiom; the reachable search space is unchanged, only its traversal
-is cheaper.  The global axioms are read as clauses by `nnf.inclusion_nnf`,
-the reader the tableau uses too; the oracle shares no part of the
-tableau's search.  An explicit guard raises when the enumeration would be
-too large.
+inconsistency.  An explicit guard raises when the enumeration would be too
+large.
+
+One reader: every constraint is read into negation normal form over one
+shared literal table, the global axioms by `nnf.inclusion_nnf` (the reader
+the tableau uses too) and the root assertions by `nnf.nnf`.  A flat
+formula becomes clauses, lists of literals.  One evaluator, `_value`, gives
+any other formula a three-valued value; quantified parts are unknown.
+
+Candidate element labels are enumerated by backtracking over the atoms,
+pruning assignments that already falsify a quantifier-free global axiom.  A
+clause can only turn false when its last atom is assigned, so it is checked
+once, two-valued, at that atom; any other quantifier-free axiom is
+evaluated at every atom it mentions.  The reachable search space is
+unchanged, only its traversal is cheaper.  The oracle shares no part of the
+tableau's search.
 """
 
 from __future__ import annotations
@@ -21,26 +30,10 @@ from typing import Optional
 from .classical_model import (
     ClassicalInterpretation,
     ClassicalOntology,
-    atom_of,
     check_classical_model,
 )
-from .concepts import (
-    And,
-    AtLeast,
-    AtMost,
-    Bot,
-    Exists,
-    Forall,
-    Implies,
-    Name,
-    Not,
-    Or,
-    Top,
-    first_occurrences,
-    quantifier_depth,
-)
 from .errors import BudgetExceededError
-from .nnf import Literals, NAnd, NAtom, NNegAtom, NOr, inclusion_nnf
+from .nnf import Literals, NAnd, NAtom, NNegAtom, NOr, inclusion_nnf, nnf
 from .orders import Leq
 
 
@@ -54,99 +47,93 @@ class BruteForceResult:
     completed_domain: int
 
 
-def _eval3(c, assignment: dict) -> Optional[bool]:
-    """Three-valued evaluation over a partial atom assignment.
-
-    Returns None when undecided; quantified subconcepts are always None.
-    """
-    match c:
-        case Top():
-            return True
-        case Bot():
-            return False
-        case Name() | Leq():
-            return assignment.get(c)
-        case Not(sub):
-            v = _eval3(sub, assignment)
-            return None if v is None else not v
-        case And(left, right):
-            l = _eval3(left, assignment)
-            r = _eval3(right, assignment)
-            if l is False or r is False:
-                return False
-            if l is True and r is True:
-                return True
-            return None
-        case Or(left, right):
-            l = _eval3(left, assignment)
-            r = _eval3(right, assignment)
-            if l is True or r is True:
-                return True
-            if l is False and r is False:
-                return False
-            return None
-        case Implies(left, right):
-            l = _eval3(left, assignment)
-            r = _eval3(right, assignment)
-            if l is False or r is True:
-                return True
-            if l is True and r is False:
-                return False
-            return None
-        case Exists() | Forall() | AtLeast() | AtMost():
-            return None
-    raise TypeError(f"not a classical concept: {c!r}")
+def _value(n, get) -> Optional[bool]:
+    """Three-valued value of the NNF formula `n`, where `get(atom)` is
+    True, False or None (unassigned); quantified parts are None."""
+    t = type(n)
+    if t is NAtom:
+        return get(n.atom)
+    if t is NNegAtom:
+        v = get(n.atom)
+        return None if v is None else not v
+    if t is not NAnd and t is not NOr:
+        return None
+    decisive = t is NOr  # the argument value that decides the whole
+    result = not decisive
+    for arg in n.args:
+        v = _value(arg, get)
+        if v is decisive:
+            return decisive
+        if v is None:
+            result = None
+    return result
 
 
-def _clause(literals) -> tuple:
-    return tuple((d.atom, type(d) is NAtom) for d in literals)
-
-
-def _flat_clauses(n) -> Optional[list]:
-    """The (atom, sign) clauses of a flat NNF formula (a literal, an or of
+def _literals(n) -> Optional[list]:
+    """The literal lists of a flat NNF formula (a literal, an or of
     literals, or an and of those), else None."""
     out = []
     for part in n.args if type(n) is NAnd else (n,):
         disjuncts = part.args if type(part) is NOr else (part,)
         if not all(type(d) is NAtom or type(d) is NNegAtom for d in disjuncts):
             return None
-        out.append(_clause(disjuncts))
+        out.append(disjuncts)
     return out
 
 
-def _candidate_labels(atoms, clauses, evaluated, budget: int) -> list[frozenset]:
+def _mentions(n) -> Optional[set]:
+    """The atoms of a quantifier-free NNF formula, None if it has a
+    quantifier."""
+    if type(n) is NAtom or type(n) is NNegAtom:
+        return {n.atom}
+    if type(n) is not NAnd and type(n) is not NOr:
+        return None
+    out = set()
+    for arg in n.args:
+        sub = _mentions(arg)
+        if sub is None:
+            return None
+        out |= sub
+    return out
+
+
+def _candidate_labels(atoms, clauses, formulas, budget: int) -> list[frozenset]:
     """All atom subsets compatible with the quantifier-free global axioms.
 
-    Backtracking over the atoms.  The (atom, sign) `clauses` are indexed by
-    atom and checked incrementally (a clause can only turn false when one
-    of its atoms is assigned); the `evaluated` concepts are re-evaluated
-    three-valued whenever one of their atoms is assigned, so each gets a
-    definite verdict at its last mention.
+    Backtracking over `atoms` in order.  Each clause is kept as (position,
+    sign) pairs under its largest position and tested two-valued when that
+    position is assigned; an empty clause leaves no label.  The other
+    `formulas` are evaluated three-valued whenever one of their atoms is
+    assigned, so each gets a definite verdict at its last mention.
     """
-    clause_index = {a: [] for a in atoms}
-    for cl in clauses:
-        for a, _ in cl:
-            clause_index[a].append(cl)
-    eval_index = {a: [] for a in atoms}
-    for c in evaluated:
-        for a in first_occurrences((c,), atom_of):
-            eval_index[a].append(c)
+    position = {a: i for i, a in enumerate(atoms)}
+    at_last = [[] for _ in atoms]
+    for clause in clauses:
+        if not clause:
+            return []
+        pairs = [(position[d.atom], type(d) is NAtom) for d in clause]
+        at_last[max(pairs)[0]].append(pairs)
+    at_each = [[] for _ in atoms]
+    for f in formulas:
+        for a in _mentions(f):
+            at_each[position[a]].append(f)
     out = []
-    assignment: dict = {}
-    visits = 0
     n_atoms = len(atoms)
+    values = [False] * n_atoms  # read only at positions already assigned
+    visits = 0
 
-    def ok(atom) -> bool:
-        get = assignment.get
-        for cl in clause_index[atom]:
-            for a, sign in cl:
-                if get(a) is not (not sign):
-                    break  # unassigned or satisfying literal
+    def ok(i: int) -> bool:
+        for pairs in at_last[i]:
+            for p, sign in pairs:
+                if values[p] is sign:
+                    break
             else:
-                return False  # every literal assigned and falsified
-        for c in eval_index[atom]:
-            if _eval3(c, assignment) is False:
-                return False
+                return False  # every literal falsified
+        if at_each[i]:
+            get = lambda a: values[position[a]] if position[a] <= i else None
+            for f in at_each[i]:
+                if _value(f, get) is False:
+                    return False
         return True
 
     def rec(i: int):
@@ -155,16 +142,14 @@ def _candidate_labels(atoms, clauses, evaluated, budget: int) -> list[frozenset]
         if visits > budget:
             raise BudgetExceededError("label enumeration budget exhausted")
         if i == n_atoms:
-            out.append(frozenset(a for a, v in assignment.items() if v))
+            out.append(frozenset(a for a, v in zip(atoms, values) if v))
             if len(out) > budget:
                 raise BudgetExceededError("too many candidate labels")
             return
-        atom = atoms[i]
         for value in (False, True):
-            assignment[atom] = value
-            if ok(atom):
+            values[i] = value
+            if ok(i):
                 rec(i + 1)
-        del assignment[atom]
 
     rec(0)
     return out
@@ -206,23 +191,21 @@ def brute_force_consistency(
     atoms = _prefix_order(o.atoms())
     roles = o.roles()
     lits = Literals()
-    clauses, evaluated = [], []
+    clauses, formulas = [], []
     for inc in o.inclusions:
         read = inclusion_nnf(inc, lits)
         if type(read) is list:
-            clauses.append(_clause(read))
-        elif quantifier_depth(inc.lhs) == 0 and quantifier_depth(inc.rhs) == 0:
-            flat = _flat_clauses(read)
-            if flat is None:
-                evaluated.append(Or(Not(inc.lhs), inc.rhs))
-            else:
-                clauses += flat
-    labels = _candidate_labels(atoms, clauses, evaluated, budget)
-    root_constraints = [c for _, c in o.assertions]
+            clauses.append(read)
+        elif (flat := _literals(read)) is not None:
+            clauses += flat
+        elif _mentions(read) is not None:
+            formulas.append(read)
+    labels = _candidate_labels(atoms, clauses, formulas, budget)
+    roots = [nnf(c, lits) for _, c in o.assertions]
     root_labels = [
         lab
         for lab in labels
-        if all(_eval3(c, _total(lab, atoms)) is not False for c in root_constraints)
+        if all(_value(r, lab.__contains__) is not False for r in roots)
     ]
 
     if not roles:
@@ -275,6 +258,3 @@ def brute_force_consistency(
         completed = m
     return BruteForceResult(False, None, completed)
 
-
-def _total(label: frozenset, atoms) -> dict:
-    return {a: (a in label) for a in atoms}

@@ -165,11 +165,6 @@ def role_of(c: Concept) -> Optional[str]:
     return c.role if isinstance(c, (Exists, Forall, AtLeast, AtMost)) else None
 
 
-def roles_in(c: Concept) -> tuple[str, ...]:
-    """Role names in `c`, in order of first occurrence."""
-    return first_occurrences((c,), role_of)
-
-
 def quantifier_depth(c: Concept) -> int:
     kids = children(c)
     inner = max((quantifier_depth(k) for k in kids), default=0)

@@ -22,7 +22,6 @@ from .errors import MalformedModelError
 from .orders import (
     ConceptElement,
     EdgeElement,
-    Leq,
     OrderStructure,
     ShiftedElement,
     ValueElement,
@@ -43,9 +42,6 @@ class ValueAssignment:
     structure: OrderStructure
     tree: ClassicalInterpretation
     values: dict[tuple[int, object], Fraction]
-
-    def value(self, node: int, element) -> Fraction:
-        return self.values[(node, element)]
 
     def check_properties(self) -> list[str]:
         """All P1-P4 violations, empty when the assignment is coherent."""
@@ -91,10 +87,7 @@ def _node_preorder(structure: OrderStructure, atoms: frozenset, node: int):
     elems = structure.elements
     index = structure.index
     n = len(elems)
-    leq = [[False] * n for _ in range(n)]
-    for atom in atoms:
-        if isinstance(atom, Leq) and atom.lhs in index and atom.rhs in index:
-            leq[index[atom.lhs]][index[atom.rhs]] = True
+    leq = [[a in atoms for a in row] for row in structure.table]
     for i in range(n):
         for j in range(n):
             if not leq[i][j] and not leq[j][i]:

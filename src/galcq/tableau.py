@@ -66,7 +66,7 @@ from .nnf import (
 
 # Default resource budgets of a tableau run: nodes created and rule steps.
 NODE_BUDGET = 5000
-STEP_BUDGET = 20_000_000
+STEP_BUDGET = 2_000_000
 
 _KIND_ATOM = 0
 _KIND_NEGATOM = 1
@@ -251,7 +251,6 @@ class GraphNode:
 class CompletionGraph:
     nodes: dict
     root: int
-    order: tuple
 
 
 @dataclass(frozen=True)
@@ -840,7 +839,6 @@ class Tableau:
             if interner.kinds[cid] == _KIND_ATOM
         )
         blocked_by, _ = self._compute_blocking()
-        order = []
         nodes = {}
         pending = deque([0])
         while pending:
@@ -860,9 +858,8 @@ class Tableau:
                 children=children,
                 blocked_by=blocked_by.get(nid),
             )
-            order.append(nid)
             pending.extend(children)
-        return CompletionGraph(nodes=nodes, root=0, order=tuple(order))
+        return CompletionGraph(nodes=nodes, root=0)
 
 
 def check_consistency(

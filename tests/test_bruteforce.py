@@ -1,4 +1,7 @@
+import time
+
 import pytest
+from conftest import CORPUS
 
 from galcq import (
     AtLeast,
@@ -12,8 +15,10 @@ from galcq import (
     Or,
     brute_force_consistency,
     check_classical_model,
+    parse_ontology,
+    reduce_ontology,
 )
-from galcq.concepts import TOP, And
+from galcq.concepts import BOT, TOP, And
 
 A = Name("A")
 B = Name("B")
@@ -72,6 +77,46 @@ def test_root_assertion_prefilter():
     assert result.consistent
     assert A in result.model.true_atoms[0]
     assert B not in result.model.true_atoms[0]
+
+
+def test_empty_clause_leaves_no_label():
+    # `top [= bot` reads as the empty clause: no element label exists, so
+    # no interpretation is enumerated at any domain size
+    C = Name("C")
+    o = ClassicalOntology(
+        (Inclusion(TOP, BOT), Inclusion(A, Exists("r", B))),
+        (("a", Or(A, C)),),
+        "a",
+    )
+    start = time.monotonic()
+    result = brute_force_consistency(o, max_domain=3)
+    assert time.monotonic() - start < 1.0
+    assert (result.consistent, result.completed_domain) == (False, 3)
+
+
+# Label-enumeration visits of the corpus reductions whose enumeration
+# finishes: at budget V - 1 it runs out, at budget V it completes.
+LABEL_VISITS = {
+    "empty": 80,
+    "top-low": 1_027,
+    "assert-half": 8_528,
+    "open-interval": 8_528,
+    "below-zero": 8_528,
+    "gci-force": 13_206,
+    "top-neg": 13_230,
+}
+
+
+def test_label_enumeration_visits_are_pinned():
+    texts = dict(CORPUS)
+    for name, visits in LABEL_VISITS.items():
+        reduction = reduce_ontology(parse_ontology(texts[name]))
+        with pytest.raises(BudgetExceededError, match="label enumeration budget"):
+            brute_force_consistency(reduction, max_domain=1, budget=visits - 1)
+        try:
+            brute_force_consistency(reduction, max_domain=1, budget=visits)
+        except BudgetExceededError as e:
+            assert "label enumeration" not in str(e), name
 
 
 # Brute force on every corpus reduction at max domain 4 and budget 25,000,

@@ -15,7 +15,7 @@ from galcq import (
     quantifier_depth,
     subconcepts,
 )
-from galcq.concepts import roles_in
+from galcq.concepts import first_occurrences, role_of
 
 A = Name("A")
 B = Name("B")
@@ -69,7 +69,9 @@ def test_normalize_idempotent():
 
 def test_normalize_preserves_roles():
     c = Or(Exists("r", A), AtMost(1, "s", Forall("t", B)))
-    assert set(roles_in(c)) == set(roles_in(normalize(c)))
+    assert set(first_occurrences((c,), role_of)) == set(
+        first_occurrences((normalize(c),), role_of)
+    )
 
 
 def test_negate_collapses():
