@@ -188,8 +188,8 @@ def brute_force_consistency(
     Raises BudgetExceededError if not even domain size 1 fits the budget;
     otherwise stops early at the largest affordable size and reports it.
     """
-    atoms = _prefix_order(o.atoms())
-    roles = o.roles()
+    atoms, roles = o.signature()
+    atoms = _prefix_order(atoms)
     lits = Literals()
     clauses, formulas = [], []
     for inc in o.inclusions:

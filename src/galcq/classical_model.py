@@ -23,8 +23,8 @@ from .concepts import (
     Not,
     Or,
     Top,
-    first_occurrences,
     role_of,
+    subconcepts,
 )
 from .orders import Leq
 
@@ -55,12 +55,27 @@ class ClassicalOntology:
         for _, c in self.assertions:
             yield c
 
+    def signature(self) -> tuple[tuple, tuple[str, ...]]:
+        """Atomic concepts (names and order atoms) and roles, each in
+        post-order of first occurrence, from one walk of the subconcepts."""
+        atoms, roles = {}, {}
+        for c in self.concepts():
+            for s in subconcepts(c):
+                atom = atom_of(s)
+                if atom is not None:
+                    atoms[atom] = None
+                    continue
+                role = role_of(s)
+                if role is not None:
+                    roles[role] = None
+        return tuple(atoms), tuple(roles)
+
     def atoms(self) -> tuple:
         """Atomic concepts (names and order atoms), first-occurrence order."""
-        return first_occurrences(self.concepts(), atom_of)
+        return self.signature()[0]
 
     def roles(self) -> tuple[str, ...]:
-        return first_occurrences(self.concepts(), role_of)
+        return self.signature()[1]
 
 
 @dataclass

@@ -20,11 +20,23 @@ Search organization:
     clauses are sorted by sort key, disjunctions by the integer ranks of
     their disjuncts; node labels are dicts from concept id to a dependency
     bitmask of decision levels;
-  - unit propagation and clause clashes are one rule, `_examine`, driven
-    by a watch index over disjunct complements.  Branching scans a node's
-    base and extra clauses with pointers that pass every clause with a
-    present disjunct; the first clause without one goes to `_examine`, and
-    only a clause that stays open becomes a branch;
+  - unit propagation and clause clashes are one rule, `_examine`.  The
+    transitivity clauses `(and t[i][j] t[j][k]) [= t[i][k]` over three
+    distinct order positions, the n^3 bulk of every reduction, are found
+    through a flat triple table indexed by (i * n + j) * n + k and four
+    bitsets per node over its label and the base atoms: P_row[i] and
+    P_col[j] hold the `leq(i, j)` facts, N_row[i] and N_col[j] the refuted
+    ones.  From them an order fact reads which of the ~2n transitivity
+    clauses over its pair act (leave one disjunct open or none); every
+    other clause is watched under the complements of its disjuncts.  Both
+    are examined in id order, which, with transitivity read first as the
+    reduction emits it, propagates exactly as watching every clause: the
+    clauses examined earlier for the same fact are transitivity clauses
+    whose units share no atom with a later one's open disjuncts.
+    Branching scans a node's base and extra clauses with pointers that
+    pass every clause with a present disjunct; the first clause without
+    one goes to `_examine`, and only a clause that stays open becomes a
+    branch;
   - every decision is (kind, node, alternatives, exhaustion dependency):
     "or" tries a clause's open disjuncts semantically (failed atomic ones
     are asserted negatively before the next try), "choose" tries (not q, q)
@@ -48,6 +60,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .classical_model import ClassicalInterpretation, ClassicalOntology
+from .concepts import And
 from .errors import BudgetExceededError
 from .nnf import (
     Literals,
@@ -63,6 +76,7 @@ from .nnf import (
     nnf,
     sort_key,
 )
+from .orders import Leq
 
 # Default resource budgets of a tableau run: nodes created and rule steps.
 NODE_BUDGET = 5000
@@ -110,6 +124,7 @@ class _Interner:
         self.negs: list = []
         self.or_negs: list = []
         self.watch: dict[int, list[int]] = {}
+        self.literal_ids: dict[int, int] = {}  # id(literal node) -> id
         self.fingerprints: list[int] = []
         self._fp_rng = random.Random(0xA1C9)
 
@@ -134,27 +149,38 @@ class _Interner:
         cid = self.ids.get((kind, part))
         return self._new(n, kind, part) if cid is None else cid
 
-    def clause(self, literals: list) -> int:
+    def clause(self, literals: list, watched: bool = True) -> int:
         """Id of the disjunction of shared literal nodes.
 
         Gives what `intern(mk_or(literals))` gives, ids and interning order
         included, without building the intermediate formulas: the literals
         are sorted by sort key and deduplicated (equal literals are one
-        node), then interned in that order before the clause itself.
+        node), then interned in that order before the clause itself.  A new
+        clause gets no watch entries unless `watched`.
         """
         unique = sorted({id(d): d for d in literals}.values(), key=sort_key)
         if len(unique) == 1:
             return self._literal(unique[0])
         part = tuple([self._literal(d) for d in unique])
         cid = self.ids.get((_KIND_OR, part))
-        return self._new(NOr(tuple(unique)), _KIND_OR, part) if cid is None else cid
+        if cid is None:
+            return self._new(NOr(tuple(unique)), _KIND_OR, part, watched)
+        return cid
 
     def _literal(self, d) -> int:
+        # a shared literal node is looked up by identity, without hashing
+        # its atom
+        cid = self.literal_ids.get(id(d))
+        if cid is not None and self.objs[cid] is d:
+            return cid
         kind = _KIND_ATOM if type(d) is NAtom else _KIND_NEGATOM
         cid = self.ids.get((kind, d.atom))
-        return self._new(d, kind, d.atom) if cid is None else cid
+        if cid is None:
+            cid = self._new(d, kind, d.atom)
+        self.literal_ids[id(d)] = cid
+        return cid
 
-    def _new(self, n, kind: int, part) -> int:
+    def _new(self, n, kind: int, part, watched: bool = True) -> int:
         cid = len(self.objs)
         self.ids[(kind, part)] = cid
         self.objs.append(n)
@@ -166,8 +192,9 @@ class _Interner:
         if kind == _KIND_OR:
             negs = tuple(self.negation(d) for d in part)
             self.or_negs[cid] = negs
-            for nd in negs:
-                self.watch.setdefault(nd, []).append(cid)
+            if watched:
+                for nd in negs:
+                    self.watch.setdefault(nd, []).append(cid)
         return cid
 
     def negation(self, cid: int) -> int:
@@ -200,6 +227,17 @@ def _sorted_by_key(cids, interner: _Interner) -> tuple:
     return tuple(sorted(cids, key=key))
 
 
+def _triple_ids(out: list, table: list, positions: int, start: int, stride: int):
+    """Append to `out` the clause ids at `table[start + stride * p]` for
+    every set bit p of `positions`, skipping absent clauses."""
+    while positions:
+        low = positions & -positions
+        cid = table[start + stride * (low.bit_length() - 1)]
+        if cid is not None:
+            out.append(cid)
+        positions ^= low
+
+
 class _Node:
     __slots__ = (
         "id",
@@ -214,6 +252,7 @@ class _Node:
         "atleasts",
         "atmosts",
         "extra_ors",
+        "bits",
         "base_ptr",
         "extra_ptr",
         "pruned",
@@ -232,6 +271,7 @@ class _Node:
         self.atleasts = set()
         self.atmosts = set()
         self.extra_ors = []
+        self.bits = []  # order bitsets: P_row, P_col, N_row, N_col
         self.base_ptr = 0
         self.extra_ptr = 0
         self.pruned = False
@@ -285,14 +325,7 @@ class Tableau:
         self.stack: list = []
 
         interner = self.interner
-        lits = interner.lits
-        base = set()
-        for inc in ontology.inclusions:
-            read = inclusion_nnf(inc, lits)
-            if type(read) is list:
-                base.add(interner.clause(read))
-            else:
-                base.add(interner.intern(read))
+        base = self._read_inclusions(ontology)
         self.base_list = _sorted_by_key(base, interner)
         self.base_set = frozenset(self.base_list)
         self.base_ors = tuple(
@@ -302,10 +335,91 @@ class Tableau:
         if individuals - {ontology.individual}:
             raise ValueError("assertions must use the ontology's single individual")
         self.root_ids = tuple(
-            self.interner.intern(nnf(c, lits)) for _, c in ontology.assertions
+            interner.intern(nnf(c, interner.lits)) for _, c in ontology.assertions
         )
         self._precompute_static()
         self.trace = trace
+
+    def _read_inclusions(self, ontology: ClassicalOntology) -> set:
+        """Intern every inclusion as a base clause; return their ids.
+
+        A transitivity clause over three distinct elements, recognised by
+        the identity of the shared elements, goes to the triple table
+        instead of the watch lists.  The radix n is fixed first, so the
+        table fills as the clauses come: a family over m elements has
+        m(m-1)(m-2) > (m-2)^3 inclusions, so one more than the cube root of
+        the inclusion count bounds m.  An element beyond it, which only a
+        hand-built ontology can have, gets the position n^3, so every
+        clause over it stays watched.
+        """
+        interner = self.interner
+        lits = interner.lits
+        base = set()
+        root = 0
+        while root**3 < len(ontology.inclusions):
+            root += 1
+        n = self.order_n = root + 1
+        size = n * n * n
+        triples = self.triples = [None] * size
+        # order positions, assigned by element equality and looked up by
+        # identity: the reduction shares one object per element
+        self.order_elements: list = []
+        position: dict = {}  # id(element) -> position
+        by_value: dict = {}  # element -> position
+
+        def place(e) -> int:
+            p = by_value.get(e)
+            if p is None:
+                p = len(self.order_elements)
+                if p < n:
+                    self.order_elements.append(e)
+                else:
+                    p = size
+                by_value[e] = p
+            position[id(e)] = p
+            return p
+
+        add, clause = base.add, interner.clause
+        for inc in ontology.inclusions:
+            read = inclusion_nnf(inc, lits)
+            if type(read) is not list:
+                add(interner.intern(read))
+                continue
+            lhs, rhs = inc.lhs, inc.rhs
+            if type(lhs) is And and type(rhs) is Leq:
+                ij, jk = lhs.left, lhs.right
+                x, y, z = ij.lhs, jk.lhs, jk.rhs
+                if ij.rhs is y and rhs.lhs is x and rhs.rhs is z:
+                    try:
+                        i, j, k = position[id(x)], position[id(y)], position[id(z)]
+                    except KeyError:
+                        i, j, k = place(x), place(y), place(z)
+                    index = (i * n + j) * n + k
+                    if i != j and j != k and i != k and index < size:
+                        cid = clause(read, False)
+                        add(cid)
+                        triples[index] = cid
+                        continue
+            add(clause(read))
+        def where(e) -> int:
+            p = position.get(id(e))
+            return by_value.get(e, size) if p is None else p
+
+        # slots: P_row[i] and P_col[j] for leq(i, j), N_row[i] and N_col[j]
+        # for its negation
+        self.order_of: dict = {}  # literal id -> (row slot, column slot, i, j)
+        for kind, table, offset in (
+            (_KIND_ATOM, lits.pos, 0),
+            (_KIND_NEGATOM, lits.neg, 2 * n),
+        ):
+            for atom in table:
+                if type(atom) is not Leq:
+                    continue
+                i, j = where(atom.lhs), where(atom.rhs)
+                cid = interner.ids.get((kind, atom))
+                if i < n and j < n and i != j and cid is not None:
+                    self.order_of[cid] = (offset + i, offset + n + j, i, j)
+        return base
 
     def _precompute_static(self):
         """Propagate the global axioms once, on a scratch node.
@@ -319,6 +433,11 @@ class Tableau:
         not traced and takes no steps.
         """
         node = _Node(0, None, frozenset(), 0, 0)
+        node.bits = [0] * (4 * self.order_n)
+        for cid, (row, col, i, j) in self.order_of.items():
+            if cid in self.base_set:
+                node.bits[row] |= 1 << j
+                node.bits[col] |= 1 << i
         self.nodes.append(node)
         queue = self.queue
         try:
@@ -336,6 +455,7 @@ class Tableau:
         self.static_atmosts = frozenset(node.atmosts)
         self.static_extra_ors = tuple(node.extra_ors)
         self.static_fp = node.fp
+        self.static_bits = tuple(node.bits)
         self.nodes.clear()
         queue.clear()
         self.trail.clear()
@@ -360,6 +480,11 @@ class Tableau:
             raise _Clash(dep | self._dep_of(node, neg))
         label[cid] = dep
         node.fp ^= self.interner.fingerprints[cid]
+        order = self.order_of.get(cid)
+        if order is not None:
+            row, col, i, j = order
+            node.bits[row] |= 1 << j
+            node.bits[col] |= 1 << i
         self.trail.append(("add", nid, cid))
         self.queue.append((nid, cid))
         if rule and self.trace:
@@ -372,11 +497,15 @@ class Tableau:
         interner = self.interner
         kind = interner.kinds[cid]
         part = interner.parts[cid]
+        acting = None
         # only the rules that use the dependency look it up; clauses do not
         if kind == _KIND_ATOM or kind == _KIND_NEGATOM:
             neg = interner.negation(cid)
             if neg in node.label or neg in self.base_set:
                 raise _Clash(self._dep_of(node, cid) | self._dep_of(node, neg))
+            order = self.order_of.get(cid)
+            if order is not None:
+                acting = self._acting_triples(node.bits, kind, order)
         elif kind == _KIND_AND:
             dep = self._dep_of(node, cid)
             for a in part:
@@ -403,9 +532,48 @@ class Tableau:
             if cid not in counted:
                 counted.add(cid)
                 self.trail.append(("discard", counted, cid))
-        for oid in interner.watch.get(cid, ()):
+        watched = interner.watch.get(cid, ())
+        if acting:
+            # the transitivity clauses are base clauses; examine them in id
+            # order with the rest of the watch list
+            acting += watched
+            acting.sort()
+            watched = acting
+        for oid in watched:
             if oid in node.label or oid in self.base_set:
                 self._examine(nid, oid)
+
+    def _acting_triples(self, bits: list, kind: int, order) -> list:
+        """Ids of the transitivity clauses that order literal `order` (its
+        bitset slots and positions i, j) makes act at a node with bitsets
+        `bits`: it refutes one of their disjuncts and leaves one or none
+        open.  `leq(i, j)` refutes a disjunct of (i, j, k), which acts when
+        `leq(j, k)` or `not leq(i, k)` is present and neither complement
+        is, and of (k, i, j), likewise over `leq(k, i)` and `not leq(k, j)`;
+        `not leq(i, j)` one of (i, m, j), likewise over `leq(i, m)` and
+        `leq(m, j)`.
+        """
+        _, _, i, j = order
+        n = self.order_n
+        p_col, n_row, n_col = n, 2 * n, 3 * n  # P_row starts at 0
+        table = self.triples
+        distinct = ~((1 << i) | (1 << j))
+        out = []
+        if kind == _KIND_ATOM:
+            ks = bits[j] | bits[n_row + i]
+            ks &= ~(bits[n_row + j] | bits[i]) & distinct
+            if ks:
+                _triple_ids(out, table, ks, (i * n + j) * n, 1)
+            ks = bits[p_col + i] | bits[n_col + j]
+            ks &= ~(bits[n_col + i] | bits[p_col + j]) & distinct
+            if ks:
+                _triple_ids(out, table, ks, i * n + j, n * n)
+        else:
+            ms = bits[i] | bits[p_col + j]
+            ms &= ~(bits[n_row + i] | bits[n_col + j]) & distinct
+            if ms:
+                _triple_ids(out, table, ms, i * n * n + j, n)
+        return out
 
     def _examine(self, nid: int, oid: int) -> bool:
         """Settle clause `oid` at node `nid`: True if it is satisfied or its
@@ -468,6 +636,7 @@ class Tableau:
         node.atleasts = set(self.static_atleasts)
         node.atmosts = set(self.static_atmosts)
         node.extra_ors = list(self.static_extra_ors)
+        node.bits = list(self.static_bits)
         self.nodes.append(node)
         self.trail.append(("node", nid))
         if parent_id is not None:
@@ -528,8 +697,14 @@ class Tableau:
             tag = entry[0]
             if tag == "add":
                 node = self.nodes[entry[1]]
-                del node.label[entry[2]]
-                node.fp ^= self.interner.fingerprints[entry[2]]
+                cid = entry[2]
+                del node.label[cid]
+                node.fp ^= self.interner.fingerprints[cid]
+                order = self.order_of.get(cid)
+                if order is not None:
+                    row, col, i, j = order
+                    node.bits[row] &= ~(1 << j)
+                    node.bits[col] &= ~(1 << i)
             elif tag == "node":
                 node = self.nodes.pop()
                 if node.parent is not None:

@@ -1,7 +1,8 @@
-"""Seeded differential test of the tableau against the grid oracle and the
-model checker, on random ontologies within the corpus envelope: at most 3
-concept names, 2 roles, cardinalities up to 3, 4 degrees, two axioms and
-an order structure of at most 25 elements, the corpus's largest.
+"""Seeded differential tests of the tableau against the grid oracle and the
+model checker, and of the `--reduce-opt` reduction against the plain one, on
+random ontologies within the corpus envelope: at most 3 concept names, 2
+roles, cardinalities up to 3, 4 degrees, two axioms and an order structure
+of at most 25 elements, the corpus's largest.
 """
 
 import pytest
@@ -87,3 +88,29 @@ def test_tableau_agrees_with_grid_oracle_and_model_checker(text):
             interp, ontology, elements=tree.interior(margin)
         )
         assert report.satisfied, f"{report.violation}\n{text}"
+
+
+@pytest.mark.filterwarnings("ignore:dropping inclusion with degree 0")
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=45,
+)
+@given(ONTOLOGIES)
+def test_reduce_opt_gives_the_plain_verdict(text):
+    """`--reduce-opt` leaves out the transitivity instances with a repeated
+    vertex; the verdict must not change."""
+    ontology = galcq.parse_ontology(text)
+    assume(len(galcq.OrderStructure.from_ontology(ontology).elements) <= MAX_ELEMENTS)
+    verdicts = []
+    for skip in (False, True):
+        reduction = galcq.reduce_ontology(ontology, skip_trivial_transitivity=skip)
+        try:
+            result = galcq.check_consistency(
+                reduction, node_budget=NODE_BUDGET, step_budget=STEP_BUDGET
+            )
+        except galcq.BudgetExceededError:
+            reject()
+        verdicts.append(result.consistent)
+    assert verdicts[0] == verdicts[1], text

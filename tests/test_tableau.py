@@ -28,7 +28,7 @@ from galcq import (
 )
 from galcq.concepts import TOP, quantifier_depth
 from galcq.orders import ValueElement
-from galcq.nnf import inclusion_nnf, mk_or, nnf, nnf_not, sort_key
+from galcq.nnf import NAtom, NNegAtom, inclusion_nnf, mk_or, nnf, nnf_not, sort_key
 from galcq.tableau import Tableau, _Interner
 from fractions import Fraction
 
@@ -360,8 +360,13 @@ def _assert_base_matches_reference(ontology):
     assert got.or_negs[:n] == ref.or_negs
     assert got.fingerprints[:n] == ref.fingerprints
     assert [repr(o) for o in got.objs[:n]] == [repr(o) for o in ref.objs]
-    watched = {nd: [c for c in cids if c < n] for nd, cids in got.watch.items()}
-    assert {nd: cids for nd, cids in watched.items() if cids} == ref.watch
+    # every reference watch entry is in exactly one of the watch lists and
+    # the triple table, and neither holds anything else
+    entries = [(nd, c) for nd, cids in got.watch.items() for c in cids if c < n]
+    entries += [(nd, c) for c in tab.triples if c is not None for nd in got.or_negs[c]]
+    expected = [(nd, c) for nd, cids in ref.watch.items() for c in cids]
+    assert sorted(entries) == sorted(expected)
+    assert all(cids == sorted(cids) for cids in got.watch.values())
 
 
 def _chain(k):
@@ -409,3 +414,138 @@ def test_clause_path_literal_shapes():
     assert not any(isinstance(inclusion_nnf(inc, lits), list) for inc in others)
     _assert_base_matches_reference(ClassicalOntology(clauses + others, (), "a"))
     _assert_base_matches_reference(ClassicalOntology(others + clauses, (), "a"))
+
+
+# ---------------------------------------------------------------------------
+# order bitsets and the transitivity triple table
+
+
+def _bitset_check(tab):
+    """A check that every live node's order bitsets (P_row, P_col, N_row,
+    N_col) equal those recomputed from its label plus the base atoms:
+    `leq(i, j)`, i != j, sets bit j of P_row[i] and bit i of P_col[j], and
+    `not leq(i, j)` the same bits of N_row and N_col."""
+    n = tab.order_n
+    slots = {}  # concept id -> (row, row bit, column, column bit) or None
+
+    def bits_of(cids):
+        bits = [0] * (4 * n)
+        for cid in cids:
+            if cid not in slots:
+                slots[cid] = None
+                obj = tab.interner.objs[cid]
+                if isinstance(obj, (NAtom, NNegAtom)) and isinstance(obj.atom, Leq):
+                    i = tab.order_elements.index(obj.atom.lhs)
+                    j = tab.order_elements.index(obj.atom.rhs)
+                    offset = 2 * n if isinstance(obj, NNegAtom) else 0
+                    if i != j:
+                        slots[cid] = (offset + i, 1 << j, offset + n + j, 1 << i)
+            if slots[cid] is not None:
+                row, row_bit, col, col_bit = slots[cid]
+                bits[row] |= row_bit
+                bits[col] |= col_bit
+        return bits
+
+    base_bits = bits_of(tab.base_set)
+
+    def with_base(cids):
+        return [b | x for b, x in zip(base_bits, bits_of(cids))]
+
+    assert list(tab.static_bits) == with_base(tab.static_label)
+
+    def check():
+        for node in tab.nodes:
+            if not node.pruned:
+                assert node.bits == with_base(node.label), f"n{node.id}"
+
+    return check
+
+
+def _counting_text(k, q):
+    return (
+        "(gci B C >= 1/2)\n"
+        "(assert (inst a (all s (not C))) = 1)\n"
+        f"(assert (inst a (atleast {k} s B)) >= {q})"
+    )
+
+
+BITSET_INPUTS = {
+    name: text
+    for name, text in CORPUS
+    if name in ("duality", "atmost-res", "two-roles", "count-clash", "exists-zero")
+}
+BITSET_INPUTS["counting-k1-q1_4"] = _counting_text(1, "1/4")
+
+
+def _checked_tableau(text, step_budget):
+    """A tableau that checks its order bitsets after every backjump, its
+    check, and the list its undo marks go to."""
+    tab = Tableau(reduce_ontology(parse_ontology(text)), NODE_BUDGET, step_budget)
+    check = _bitset_check(tab)
+    undo, marks = tab._undo_to, []
+
+    def checked_undo(mark):
+        undo(mark)
+        marks.append(mark)
+        check()
+
+    tab._undo_to = checked_undo
+    return tab, check, marks
+
+
+@pytest.mark.parametrize("name", sorted(BITSET_INPUTS))
+def test_order_bitsets_match_labels(name):
+    tab, check, _ = _checked_tableau(BITSET_INPUTS[name], STEP_BUDGET)
+    tab.run()
+    check()
+    assert tab.nodes and tab.order_elements
+
+
+def test_order_bitsets_match_labels_when_cut_mid_search():
+    tab, check, marks = _checked_tableau(_counting_text(1, "1/4"), 3000)
+    with pytest.raises(BudgetExceededError):
+        tab.run()
+    assert len(marks) > 10 and tab.stack  # cut while backtracking
+    check()
+
+
+def _triple_count(tab):
+    return sum(cid is not None for cid in tab.triples)
+
+
+def test_triple_table_holds_every_distinct_vertex_transitivity_clause():
+    red = reduce_ontology(parse_ontology(dict(CORPUS)["duality"]))
+    n = len(Tableau(red).order_elements)
+    for o in (red, ClassicalOntology(red.inclusions[::-1], red.assertions, "a")):
+        assert _triple_count(Tableau(o)) == n * (n - 1) * (n - 2)
+
+
+def test_elements_beyond_the_radix_stay_watched():
+    e = [ValueElement(Fraction(p, 7)) for p in range(6)]
+    clauses = tuple(
+        Inclusion(And(Leq(e[i], e[j]), Leq(e[j], e[k])), Leq(e[i], e[k]))
+        for i, j, k in ((0, 1, 2), (0, 1, 3), (3, 4, 5))
+    )
+    o = ClassicalOntology(clauses, (), "a")
+    tab = Tableau(o)
+    # three inclusions give the radix 3: the last three elements are beyond it
+    assert tab.order_n == 3 and tab.order_elements == e[:3]
+    assert _triple_count(tab) == 1
+    _assert_base_matches_reference(o)
+
+
+def test_corpus_verdicts_do_not_depend_on_inclusion_order(corpus_runs):
+    for run_ in corpus_runs:
+        red = run_.reduction
+        flipped = ClassicalOntology(red.inclusions[::-1], red.assertions, red.individual)
+        tab = Tableau(flipped, NODE_BUDGET, STEP_BUDGET)
+        assert tab.run().consistent == run_.consistent, run_.name
+
+
+def test_corpus_verdicts_survive_skipping_trivial_transitivity(corpus_runs):
+    for run_ in corpus_runs:
+        red = reduce_ontology(run_.ontology, skip_trivial_transitivity=True)
+        tab = Tableau(red, NODE_BUDGET, STEP_BUDGET)
+        n = len(tab.order_elements)
+        assert _triple_count(tab) == n * (n - 1) * (n - 2)
+        assert tab.run().consistent == run_.consistent, run_.name
