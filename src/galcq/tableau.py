@@ -12,31 +12,34 @@ Search organization:
   - concepts are interned to dense integers, looked up by their kind and
     their children's ids rather than by the structural NNF object; the
     NNF literals share one node per atom for the whole construction, and
-    every node's sort key is computed once.  Every inclusion is read by
-    `nnf.inclusion_nnf`, the reader the brute-force oracle shares: a clause
-    over order atoms (the preorder families, nearly all of the axioms) is
-    interned straight from its literal nodes, without NNF formulas in
-    between, and any other inclusion from its NNF formula.  The base
-    clauses are sorted by sort key, disjunctions by the integer ranks of
-    their disjuncts; node labels are dicts from concept id to a dependency
-    bitmask of decision levels;
-  - unit propagation and clause clashes are one rule, `_examine`.  The
-    transitivity clauses `(and t[i][j] t[j][k]) [= t[i][k]` over three
-    distinct order positions, the n^3 bulk of every reduction, are found
-    through a flat triple table indexed by (i * n + j) * n + k and four
-    bitsets per node over its label and the base atoms: P_row[i] and
-    P_col[j] hold the `leq(i, j)` facts, N_row[i] and N_col[j] the refuted
-    ones.  From them an order fact reads which of the ~2n transitivity
-    clauses over its pair act (leave one disjunct open or none); every
-    other clause is watched under the complements of its disjuncts.  Both
-    are examined in id order, which, with transitivity read first as the
-    reduction emits it, propagates exactly as watching every clause: the
-    clauses examined earlier for the same fact are transitivity clauses
-    whose units share no atom with a later one's open disjuncts.
-    Branching scans a node's base and extra clauses with pointers that
-    pass every clause with a present disjunct; the first clause without
-    one goes to `_examine`, and only a clause that stays open becomes a
-    branch;
+    every node's sort key is computed once;
+  - the transitivity clauses `(and t[i][j] t[j][k]) [= t[i][k]` over three
+    distinct order positions, the n^3 bulk of every reduction, are not
+    interned: each is one bit in three presence tables over position
+    pairs (k in `third[i*n + j]`, i in `first[j*n + k]`, j in
+    `middle[i*n + k]`), with its literals in `leq_ids`.  Every other
+    inclusion is read by `nnf.inclusion_nnf`, the reader the brute-force
+    oracle shares, and interned, a clause over order atoms straight from
+    its literal nodes.  The base concepts are in sort-key order, with runs
+    (i, k, j bits) of triples merged between the disjunctions.  Node
+    labels are dicts from concept id to a dependency bitmask of decision
+    levels;
+  - unit propagation and clause clashes are one rule, `_examine`, given a
+    clause's disjuncts and their complements.  Four bitsets per node over
+    its label and the base atoms hold the order facts: P_row[i] and
+    P_col[j] the `leq(i, j)` facts, N_row[i] and N_col[j] the refuted
+    ones.  An order fact reads off them the ~2n triples over its pair that
+    act (leave one disjunct open or none) and examines them in
+    (i * n + j) * n + k order, then the clauses watched under it in id
+    order; a clause holding a concept and its complement is never a unit
+    or a clash and is not watched.  This is the order of interning and
+    watching every triple, since the reduction emits transitivity first
+    and its degenerate triples, still interned, never act (each is a
+    tautology or holds by the base fact `leq(i, i)`).  Branching scans a
+    node's base and extra clauses with pointers that pass every clause
+    with a present disjunct, a run of triples by bit tests; the first
+    clause without one goes to `_examine`, and only a clause that stays
+    open becomes a branch;
   - every decision is (kind, node, alternatives, exhaustion dependency):
     "or" tries a clause's open disjuncts semantically (failed atomic ones
     are asserted negatively before the next try), "choose" tries (not q, q)
@@ -71,6 +74,7 @@ from .nnf import (
     NForall,
     NNegAtom,
     NOr,
+    _element_key,
     inclusion_nnf,
     negate_nnf,
     nnf,
@@ -149,14 +153,13 @@ class _Interner:
         cid = self.ids.get((kind, part))
         return self._new(n, kind, part) if cid is None else cid
 
-    def clause(self, literals: list, watched: bool = True) -> int:
+    def clause(self, literals: list) -> int:
         """Id of the disjunction of shared literal nodes.
 
         Gives what `intern(mk_or(literals))` gives, ids and interning order
         included, without building the intermediate formulas: the literals
         are sorted by sort key and deduplicated (equal literals are one
-        node), then interned in that order before the clause itself.  A new
-        clause gets no watch entries unless `watched`.
+        node), then interned in that order before the clause itself.
         """
         unique = sorted({id(d): d for d in literals}.values(), key=sort_key)
         if len(unique) == 1:
@@ -164,7 +167,7 @@ class _Interner:
         part = tuple([self._literal(d) for d in unique])
         cid = self.ids.get((_KIND_OR, part))
         if cid is None:
-            return self._new(NOr(tuple(unique)), _KIND_OR, part, watched)
+            return self._new(NOr(tuple(unique)), _KIND_OR, part)
         return cid
 
     def _literal(self, d) -> int:
@@ -180,7 +183,7 @@ class _Interner:
         self.literal_ids[id(d)] = cid
         return cid
 
-    def _new(self, n, kind: int, part, watched: bool = True) -> int:
+    def _new(self, n, kind: int, part) -> int:
         cid = len(self.objs)
         self.ids[(kind, part)] = cid
         self.objs.append(n)
@@ -192,7 +195,9 @@ class _Interner:
         if kind == _KIND_OR:
             negs = tuple(self.negation(d) for d in part)
             self.or_negs[cid] = negs
-            if watched:
+            # a clause holding a concept and its complement is never a unit
+            # or a clash: whichever of the two is refuted, the other holds
+            if not any(nd in part for nd in negs):
                 for nd in negs:
                     self.watch.setdefault(nd, []).append(cid)
         return cid
@@ -206,36 +211,12 @@ class _Interner:
         return neg
 
 
-def _sorted_by_key(cids, interner: _Interner) -> tuple:
-    """`cids` in the order of their concepts' sort keys.
-
-    A disjunction's key is (3, its disjuncts' keys), and its disjuncts are
-    already in key order, so it is compared by the ranks of its disjuncts
-    in one sort of every distinct disjunct instead (distinct concepts have
-    distinct keys).  Other concepts keep their sort key.
-    """
-    objs, kinds, parts = interner.objs, interner.kinds, interner.parts
-    disjuncts = {d for cid in cids if kinds[cid] == _KIND_OR for d in parts[cid]}
-    ranked = sorted(disjuncts, key=lambda d: sort_key(objs[d]))
-    rank = {d: r for r, d in enumerate(ranked)}.__getitem__
-
-    def key(cid):
-        if kinds[cid] == _KIND_OR:
-            return (3, tuple(map(rank, parts[cid])))
-        return sort_key(objs[cid])
-
-    return tuple(sorted(cids, key=key))
-
-
-def _triple_ids(out: list, table: list, positions: int, start: int, stride: int):
-    """Append to `out` the clause ids at `table[start + stride * p]` for
-    every set bit p of `positions`, skipping absent clauses."""
-    while positions:
-        low = positions & -positions
-        cid = table[start + stride * (low.bit_length() - 1)]
-        if cid is not None:
-            out.append(cid)
-        positions ^= low
+def _positions(bits: int):
+    """The set bits of `bits`, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 class _Node:
@@ -326,11 +307,10 @@ class Tableau:
 
         interner = self.interner
         base = self._read_inclusions(ontology)
-        self.base_list = _sorted_by_key(base, interner)
-        self.base_set = frozenset(self.base_list)
-        self.base_ors = tuple(
-            cid for cid in self.base_list if self.interner.kinds[cid] == _KIND_OR
-        )
+        self.base_set = frozenset(base)
+        self.base_order, self.base_ors = self._base_order(base)
+        # the interned base concepts, without the triples
+        self.base_list = tuple(c for c in self.base_order if type(c) is int)
         individuals = {ind for ind, _ in ontology.assertions}
         if individuals - {ontology.individual}:
             raise ValueError("assertions must use the ontology's single individual")
@@ -341,16 +321,17 @@ class Tableau:
         self.trace = trace
 
     def _read_inclusions(self, ontology: ClassicalOntology) -> set:
-        """Intern every inclusion as a base clause; return their ids.
+        """Intern every inclusion but the distinct-position transitivity
+        triples as a base clause; return their ids.
 
         A transitivity clause over three distinct elements, recognised by
-        the identity of the shared elements, goes to the triple table
-        instead of the watch lists.  The radix n is fixed first, so the
-        table fills as the clauses come: a family over m elements has
-        m(m-1)(m-2) > (m-2)^3 inclusions, so one more than the cube root of
-        the inclusion count bounds m.  An element beyond it, which only a
-        hand-built ontology can have, gets the position n^3, so every
-        clause over it stays watched.
+        the identity of the shared elements before it is read as a clause,
+        only sets its bits in the presence tables `third`, `first` and
+        `middle`.  The radix n is fixed first, so the tables fill as the
+        clauses come: a family over m elements has m(m-1)(m-2) > (m-2)^3
+        inclusions, so one more than the cube root of the inclusion count
+        bounds m.  An element beyond it, which only a hand-built ontology
+        can have, gets the position n, so every clause over it is interned.
         """
         interner = self.interner
         lits = interner.lits
@@ -359,8 +340,9 @@ class Tableau:
         while root**3 < len(ontology.inclusions):
             root += 1
         n = self.order_n = root + 1
-        size = n * n * n
-        triples = self.triples = [None] * size
+        nn = n * n
+        self.third, self.first, self.middle = [0] * nn, [0] * nn, [0] * nn
+        third, first, middle = self.third, self.first, self.middle
         # order positions, assigned by element equality and looked up by
         # identity: the reduction shares one object per element
         self.order_elements: list = []
@@ -374,52 +356,152 @@ class Tableau:
                 if p < n:
                     self.order_elements.append(e)
                 else:
-                    p = size
+                    p = n
                 by_value[e] = p
             position[id(e)] = p
             return p
 
-        add, clause = base.add, interner.clause
+        add = base.add
         for inc in ontology.inclusions:
-            read = inclusion_nnf(inc, lits)
-            if type(read) is not list:
-                add(interner.intern(read))
-                continue
             lhs, rhs = inc.lhs, inc.rhs
             if type(lhs) is And and type(rhs) is Leq:
                 ij, jk = lhs.left, lhs.right
-                x, y, z = ij.lhs, jk.lhs, jk.rhs
-                if ij.rhs is y and rhs.lhs is x and rhs.rhs is z:
-                    try:
-                        i, j, k = position[id(x)], position[id(y)], position[id(z)]
-                    except KeyError:
-                        i, j, k = place(x), place(y), place(z)
-                    index = (i * n + j) * n + k
-                    if i != j and j != k and i != k and index < size:
-                        cid = clause(read, False)
-                        add(cid)
-                        triples[index] = cid
-                        continue
-            add(clause(read))
+                if type(ij) is Leq and type(jk) is Leq:
+                    x, y, z = ij.lhs, jk.lhs, jk.rhs
+                    if ij.rhs is y and rhs.lhs is x and rhs.rhs is z:
+                        try:
+                            i, j, k = position[id(x)], position[id(y)], position[id(z)]
+                        except KeyError:
+                            i, j, k = place(x), place(y), place(z)
+                        if i != j != k != i and i < n and j < n and k < n:
+                            third[i * n + j] |= 1 << k
+                            first[j * n + k] |= 1 << i
+                            middle[i * n + k] |= 1 << j
+                            continue
+            read = inclusion_nnf(inc, lits)
+            add(interner.clause(read) if type(read) is list else interner.intern(read))
+
         def where(e) -> int:
             p = position.get(id(e))
-            return by_value.get(e, size) if p is None else p
+            return by_value.get(e, n) if p is None else p
 
+        self._index_order_literals(where)
+        return base
+
+    def _index_order_literals(self, where: Callable):
+        """Tables over the order literals, given the position of an element
+        (n beyond the radix): `leq_ids` holds the id of `leq(i, j)` at
+        i*n + j and of its negation at n*n + i*n + j, `order_of` the bitset
+        slots and positions of every order literal id, and `by_rank` and
+        `element_rank` the positions by the elements' sort keys, which
+        order a triple's disjuncts."""
+        interner = self.interner
+        lits = interner.lits
+        n = self.order_n
+        nn = n * n
+        ids = self.leq_ids = [None] * (2 * nn)
+        for kind, table, offset in ((_KIND_ATOM, lits.pos, 0), (_KIND_NEGATOM, lits.neg, nn)):
+            for atom in table:
+                if type(atom) is Leq:
+                    i, j = where(atom.lhs), where(atom.rhs)
+                    if i < n and j < n and i != j:
+                        ids[offset + i * n + j] = interner.ids.get((kind, atom))
+        # the literals and complements of the triples that no other clause
+        # interned (hand-built ontologies only)
+        elements = self.order_elements
+        for p in range(nn):
+            if self.middle[p] | self.third[p] | self.first[p]:
+                for index, make in ((p, lits.atom), (nn + p, lits.negated)):
+                    if ids[index] is None:
+                        atom = Leq(*(elements[x] for x in divmod(p, n)))
+                        ids[index] = interner._literal(make(atom))
         # slots: P_row[i] and P_col[j] for leq(i, j), N_row[i] and N_col[j]
         # for its negation
         self.order_of: dict = {}  # literal id -> (row slot, column slot, i, j)
-        for kind, table, offset in (
-            (_KIND_ATOM, lits.pos, 0),
-            (_KIND_NEGATOM, lits.neg, 2 * n),
-        ):
-            for atom in table:
-                if type(atom) is not Leq:
-                    continue
-                i, j = where(atom.lhs), where(atom.rhs)
-                cid = interner.ids.get((kind, atom))
-                if i < n and j < n and i != j and cid is not None:
-                    self.order_of[cid] = (offset + i, offset + n + j, i, j)
-        return base
+        for index, cid in enumerate(ids):
+            if cid is not None:
+                sign, pair = divmod(index, nn)
+                i, j = divmod(pair, n)
+                offset = 2 * n * sign
+                self.order_of[cid] = (offset + i, offset + n + j, i, j)
+        keys = [_element_key(e) for e in elements]
+        self.by_rank = sorted(range(len(elements)), key=keys.__getitem__)
+        self.element_rank = [0] * len(elements)
+        for r, p in enumerate(self.by_rank):
+            self.element_rank[p] = r
+
+    def _base_order(self, base: set) -> tuple:
+        """The base concepts in sort-key order with the triples merged in,
+        and its slice of disjunctions.
+
+        A disjunction's key is (3, its disjuncts' keys), and its disjuncts
+        are in key order, so disjunctions compare by the ranks of their
+        disjuncts in one sort of every distinct disjunct.  The triple
+        (i, j, k) has the disjuncts leq(i, k), then not leq(i, j) and not
+        leq(j, k) in the order of their first element, so the triples of a
+        pair (i, k) follow each other in the rank order of j, after the
+        disjunctions that start with a smaller literal.  They are merged in
+        as runs (i, k, j bits), split wherever a real disjunction starting
+        with leq(i, k) falls between two of them.
+        """
+        interner = self.interner
+        objs, kinds, parts = interner.objs, interner.kinds, interner.parts
+        n = self.order_n
+        nn = n * n
+        ids, middle, by_rank = self.leq_ids, self.middle, self.by_rank
+        ors = [c for c in base if kinds[c] == _KIND_OR]
+        others = sorted(
+            (c for c in base if kinds[c] != _KIND_OR), key=lambda c: sort_key(objs[c])
+        )
+        disjuncts = {d for c in ors for d in parts[c]}
+        disjuncts.update(c for c in ids if c is not None)
+        ranked = sorted(disjuncts, key=lambda d: sort_key(objs[d]))
+        rank = {d: r for r, d in enumerate(ranked)}.__getitem__
+        keyed = sorted((tuple(map(rank, parts[c])), c) for c in ors)
+        blocks = sorted((p for p in range(nn) if middle[p]), key=lambda p: rank(ids[p]))
+        merged = []
+        at = 0  # the next real disjunction in `keyed`
+        for p in blocks:
+            lead = rank(ids[p])
+            while at < len(keyed) and keyed[at][0][0] < lead:
+                merged.append(keyed[at][1])
+                at += 1
+            i, k = divmod(p, n)
+            rest = middle[p]  # the triples of (i, k) not merged yet
+            cursor = 0  # into by_rank
+            while at < len(keyed) and keyed[at][0][0] == lead:
+                tail = keyed[at][0][1:]
+                run = 0
+                while cursor < len(by_rank):
+                    j = by_rank[cursor]
+                    if rest >> j & 1:
+                        x, y = rank(ids[nn + i * n + j]), rank(ids[nn + j * n + k])
+                        if ((x, y) if x < y else (y, x)) >= tail:
+                            break
+                        run |= 1 << j
+                    cursor += 1
+                if run:
+                    merged.append((i, k, run))
+                    rest ^= run
+                merged.append(keyed[at][1])
+                at += 1
+            if rest:
+                merged.append((i, k, rest))
+        merged.extend(cid for _, cid in keyed[at:])
+        head = [c for c in others if kinds[c] < _KIND_OR]
+        order = tuple(head + merged + others[len(head) :])
+        return order, order[len(head) : len(head) + len(merged)]
+
+    def _triple(self, i: int, j: int, k: int) -> tuple:
+        """The disjuncts of the triple (i, j, k), `(and leq(i, j) leq(j, k))
+        [= leq(i, k)`, in sort-key order, and their complements."""
+        n = self.order_n
+        nn = n * n
+        ids = self.leq_ids
+        ik, ij, jk = i * n + k, i * n + j, j * n + k
+        if self.element_rank[j] < self.element_rank[i]:
+            ij, jk = jk, ij
+        return (ids[ik], ids[nn + ij], ids[nn + jk]), (ids[nn + ik], ids[ij], ids[jk])
 
     def _precompute_static(self):
         """Propagate the global axioms once, on a scratch node.
@@ -429,21 +511,40 @@ class Tableau:
         units), so the ordinary rules derive them once, on a node of
         dependency 0 without neighbours, and new nodes copy them.  A clash
         there means the axioms are contradictory at every element, hence
-        inconsistency.  The pass is bounded by the interned concepts; it is
-        not traced and takes no steps.
+        inconsistency.  The pass is bounded by the interned concepts and the
+        triples; it is not traced and takes no steps.
         """
         node = _Node(0, None, frozenset(), 0, 0)
-        node.bits = [0] * (4 * self.order_n)
+        bits = node.bits = [0] * (4 * self.order_n)
         for cid, (row, col, i, j) in self.order_of.items():
             if cid in self.base_set:
-                node.bits[row] |= 1 << j
-                node.bits[col] |= 1 << i
+                bits[row] |= 1 << j
+                bits[col] |= 1 << i
         self.nodes.append(node)
         queue = self.queue
+        p_col, n_row, n_col = self.order_n, 2 * self.order_n, 3 * self.order_n
         try:
-            # every base clause first, then what they add: queue order
-            for cid in self.base_list:
-                self._process(0, cid)
+            # every base clause first, in base order, then what they add:
+            # queue order
+            for entry in self.base_order:
+                if type(entry) is int:
+                    self._process(0, entry)
+                    continue
+                # a run of triples (i, j, k) of one (i, k): examine them all
+                # if one acts, leaving no disjunct present and one or none
+                # open
+                i, k, run = entry
+                if bits[i] >> k & 1:
+                    continue
+                run_open = run & ~(bits[n_row + i] | bits[n_col + k])
+                if bits[n_row + i] >> k & 1:
+                    acting = run_open & (bits[i] | bits[p_col + k])
+                else:
+                    acting = run_open & bits[i] & bits[p_col + k]
+                if acting:
+                    for j in self.by_rank:
+                        if run >> j & 1:
+                            self._examine(0, None, *self._triple(i, j, k))
             while queue:
                 self._process(*queue.popleft())
             self.static_clash = False
@@ -497,7 +598,6 @@ class Tableau:
         interner = self.interner
         kind = interner.kinds[cid]
         part = interner.parts[cid]
-        acting = None
         # only the rules that use the dependency look it up; clauses do not
         if kind == _KIND_ATOM or kind == _KIND_NEGATOM:
             neg = interner.negation(cid)
@@ -505,7 +605,7 @@ class Tableau:
                 raise _Clash(self._dep_of(node, cid) | self._dep_of(node, neg))
             order = self.order_of.get(cid)
             if order is not None:
-                acting = self._acting_triples(node.bits, kind, order)
+                self._examine_triples(nid, node.bits, kind, order)
         elif kind == _KIND_AND:
             dep = self._dep_of(node, cid)
             for a in part:
@@ -516,7 +616,7 @@ class Tableau:
             if cid not in self.base_set:
                 node.extra_ors.append(cid)
                 self.trail.append(("pop", node.extra_ors))
-            self._examine(nid, cid)
+            self._examine(nid, cid, part, interner.or_negs[cid])
         elif kind == _KIND_FORALL:
             role, sub = part
             bucket = node.foralls.setdefault(role, {})
@@ -532,60 +632,60 @@ class Tableau:
             if cid not in counted:
                 counted.add(cid)
                 self.trail.append(("discard", counted, cid))
-        watched = interner.watch.get(cid, ())
-        if acting:
-            # the transitivity clauses are base clauses; examine them in id
-            # order with the rest of the watch list
-            acting += watched
-            acting.sort()
-            watched = acting
-        for oid in watched:
+        for oid in interner.watch.get(cid, ()):
             if oid in node.label or oid in self.base_set:
-                self._examine(nid, oid)
+                self._examine(nid, oid, interner.parts[oid], interner.or_negs[oid])
 
-    def _acting_triples(self, bits: list, kind: int, order) -> list:
-        """Ids of the transitivity clauses that order literal `order` (its
-        bitset slots and positions i, j) makes act at a node with bitsets
-        `bits`: it refutes one of their disjuncts and leaves one or none
-        open.  `leq(i, j)` refutes a disjunct of (i, j, k), which acts when
-        `leq(j, k)` or `not leq(i, k)` is present and neither complement
-        is, and of (k, i, j), likewise over `leq(k, i)` and `not leq(k, j)`;
-        `not leq(i, j)` one of (i, m, j), likewise over `leq(i, m)` and
-        `leq(m, j)`.
+    def _examine_triples(self, nid: int, bits: list, kind: int, order):
+        """Examine the transitivity triples that order literal `order` (its
+        bitset slots and positions i, j) makes act at node `nid`, whose
+        bitsets are `bits`: it refutes one of their disjuncts and leaves one
+        or none open.  `leq(i, j)` refutes a disjunct of (i, j, k), which
+        acts when `leq(j, k)` or `not leq(i, k)` is present and neither
+        complement is, and of (k, i, j), likewise over `leq(k, i)` and
+        `not leq(k, j)`; `not leq(i, j)` one of (i, m, j), likewise over
+        `leq(i, m)` and `leq(m, j)`.  The acting triples are read from the
+        bitsets before the first is examined, which finds the ones that
+        watching every triple would: the units of the triples examined
+        earlier for a fact share no atom with a later one's open disjuncts.
+        They are examined in (i * n + j) * n + k order, as the reduction
+        emits them.
         """
         _, _, i, j = order
         n = self.order_n
         p_col, n_row, n_col = n, 2 * n, 3 * n  # P_row starts at 0
-        table = self.triples
-        distinct = ~((1 << i) | (1 << j))
-        out = []
+        pair = i * n + j
+        examine, triple = self._examine, self._triple
         if kind == _KIND_ATOM:
             ks = bits[j] | bits[n_row + i]
-            ks &= ~(bits[n_row + j] | bits[i]) & distinct
-            if ks:
-                _triple_ids(out, table, ks, (i * n + j) * n, 1)
-            ks = bits[p_col + i] | bits[n_col + j]
-            ks &= ~(bits[n_col + i] | bits[p_col + j]) & distinct
-            if ks:
-                _triple_ids(out, table, ks, i * n + j, n * n)
+            ks &= ~(bits[n_row + j] | bits[i]) & self.third[pair]
+            firsts = bits[p_col + i] | bits[n_col + j]
+            firsts &= ~(bits[n_col + i] | bits[p_col + j]) & self.first[pair]
+            below = firsts & ((1 << i) - 1)
+            for h in _positions(below):
+                examine(nid, None, *triple(h, i, j))
+            for k in _positions(ks):
+                examine(nid, None, *triple(i, j, k))
+            for h in _positions(firsts ^ below):
+                examine(nid, None, *triple(h, i, j))
         else:
             ms = bits[i] | bits[p_col + j]
-            ms &= ~(bits[n_row + i] | bits[n_col + j]) & distinct
-            if ms:
-                _triple_ids(out, table, ms, i * n * n + j, n)
-        return out
+            ms &= ~(bits[n_row + i] | bits[n_col + j]) & self.middle[pair]
+            for m in _positions(ms):
+                examine(nid, None, *triple(i, m, j))
 
-    def _examine(self, nid: int, oid: int) -> bool:
-        """Settle clause `oid` at node `nid`: True if it is satisfied or its
-        one open disjunct was added, False if two or more are open; a clause
-        with every disjunct refuted raises `_Clash`."""
+    def _examine(self, nid: int, oid, disjuncts, negs) -> bool:
+        """Settle the clause with `disjuncts`, whose complements are `negs`,
+        at node `nid`: True if it is satisfied or its one open disjunct was
+        added, False if two or more are open; a clause with every disjunct
+        refuted raises `_Clash`.  `oid` is the clause's id, None for a
+        transitivity triple."""
         node = self.nodes[nid]
-        interner = self.interner
         label = node.label
         base = self.base_set
         unit = -1
         open_count = 0
-        for d, nd in zip(interner.parts[oid], interner.or_negs[oid]):
+        for d, nd in zip(disjuncts, negs):
             if d in label or d in base:
                 return True
             if not (nd in label or nd in base):
@@ -594,18 +694,20 @@ class Tableau:
                     return False  # a later falsification retriggers
                 unit = d
         # unit propagation or clash: only now collect the refuter deps
-        dep = self._refuted_dep(node, oid)
+        dep = self._refuted_dep(node, oid, negs)
         if open_count == 0:
             raise _Clash(dep)
         self._add(nid, unit, dep, rule="unit")
         return True
 
-    def _refuted_dep(self, node: _Node, oid: int) -> int:
+    def _refuted_dep(self, node: _Node, oid, negs) -> int:
         """Dependency of clause `oid` at `node` joined with the dependencies
-        of its refuted disjuncts' complements (an open disjunct has none)."""
+        of its refuted disjuncts' complements `negs` (an open disjunct has
+        none).  A base clause, a triple (`oid` None) among them, has the
+        node's own dependency."""
         label = node.label
         dep = label.get(oid, node.dep)
-        for nd in self.interner.or_negs[oid]:
+        for nd in negs:
             fd = label.get(nd)
             if fd is not None:
                 dep |= fd
@@ -798,35 +900,52 @@ class Tableau:
         """Advance this node's clause pointers; return a decision or None.
 
         Each pointer passes the clauses that have a present disjunct and
-        stops at the first one that has none.  `_examine` settles that
-        clause if it is a unit or a clash; otherwise it becomes the branch.
+        stops at the first one that has none; a run of triples (i, j, k)
+        holds once `leq(i, k)` does, and otherwise triple by triple once
+        `not leq(i, j)` or `not leq(j, k)` does.  `_examine` settles the
+        first clause without a present disjunct if it is a unit or a clash;
+        otherwise it becomes the branch.
         """
         label = node.label
         base = self.base_set
         parts = self.interner.parts
+        bits = node.bits
+        n_row, n_col = 2 * self.order_n, 3 * self.order_n
         for ors, attr in ((self.base_ors, "base_ptr"), (node.extra_ors, "extra_ptr")):
             old = ptr = getattr(node, attr)
             end = len(ors)
             while ptr < end:
-                for d in parts[ors[ptr]]:
-                    if d in label or d in base:
+                entry = ors[ptr]
+                if type(entry) is int:
+                    for d in parts[entry]:
+                        if d in label or d in base:
+                            break
+                    else:
                         break
                 else:
-                    break
+                    i, k, run = entry
+                    if not bits[i] >> k & 1 and run & ~(bits[n_row + i] | bits[n_col + k]):
+                        break
                 ptr += 1
             if ptr != old:
                 self.trail.append(("attr", node, attr, old))
                 setattr(node, attr, ptr)
             if ptr == end:
                 continue
-            oid = ors[ptr]
-            if self._examine(node.id, oid):
+            entry = ors[ptr]
+            if type(entry) is int:
+                oid, disjuncts, negs = entry, parts[entry], self.interner.or_negs[entry]
+            else:
+                # the run holds up to its first open triple in rank order
+                i, k, run = entry
+                run &= ~(bits[n_row + i] | bits[n_col + k])
+                j = next(j for j in self.by_rank if run >> j & 1)
+                oid = None
+                disjuncts, negs = self._triple(i, j, k)
+            if self._examine(node.id, oid, disjuncts, negs):
                 return _ACTED
-            or_negs = self.interner.or_negs[oid]
             candidates = [
-                d
-                for d, nd in zip(parts[oid], or_negs)
-                if not (nd in label or nd in base)
+                d for d, nd in zip(disjuncts, negs) if not (nd in label or nd in base)
             ]
             # the refuted disjuncts' dependency is part of any conflict
             # derived from exhausting the remaining candidates
@@ -834,7 +953,7 @@ class Tableau:
                 "or",
                 node.id,
                 self._branch_order(candidates),
-                self._refuted_dep(node, oid),
+                self._refuted_dep(node, oid, negs),
             )
         return None
 

@@ -98,7 +98,8 @@ class CorpusRun:
     consistent: bool
     graph: Optional[object]
     tableau_seconds: float
-    # (verdict, base clauses, interned concepts, nodes created, steps)
+    # (verdict, base clauses, interned concepts, nodes created, steps,
+    # distinct-position transitivity triples)
     search: tuple
     grid_model: Optional[object] = None
     grid_skipped: bool = False
@@ -132,6 +133,7 @@ def corpus_runs():
                 len(tab.interner.objs),
                 tab.created,
                 tab.steps,
+                sum(map(int.bit_count, tab.middle)),
             ),
         )
         start = time.monotonic()

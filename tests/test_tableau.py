@@ -28,8 +28,25 @@ from galcq import (
 )
 from galcq.concepts import TOP, quantifier_depth
 from galcq.orders import ValueElement
-from galcq.nnf import NAtom, NNegAtom, inclusion_nnf, mk_or, nnf, nnf_not, sort_key
-from galcq.tableau import Tableau, _Interner
+from galcq.nnf import (
+    NAtom,
+    NNegAtom,
+    inclusion_nnf,
+    mk_or,
+    negate_nnf,
+    nnf,
+    nnf_not,
+    sort_key,
+)
+from galcq.tableau import (
+    _KIND_AND,
+    _KIND_ATLEAST,
+    _KIND_ATMOST,
+    _KIND_FORALL,
+    _KIND_OR,
+    Tableau,
+    _Interner,
+)
 from fractions import Fraction
 
 A = Name("A")
@@ -221,7 +238,9 @@ def test_agreement_with_brute_force_on_random_ontologies():
 # Search behaviour on the heaviest corpus entries, as (verdict, inclusions,
 # base clauses, interned concepts, nodes created, steps, sha256 prefix of
 # the printed reduction).  Interning order, base clause order and disjunct
-# order decide the search, so any change to them moves these numbers.
+# order decide the search, so any change to them moves these numbers.  The
+# base clause and interned concept columns count every distinct-position
+# transitivity triple as one of each, as if it were interned.
 PINNED = {
     "two-roles": (True, 10659, 10445, 12284, 7, 3890, "f3194964bdce0744"),
     "count-clash": (False, 17251, 16947, 18858, 3, 1796, "d1b452b3b95c29d4"),
@@ -237,11 +256,12 @@ def test_search_behaviour_is_pinned(name):
     tab = Tableau(red, NODE_BUDGET, STEP_BUDGET)
     result = tab.run()
     digest = hashlib.sha256(classical_to_sexpr(red).encode("utf-8")).hexdigest()[:16]
+    triples = _triple_count(tab)
     observed = (
         result.consistent,
         len(red.inclusions),
-        len(tab.base_list),
-        len(tab.interner.objs),
+        len(tab.base_list) + triples,
+        len(tab.interner.objs) + triples,
         tab.created,
         tab.steps,
         digest,
@@ -251,7 +271,8 @@ def test_search_behaviour_is_pinned(name):
 
 # Search on every corpus entry, as (verdict, base clauses, interned
 # concepts, nodes created, steps), recorded by the session fixture's own
-# tableau runs.
+# tableau runs; the base clause and interned concept columns count every
+# distinct-position transitivity triple as one of each.
 CORPUS_SEARCH = {
     "empty": (True, 175, 214, 1, 10),
     "assert-half": (True, 869, 1016, 1, 54),
@@ -291,25 +312,61 @@ CORPUS_SEARCH = {
 
 
 def test_corpus_search_is_pinned(corpus_runs):
-    observed = {run_.name: run_.search for run_ in corpus_runs}
+    observed = {}
+    for run_ in corpus_runs:
+        consistent, base, interned, created, steps, triples = run_.search
+        observed[run_.name] = (consistent, base + triples, interned + triples, created, steps)
     assert observed == CORPUS_SEARCH
 
 
+# Search on the benchmark's counting family F(k, q) and criterion-5 chain,
+# as (verdict, nodes created, steps).
+FAMILY_SEARCH = {
+    ("counting", 1, "1/4"): (True, 58, 32551),
+    ("counting", 1, "1/2"): (True, 11, 5167),
+    ("counting", 1, "3/4"): (False, 3, 1478),
+    ("counting", 2, "1/4"): (True, 128, 68778),
+    ("counting", 2, "1/2"): (True, 16, 7512),
+    ("counting", 2, "3/4"): (False, 4, 1706),
+    ("counting", 3, "1/4"): (True, 224, 118433),
+    ("counting", 3, "1/2"): (True, 21, 9857),
+    ("counting", 3, "3/4"): (False, 5, 1934),
+    ("chain", 1, None): (True, 1, 54),
+    ("chain", 2, None): (True, 1, 130),
+    ("chain", 3, None): (True, 1, 238),
+    ("chain", 4, None): (True, 1, 378),
+    ("chain", 5, None): (True, 1, 550),
+}
+
+
+@pytest.mark.parametrize("family, k, q", list(FAMILY_SEARCH), ids=str)
+def test_family_search_is_pinned(family, k, q):
+    text = _counting_text(k, q) if family == "counting" else _chain(k)
+    tab = Tableau(reduce_ontology(parse_ontology(text)), NODE_BUDGET, STEP_BUDGET)
+    result = tab.run()
+    assert (result.consistent, tab.created, tab.steps) == FAMILY_SEARCH[family, k, q]
+
+
 # Static seed of the same entries: (label size, extra disjunctions, label
-# fingerprint) of the facts every node starts from.
+# fingerprint, sha256 prefix of the label's concepts in label order) of the
+# facts every node starts from.  Fingerprints are drawn per interned id, so
+# they move whenever the interning order does; the label order is what new
+# nodes copy and merges iterate.
 STATIC = {
-    "two-roles": (106, 0, 0x7956169EEF5985B9),
-    "count-clash": (171, 1, 0xE930649611259CE8),
-    "duality": (59, 0, 0xECC6055E8A175D51),
-    "atmost-res": (137, 3, 0x942A9746F8AD6B4F),
-    "forall-clash": (168, 0, 0x3C4CF50B539D38CF),
+    "two-roles": (106, 0, 0x3184081A8A8087B8, "300f76addb573ec8"),
+    "count-clash": (171, 1, 0x43DBC659391298E5, "c0495645b283f671"),
+    "duality": (59, 0, 0x0A54C82EBE88FD36, "e2994ca21e07f9d3"),
+    "atmost-res": (137, 3, 0xAFE8C5437BB41EC6, "79e8d8795b4d202f"),
+    "forall-clash": (168, 0, 0xF3B99C2FA7E24B11, "91a71eeff58289a0"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(STATIC))
 def test_static_seed_is_pinned(name):
     tab = Tableau(reduce_ontology(parse_ontology(dict(CORPUS)[name])))
-    observed = (len(tab.static_label), len(tab.static_extra_ors), tab.static_fp)
+    label = "\n".join(repr(tab.interner.objs[cid]) for cid in tab.static_label)
+    digest = hashlib.sha256(label.encode("utf-8")).hexdigest()[:16]
+    observed = (len(tab.static_label), len(tab.static_extra_ors), tab.static_fp, digest)
     assert observed == STATIC[name]
     assert not tab.static_clash
     assert (tab.steps, tab.created, tab.nodes, tab.trail) == (0, 0, [], [])
@@ -349,23 +406,76 @@ def _reference_base(ontology):
     return tuple(sorted(base, key=lambda cid: sort_key(interner.objs[cid]))), interner
 
 
+def _described(interner, cid):
+    """Kind, parts and disjunct complements of concept `cid`, with every id
+    replaced by its concept."""
+    objs, kind, part = interner.objs, interner.kinds[cid], interner.parts[cid]
+    if kind in (_KIND_AND, _KIND_OR):
+        part = tuple(objs[x] for x in part)
+    elif kind == _KIND_FORALL:
+        part = (part[0], objs[part[1]])
+    elif kind in (_KIND_ATLEAST, _KIND_ATMOST):
+        part = (part[0], part[1], objs[part[2]])
+    negs = interner.or_negs[cid]
+    return kind, part, None if negs is None else tuple(objs[x] for x in negs)
+
+
 def _assert_base_matches_reference(ontology):
     tab = Tableau(ontology)
     reference, ref = _reference_base(ontology)
     got = tab.interner
-    n = len(ref.objs)  # the tableau interns assertions and negations after
-    assert tab.base_list == reference
-    assert got.kinds[:n] == ref.kinds
-    assert got.parts[:n] == ref.parts
-    assert got.or_negs[:n] == ref.or_negs
-    assert got.fingerprints[:n] == ref.fingerprints
-    assert [repr(o) for o in got.objs[:n]] == [repr(o) for o in ref.objs]
-    # every reference watch entry is in exactly one of the watch lists and
-    # the triple table, and neither holds anything else
-    entries = [(nd, c) for nd, cids in got.watch.items() for c in cids if c < n]
-    entries += [(nd, c) for c in tab.triples if c is not None for nd in got.or_negs[c]]
-    expected = [(nd, c) for nd, cids in ref.watch.items() for c in cids]
-    assert sorted(entries) == sorted(expected)
+    objs, lits, e, n = got.objs, got.lits, tab.order_elements, tab.order_n
+    # the merged base order, every run of triples written out by the NNF path
+    expanded, triples = [], set()
+    for entry in tab.base_order:
+        if type(entry) is int:
+            expanded.append(objs[entry])
+            continue
+        i, k, run = entry
+        for j in tab.by_rank:
+            if run >> j & 1:
+                lhs = And(Leq(e[i], e[j]), Leq(e[j], e[k]))
+                clause = mk_or((nnf_not(lhs, lits), nnf(Leq(e[i], e[k]), lits)))
+                disjuncts, negs = tab._triple(i, j, k)
+                assert tuple(objs[d] for d in disjuncts) == clause.args
+                assert [objs[d] for d in negs] == [negate_nnf(d, lits) for d in clause.args]
+                assert tab.third[i * n + j] >> k & 1 and tab.first[j * n + k] >> i & 1
+                expanded.append(clause)
+                triples.add(clause)
+    assert expanded == [ref.objs[cid] for cid in reference]
+    assert sum(map(int.bit_count, tab.third)) == len(triples)
+    assert sum(map(int.bit_count, tab.first)) == len(triples)
+    assert tab.base_list == tuple(c for c in tab.base_order if type(c) is int)
+    ors = [c for c in tab.base_order if type(c) is not int or got.kinds[c] == _KIND_OR]
+    assert list(tab.base_ors) == ors
+    # every other reference concept is interned, with the same parts, and
+    # all but the literals, whose ids the triples no longer assign, in the
+    # same relative id order
+    known = {o: cid for cid, o in enumerate(objs)}
+    for cid, o in enumerate(ref.objs):
+        if o not in triples:
+            assert _described(got, known[o]) == _described(ref, cid)
+    assert not triples & set(objs)
+    compound = [o for o in ref.objs if o not in triples and type(o) not in (NAtom, NNegAtom)]
+    assert sorted(compound, key=known.__getitem__) == compound
+
+    # the watch lists are the reference's, in the same order, without the
+    # triples and the clauses that hold a concept and its complement
+    def watching(interner, keep):
+        lists = {}
+        for nd, cids in interner.watch.items():
+            kept = [interner.objs[c] for c in cids if keep(c)]
+            if kept:
+                lists[interner.objs[nd]] = kept
+        return lists
+
+    def tautology(c):
+        return set(ref.parts[c]) & set(ref.or_negs[c])
+
+    refs = set(ref.objs)
+    assert watching(got, lambda c: objs[c] in refs) == watching(
+        ref, lambda c: ref.objs[c] not in triples and not tautology(c)
+    )
     assert all(cids == sorted(cids) for cids in got.watch.values())
 
 
@@ -417,7 +527,7 @@ def test_clause_path_literal_shapes():
 
 
 # ---------------------------------------------------------------------------
-# order bitsets and the transitivity triple table
+# order bitsets and the transitivity presence tables
 
 
 def _bitset_check(tab):
@@ -510,7 +620,7 @@ def test_order_bitsets_match_labels_when_cut_mid_search():
 
 
 def _triple_count(tab):
-    return sum(cid is not None for cid in tab.triples)
+    return sum(map(int.bit_count, tab.middle))
 
 
 def test_triple_table_holds_every_distinct_vertex_transitivity_clause():
