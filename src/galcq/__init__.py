@@ -24,6 +24,7 @@ from .classical_model import (
     Inclusion,
     check_classical_model,
     evaluate_classical,
+    transitivity_axioms,
 )
 from .concepts import (
     BOT,
@@ -87,13 +88,11 @@ from .reduction import (
     abox_assertions,
     antitonicity_axioms,
     bounds_axioms,
-    preorder_axioms,
     reduce_ontology,
     semantics_axioms,
     tbox_axioms,
     totality_axioms,
     transfer_axioms,
-    transitivity_axioms,
     value_order_axioms,
 )
 from .semantics import (

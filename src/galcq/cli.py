@@ -21,7 +21,6 @@ from .extraction import extract_fuzzy_model
 from .ontology import ConceptAssertion, FuzzyOntology, OrderAssertion, value_closure
 from .ontology import certification_margin
 from .ontology import roles as ontology_roles
-from .orders import OrderStructure
 from .reduction import reduce_ontology
 from .semantics import (
     GRID_BUDGET,
@@ -174,9 +173,8 @@ def _decide(ontology: FuzzyOntology, args) -> bool:
                 )
 
     if args.emit_model and result.consistent:
-        structure = OrderStructure.from_ontology(ontology)
         tree = extract_classical_model(result.graph, depth=args.depth)
-        interp, _ = extract_fuzzy_model(tree, structure, ontology.individual)
+        interp, _ = extract_fuzzy_model(tree, reduced.order, ontology.individual)
         report = check_fuzzy_model(
             interp, ontology, elements=tree.interior(certification_margin(ontology))
         )

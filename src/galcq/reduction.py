@@ -9,6 +9,9 @@ role edges.  Consistency is preserved in both directions.  Every atom is
 taken from the structure's table (`OrderStructure.table`), by element
 position in the n^3 and n^2 families and through `OrderStructure.leq` in the
 macro expansions, so each atom is one object across the whole ontology.
+The transitivity family, the n^3 bulk, is not built here: the reduction
+hands over the structure itself (`ClassicalOntology.order`), and the family
+is built only when `ClassicalOntology.inclusions` is read.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .orders import (
 
 TOP = Top()
 
-# Largest order structure reduced.  The preorder family alone has n^3
+# Largest order structure reduced.  The transitivity family alone has n^3
 # inclusions, so 100 elements already mean a million of them; the largest
 # structure in the test corpus and the benchmark has 37.
 MAX_ORDER_ELEMENTS = 100
@@ -70,26 +73,6 @@ def semantics_axioms(c: Concept, leq: AtomFactory = Leq) -> tuple[Inclusion, ...
     return ()
 
 
-def transitivity_axioms(
-    u: OrderStructure, skip_trivial_transitivity: bool = False
-) -> tuple[Inclusion, ...]:
-    """Transitivity of every element triple.
-
-    With `skip_trivial_transitivity`, instances where two vertices coincide
-    are left out: they are tautologies once totality holds, so skipping them
-    is sound.  The faithful full set is the default.
-    """
-    t = u.table
-    span = range(len(u))
-    return tuple(
-        Inclusion(And(t[i][j], t[j][k]), t[i][k])
-        for i in span
-        for j in span
-        for k in span
-        if not skip_trivial_transitivity or (i != j and j != k and i != k)
-    )
-
-
 def totality_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
     t = u.table
     span = range(len(u))
@@ -121,18 +104,6 @@ def antitonicity_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
     t, inv = u.table, u.inverse
     span = range(len(u))
     return tuple(Inclusion(t[i][j], t[inv[j]][inv[i]]) for i in span for j in span)
-
-
-def preorder_axioms(u: OrderStructure, skip_trivial_transitivity: bool = False) -> tuple[Inclusion, ...]:
-    """All order-structure axioms: each element's atoms form a bounded total
-    preorder compatible with the constants, with antitone inversion."""
-    return (
-        transitivity_axioms(u, skip_trivial_transitivity)
-        + totality_axioms(u)
-        + bounds_axioms(u)
-        + value_order_axioms(u.values, u.leq)
-        + antitonicity_axioms(u)
-    )
 
 
 def transfer_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
@@ -195,9 +166,18 @@ def reduce_ontology(
             f"elements, the limit is {MAX_ORDER_ELEMENTS} (the reduction "
             "grows as n^3)"
         )
-    inclusions = (
-        preorder_axioms(u, skip_trivial_transitivity)
+    axioms = (
+        totality_axioms(u)
+        + bounds_axioms(u)
+        + value_order_axioms(u.values, u.leq)
+        + antitonicity_axioms(u)
         + transfer_axioms(u)
         + tbox_axioms(o, u)
     )
-    return ClassicalOntology(inclusions, abox_assertions(o, u.leq), o.individual)
+    return ClassicalOntology(
+        axioms,
+        abox_assertions(o, u.leq),
+        o.individual,
+        order=u,
+        skip_trivial_transitivity=skip_trivial_transitivity,
+    )

@@ -13,17 +13,19 @@ Search organization:
     their children's ids rather than by the structural NNF object; the
     NNF literals share one node per atom for the whole construction, and
     every node's sort key is computed once;
-  - the transitivity clauses `(and t[i][j] t[j][k]) [= t[i][k]` over three
-    distinct order positions, the n^3 bulk of every reduction, are not
-    interned: each is one bit in three presence tables over position
-    pairs (k in `third[i*n + j]`, i in `first[j*n + k]`, j in
-    `middle[i*n + k]`), with its literals in `leq_ids`.  Every other
+  - the transitivity family, the n^3 bulk of every reduction, is read
+    from the reduction's order structure (`ClassicalOntology.order`), not
+    from inclusions: its clauses `(and t[i][j] t[j][k]) [= t[i][k]` over
+    three distinct positions are all present by construction and never
+    interned, each known by its positions (i, j, k), with its literals in
+    `leq_ids`; the degenerate ones are interned first.  Every given
     inclusion is read by `nnf.inclusion_nnf`, the reader the brute-force
     oracle shares, and interned, a clause over order atoms straight from
-    its literal nodes.  The base concepts are in sort-key order, with runs
-    (i, k, j bits) of triples merged between the disjunctions.  Node
-    labels are dicts from concept id to a dependency bitmask of decision
-    levels;
+    its literal nodes; an ontology without a structure has its
+    transitivity clauses, if any, read that way too.  The base concepts
+    are in sort-key order, with runs (i, k, j bits) of triples merged
+    between the disjunctions.  Node labels are dicts from concept id to a
+    dependency bitmask of decision levels;
   - unit propagation and clause clashes are one rule, `_examine`, given a
     clause's disjuncts and their complements.  Four bitsets per node over
     its label and the base atoms hold the order facts: P_row[i] and
@@ -33,8 +35,8 @@ Search organization:
     (i * n + j) * n + k order, then the clauses watched under it in id
     order; a clause holding a concept and its complement is never a unit
     or a clash and is not watched.  This is the order of interning and
-    watching every triple, since the reduction emits transitivity first
-    and its degenerate triples, still interned, never act (each is a
+    watching every triple, since `ClassicalOntology.inclusions` lists the
+    family first and its degenerate triples, still interned, never act (each is a
     tautology or holds by the base fact `leq(i, i)`).  Branching scans a
     node's base and extra clauses with pointers that pass every clause
     with a present disjunct, a run of triples by bit tests; the first
@@ -63,7 +65,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .classical_model import ClassicalInterpretation, ClassicalOntology
-from .concepts import And
 from .errors import BudgetExceededError
 from .nnf import (
     Literals,
@@ -80,7 +81,6 @@ from .nnf import (
     nnf,
     sort_key,
 )
-from .orders import Leq
 
 # Default resource budgets of a tableau run: nodes created and rule steps.
 NODE_BUDGET = 5000
@@ -321,112 +321,62 @@ class Tableau:
         self.trace = trace
 
     def _read_inclusions(self, ontology: ClassicalOntology) -> set:
-        """Intern every inclusion but the distinct-position transitivity
-        triples as a base clause; return their ids.
+        """Intern the base clauses; return their ids.
 
-        A transitivity clause over three distinct elements, recognised by
-        the identity of the shared elements before it is read as a clause,
-        only sets its bits in the presence tables `third`, `first` and
-        `middle`.  The radix n is fixed first, so the tables fill as the
-        clauses come: a family over m elements has m(m-1)(m-2) > (m-2)^3
-        inclusions, so one more than the cube root of the inclusion count
-        bounds m.  An element beyond it, which only a hand-built ontology
-        can have, gets the position n, so every clause over it is interned.
+        The transitivity family of the ontology's order structure, if it
+        has one, is read from the structure: its triples (i, j, k) over
+        three distinct positions are never interned, the others, unless
+        skipped, are interned first, in (i, j, k) order, as
+        `ClassicalOntology.inclusions` lists them.  Every given inclusion
+        follows, read by `nnf.inclusion_nnf`.
         """
         interner = self.interner
         lits = interner.lits
         base = set()
-        root = 0
-        while root**3 < len(ontology.inclusions):
-            root += 1
-        n = self.order_n = root + 1
-        nn = n * n
-        self.third, self.first, self.middle = [0] * nn, [0] * nn, [0] * nn
-        third, first, middle = self.third, self.first, self.middle
-        # order positions, assigned by element equality and looked up by
-        # identity: the reduction shares one object per element
-        self.order_elements: list = []
-        position: dict = {}  # id(element) -> position
-        by_value: dict = {}  # element -> position
-
-        def place(e) -> int:
-            p = by_value.get(e)
-            if p is None:
-                p = len(self.order_elements)
-                if p < n:
-                    self.order_elements.append(e)
-                else:
-                    p = n
-                by_value[e] = p
-            position[id(e)] = p
-            return p
-
-        add = base.add
-        for inc in ontology.inclusions:
-            lhs, rhs = inc.lhs, inc.rhs
-            if type(lhs) is And and type(rhs) is Leq:
-                ij, jk = lhs.left, lhs.right
-                if type(ij) is Leq and type(jk) is Leq:
-                    x, y, z = ij.lhs, jk.lhs, jk.rhs
-                    if ij.rhs is y and rhs.lhs is x and rhs.rhs is z:
-                        try:
-                            i, j, k = position[id(x)], position[id(y)], position[id(z)]
-                        except KeyError:
-                            i, j, k = place(x), place(y), place(z)
-                        if i != j != k != i and i < n and j < n and k < n:
-                            third[i * n + j] |= 1 << k
-                            first[j * n + k] |= 1 << i
-                            middle[i * n + k] |= 1 << j
-                            continue
+        order = ontology.order
+        n = self.order_n = 0 if order is None else len(order)
+        if n and not ontology.skip_trivial_transitivity:
+            t = order.table
+            for i in range(n):
+                for j in range(n):
+                    # two of i, j, k coincide: any k if i == j, else k is i or j
+                    for k in range(n) if i == j else sorted((i, j)):
+                        clause = [lits.negated(t[i][j]), lits.negated(t[j][k])]
+                        clause.append(lits.atom(t[i][k]))
+                        base.add(interner.clause(clause))
+        for inc in ontology.axioms:
             read = inclusion_nnf(inc, lits)
-            add(interner.clause(read) if type(read) is list else interner.intern(read))
-
-        def where(e) -> int:
-            p = position.get(id(e))
-            return by_value.get(e, n) if p is None else p
-
-        self._index_order_literals(where)
+            base.add(interner.clause(read) if type(read) is list else interner.intern(read))
+        self._index_order_literals(order)
         return base
 
-    def _index_order_literals(self, where: Callable):
-        """Tables over the order literals, given the position of an element
-        (n beyond the radix): `leq_ids` holds the id of `leq(i, j)` at
-        i*n + j and of its negation at n*n + i*n + j, `order_of` the bitset
-        slots and positions of every order literal id, and `by_rank` and
-        `element_rank` the positions by the elements' sort keys, which
-        order a triple's disjuncts."""
+    def _index_order_literals(self, order):
+        """Tables over the literals of the order structure `order` (None
+        for none): `leq_ids` holds the id of `leq(i, j)`, i != j, at
+        i*n + j and of its negation at n*n + i*n + j, interning the ones no
+        clause has, `order_of` the bitset slots and positions of every
+        order literal id, and `by_rank` and `element_rank` the positions by
+        the elements' sort keys, which order a triple's disjuncts."""
         interner = self.interner
         lits = interner.lits
         n = self.order_n
         nn = n * n
         ids = self.leq_ids = [None] * (2 * nn)
-        for kind, table, offset in ((_KIND_ATOM, lits.pos, 0), (_KIND_NEGATOM, lits.neg, nn)):
-            for atom in table:
-                if type(atom) is Leq:
-                    i, j = where(atom.lhs), where(atom.rhs)
-                    if i < n and j < n and i != j:
-                        ids[offset + i * n + j] = interner.ids.get((kind, atom))
-        # the literals and complements of the triples that no other clause
-        # interned (hand-built ontologies only)
-        elements = self.order_elements
-        for p in range(nn):
-            if self.middle[p] | self.third[p] | self.first[p]:
-                for index, make in ((p, lits.atom), (nn + p, lits.negated)):
-                    if ids[index] is None:
-                        atom = Leq(*(elements[x] for x in divmod(p, n)))
-                        ids[index] = interner._literal(make(atom))
+        self.order_elements = () if order is None else order.elements
         # slots: P_row[i] and P_col[j] for leq(i, j), N_row[i] and N_col[j]
         # for its negation
         self.order_of: dict = {}  # literal id -> (row slot, column slot, i, j)
-        for index, cid in enumerate(ids):
-            if cid is not None:
-                sign, pair = divmod(index, nn)
-                i, j = divmod(pair, n)
-                offset = 2 * n * sign
-                self.order_of[cid] = (offset + i, offset + n + j, i, j)
-        keys = [_element_key(e) for e in elements]
-        self.by_rank = sorted(range(len(elements)), key=keys.__getitem__)
-        self.element_rank = [0] * len(elements)
+        for p in range(nn):
+            i, j = divmod(p, n)
+            if i != j:
+                atom = order.table[i][j]
+                for sign, make in ((0, lits.atom), (1, lits.negated)):
+                    cid = ids[sign * nn + p] = interner._literal(make(atom))
+                    offset = 2 * n * sign
+                    self.order_of[cid] = (offset + i, offset + n + j, i, j)
+        keys = [_element_key(e) for e in self.order_elements]
+        self.by_rank = sorted(range(n), key=keys.__getitem__)
+        self.element_rank = [0] * n
         for r, p in enumerate(self.by_rank):
             self.element_rank[p] = r
 
@@ -448,7 +398,7 @@ class Tableau:
         objs, kinds, parts = interner.objs, interner.kinds, interner.parts
         n = self.order_n
         nn = n * n
-        ids, middle, by_rank = self.leq_ids, self.middle, self.by_rank
+        ids, by_rank = self.leq_ids, self.by_rank
         ors = [c for c in base if kinds[c] == _KIND_OR]
         others = sorted(
             (c for c in base if kinds[c] != _KIND_OR), key=lambda c: sort_key(objs[c])
@@ -458,7 +408,8 @@ class Tableau:
         ranked = sorted(disjuncts, key=lambda d: sort_key(objs[d]))
         rank = {d: r for r, d in enumerate(ranked)}.__getitem__
         keyed = sorted((tuple(map(rank, parts[c])), c) for c in ors)
-        blocks = sorted((p for p in range(nn) if middle[p]), key=lambda p: rank(ids[p]))
+        pairs = (p for p in range(nn) if ids[p] is not None)  # i != k
+        blocks = sorted(pairs, key=lambda p: rank(ids[p]))
         merged = []
         at = 0  # the next real disjunction in `keyed`
         for p in blocks:
@@ -467,7 +418,8 @@ class Tableau:
                 merged.append(keyed[at][1])
                 at += 1
             i, k = divmod(p, n)
-            rest = middle[p]  # the triples of (i, k) not merged yet
+            # the triples of (i, k) not merged yet: every middle position
+            rest = ((1 << n) - 1) & ~(1 << i | 1 << k)
             cursor = 0  # into by_rank
             while at < len(keyed) and keyed[at][0][0] == lead:
                 tail = keyed[at][0][1:]
@@ -648,19 +600,19 @@ class Tableau:
         bitsets before the first is examined, which finds the ones that
         watching every triple would: the units of the triples examined
         earlier for a fact share no atom with a later one's open disjuncts.
-        They are examined in (i * n + j) * n + k order, as the reduction
-        emits them.
+        They are examined in (i * n + j) * n + k order, as
+        `ClassicalOntology.inclusions` lists them.
         """
         _, _, i, j = order
         n = self.order_n
         p_col, n_row, n_col = n, 2 * n, 3 * n  # P_row starts at 0
-        pair = i * n + j
+        others = ~(1 << i | 1 << j)  # every triple over distinct positions is present
         examine, triple = self._examine, self._triple
         if kind == _KIND_ATOM:
             ks = bits[j] | bits[n_row + i]
-            ks &= ~(bits[n_row + j] | bits[i]) & self.third[pair]
+            ks &= ~(bits[n_row + j] | bits[i]) & others
             firsts = bits[p_col + i] | bits[n_col + j]
-            firsts &= ~(bits[n_col + i] | bits[p_col + j]) & self.first[pair]
+            firsts &= ~(bits[n_col + i] | bits[p_col + j]) & others
             below = firsts & ((1 << i) - 1)
             for h in _positions(below):
                 examine(nid, None, *triple(h, i, j))
@@ -670,7 +622,7 @@ class Tableau:
                 examine(nid, None, *triple(h, i, j))
         else:
             ms = bits[i] | bits[p_col + j]
-            ms &= ~(bits[n_row + i] | bits[n_col + j]) & self.middle[pair]
+            ms &= ~(bits[n_row + i] | bits[n_col + j]) & others
             for m in _positions(ms):
                 examine(nid, None, *triple(i, m, j))
 

@@ -133,7 +133,7 @@ def corpus_runs():
                 len(tab.interner.objs),
                 tab.created,
                 tab.steps,
-                sum(map(int.bit_count, tab.middle)),
+                tab.order_n * (tab.order_n - 1) * (tab.order_n - 2),
             ),
         )
         start = time.monotonic()

@@ -22,7 +22,7 @@ from galcq import (
 )
 from galcq.cli import run
 from galcq.ontology import ontology_size
-from galcq.reduction import transitivity_axioms
+from galcq.classical_model import transitivity_axioms
 
 F = Fraction
 

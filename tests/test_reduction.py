@@ -19,16 +19,16 @@ from galcq import (
     reduce_ontology,
     semantics_axioms,
 )
-from galcq.classical_model import Inclusion
+from galcq.classical_model import Inclusion, transitivity_axioms
 from galcq.concepts import TOP, subconcepts
 from galcq.ontology import FuzzyOntology, OrderAssertion, RoleAssertion
 from galcq.orders import EDGE, ConceptElement, OrderStructure, ShiftedElement, ValueElement
 from galcq.reduction import (
     antitonicity_axioms,
     bounds_axioms,
+    tbox_axioms,
     totality_axioms,
     transfer_axioms,
-    transitivity_axioms,
     value_order_axioms,
 )
 from galcq.syntax import classical_to_sexpr
@@ -233,3 +233,29 @@ def test_size_bound_polynomial():
         + sum(len(semantics_axioms(c)) for c in u.subconcepts)
     )
     assert len(red.inclusions) <= bound
+
+
+def test_deciding_a_reduction_leaves_its_inclusions_unbuilt():
+    red = reduce_ontology(parse_ontology("(assert (inst a (some r A)) >= 1/2)"))
+    assert check_consistency(red).consistent
+    # `inclusions` is cached on first read: no entry means it was never built
+    assert "inclusions" not in vars(red)
+
+
+@pytest.mark.parametrize("skip", [False, True])
+def test_inclusions_are_the_transitivity_family_then_the_rest(skip):
+    o = parse_ontology("(assert (inst a (some r A)) >= 1/2)\n(gci A B >= 0.3)")
+    red = reduce_ontology(o, skip_trivial_transitivity=skip)
+    u = red.order
+    assert u == OrderStructure.from_ontology(o) and red.skip_trivial_transitivity == skip
+    assert red.axioms == (
+        totality_axioms(u)
+        + bounds_axioms(u)
+        + value_order_axioms(u.values, u.leq)
+        + antitonicity_axioms(u)
+        + transfer_axioms(u)
+        + tbox_axioms(o, u)
+    )
+    inclusions = red.inclusions
+    assert inclusions == transitivity_axioms(u, skip) + red.axioms
+    assert inclusions is red.inclusions  # built once

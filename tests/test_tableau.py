@@ -424,7 +424,7 @@ def _assert_base_matches_reference(ontology):
     tab = Tableau(ontology)
     reference, ref = _reference_base(ontology)
     got = tab.interner
-    objs, lits, e, n = got.objs, got.lits, tab.order_elements, tab.order_n
+    objs, lits, e = got.objs, got.lits, tab.order_elements
     # the merged base order, every run of triples written out by the NNF path
     expanded, triples = [], set()
     for entry in tab.base_order:
@@ -439,12 +439,11 @@ def _assert_base_matches_reference(ontology):
                 disjuncts, negs = tab._triple(i, j, k)
                 assert tuple(objs[d] for d in disjuncts) == clause.args
                 assert [objs[d] for d in negs] == [negate_nnf(d, lits) for d in clause.args]
-                assert tab.third[i * n + j] >> k & 1 and tab.first[j * n + k] >> i & 1
+                assert len({i, j, k}) == 3
                 expanded.append(clause)
                 triples.add(clause)
     assert expanded == [ref.objs[cid] for cid in reference]
-    assert sum(map(int.bit_count, tab.third)) == len(triples)
-    assert sum(map(int.bit_count, tab.first)) == len(triples)
+    assert len(triples) == _triple_count(tab)
     assert tab.base_list == tuple(c for c in tab.base_order if type(c) is int)
     ors = [c for c in tab.base_order if type(c) is not int or got.kinds[c] == _KIND_OR]
     assert list(tab.base_ors) == ors
@@ -620,28 +619,23 @@ def test_order_bitsets_match_labels_when_cut_mid_search():
 
 
 def _triple_count(tab):
-    return sum(map(int.bit_count, tab.middle))
+    """The number of transitivity triples over three distinct positions of
+    the tableau's order structure; 0 when it has none."""
+    n = tab.order_n
+    return n * (n - 1) * (n - 2)
 
 
 def test_triple_table_holds_every_distinct_vertex_transitivity_clause():
     red = reduce_ontology(parse_ontology(dict(CORPUS)["duality"]))
-    n = len(Tableau(red).order_elements)
-    for o in (red, ClassicalOntology(red.inclusions[::-1], red.assertions, "a")):
-        assert _triple_count(Tableau(o)) == n * (n - 1) * (n - 2)
-
-
-def test_elements_beyond_the_radix_stay_watched():
-    e = [ValueElement(Fraction(p, 7)) for p in range(6)]
-    clauses = tuple(
-        Inclusion(And(Leq(e[i], e[j]), Leq(e[j], e[k])), Leq(e[i], e[k]))
-        for i, j, k in ((0, 1, 2), (0, 1, 3), (3, 4, 5))
-    )
-    o = ClassicalOntology(clauses, (), "a")
-    tab = Tableau(o)
-    # three inclusions give the radix 3: the last three elements are beyond it
-    assert tab.order_n == 3 and tab.order_elements == e[:3]
-    assert _triple_count(tab) == 1
-    _assert_base_matches_reference(o)
+    tab = Tableau(red)
+    assert tab.order_n == len(red.order) and tab.order_elements == red.order.elements
+    triples = _triple_count(tab)
+    # the same inclusions without the structure: every triple is interned
+    for inclusions in (red.inclusions, red.inclusions[::-1]):
+        plain = Tableau(ClassicalOntology(inclusions, red.assertions, "a"))
+        assert plain.order_n == 0
+        assert len(plain.base_list) == len(tab.base_list) + triples
+        assert len(plain.interner.objs) == len(tab.interner.objs) + triples
 
 
 def test_corpus_verdicts_do_not_depend_on_inclusion_order(corpus_runs):
@@ -656,6 +650,31 @@ def test_corpus_verdicts_survive_skipping_trivial_transitivity(corpus_runs):
     for run_ in corpus_runs:
         red = reduce_ontology(run_.ontology, skip_trivial_transitivity=True)
         tab = Tableau(red, NODE_BUDGET, STEP_BUDGET)
-        n = len(tab.order_elements)
-        assert _triple_count(tab) == n * (n - 1) * (n - 2)
+        assert tab.order_n == len(red.order)
         assert tab.run().consistent == run_.consistent, run_.name
+
+
+DIFFERENTIAL_INPUTS = {
+    name: text
+    for name, text in CORPUS
+    if name in ("duality", "two-roles", "atmost-res", "count-clash")
+}
+DIFFERENTIAL_INPUTS.update({f"chain-{k}": _chain(k) for k in (1, 2, 3)})
+DIFFERENTIAL_INPUTS.update(
+    {f"counting-k1-q{q}": _counting_text(1, q) for q in ("1/4", "1/2", "3/4")}
+)
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_INPUTS))
+def test_structure_and_its_inclusions_search_alike(name):
+    # the reduction hands the tableau its order structure; the same
+    # inclusions built by hand have none, so every transitivity clause is
+    # read, interned and watched as an ordinary clause
+    red = reduce_ontology(parse_ontology(DIFFERENTIAL_INPUTS[name]))
+    observed = []
+    for o in (red, ClassicalOntology(red.inclusions, red.assertions, red.individual)):
+        tab = Tableau(o, NODE_BUDGET, STEP_BUDGET)
+        static = [tab.interner.objs[cid] for cid in tab.static_label]
+        result = tab.run()
+        observed.append((result.consistent, tab.created, tab.steps, static))
+    assert observed[0] == observed[1]
