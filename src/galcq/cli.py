@@ -71,7 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--depth", type=positive_int, default=4,
                        help="unraveling depth for model extraction")
         p.add_argument("--reduce-opt", action="store_true",
-                       help="skip reflexive-trivial transitivity instances")
+                       help="leave reflexive-trivial transitivity instances out of "
+                       "the written compilation and the brute-force oracle")
         p.add_argument("--trace", action="store_true",
                        help="print one line per tableau rule application to stderr")
 

@@ -439,16 +439,32 @@ def classical_to_sexpr(o: ClassicalOntology) -> str:
     """Deterministic serialization: assertions then inclusions, each sorted.
 
     Each distinct order atom is rendered once; the n^3 families repeat the
-    same shared atoms on every line.
+    same shared atoms on every line.  The transitivity family of the order
+    structure, if there is one, is rendered from its atom table by
+    position, one line per `ClassicalOntology.inclusions` entry, without
+    building those inclusions.
     """
     leq = functools.cache(_leq_sexpr)  # freed with this call
     assertion_lines = sorted(
         f"(assert (inst {ind} {_concept_sexpr(c, leq)}))" for ind, c in o.assertions
     )
-    inclusion_lines = sorted(
+    inclusion_lines = [
         f"(gci {_concept_sexpr(inc.lhs, leq)} {_concept_sexpr(inc.rhs, leq)})"
-        for inc in o.inclusions
-    )
+        for inc in o.axioms
+    ]
+    if o.order is not None:
+        atoms = [[leq(a) for a in row] for row in o.order.table]
+        span = range(len(atoms))
+        skip = o.skip_trivial_transitivity
+        for i in span:
+            for j in span:
+                head, row = f"(gci (and {atoms[i][j]} ", atoms[j]
+                inclusion_lines.extend(
+                    f"{head}{row[k]}) {atoms[i][k]})"
+                    for k in span
+                    if not skip or i != j != k != i
+                )
+    inclusion_lines.sort()
     return "\n".join(assertion_lines + inclusion_lines) + "\n"
 
 

@@ -18,14 +18,16 @@ Search organization:
     from inclusions: its clauses `(and t[i][j] t[j][k]) [= t[i][k]` over
     three distinct positions are all present by construction and never
     interned, each known by its positions (i, j, k), with its literals in
-    `leq_ids`; the degenerate ones are interned first.  Every given
-    inclusion is read by `nnf.inclusion_nnf`, the reader the brute-force
-    oracle shares, and interned, a clause over order atoms straight from
-    its literal nodes; an ontology without a structure has its
-    transitivity clauses, if any, read that way too.  The base concepts
-    are in sort-key order, with runs (i, k, j bits) of triples merged
-    between the disjunctions.  Node labels are dicts from concept id to a
-    dependency bitmask of decision levels;
+    `leq_ids`.  Its triples with two coinciding positions are not read at
+    all: each is a tautology or holds by the base fact `leq(i, i)`, which
+    totality gives at i = j.  Every given inclusion is read by
+    `nnf.inclusion_nnf`, the reader the brute-force oracle shares, and
+    interned, a clause over order atoms straight from its literal nodes;
+    an ontology without a structure has its transitivity clauses, if any,
+    read that way too.  The base concepts are in sort-key order, with runs
+    (i, k, j bits) of triples merged between the disjunctions.  Node
+    labels are dicts from concept id to a dependency bitmask of decision
+    levels;
   - unit propagation and clause clashes are one rule, `_examine`, given a
     clause's disjuncts and their complements.  Four bitsets per node over
     its label and the base atoms hold the order facts: P_row[i] and
@@ -36,12 +38,18 @@ Search organization:
     order; a clause holding a concept and its complement is never a unit
     or a clash and is not watched.  This is the order of interning and
     watching every triple, since `ClassicalOntology.inclusions` lists the
-    family first and its degenerate triples, still interned, never act (each is a
-    tautology or holds by the base fact `leq(i, i)`).  Branching scans a
-    node's base and extra clauses with pointers that pass every clause
-    with a present disjunct, a run of triples by bit tests; the first
-    clause without one goes to `_examine`, and only a clause that stays
-    open becomes a branch;
+    family first.  Branching scans a node's base and extra clauses with
+    pointers that pass every clause with a present disjunct, a run of
+    triples by bit tests; the first clause without one goes to
+    `_examine`, and only a clause that stays open becomes a branch;
+  - `_find_decision` walks a node agenda, not every live node: bitsets
+    over node ids (ids are creation order) of the nodes that may have
+    at-most, clause, choose or at-least work.  Every change to a node
+    marks it and its parent; each phase takes its nodes lowest id first,
+    so it decides what a walk over every node would, and drops the ones
+    it finds without work.  Blocking is kept the same way: nodes are
+    filed by label fingerprint in classes of equal labels, and only the
+    nodes whose activity may have changed are redecided;
   - every decision is (kind, node, alternatives, exhaustion dependency):
     "or" tries a clause's open disjuncts semantically (failed atomic ones
     are asserted negatively before the next try), "choose" tries (not q, q)
@@ -237,11 +245,20 @@ class _Node:
         "base_ptr",
         "extra_ptr",
         "pruned",
+        "bit",
+        "mark",
+        "twins",
+        "crowding",
     )
 
     def __init__(self, nid, parent, parent_roles, depth, dep):
         self.id = nid
         self.parent = parent
+        self.bit = 1 << nid
+        # the agenda bits a change to this node sets: its own and its parent's
+        self.mark = self.bit | (0 if parent is None else 1 << parent)
+        self.twins = None  # its blocking class, filed in `Tableau.classes`
+        self.crowding = None  # `Tableau._crowding` of it, if in `crowded`
         self.parent_roles = parent_roles
         self.depth = depth
         self.dep = dep
@@ -304,6 +321,32 @@ class Tableau:
         self.queue: deque = deque()
         self.neq: dict = {}  # frozenset{a,b} -> dependency bitmask
         self.stack: list = []
+        # search counters: decisions pushed, by kind; clashes that discard
+        # at least one decision unrelated to the conflict; deepest stack
+        self.or_decisions = 0
+        self.choose_decisions = 0
+        self.merge_decisions = 0
+        self.backjumps = 0
+        self.peak_depth = 0
+        # the node agenda, bitsets over node ids: `marked` the nodes changed
+        # since the last `_find_decision` (a node and its parent on every
+        # change), per phase of `_find_decision` the nodes that may have
+        # work in it, and `stale` the nodes marked since the last
+        # `_refresh`, which keeps `unmet`, the live nodes with an unmet
+        # at-least.  Blocking: `relabelled` holds the nodes whose label, or
+        # whether they live, changed since the last `_refresh`; `classes`
+        # files every live node by label fingerprint, in classes of equal
+        # labels ([bits, fingerprint]); `active` is the set of active nodes
+        self.marked = 0
+        self.atmost_agenda = 0
+        self.crowded = 0
+        self.scan_agenda = 0
+        self.choose_agenda = 0
+        self.stale = 0
+        self.unmet = 0
+        self.relabelled = 0
+        self.classes: dict[int, list] = {}
+        self.active = 0
 
         interner = self.interner
         base = self._read_inclusions(ontology)
@@ -323,27 +366,18 @@ class Tableau:
     def _read_inclusions(self, ontology: ClassicalOntology) -> set:
         """Intern the base clauses; return their ids.
 
-        The transitivity family of the ontology's order structure, if it
-        has one, is read from the structure: its triples (i, j, k) over
-        three distinct positions are never interned, the others, unless
-        skipped, are interned first, in (i, j, k) order, as
-        `ClassicalOntology.inclusions` lists them.  Every given inclusion
-        follows, read by `nnf.inclusion_nnf`.
+        Every given inclusion is read by `nnf.inclusion_nnf`.  None of the
+        transitivity family of the ontology's order structure, if it has
+        one, is interned: its triples (i, j, k) over three distinct
+        positions are known by their positions, and the others are left
+        out, since each is a tautology or holds by the base fact
+        `leq(i, i)` that totality gives at i = j.
         """
         interner = self.interner
         lits = interner.lits
         base = set()
         order = ontology.order
-        n = self.order_n = 0 if order is None else len(order)
-        if n and not ontology.skip_trivial_transitivity:
-            t = order.table
-            for i in range(n):
-                for j in range(n):
-                    # two of i, j, k coincide: any k if i == j, else k is i or j
-                    for k in range(n) if i == j else sorted((i, j)):
-                        clause = [lits.negated(t[i][j]), lits.negated(t[j][k])]
-                        clause.append(lits.atom(t[i][k]))
-                        base.add(interner.clause(clause))
+        self.order_n = 0 if order is None else len(order)
         for inc in ontology.axioms:
             read = inclusion_nnf(inc, lits)
             base.add(interner.clause(read) if type(read) is list else interner.intern(read))
@@ -512,6 +546,7 @@ class Tableau:
         self.nodes.clear()
         queue.clear()
         self.trail.clear()
+        self.marked = 0
 
     # ------------------------------------------------------------------
     # label operations
@@ -533,6 +568,8 @@ class Tableau:
             raise _Clash(dep | self._dep_of(node, neg))
         label[cid] = dep
         node.fp ^= self.interner.fingerprints[cid]
+        self.marked |= node.mark
+        self.relabelled |= node.bit
         order = self.order_of.get(cid)
         if order is not None:
             row, col, i, j = order
@@ -692,6 +729,8 @@ class Tableau:
         node.extra_ors = list(self.static_extra_ors)
         node.bits = list(self.static_bits)
         self.nodes.append(node)
+        self.marked |= node.mark
+        self.relabelled |= node.bit
         self.trail.append(("node", nid))
         if parent_id is not None:
             self.nodes[parent_id].children.append(nid)
@@ -724,6 +763,8 @@ class Tableau:
             node = self.nodes[x]
             if not node.pruned:
                 node.pruned = True
+                self.marked |= node.mark
+                self.relabelled |= node.bit
                 self.trail.append(("attr", node, "pruned", False))
                 stack.extend(node.children)
         keep = self.nodes[keep_id]
@@ -732,20 +773,28 @@ class Tableau:
         if merged_roles != keep.parent_roles:
             self.trail.append(("attr", keep, "parent_roles", keep.parent_roles))
             keep.parent_roles = merged_roles
+            self.marked |= keep.mark
             # the full mask already holds every restriction's dependency
             self._add_fillers(keep_id, merged_roles, dep)
-        for pair in [p for p in self.neq if absorb_id in p]:
-            (other,) = pair - {absorb_id}
-            if other != keep_id:
+        # distinctness only ever relates siblings: those of at-least
+        # successors and, through merges, those of the nodes they kept
+        for other in self.nodes[absorb.parent].children:
+            if other != keep_id and frozenset((absorb_id, other)) in self.neq:
                 self._add_neq(keep_id, other, dep)
-        for cid in tuple(absorb.label):
+        for cid in [c for c in absorb.label if c not in keep.label]:
             self._add(keep_id, cid, dep)
 
     def _undo_to(self, mark: int):
         """Pop the trail down to `mark`, undoing a label fact, a new node,
         a dict insertion ("del"), a set insertion ("discard"), a list append
-        ("pop") or an attribute write ("attr": object, name, old value)."""
+        ("pop") or an attribute write ("attr": node, name, old value).
+
+        Every node a label fact, a new node or an attribute write touches is
+        marked with its parent.  The other entries need no mark: the queue
+        is empty at every decision, so each is undone together with the
+        label fact or the new node it came with."""
         trail = self.trail
+        marked, relabelled = self.marked, self.relabelled
         while len(trail) > mark:
             entry = trail.pop()
             tag = entry[0]
@@ -759,10 +808,14 @@ class Tableau:
                     row, col, i, j = order
                     node.bits[row] &= ~(1 << j)
                     node.bits[col] &= ~(1 << i)
+                marked |= node.mark
+                relabelled |= node.bit
             elif tag == "node":
                 node = self.nodes.pop()
+                self._unfile(node)
                 if node.parent is not None:
                     self.nodes[node.parent].children.pop()
+                marked |= node.mark
             elif tag == "del":
                 del entry[1][entry[2]]
             elif tag == "discard":
@@ -771,40 +824,107 @@ class Tableau:
                 entry[1].pop()
             elif tag == "attr":
                 setattr(entry[1], entry[2], entry[3])
+                marked |= entry[1].mark
+                if entry[2] == "pruned":
+                    relabelled |= entry[1].bit
+        # forget the popped nodes
+        live = (1 << len(self.nodes)) - 1
+        self.marked = marked & live
+        self.relabelled = relabelled
+        self.atmost_agenda &= live
+        self.crowded &= live
+        self.scan_agenda &= live
+        self.choose_agenda &= live
+        self.stale &= live
+        self.unmet &= live
         self.queue.clear()
 
     # ------------------------------------------------------------------
     # blocking
 
-    def _compute_blocking(self):
-        """Blocking status of every live node, in creation order.
+    # Anywhere-blocking: without inverse roles a node's subtree constraints
+    # are a function of its label alone, so an earlier node with the same
+    # label can lend its successors.  A blocker must be *active* (neither
+    # blocked nor below a blocked node), because only active nodes are
+    # guaranteed fully expanded; taking blockers from earlier nodes only
+    # makes this well-founded.
 
-        Anywhere-blocking: without inverse roles a node's subtree
-        constraints are a function of its label alone, so an earlier node
-        with the same label can lend its successors.  A blocker must be
-        *active* (neither blocked nor below a blocked node), because only
-        active nodes are guaranteed fully expanded; processing in creation
-        order makes this well-founded.  Returns (blocked_by, active).
-        """
-        blocked_by: dict[int, Optional[int]] = {}
-        active: dict[int, bool] = {}
-        by_fp: dict[int, list[_Node]] = {}
-        for node in self.nodes:
-            if node.pruned:
-                active[node.id] = False
-                continue
-            parent_active = node.parent is None or active.get(node.parent, False)
-            blocker = None
-            for candidate in by_fp.get(node.fp, ()):
-                if candidate.label.keys() == node.label.keys():
-                    blocker = candidate.id
-                    break
-            blocked_by[node.id] = blocker
-            is_active = parent_active and blocker is None
-            active[node.id] = is_active
-            if is_active:
-                by_fp.setdefault(node.fp, []).append(node)
-        return blocked_by, active
+    def _unfile(self, node: _Node):
+        twins = node.twins
+        if twins is not None:
+            node.twins = None
+            twins[0] &= ~node.bit
+            if not twins[0]:
+                group = self.classes[twins[1]]
+                if len(group) == 1:
+                    del self.classes[twins[1]]
+                else:
+                    group.remove(twins)  # the one empty class
+
+    def _file(self, node: _Node):
+        """File live `node` in the class of its label, comparing labels
+        only with one node of each class under its fingerprint."""
+        group = self.classes.setdefault(node.fp, [])
+        keys = node.label.keys()
+        for twins in group:
+            y = (twins[0] & -twins[0]).bit_length() - 1
+            if self.nodes[y].label.keys() == keys:
+                twins[0] |= node.bit
+                break
+        else:
+            twins = [node.bit, node.fp]
+            group.append(twins)
+        node.twins = twins
+
+    def _refresh(self):
+        """Bring `classes`, `active` and `unmet` up to date.
+
+        A node is active when it is live, its parent is active (or it is the
+        root) and no earlier active node has its label, so its activity
+        rests only on its own label and on earlier nodes.  The relabelled
+        nodes are refiled and, with the later nodes of the classes they
+        leave and join, redecided in creation order; a node whose activity
+        flips has its children and its later class-mates redecided too.
+        The nodes marked since the last call redecide whether they have an
+        unmet at-least."""
+        nodes = self.nodes
+        live = (1 << len(nodes)) - 1
+        relabelled = self.relabelled & live  # popped nodes are unfiled
+        self.relabelled = 0
+        active = self.active & live
+        due = relabelled
+        for x in _positions(relabelled):
+            twins = nodes[x].twins
+            if twins is not None:
+                due |= twins[0] & ~((2 << x) - 1)
+            self._unfile(nodes[x])
+        for x in _positions(relabelled):
+            if not nodes[x].pruned:
+                self._file(nodes[x])
+                due |= nodes[x].twins[0] & ~((2 << x) - 1)
+        while due:
+            low = due & -due
+            due ^= low
+            node = nodes[low.bit_length() - 1]
+            now = (
+                not node.pruned
+                and (node.parent is None or active >> node.parent & 1)
+                and not node.twins[0] & active & (low - 1)
+            )
+            if now != bool(active & low):
+                active ^= low
+                for c in node.children:
+                    due |= 1 << c
+                if node.twins is not None:
+                    due |= node.twins[0] & ~((low << 1) - 1)
+        self.active = active
+        for x in _positions(self.stale):
+            node = nodes[x]
+            if node.pruned or self._unmet_atleast(node) is None:
+                self.unmet &= ~node.bit
+            else:
+                self.unmet |= node.bit
+        self.stale = 0
 
     # ------------------------------------------------------------------
     # rule scanning
@@ -911,47 +1031,53 @@ class Tableau:
 
     def _find_decision(self):
         """Return the next `(kind, node id, alternatives, exhaustion dep)`
-        decision, `_ACTED` after a deterministic rule, or None if complete."""
+        decision, `_ACTED` after a deterministic rule, or None if complete.
+
+        Each phase visits the live nodes of its agenda lowest id first and
+        drops those it finds without work, so it decides as a walk over
+        every live node in creation order would: a node that is not on an
+        agenda has no work there until it, or a child, changes."""
         interner = self.interner
-        live = [n for n in self.nodes if not n.pruned]
+        nodes = self.nodes
+        marked = self.marked
+        if marked:
+            self.marked = 0
+            self.atmost_agenda |= marked
+            self.scan_agenda |= marked
+            self.choose_agenda |= marked
+            self.stale |= marked
+        # at-most bookkeeping: clash detection and merge candidates, at the
+        # nodes with crowded at-mosts
+        for x in _positions(self.atmost_agenda):
+            node = nodes[x]
+            node.crowding = None if node.pruned else self._crowding(node)
+            if node.crowding is None:
+                self.crowded &= ~node.bit
+            else:
+                self.crowded |= node.bit
+        self.atmost_agenda = 0
         merge_option = None
-        # at-most bookkeeping: clash detection and merge candidates
-        for node in live:
-            for amid in sorted(node.atmosts):
-                count, role, qid = interner.parts[amid]
-                holders = self._holders(node, role, qid)
-                if len(holders) > count:
-                    distinct_dep = self._distinct_subset_dep(holders, count + 1)
-                    if distinct_dep is not None:
-                        conflict = self._dep_of(node, amid) | node.dep | distinct_dep
-                        for c in holders:
-                            child = self.nodes[c]
-                            conflict |= self._dep_of(child, qid) | child.dep
-                        raise _Clash(conflict)
-                    if merge_option is None:
-                        pairs = [
-                            (a, b)
-                            for a, b in itertools.combinations(holders, 2)
-                            if frozenset((a, b)) not in self.neq
-                        ]
-                        merge_option = (
-                            "merge",
-                            node.id,
-                            tuple(pairs),
-                            self._full_mask(),
-                        )
+        for x in _positions(self.crowded):
+            conflict, pairs = nodes[x].crowding
+            if conflict is not None:
+                raise _Clash(conflict)
+            if merge_option is None:
+                merge_option = ("merge", x, pairs, self._full_mask())
         # disjunction branching
-        for node in live:
-            decision = self._scan_ors(node)
+        for x in _positions(self.scan_agenda):
+            node = nodes[x]
+            decision = None if node.pruned else self._scan_ors(node)
             if decision is not None:
                 return decision
+            self.scan_agenda &= ~node.bit
         # choose: decide at-most qualifiers at every relevant neighbor
-        for node in live:
-            for amid in sorted(node.atmosts):
+        for x in _positions(self.choose_agenda):
+            node = nodes[x]
+            for amid in () if node.pruned else sorted(node.atmosts):
                 _, role, qid = interner.parts[amid]
                 nqid = interner.negation(qid)
                 for child_id in self._live_children(node, role):
-                    child = self.nodes[child_id]
+                    child = nodes[child_id]
                     if not self._present_id(child, qid) and not self._present_id(
                         child, nqid
                     ):
@@ -959,35 +1085,66 @@ class Tableau:
                         # satisfies the at-most, and uniform siblings keep
                         # labels convergent; the two are jointly exhaustive
                         return ("choose", child_id, (nqid, qid), 0)
-        # at-least generation, only at active nodes
-        _, active = self._compute_blocking()
-        for node in live:
-            if not node.atleasts:
-                continue
-            if not active.get(node.id):
-                continue
-            for alid in sorted(node.atleasts):
-                count, role, qid = interner.parts[alid]
-                holders = self._holders(node, role, qid)
-                if self._distinct_subset_dep(holders, count) is not None:
-                    continue
-                # successor generation is sound whenever the at-least concept
-                # is present, so the new nodes depend only on that concept
-                dep = self._dep_of(node, alid) | node.dep
-                if self.trace:
-                    self.trace(f"atleast n{node.id} {interner.objs[alid]!r}"[:200])
-                created = []
-                for _ in range(count):
-                    child = self._new_node(node.id, frozenset((role,)), dep)
-                    self._add(child, qid, dep)
-                    created.append(child)
-                for a, b in itertools.combinations(created, 2):
-                    self._add_neq(a, b, dep)
-                return _ACTED
+            self.choose_agenda &= ~node.bit
+        # at-least generation, at the first active node with an unmet one
+        self._refresh()
+        ready = self.unmet & self.active
+        if ready:
+            node = nodes[(ready & -ready).bit_length() - 1]
+            alid = self._unmet_atleast(node)
+            count, role, qid = interner.parts[alid]
+            # successor generation is sound whenever the at-least concept
+            # is present, so the new nodes depend only on that concept
+            dep = self._dep_of(node, alid) | node.dep
+            if self.trace:
+                self.trace(f"atleast n{node.id} {interner.objs[alid]!r}"[:200])
+            created = []
+            for _ in range(count):
+                child = self._new_node(node.id, frozenset((role,)), dep)
+                self._add(child, qid, dep)
+                created.append(child)
+            for a, b in itertools.combinations(created, 2):
+                self._add_neq(a, b, dep)
+            return _ACTED
         if merge_option is not None and merge_option[2]:
             return merge_option
         if merge_option is not None:
             raise _Clash(self._full_mask())
+        return None
+
+    def _crowding(self, node: _Node) -> Optional[tuple]:
+        """None if no at-most of `node` has more holders than it allows;
+        else (conflict, pairs): the conflict of the first, in id order,
+        whose holders include more pairwise-distinct ones than it allows
+        (None for none), and the pairs of the first's holders not known
+        distinct."""
+        pairs = None
+        for amid in sorted(node.atmosts):
+            count, role, qid = self.interner.parts[amid]
+            holders = self._holders(node, role, qid)
+            if len(holders) > count:
+                distinct_dep = self._distinct_subset_dep(holders, count + 1)
+                if distinct_dep is not None:
+                    conflict = self._dep_of(node, amid) | node.dep | distinct_dep
+                    for c in holders:
+                        child = self.nodes[c]
+                        conflict |= self._dep_of(child, qid) | child.dep
+                    return conflict, pairs
+                if pairs is None:
+                    pairs = tuple(
+                        (a, b)
+                        for a, b in itertools.combinations(holders, 2)
+                        if frozenset((a, b)) not in self.neq
+                    )
+        return None if pairs is None else (None, pairs)
+
+    def _unmet_atleast(self, node: _Node) -> Optional[int]:
+        """The first at-least concept of `node`, in id order, without enough
+        pairwise-distinct holders, or None."""
+        for alid in sorted(node.atleasts):
+            count, role, qid = self.interner.parts[alid]
+            if self._distinct_subset_dep(self._holders(node, role, qid), count) is None:
+                return alid
         return None
 
     def _present_id(self, node: _Node, cid: int) -> bool:
@@ -1050,6 +1207,8 @@ class Tableau:
                     if target <= 0:
                         return TableauResult(False, None)
                     # discard unrelated decisions above the target level
+                    if len(stack) > target:
+                        self.backjumps += 1
                     while len(stack) > target:
                         mark, _, _, _ = stack.pop()
                         self._undo_to(mark)
@@ -1071,7 +1230,15 @@ class Tableau:
             elif outcome is _ACTED:
                 outcome = self._step(None, 0, 0)
             else:
+                kind = outcome[0]
+                if kind == "or":
+                    self.or_decisions += 1
+                elif kind == "choose":
+                    self.choose_decisions += 1
+                else:
+                    self.merge_decisions += 1
                 stack.append([len(self.trail), outcome, 0, 0])
+                self.peak_depth = max(self.peak_depth, len(stack))
                 outcome = self._step(outcome, 0, 0)
 
     # ------------------------------------------------------------------
@@ -1084,7 +1251,13 @@ class Tableau:
             for cid in self.base_set
             if interner.kinds[cid] == _KIND_ATOM
         )
-        blocked_by, _ = self._compute_blocking()
+        self._refresh()
+        blocked_by = {}
+        for node in self.nodes:
+            if not node.pruned:
+                # the first active earlier node with the same label
+                blockers = node.twins[0] & self.active & (node.bit - 1)
+                blocked_by[node.id] = next(_positions(blockers), None)
         nodes = {}
         pending = deque([0])
         while pending:

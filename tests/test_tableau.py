@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from conftest import CORPUS, NODE_BUDGET, STEP_BUDGET
@@ -26,6 +28,7 @@ from galcq import (
     parse_ontology,
     reduce_ontology,
 )
+from galcq.classical_model import transitivity_axioms
 from galcq.concepts import TOP, quantifier_depth
 from galcq.orders import ValueElement
 from galcq.nnf import (
@@ -40,12 +43,14 @@ from galcq.nnf import (
 )
 from galcq.tableau import (
     _KIND_AND,
+    _KIND_ATOM,
     _KIND_ATLEAST,
     _KIND_ATMOST,
     _KIND_FORALL,
     _KIND_OR,
     Tableau,
     _Interner,
+    _positions,
 )
 from fractions import Fraction
 
@@ -240,13 +245,16 @@ def test_agreement_with_brute_force_on_random_ontologies():
 # the printed reduction).  Interning order, base clause order and disjunct
 # order decide the search, so any change to them moves these numbers.  The
 # base clause and interned concept columns count every distinct-position
-# transitivity triple as one of each, as if it were interned.
+# transitivity triple as one of each, as if it were interned, and none of
+# the triples with two coinciding positions, which the tableau does not
+# read (the inclusion column, from `ClassicalOntology.inclusions`, still
+# counts them).
 PINNED = {
-    "two-roles": (True, 10659, 10445, 12284, 7, 3890, "f3194964bdce0744"),
-    "count-clash": (False, 17251, 16947, 18858, 3, 1796, "d1b452b3b95c29d4"),
-    "duality": (True, 5681, 5541, 6440, 37, 11168, "0404f426a9d5e3ea"),
-    "atmost-res": (True, 10418, 10204, 11556, 11, 4833, "a9838d4e4a85d866"),
-    "forall-clash": (False, 13615, 13356, 15063, 2, 697, "f66013164866c31b"),
+    "two-roles": (True, 10659, 9165, 11004, 7, 3890, "f3194964bdce0744"),
+    "count-clash": (False, 17251, 15123, 17034, 3, 1796, "d1b452b3b95c29d4"),
+    "duality": (True, 5681, 4709, 5608, 37, 11168, "0404f426a9d5e3ea"),
+    "atmost-res": (True, 10418, 8924, 10276, 11, 4833, "a9838d4e4a85d866"),
+    "forall-clash": (False, 13615, 11816, 13523, 2, 697, "f66013164866c31b"),
 }
 
 
@@ -272,42 +280,43 @@ def test_search_behaviour_is_pinned(name):
 # Search on every corpus entry, as (verdict, base clauses, interned
 # concepts, nodes created, steps), recorded by the session fixture's own
 # tableau runs; the base clause and interned concept columns count every
-# distinct-position transitivity triple as one of each.
+# distinct-position transitivity triple as one of each, and no triple with
+# two coinciding positions.
 CORPUS_SEARCH = {
-    "empty": (True, 175, 214, 1, 10),
-    "assert-half": (True, 869, 1016, 1, 54),
-    "godel-mid": (True, 2476, 2797, 1, 125),
-    "godel-above": (True, 3755, 4172, 1, 165),
-    "cmp-lt": (True, 2475, 2794, 1, 130),
-    "cmp-eq-neg": (True, 2475, 2796, 1, 131),
-    "implies-deg": (True, 7449, 8138, 1, 294),
-    "gci-chain": (True, 3755, 4170, 1, 171),
-    "gci-top": (True, 2477, 2795, 1, 104),
-    "exists-half": (True, 2574, 3099, 3, 479),
-    "forall-low": (True, 2574, 3101, 3, 482),
-    "atleast-two": (True, 2574, 3097, 5, 798),
-    "atmost-inv": (True, 2574, 3097, 5, 798),
-    "atmost-res": (True, 10204, 11556, 11, 4833),
-    "duality": (True, 5541, 6440, 37, 11168),
-    "crisp-sat": (True, 2476, 2795, 1, 131),
-    "two-roles": (True, 10445, 12284, 7, 3890),
-    "loop-gci": (True, 2575, 3098, 3, 478),
-    "open-interval": (True, 869, 1016, 1, 54),
-    "neg-forall": (True, 2574, 3101, 3, 482),
-    "godel-high": (False, 3755, 4172, 1, 5),
-    "squeeze": (False, 1548, 1759, 1, 1),
-    "top-neg": (False, 2477, 2795, 1, 3),
-    "forall-clash": (False, 13356, 15063, 2, 697),
-    "count-clash": (False, 16947, 18858, 3, 1796),
-    "self-implies": (False, 2476, 2801, 1, 0),
-    "top-low": (False, 870, 1016, 1, 0),
-    "below-zero": (False, 869, 1016, 1, 0),
-    "cmp-circle": (False, 2475, 2794, 1, 1),
-    "res-atmost-midway": (False, 5542, 6434, 1, 8),
-    "gci-force": (False, 2477, 2795, 1, 1),
-    "exists-zero": (False, 10204, 11560, 3, 1445),
-    "chain-squeeze": (False, 2477, 2796, 1, 9),
-    "count-squeeze": (False, 3917, 4662, 1, 2),
+    "empty": (True, 111, 150, 1, 10),
+    "assert-half": (True, 645, 792, 1, 54),
+    "godel-mid": (True, 1996, 2317, 1, 125),
+    "godel-above": (True, 3111, 3528, 1, 165),
+    "cmp-lt": (True, 1995, 2314, 1, 130),
+    "cmp-eq-neg": (True, 1995, 2316, 1, 131),
+    "implies-deg": (True, 6405, 7094, 1, 294),
+    "gci-chain": (True, 3111, 3526, 1, 171),
+    "gci-top": (True, 1997, 2315, 1, 104),
+    "exists-half": (True, 2094, 2619, 3, 479),
+    "forall-low": (True, 2094, 2621, 3, 482),
+    "atleast-two": (True, 2094, 2617, 5, 798),
+    "atmost-inv": (True, 2094, 2617, 5, 798),
+    "atmost-res": (True, 8924, 10276, 11, 4833),
+    "duality": (True, 4709, 5608, 37, 11168),
+    "crisp-sat": (True, 1996, 2315, 1, 131),
+    "two-roles": (True, 9165, 11004, 7, 3890),
+    "loop-gci": (True, 2095, 2618, 3, 478),
+    "open-interval": (True, 645, 792, 1, 54),
+    "neg-forall": (True, 2094, 2621, 3, 482),
+    "godel-high": (False, 3111, 3528, 1, 5),
+    "squeeze": (False, 1208, 1419, 1, 1),
+    "top-neg": (False, 1997, 2315, 1, 3),
+    "forall-clash": (False, 11816, 13523, 2, 697),
+    "count-clash": (False, 15123, 17034, 3, 1796),
+    "self-implies": (False, 1996, 2321, 1, 0),
+    "top-low": (False, 646, 792, 1, 0),
+    "below-zero": (False, 645, 792, 1, 0),
+    "cmp-circle": (False, 1995, 2314, 1, 1),
+    "res-atmost-midway": (False, 4710, 5602, 1, 8),
+    "gci-force": (False, 1997, 2315, 1, 1),
+    "exists-zero": (False, 8924, 10280, 3, 1445),
+    "chain-squeeze": (False, 1997, 2316, 1, 9),
+    "count-squeeze": (False, 3273, 4018, 1, 2),
 }
 
 
@@ -353,11 +362,11 @@ def test_family_search_is_pinned(family, k, q):
 # they move whenever the interning order does; the label order is what new
 # nodes copy and merges iterate.
 STATIC = {
-    "two-roles": (106, 0, 0x3184081A8A8087B8, "300f76addb573ec8"),
-    "count-clash": (171, 1, 0x43DBC659391298E5, "c0495645b283f671"),
-    "duality": (59, 0, 0x0A54C82EBE88FD36, "e2994ca21e07f9d3"),
-    "atmost-res": (137, 3, 0xAFE8C5437BB41EC6, "79e8d8795b4d202f"),
-    "forall-clash": (168, 0, 0xF3B99C2FA7E24B11, "91a71eeff58289a0"),
+    "two-roles": (106, 0, 0x75286BDDB2A22ED4, "300f76addb573ec8"),
+    "count-clash": (171, 1, 0xBE08970856849888, "c0495645b283f671"),
+    "duality": (59, 0, 0xB02D521E272868E8, "e2994ca21e07f9d3"),
+    "atmost-res": (137, 3, 0x030A4221E0BB67D4, "79e8d8795b4d202f"),
+    "forall-clash": (168, 0, 0x9FD1A0C314F6CEF4, "91a71eeff58289a0"),
 }
 
 
@@ -394,14 +403,21 @@ def test_static_pass_is_not_traced():
 # clause-level base clauses against the NNF path
 
 
+def _read_inclusions(ontology):
+    """The inclusions the tableau reads: all but the transitivity triples
+    with two coinciding positions."""
+    return replace(ontology, skip_trivial_transitivity=True).inclusions
+
+
 def _reference_base(ontology):
-    """Every inclusion through `intern(mk_or((nnf_not(lhs), nnf(rhs))))`,
-    sorted by sort key: the base clauses as the NNF path alone builds them."""
+    """Every inclusion the tableau reads through
+    `intern(mk_or((nnf_not(lhs), nnf(rhs))))`, sorted by sort key: the base
+    clauses as the NNF path alone builds them."""
     interner = _Interner()
     lits = interner.lits
     base = {
         interner.intern(mk_or((nnf_not(inc.lhs, lits), nnf(inc.rhs, lits))))
-        for inc in ontology.inclusions
+        for inc in _read_inclusions(ontology)
     }
     return tuple(sorted(base, key=lambda cid: sort_key(interner.objs[cid]))), interner
 
@@ -630,8 +646,9 @@ def test_triple_table_holds_every_distinct_vertex_transitivity_clause():
     tab = Tableau(red)
     assert tab.order_n == len(red.order) and tab.order_elements == red.order.elements
     triples = _triple_count(tab)
-    # the same inclusions without the structure: every triple is interned
-    for inclusions in (red.inclusions, red.inclusions[::-1]):
+    # the inclusions it reads without the structure: every triple is interned
+    read = _read_inclusions(red)
+    for inclusions in (read, read[::-1]):
         plain = Tableau(ClassicalOntology(inclusions, red.assertions, "a"))
         assert plain.order_n == 0
         assert len(plain.base_list) == len(tab.base_list) + triples
@@ -652,6 +669,28 @@ def test_corpus_verdicts_survive_skipping_trivial_transitivity(corpus_runs):
         tab = Tableau(red, NODE_BUDGET, STEP_BUDGET)
         assert tab.order_n == len(red.order)
         assert tab.run().consistent == run_.consistent, run_.name
+
+
+def test_dropped_triples_are_implied(corpus_runs):
+    # a transitivity triple with two coinciding positions holds a literal and
+    # its complement, or has the disjunct leq(m, m), which totality makes a
+    # base fact: the tableau loses nothing by not reading it
+    for run_ in corpus_runs:
+        red = run_.reduction
+        n, t = len(red.order), red.order.table
+        lits = _Interner().lits
+        family = transitivity_axioms(red.order)
+        for i, j, k in itertools.product(range(n), repeat=3):
+            if len({i, j, k}) == 3:
+                continue
+            clause = inclusion_nnf(family[(i * n + j) * n + k], lits)
+            assert isinstance(clause, list)
+            assert any(negate_nnf(d, lits) in clause for d in clause) or any(
+                NAtom(t[m][m]) in clause for m in (i, j, k)
+            ), (run_.name, i, j, k)
+        tab = Tableau(red)
+        units = {tab.interner.ids[_KIND_ATOM, t[m][m]] for m in range(n)}
+        assert units <= tab.base_set, run_.name
 
 
 DIFFERENTIAL_INPUTS = {
@@ -678,3 +717,171 @@ def test_structure_and_its_inclusions_search_alike(name):
         result = tab.run()
         observed.append((result.consistent, tab.created, tab.steps, static))
     assert observed[0] == observed[1]
+
+
+# ---------------------------------------------------------------------------
+# search counters
+
+
+def _counters(tab):
+    """(or, choose and merge decisions, backjumps, peak stack depth)"""
+    return (
+        tab.or_decisions,
+        tab.choose_decisions,
+        tab.merge_decisions,
+        tab.backjumps,
+        tab.peak_depth,
+    )
+
+
+def test_search_counters_are_pinned():
+    text = _counting_text(3, "1/4")
+    tab = Tableau(reduce_ontology(parse_ontology(text)), NODE_BUDGET, STEP_BUDGET)
+    assert tab.run().consistent
+    assert _counters(tab) == (3682, 210, 0, 21, 483)
+
+
+# Consistent (its one-element model has no r-successor), yet the search
+# grows a deep tree, most of it blocked, until the node budget stops it.
+BLOWUP = "(assert (inst a (atleast 2 r (all r A))) <= 0)"
+
+
+def test_node_blowup_search_is_pinned():
+    tab = Tableau(reduce_ontology(parse_ontology(BLOWUP)), 100, STEP_BUDGET)
+    with pytest.raises(BudgetExceededError, match="node budget"):
+        tab.run()
+    assert (tab.created, tab.steps) == (101, 32126)
+    assert _counters(tab) == (1406, 213, 30, 14, 1433)
+
+
+# ---------------------------------------------------------------------------
+# the node agenda against a walk over every node
+
+
+def _reference_active(tab):
+    """The active nodes, found by a walk over every node in creation order:
+    a live node is active when its parent is (or it is the root) and no
+    earlier active node has its label."""
+    active, by_fp = set(), {}
+    for node in tab.nodes:
+        if node.pruned or not (node.parent is None or node.parent in active):
+            continue
+        twins = by_fp.get(node.fp, ())
+        if all(tab.nodes[t].label.keys() != node.label.keys() for t in twins):
+            active.add(node.id)
+            by_fp.setdefault(node.fp, []).append(node.id)
+    return active
+
+
+def _has_choose_work(tab, node):
+    """Whether a live successor of `node` has decided neither the qualifier
+    of one of its at-mosts nor its complement (never interned: absent)."""
+    for amid in node.atmosts:
+        _, role, qid = tab.interner.parts[amid]
+        nqid = tab.interner.negs[qid]
+        for child_id in tab._live_children(node, role):
+            child = tab.nodes[child_id]
+            if not tab._present_id(child, qid) and not (
+                nqid is not None and tab._present_id(child, nqid)
+            ):
+                return True
+    return False
+
+
+def _agenda_checked(tab):
+    """Make `tab` check, on entering `_find_decision`, that every node off a
+    phase's agenda has no work in that phase, and after every `_refresh`,
+    the blocking classes, the active nodes and the unmet at-leasts against a
+    walk over every node; returns the list of checked calls."""
+    find, refresh = tab._find_decision, tab._refresh
+    calls = []
+
+    def checked_find():
+        pending = tab.marked
+        for node in tab.nodes:
+            bit = node.bit
+            if not (tab.atmost_agenda | pending) & bit:
+                crowding = None if node.pruned else tab._crowding(node)
+                assert node.crowding == crowding, f"n{node.id}"
+                assert bool(tab.crowded & bit) == (crowding is not None), f"n{node.id}"
+            if node.pruned:
+                continue
+            if not (tab.scan_agenda | pending) & bit:
+                ends = (len(tab.base_ors), len(node.extra_ors))
+                assert (node.base_ptr, node.extra_ptr) == ends, f"n{node.id}"
+            if not (tab.choose_agenda | pending) & bit:
+                assert not _has_choose_work(tab, node), f"n{node.id}"
+        calls.append(len(tab.nodes))
+        return find()
+
+    def checked_refresh():
+        refresh()
+        live = [node for node in tab.nodes if not node.pruned]
+        assert set(_positions(tab.active)) == _reference_active(tab)
+        classes = {}
+        for node in live:
+            classes.setdefault(frozenset(node.label), set()).add(node.id)
+        filed = [set(_positions(t[0])) for g in tab.classes.values() for t in g]
+        assert sorted(map(sorted, filed)) == sorted(map(sorted, classes.values()))
+        unmet = {node.id for node in live if tab._unmet_atleast(node) is not None}
+        assert set(_positions(tab.unmet)) == unmet
+
+    tab._find_decision = checked_find
+    tab._refresh = checked_refresh
+    return calls
+
+
+# texts to reduce, or classical ontologies
+AGENDA_INPUTS = dict(BITSET_INPUTS, blowup=BLOWUP)
+# backjumps here restore scan pointers and labels of nodes that no later
+# fact touches
+AGENDA_INPUTS["restored"] = ClassicalOntology(
+    (
+        Inclusion(TOP, And(Exists("s", A), Exists("r", A))),
+        Inclusion(TOP, AtMost(1, "r", Implies(Name("C"), Name("C")))),
+        Inclusion(TOP, Exists("r", AtMost(0, "r", Name("C")))),
+    ),
+    (),
+    "a",
+)
+
+
+@pytest.mark.parametrize("name", sorted(AGENDA_INPUTS))
+def test_agenda_matches_a_walk_over_every_node(name):
+    o = AGENDA_INPUTS[name]
+    if isinstance(o, str):
+        o = reduce_ontology(parse_ontology(o))
+    tab = Tableau(o, 60 if name == "blowup" else NODE_BUDGET, STEP_BUDGET)
+    calls = _agenda_checked(tab)
+    try:
+        tab.run()
+    except BudgetExceededError:
+        assert name == "blowup"
+    assert max(calls) > 1
+
+
+def test_activity_flips_reach_later_twins():
+    # n2 blocks its later twin n3 until n1, relabelled like the root, is
+    # blocked by it: then n2 is below a blocked node and n3 is active
+    tab = Tableau(ClassicalOntology((), (), "a"))
+    a, b, c = (tab.interner.intern(NAtom(Name(x))) for x in "ABC")
+    root = tab._new_node(None, frozenset(), 1)
+    tab._add(root, a, 1)
+    tab._add(root, b, 1)
+    n1 = tab._new_node(root, frozenset("r"), 1)
+    tab._add(n1, b, 1)
+    n2 = tab._new_node(n1, frozenset("r"), 1)
+    tab._add(n2, c, 1)
+    n3 = tab._new_node(root, frozenset("r"), 1)
+    tab._add(n3, c, 1)
+    observed = []
+    for step in ("built", "relabelled", "undone"):
+        if step == "relabelled":
+            mark = len(tab.trail)
+            tab._add(n1, a, 1)
+        elif step == "undone":
+            tab._undo_to(mark)
+        tab._refresh()
+        assert set(_positions(tab.active)) == _reference_active(tab), step
+        observed.append(set(_positions(tab.active)))
+    assert observed == [{root, n1, n2}, {root, n3}, {root, n1, n2}]
