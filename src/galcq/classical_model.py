@@ -43,15 +43,8 @@ class Inclusion:
     rhs: Concept
 
 
-def transitivity_axioms(
-    u: OrderStructure, skip_trivial_transitivity: bool = False
-) -> tuple[Inclusion, ...]:
-    """Transitivity of every element triple, in (i, j, k) position order.
-
-    With `skip_trivial_transitivity`, instances where two vertices coincide
-    are left out: they are tautologies once totality holds, so skipping them
-    is sound.  The faithful full set is the default.
-    """
+def transitivity_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
+    """Transitivity of every element triple, in (i, j, k) position order."""
     t = u.table
     span = range(len(u))
     return tuple(
@@ -59,7 +52,6 @@ def transitivity_axioms(
         for i in span
         for j in span
         for k in span
-        if not skip_trivial_transitivity or (i != j and j != k and i != k)
     )
 
 
@@ -70,22 +62,20 @@ class ClassicalOntology:
     `axioms` are the inclusions given as objects.  A reduction also sets
     `order`, its order structure, whose transitivity family the ontology
     implies besides them without building it: `inclusions` is that family,
-    `transitivity_axioms(order, skip_trivial_transitivity)`, followed by
-    `axioms`, built on first read.  The tableau reads the family from
-    `order` instead.
+    `transitivity_axioms(order)`, followed by `axioms`, built on first
+    read.  The tableau reads the family from `order` instead.
     """
 
     axioms: tuple[Inclusion, ...]
     assertions: tuple[tuple[str, Concept], ...]
     individual: str = "a"
     order: Optional[OrderStructure] = None
-    skip_trivial_transitivity: bool = False
 
     @cached_property
     def inclusions(self) -> tuple[Inclusion, ...]:
         if self.order is None:
             return self.axioms
-        return transitivity_axioms(self.order, self.skip_trivial_transitivity) + self.axioms
+        return transitivity_axioms(self.order) + self.axioms
 
     def concepts(self) -> Iterable[Concept]:
         for inc in self.inclusions:

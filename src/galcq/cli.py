@@ -29,10 +29,12 @@ from .semantics import (
     grid_search_fuzzy_model,
 )
 from .syntax import (
+    atmost_mode,
     classical_to_sexpr,
     model_to_sexpr,
     parse_concept_text,
     parse_ontology,
+    read_forms,
 )
 from .tableau import NODE_BUDGET, check_consistency, extract_classical_model
 from .concepts import Implies
@@ -70,9 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="tableau node budget")
         p.add_argument("--depth", type=positive_int, default=4,
                        help="unraveling depth for model extraction")
-        p.add_argument("--reduce-opt", action="store_true",
-                       help="leave reflexive-trivial transitivity instances out of "
-                       "the written compilation and the brute-force oracle")
         p.add_argument("--trace", action="store_true",
                        help="print one line per tableau rule application to stderr")
 
@@ -97,13 +96,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> FuzzyOntology:
-    with open(args.ontology, encoding="utf-8") as handle:
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as handle:
         try:
-            text = handle.read()
+            return handle.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not UTF-8 (byte offset {exc.start})") from exc
-    return parse_ontology(text, at_most=args.atmost)
 
 
 def _grid(args, ontology):
@@ -132,7 +130,7 @@ def _grid(args, ontology):
 def _decide(ontology: FuzzyOntology, args) -> bool:
     """Run the pipeline on a prepared ontology; returns consistency."""
     trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
-    reduced = reduce_ontology(ontology, skip_trivial_transitivity=args.reduce_opt)
+    reduced = reduce_ontology(ontology)
     if args.emit_reduction:
         with open(args.emit_reduction, "w", encoding="utf-8") as handle:
             handle.write(classical_to_sexpr(reduced))
@@ -208,7 +206,8 @@ def run_task(args) -> int:
     `sat` asserts `C >= d` and `subsumes` asserts `(C => D) < d` at the
     individual, in place of the input's assertions.
     """
-    ontology = _load(args)
+    text = _read(args.ontology)
+    ontology = parse_ontology(text, at_most=args.atmost)
     if args.command != "check":
         if ontology.abox:
             print(
@@ -217,7 +216,7 @@ def run_task(args) -> int:
                 file=sys.stderr,
             )
         degree = parse_degree(args.degree)
-        mode = args.atmost or "involutive"
+        mode = atmost_mode(read_forms(text), args.atmost)
         if args.command == "sat":
             concept, rel = parse_concept_text(args.concept, mode), ">="
         else:
@@ -237,9 +236,8 @@ def run_task(args) -> int:
 
 
 def run_reduce(args) -> int:
-    ontology = _load(args)
-    reduced = reduce_ontology(ontology, skip_trivial_transitivity=args.reduce_opt)
-    text = classical_to_sexpr(reduced)
+    ontology = parse_ontology(_read(args.ontology), at_most=args.atmost)
+    text = classical_to_sexpr(reduce_ontology(ontology))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)

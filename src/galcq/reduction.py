@@ -149,9 +149,7 @@ def tbox_axioms(o: FuzzyOntology, u: OrderStructure) -> tuple[Inclusion, ...]:
     return tuple(out)
 
 
-def reduce_ontology(
-    o: FuzzyOntology, skip_trivial_transitivity: bool = False
-) -> ClassicalOntology:
+def reduce_ontology(o: FuzzyOntology) -> ClassicalOntology:
     """Full reduction; expects a normalized ontology with a local ABox.
 
     Raises BudgetExceededError, before building any axiom family, when the
@@ -174,10 +172,4 @@ def reduce_ontology(
         + transfer_axioms(u)
         + tbox_axioms(o, u)
     )
-    return ClassicalOntology(
-        axioms,
-        abox_assertions(o, u.leq),
-        o.individual,
-        order=u,
-        skip_trivial_transitivity=skip_trivial_transitivity,
-    )
+    return ClassicalOntology(axioms, abox_assertions(o, u.leq), o.individual, order=u)

@@ -286,33 +286,38 @@ def _parse_classical_assertion(node):
     return ConceptAssertion(individual, concept)
 
 
+def atmost_mode(forms: list, at_most: str | None = None) -> str:
+    """The at-most expansion of an ontology read by `read_forms`: `at_most`
+    if given, else the forms' `(set-option :atmost ...)` directive, else
+    "involutive".  Checks every directive either way."""
+    mode = None
+    for form in forms:
+        head = form.items[0] if isinstance(form, SList) and form.items else None
+        if not isinstance(head, SAtom) or head.text != "set-option":
+            continue
+        if len(form.items) != 3:
+            raise ParseError("set-option takes 2 arguments", form.line, form.column)
+        key = _expect_atom(form.items[1], "option key")
+        val = _expect_atom(form.items[2], "option value")
+        if key != ":atmost" or val not in ("involutive", "residual"):
+            raise ParseError(f"unknown option {key} {val}", form.line, form.column)
+        if mode is not None and mode != val:
+            raise ParseError("conflicting :atmost directives", form.line, form.column)
+        mode = val
+    return at_most or mode or "involutive"
+
+
 def parse_ontology(text: str, at_most: str | None = None) -> FuzzyOntology:
     """Parse, expand abbreviations, normalize, and enforce locality.
 
     `at_most` overrides the file's `(set-option :atmost ...)` directive.
     """
     forms = read_forms(text)
-    mode = None
-    axiom_forms = []
-    for form in forms:
-        if isinstance(form, SList) and form.items and isinstance(form.items[0], SAtom) \
-                and form.items[0].text == "set-option":
-            if len(form.items) != 3:
-                raise ParseError("set-option takes 2 arguments", form.line, form.column)
-            key = _expect_atom(form.items[1], "option key")
-            val = _expect_atom(form.items[2], "option value")
-            if key != ":atmost" or val not in ("involutive", "residual"):
-                raise ParseError(f"unknown option {key} {val}", form.line, form.column)
-            if mode is not None and mode != val:
-                raise ParseError("conflicting :atmost directives", form.line, form.column)
-            mode = val
-        else:
-            axiom_forms.append(form)
-    mode = at_most or mode or "involutive"
+    mode = atmost_mode(forms, at_most)
 
     abox = []
     tbox = []
-    for form in axiom_forms:
+    for form in forms:
         if not isinstance(form, SList) or not form.items:
             raise ParseError("expected an axiom form", form.line, form.column)
         head = _expect_atom(form.items[0], "axiom head")
@@ -349,7 +354,7 @@ def parse_ontology(text: str, at_most: str | None = None) -> FuzzyOntology:
             left = ConceptAssertion(left.individual, normalize(left.concept, mode))
             right = ConceptAssertion(right.individual, normalize(right.concept, mode))
             abox.append(OrderAssertion(left, rel, right))
-        else:
+        elif head != "set-option":  # read by atmost_mode
             raise ParseError(f"unknown axiom form {head!r}", form.line, form.column)
 
     if not is_local(abox):
@@ -455,15 +460,10 @@ def classical_to_sexpr(o: ClassicalOntology) -> str:
     if o.order is not None:
         atoms = [[leq(a) for a in row] for row in o.order.table]
         span = range(len(atoms))
-        skip = o.skip_trivial_transitivity
         for i in span:
             for j in span:
                 head, row = f"(gci (and {atoms[i][j]} ", atoms[j]
-                inclusion_lines.extend(
-                    f"{head}{row[k]}) {atoms[i][k]})"
-                    for k in span
-                    if not skip or i != j != k != i
-                )
+                inclusion_lines.extend(f"{head}{row[k]}) {atoms[i][k]})" for k in span)
     inclusion_lines.sort()
     return "\n".join(assertion_lines + inclusion_lines) + "\n"
 

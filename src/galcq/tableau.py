@@ -309,7 +309,6 @@ class Tableau:
         step_budget: int = STEP_BUDGET,
         trace: Optional[Callable[[str], None]] = None,
     ):
-        self.onto = ontology
         self.node_budget = node_budget
         self.step_budget = step_budget
         self.trace = None  # set after the silent static pre-pass
@@ -330,15 +329,15 @@ class Tableau:
         self.peak_depth = 0
         # the node agenda, bitsets over node ids: `marked` the nodes changed
         # since the last `_find_decision` (a node and its parent on every
-        # change), per phase of `_find_decision` the nodes that may have
-        # work in it, and `stale` the nodes marked since the last
+        # change), `crowded` the nodes with crowded at-mosts, per later
+        # phase of `_find_decision` the nodes that may have work in it,
+        # and `stale` the nodes marked since the last
         # `_refresh`, which keeps `unmet`, the live nodes with an unmet
         # at-least.  Blocking: `relabelled` holds the nodes whose label, or
         # whether they live, changed since the last `_refresh`; `classes`
         # files every live node by label fingerprint, in classes of equal
         # labels ([bits, fingerprint]); `active` is the set of active nodes
         self.marked = 0
-        self.atmost_agenda = 0
         self.crowded = 0
         self.scan_agenda = 0
         self.choose_agenda = 0
@@ -831,7 +830,6 @@ class Tableau:
         live = (1 << len(self.nodes)) - 1
         self.marked = marked & live
         self.relabelled = relabelled
-        self.atmost_agenda &= live
         self.crowded &= live
         self.scan_agenda &= live
         self.choose_agenda &= live
@@ -1042,20 +1040,18 @@ class Tableau:
         marked = self.marked
         if marked:
             self.marked = 0
-            self.atmost_agenda |= marked
             self.scan_agenda |= marked
             self.choose_agenda |= marked
             self.stale |= marked
-        # at-most bookkeeping: clash detection and merge candidates, at the
-        # nodes with crowded at-mosts
-        for x in _positions(self.atmost_agenda):
+        # at-most bookkeeping: crowding is recomputed at the marked nodes;
+        # clash detection and merge candidates at the crowded ones
+        for x in _positions(marked):
             node = nodes[x]
             node.crowding = None if node.pruned else self._crowding(node)
             if node.crowding is None:
                 self.crowded &= ~node.bit
             else:
                 self.crowded |= node.bit
-        self.atmost_agenda = 0
         merge_option = None
         for x in _positions(self.crowded):
             conflict, pairs = nodes[x].crowding

@@ -206,6 +206,23 @@ def test_atmost_flag_changes_verdict(tmp_path, capsys):
     assert run(["check", path, "--atmost", "involutive"]) == 0
 
 
+def test_query_concepts_follow_the_files_atmost_directive(tmp_path, capsys):
+    # residual at-most is crisp: a concept and its complement cannot both
+    # reach 1/2, and their disjunction always reaches 1
+    path = _write(tmp_path, "(set-option :atmost residual)\n")
+    at_most = "(atmost 1 r top)"
+    sat = ["sat", path, "-c", f"(and {at_most} (not {at_most}))", "-d", "1/2"]
+    subsumes = ["subsumes", path, "--lhs", "top", "--rhs", f"(or {at_most} (not {at_most}))",
+                "-d", "1"]
+    assert run(sat) == 1
+    assert run(subsumes) == 0
+    assert capsys.readouterr().out.split("\n")[:2] == ["UNSATISFIABLE", "SUBSUMED"]
+    # the flag still overrides the file
+    assert run(sat + ["--atmost", "involutive"]) == 0
+    assert run(subsumes + ["--atmost", "involutive"]) == 1
+    assert capsys.readouterr().out.split("\n")[:2] == ["SATISFIABLE", "NOT SUBSUMED"]
+
+
 def test_trace_goes_to_stderr(tmp_path, capsys):
     path = _write(tmp_path, "(assert (inst a A) >= 1/2)")
     assert run(["check", path, "--trace"]) == 0
@@ -245,17 +262,3 @@ def test_huge_degree_exponent_exits_2_quickly(tmp_path, capsys):
         assert run(argv) == 2
         assert time.monotonic() - start < 1.0
         assert "degree exponent larger than" in capsys.readouterr().err
-
-
-def test_reduce_opt_shrinks_output_same_verdicts(tmp_path, capsys):
-    path = _write(tmp_path, "(assert (inst a (and A (not A))) >= 0.5)")
-    full = tmp_path / "full.sexp"
-    slim = tmp_path / "slim.sexp"
-    assert run(["reduce", path, "-o", str(full)]) == 0
-    assert run(["reduce", path, "--reduce-opt", "-o", str(slim)]) == 0
-    n_full = len(parse_classical(full.read_text(encoding="utf-8")).inclusions)
-    n_slim = len(parse_classical(slim.read_text(encoding="utf-8")).inclusions)
-    assert n_slim < n_full
-    assert run(["check", path, "--reduce-opt"]) == 0
-    bad = _write(tmp_path, "(assert (inst a (and A (not A))) >= 0.6)", "bad.sexp")
-    assert run(["check", bad, "--reduce-opt"]) == 1

@@ -103,12 +103,6 @@ def test_transitivity_count_is_cubic():
     assert len(set(axioms)) == n**3  # all instances distinct
 
 
-def test_reduced_transitivity_drops_degenerate_triples():
-    u = _structure()
-    n = len(u.elements)
-    assert len(transitivity_axioms(u, skip_trivial_transitivity=True)) == n * (n - 1) * (n - 2)
-
-
 def test_family_counts():
     u = _structure()
     n = len(u.elements)
@@ -242,12 +236,11 @@ def test_deciding_a_reduction_leaves_its_inclusions_unbuilt():
     assert "inclusions" not in vars(red)
 
 
-@pytest.mark.parametrize("skip", [False, True])
-def test_inclusions_are_the_transitivity_family_then_the_rest(skip):
+def test_inclusions_are_the_transitivity_family_then_the_rest():
     o = parse_ontology("(assert (inst a (some r A)) >= 1/2)\n(gci A B >= 0.3)")
-    red = reduce_ontology(o, skip_trivial_transitivity=skip)
+    red = reduce_ontology(o)
     u = red.order
-    assert u == OrderStructure.from_ontology(o) and red.skip_trivial_transitivity == skip
+    assert u == OrderStructure.from_ontology(o)
     assert red.axioms == (
         totality_axioms(u)
         + bounds_axioms(u)
@@ -257,5 +250,5 @@ def test_inclusions_are_the_transitivity_family_then_the_rest(skip):
         + tbox_axioms(o, u)
     )
     inclusions = red.inclusions
-    assert inclusions == transitivity_axioms(u, skip) + red.axioms
+    assert inclusions == transitivity_axioms(u) + red.axioms
     assert inclusions is red.inclusions  # built once

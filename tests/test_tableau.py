@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 from conftest import CORPUS, NODE_BUDGET, STEP_BUDGET
@@ -406,7 +405,11 @@ def test_static_pass_is_not_traced():
 def _read_inclusions(ontology):
     """The inclusions the tableau reads: all but the transitivity triples
     with two coinciding positions."""
-    return replace(ontology, skip_trivial_transitivity=True).inclusions
+    n = 0 if ontology.order is None else len(ontology.order)
+    positions = itertools.product(range(n), repeat=3)
+    family = ontology.inclusions[: n**3]
+    distinct = (inc for inc, p in zip(family, positions) if len(set(p)) == 3)
+    return (*distinct, *ontology.axioms)
 
 
 def _reference_base(ontology):
@@ -663,14 +666,6 @@ def test_corpus_verdicts_do_not_depend_on_inclusion_order(corpus_runs):
         assert tab.run().consistent == run_.consistent, run_.name
 
 
-def test_corpus_verdicts_survive_skipping_trivial_transitivity(corpus_runs):
-    for run_ in corpus_runs:
-        red = reduce_ontology(run_.ontology, skip_trivial_transitivity=True)
-        tab = Tableau(red, NODE_BUDGET, STEP_BUDGET)
-        assert tab.order_n == len(red.order)
-        assert tab.run().consistent == run_.consistent, run_.name
-
-
 def test_dropped_triples_are_implied(corpus_runs):
     # a transitivity triple with two coinciding positions holds a literal and
     # its complement, or has the disjunct leq(m, m), which totality makes a
@@ -800,7 +795,7 @@ def _agenda_checked(tab):
         pending = tab.marked
         for node in tab.nodes:
             bit = node.bit
-            if not (tab.atmost_agenda | pending) & bit:
+            if not pending & bit:
                 crowding = None if node.pruned else tab._crowding(node)
                 assert node.crowding == crowding, f"n{node.id}"
                 assert bool(tab.crowded & bit) == (crowding is not None), f"n{node.id}"
