@@ -54,7 +54,7 @@ from .errors import (
     ParseError,
     ReasonerError,
 )
-from .extraction import ValueAssignment, extract_fuzzy_model
+from .extraction import ValueAssignment, certify, extract_fuzzy_model
 from .nnf import nnf, nnf_not
 from .ontology import (
     ConceptAssertion,

@@ -17,17 +17,11 @@ from fractions import Fraction
 from .algebra import ValueSet, parse_degree
 from .bruteforce import brute_force_consistency
 from .errors import BudgetExceededError, ParseError, ReasonerError
-from .extraction import extract_fuzzy_model
+from .extraction import certify
 from .ontology import ConceptAssertion, FuzzyOntology, OrderAssertion, value_closure
-from .ontology import certification_margin
 from .ontology import roles as ontology_roles
 from .reduction import reduce_ontology
-from .semantics import (
-    GRID_BUDGET,
-    check_fuzzy_model,
-    concept_names,
-    grid_search_fuzzy_model,
-)
+from .semantics import GRID_BUDGET, concept_names, grid_search_fuzzy_model
 from .syntax import (
     atmost_mode,
     classical_to_sexpr,
@@ -36,7 +30,7 @@ from .syntax import (
     parse_ontology,
     read_forms,
 )
-from .tableau import NODE_BUDGET, check_consistency, extract_classical_model
+from .tableau import NODE_BUDGET, check_consistency
 from .concepts import Implies
 
 
@@ -61,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--emit-reduction", metavar="PATH",
                        help="write the classical compilation here")
         p.add_argument("--emit-model", metavar="PATH",
-                       help="on a positive verdict, write an extracted fuzzy model here")
+                       help="write an extracted fuzzy model here: a model on "
+                            "CONSISTENT/SATISFIABLE, a countermodel on NOT SUBSUMED")
         p.add_argument("--oracle", choices=("off", "grid", "brute"), default="off",
                        help="cross-check the verdict with an independent oracle")
         p.add_argument("--grid-step", metavar="P/Q", default=None,
@@ -71,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=positive_int, default=NODE_BUDGET,
                        help="tableau node budget")
         p.add_argument("--depth", type=positive_int, default=4,
-                       help="unraveling depth for model extraction")
+                       help="unraveling depth for model extraction; must exceed "
+                            "the ontology's quantifier depth")
         p.add_argument("--trace", action="store_true",
                        help="print one line per tableau rule application to stderr")
 
@@ -172,13 +168,7 @@ def _decide(ontology: FuzzyOntology, args) -> bool:
                 )
 
     if args.emit_model and result.consistent:
-        tree = extract_classical_model(result.graph, depth=args.depth)
-        interp, _ = extract_fuzzy_model(tree, reduced.order, ontology.individual)
-        report = check_fuzzy_model(
-            interp, ontology, elements=tree.interior(certification_margin(ontology))
-        )
-        if not report.satisfied:
-            raise ReasonerError(f"extracted model failed verification: {report.violation}")
+        interp, _ = certify(ontology, reduced, result.graph, args.depth)
         with open(args.emit_model, "w", encoding="utf-8") as handle:
             handle.write(
                 model_to_sexpr(

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import involutive_negation
-from .classical_model import ClassicalInterpretation
+from .classical_model import ClassicalInterpretation, ClassicalOntology
 from .concepts import Name
-from .errors import MalformedModelError
+from .errors import MalformedModelError, ReasonerError
+from .ontology import FuzzyOntology, certification_margin
 from .orders import (
     ConceptElement,
     EdgeElement,
@@ -27,7 +28,8 @@ from .orders import (
     ValueElement,
     invert,
 )
-from .semantics import FuzzyInterpretation
+from .semantics import FuzzyInterpretation, check_fuzzy_model
+from .tableau import CompletionGraph, extract_classical_model
 
 
 @dataclass
@@ -242,4 +244,30 @@ def extract_fuzzy_model(
         role_values=role_values,
         individuals={individual: tree.root},
     )
+    return interp, assignment
+
+
+def certify(
+    ontology: FuzzyOntology,
+    reduction: ClassicalOntology,
+    graph: CompletionGraph,
+    depth: int,
+) -> tuple[FuzzyInterpretation, ValueAssignment]:
+    """Unravel a clash-free completion graph of `reduction` to `depth`, read
+    the fuzzy model off the tree, and check it wherever the tree is farther
+    than the ontology's quantifier depth from a truncated leaf.  Raises
+    ReasonerError when that excludes the root or the model fails the check.
+    """
+    margin = certification_margin(ontology)
+    tree = extract_classical_model(graph, depth)
+    elements = tree.interior(margin)
+    if tree.root not in elements:
+        raise ReasonerError(
+            f"depth {depth} certifies nothing: it must exceed the quantifier "
+            f"depth {margin}, so use {margin + 1} or more"
+        )
+    interp, assignment = extract_fuzzy_model(tree, reduction.order, ontology.individual)
+    report = check_fuzzy_model(interp, ontology, elements=elements)
+    if not report.satisfied:
+        raise ReasonerError(f"extracted model failed verification: {report.violation}")
     return interp, assignment

@@ -124,8 +124,6 @@ def ontology_size(o: FuzzyOntology) -> int:
 
 def certification_margin(o: FuzzyOntology) -> int:
     """Distance from the truncated leaves beyond which an extracted model
-    must satisfy the ontology: the largest quantifier depth of a TBox side
-    or an assertion's left-hand concept, 0 when there is none."""
-    depths = [quantifier_depth(c) for g in o.tbox for c in (g.lhs, g.rhs)]
-    depths += [quantifier_depth(a.left.concept) for a in o.abox]
-    return max(depths, default=0)
+    must satisfy the ontology: the largest quantifier depth of a concept in
+    an assertion or an inclusion, 0 when there is none."""
+    return max(map(quantifier_depth, o.concepts()), default=0)

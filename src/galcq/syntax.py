@@ -265,7 +265,7 @@ def _parse_relator(node) -> str:
     return token
 
 
-def _parse_classical_assertion(node):
+def _parse_classical_assertion(node, allow_order_atoms: bool = False):
     if not isinstance(node, SList) or not node.items:
         raise ParseError("expected (inst ...) assertion", node.line, node.column)
     head = _expect_atom(node.items[0], "assertion head")
@@ -282,7 +282,7 @@ def _parse_classical_assertion(node):
     individual = _expect_atom(subject, "individual name")
     if individual in RESERVED or _is_numeric(individual):
         raise ParseError(f"bad individual name {individual!r}", node.line, node.column)
-    concept = parse_concept(node.items[2])
+    concept = parse_concept(node.items[2], allow_order_atoms)
     return ConceptAssertion(individual, concept)
 
 
@@ -490,16 +490,9 @@ def parse_classical(text: str) -> ClassicalOntology:
         elif head == "assert":
             if len(form.items) != 2:
                 raise ParseError("classical assert takes 1 argument", form.line, form.column)
-            inst = form.items[1]
-            if (
-                not isinstance(inst, SList)
-                or len(inst.items) != 3
-                or _expect_atom(inst.items[0], "inst") != "inst"
-            ):
-                raise ParseError("expected (inst a C)", inst.line, inst.column)
-            ind = _expect_atom(inst.items[1], "individual name")
-            individuals.add(ind)
-            assertions.append((ind, parse_concept(inst.items[2], allow_order_atoms=True)))
+            inst = _parse_classical_assertion(form.items[1], allow_order_atoms=True)
+            individuals.add(inst.individual)
+            assertions.append((inst.individual, inst.concept))
         else:
             raise ParseError(f"unknown classical form {head!r}", form.line, form.column)
     if len(individuals) > 1:

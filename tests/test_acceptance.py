@@ -10,16 +10,7 @@ import time
 from fractions import Fraction
 
 import galcq
-from galcq import (
-    certification_margin,
-    check_fuzzy_model,
-    extract_classical_model,
-    extract_fuzzy_model,
-    parse_ontology,
-    reduce_ontology,
-    residuum,
-    t_norm,
-)
+from galcq import certify, parse_ontology, reduce_ontology, residuum, t_norm
 from galcq.cli import run
 from galcq.ontology import ontology_size
 from galcq.classical_model import transitivity_axioms
@@ -120,15 +111,9 @@ def test_criterion_4_extraction_pipeline(corpus_runs, capsys):
     for run_ in corpus_runs:
         if not run_.consistent:
             continue
-        o = run_.ontology
-        structure = galcq.OrderStructure.from_ontology(o)
-        tree = extract_classical_model(run_.graph, depth=4)
-        interp, assignment = extract_fuzzy_model(tree, structure, o.individual)
+        _, assignment = certify(run_.ontology, run_.reduction, run_.graph, depth=4)
         violations = assignment.check_properties()
         assert violations == [], f"{run_.name}: {violations[:3]}"
-        elements = tree.interior(certification_margin(o))
-        report = check_fuzzy_model(interp, o, elements=elements)
-        assert report.satisfied, f"{run_.name}: {report.violation}"
         checked += 1
     assert checked >= 15
     elapsed = time.monotonic() - start

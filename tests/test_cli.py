@@ -171,6 +171,37 @@ def test_emit_model_verifies(tmp_path, capsys):
     assert "(role r" in text
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "text, least",
+    [
+        ("(gci top (some r (some r A)) >= 1/2)\n(assert (inst a A) >= 1/2)", 3),
+        ("(assert-cmp (inst a A) < (inst a (some r (some r (some r B)))))", 4),
+    ],
+    ids=["gci", "assert-cmp"],
+)
+def test_emit_model_depth_must_exceed_quantifier_depth(tmp_path, capsys, text, least, depth):
+    # no deeper than the quantifier depth, the unravelled tree has no element
+    # far enough from its cut leaves for the axioms to be checked there
+    path = _write(tmp_path, text)
+    out = tmp_path / "model.sexp"
+    code = run(["check", path, "--emit-model", str(out), "--depth", str(depth)])
+    assert (code, out.exists()) == ((0, True) if depth >= least else (2, False))
+    if depth < least:
+        assert f"use {least} or more" in capsys.readouterr().err
+
+
+def test_subsumes_emits_a_countermodel_on_not_subsumed_only(tmp_path, capsys):
+    # the task ontology asserts (A => B) < d, so its models are countermodels
+    path = _write(tmp_path, "(gci A B >= 1/2)")
+    out = tmp_path / "model.sexp"
+    argv = ["subsumes", path, "--lhs", "A", "--rhs", "B", "--emit-model", str(out)]
+    assert run(argv + ["-d", "1/2"]) == 0
+    assert not out.exists()
+    assert run(argv + ["-d", "1"]) == 1
+    assert out.read_text(encoding="utf-8").startswith("(model")
+
+
 @pytest.mark.parametrize("flag", ["--depth", "--max-domain", "--budget"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_counts_below_one_exit_2(tmp_path, capsys, flag, value):

@@ -9,10 +9,8 @@ from galcq import (
     Name,
     Not,
     OrderStructure,
-    certification_margin,
+    certify,
     check_consistency,
-    check_fuzzy_model,
-    extract_classical_model,
     extract_fuzzy_model,
     parse_ontology,
     reduce_ontology,
@@ -126,19 +124,17 @@ def test_constant_order_violation_diagnosed():
         extract_fuzzy_model(tree, structure)
 
 
-def test_pipeline_assigns_coherent_values():
-    text = "(assert (inst a (some r A)) = 1/2)"
+def _certified_assignment(text):
     o = parse_ontology(text)
     red = reduce_ontology(o)
     result = check_consistency(red)
     assert result.consistent
-    tree = extract_classical_model(result.graph, depth=4)
-    structure = OrderStructure.from_ontology(o)
-    interp, assignment = extract_fuzzy_model(tree, structure, o.individual)
+    return certify(o, red, result.graph, depth=4)[1]
+
+
+def test_pipeline_assigns_coherent_values():
+    assignment = _certified_assignment("(assert (inst a (some r A)) = 1/2)")
     assert assignment.check_properties() == []
-    elements = tree.interior(certification_margin(o))
-    report = check_fuzzy_model(interp, o, elements=elements)
-    assert report.satisfied
 
 
 def test_anonymous_class_between_shifted_anchors():
@@ -182,13 +178,4 @@ def test_anonymous_class_between_shifted_anchors():
 
 def test_pipeline_duality_case():
     text = "(assert-cmp (inst a (some r A)) < (inst a (not (all r (not A)))))"
-    o = parse_ontology(text)
-    red = reduce_ontology(o)
-    result = check_consistency(red)
-    assert result.consistent
-    tree = extract_classical_model(result.graph, depth=4)
-    structure = OrderStructure.from_ontology(o)
-    interp, assignment = extract_fuzzy_model(tree, structure, o.individual)
-    assert assignment.check_properties() == []
-    report = check_fuzzy_model(interp, o, elements=tree.interior(1))
-    assert report.satisfied
+    assert _certified_assignment(text).check_properties() == []

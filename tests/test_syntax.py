@@ -142,6 +142,14 @@ def test_reserved_words_rejected_as_names():
         parse_ontology("(assert (inst a (some 3 A)) >= 1/2)")
 
 
+@pytest.mark.parametrize("name", ["top", "0", "leq"])
+def test_both_readers_refuse_the_same_individual_names(name):
+    with pytest.raises(ParseError, match="bad individual name"):
+        parse_ontology(f"(assert (inst {name} A) >= 1/2)")
+    with pytest.raises(ParseError, match="bad individual name"):
+        parse_classical(f"(assert (inst {name} A))")
+
+
 def test_concept_printer_handles_value_atoms():
     o = parse_ontology("(assert (inst a A) >= 1/2)")
     red = reduce_ontology(o)
