@@ -9,16 +9,19 @@ large.
 One reader: every constraint is read into negation normal form over one
 shared literal table, the global axioms by `nnf.inclusion_nnf` (the reader
 the tableau uses too) and the root assertions by `nnf.nnf`.  A flat
-formula becomes clauses, lists of literals.  One evaluator, `_value`, gives
-any other formula a three-valued value; quantified parts are unknown.
+formula becomes clauses.  One evaluator, `_value`, gives any other
+formula a three-valued value; quantified parts are unknown.  The
+transitivity family is read from `order.table` by position, without an
+inclusion per triple; an ontology without a structure has it among its
+axioms.
 
 Candidate element labels are enumerated by backtracking over the atoms,
-pruning assignments that already falsify a quantifier-free global axiom.  A
-clause can only turn false when its last atom is assigned, so it is checked
-once, two-valued, at that atom; any other quantifier-free axiom is
-evaluated at every atom it mentions.  The reachable search space is
-unchanged, only its traversal is cheaper.  The oracle shares no part of the
-tableau's search.
+pruning assignments that already falsify a quantifier-free global axiom.
+Each atom is a bit position, a partial label one int and a clause a pair
+of int masks, checked once, at its last position, by a few bit
+operations; any other quantifier-free axiom is evaluated at every atom it
+mentions.  Only the labels returned become sets of atoms.  The oracle
+shares no part of the tableau's search.
 """
 
 from __future__ import annotations
@@ -81,6 +84,17 @@ def _literals(n) -> Optional[list]:
     return out
 
 
+def _masks(literals, position) -> tuple[int, int]:
+    """A clause of NNF literals as its (positives, negatives) position masks."""
+    pos = neg = 0
+    for d in literals:
+        if type(d) is NAtom:
+            pos |= 1 << position[d.atom]
+        else:
+            neg |= 1 << position[d.atom]
+    return pos, neg
+
+
 def _mentions(n) -> Optional[set]:
     """The atoms of a quantifier-free NNF formula, None if it has a
     quantifier."""
@@ -100,59 +114,93 @@ def _mentions(n) -> Optional[set]:
 def _candidate_labels(atoms, clauses, formulas, budget: int) -> list[frozenset]:
     """All atom subsets compatible with the quantifier-free global axioms.
 
-    Backtracking over `atoms` in order.  Each clause is kept as (position,
-    sign) pairs under its largest position and tested two-valued when that
-    position is assigned; an empty clause leaves no label.  The other
-    `formulas` are evaluated three-valued whenever one of their atoms is
-    assigned, so each gets a definite verdict at its last mention.
+    A partial label is an int `v` whose bit p is the value of `atoms[p]`,
+    extended by backtracking over the positions in order, False first.  A
+    clause is a pair (positives, negatives) of position masks.  A
+    tautology is dropped and an empty clause leaves no label.  Any other
+    clause is filed under its last position q and the value b there that
+    falsifies its literal at q; with `mask` its other positions, it then
+    fails exactly when `v & mask == negatives & mask`.  When at most one
+    literal remains, it folds into the must-be-true or must-be-false mask
+    of (q, b) instead: the remaining literal, or q's own when none does.
+    The other `formulas` are evaluated three-valued whenever one of their
+    atoms is assigned, so each gets a definite verdict at its last mention.
     """
-    position = {a: i for i, a in enumerate(atoms)}
-    at_last = [[] for _ in atoms]
-    for clause in clauses:
-        if not clause:
+    n_atoms = len(atoms)
+    must_true = [0] * (2 * n_atoms)  # index 2q + b: the rules of q = b
+    must_false = [0] * (2 * n_atoms)
+    wide = [[] for _ in must_true]
+    for pos, neg in clauses:
+        if pos & neg:
+            continue
+        mask = pos | neg
+        if not mask:
             return []
-        pairs = [(position[d.atom], type(d) is NAtom) for d in clause]
-        at_last[max(pairs)[0]].append(pairs)
+        q = mask.bit_length() - 1
+        top = 1 << q
+        k = 2 * q + (not pos & top)  # b = 1 falsifies a negative literal
+        mask ^= top
+        if mask & (mask - 1):
+            wide[k].append((mask, neg & mask))
+        else:
+            one = mask or top
+            if pos & one:
+                must_true[k] |= one
+            else:
+                must_false[k] |= one
+    position = {a: p for p, a in enumerate(atoms)}
     at_each = [[] for _ in atoms]
     for f in formulas:
         for a in _mentions(f):
             at_each[position[a]].append(f)
-    out = []
-    n_atoms = len(atoms)
-    values = [False] * n_atoms  # read only at positions already assigned
-    visits = 0
 
-    def ok(i: int) -> bool:
-        for pairs in at_last[i]:
-            for p, sign in pairs:
-                if values[p] is sign:
-                    break
-            else:
+    def ok(i: int, v: int) -> bool:
+        k = 2 * i + (v >> i & 1)
+        t = must_true[k]
+        if v & t != t or v & must_false[k]:
+            return False
+        for mask, neg in wide[k]:
+            if v & mask == neg:
                 return False  # every literal falsified
         if at_each[i]:
-            get = lambda a: values[position[a]] if position[a] <= i else None
+            get = lambda a: v >> position[a] & 1 == 1 if position[a] <= i else None
             for f in at_each[i]:
                 if _value(f, get) is False:
                     return False
         return True
 
-    def rec(i: int):
-        nonlocal visits
+    out = []
+    pending = []  # positions whose True is still to try
+    visits, i, v = 0, 0, 0  # v: the values of the positions below i
+    while True:
         visits += 1
         if visits > budget:
             raise BudgetExceededError("label enumeration budget exhausted")
         if i == n_atoms:
-            out.append(frozenset(a for a, v in zip(atoms, values) if v))
-            if len(out) > budget:
-                raise BudgetExceededError("too many candidate labels")
-            return
-        for value in (False, True):
-            values[i] = value
-            if ok(i):
-                rec(i + 1)
+            out.append(v)
+        else:
+            pending.append(i)
+            if ok(i, v):
+                i += 1
+                continue
+        while pending:  # back to the deepest False whose True is open
+            i = pending.pop()
+            v = v & ((1 << i) - 1) | 1 << i
+            if ok(i, v):
+                break
+        else:
+            break
+        i += 1
+    return [frozenset(a for p, a in enumerate(atoms) if v >> p & 1) for v in out]
 
-    rec(0)
-    return out
+
+def _transitivity(order, position) -> list:
+    """The transitivity family of `order` as clause masks, read from its
+    table by position: (i, j, k) is not leq(i, j) or not leq(j, k) or
+    leq(i, k).  Triples with i = j or j = k are tautologies."""
+    bit = [[1 << position[a] for a in row] for row in order.table]
+    span = range(len(bit))
+    return [(bit[i][k], bit[i][j] | bit[j][k]) for i in span for j in span for k in span]
 
 
 def _prefix_order(atoms):
@@ -190,14 +238,16 @@ def brute_force_consistency(
     """
     atoms, roles = o.signature()
     atoms = _prefix_order(atoms)
+    position = {a: p for p, a in enumerate(atoms)}
+    clauses = [] if o.order is None else _transitivity(o.order, position)
+    formulas = []
     lits = Literals()
-    clauses, formulas = [], []
-    for inc in o.inclusions:
+    for inc in o.axioms:
         read = inclusion_nnf(inc, lits)
         if type(read) is list:
-            clauses.append(read)
+            clauses.append(_masks(read, position))
         elif (flat := _literals(read)) is not None:
-            clauses += flat
+            clauses += (_masks(c, position) for c in flat)
         elif _mentions(read) is not None:
             formulas.append(read)
     labels = _candidate_labels(atoms, clauses, formulas, budget)

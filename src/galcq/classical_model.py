@@ -63,7 +63,8 @@ class ClassicalOntology:
     `order`, its order structure, whose transitivity family the ontology
     implies besides them without building it: `inclusions` is that family,
     `transitivity_axioms(order)`, followed by `axioms`, built on first
-    read.  The tableau reads the family from `order` instead.
+    read.  The tableau, the printer and the brute-force oracle read the
+    family from `order` instead.
     """
 
     axioms: tuple[Inclusion, ...]
@@ -86,9 +87,18 @@ class ClassicalOntology:
 
     def signature(self) -> tuple[tuple, tuple[str, ...]]:
         """Atomic concepts (names and order atoms) and roles, each in
-        post-order of first occurrence, from one walk of the subconcepts."""
+        post-order of first occurrence over `inclusions`, then the
+        assertions.
+
+        The transitivity family has no role, and its triples (0, j, k) meet
+        the atoms of `order.table` row by row, so the family's atoms are
+        read from the table; one walk of the subconcepts covers the rest.
+        """
         atoms, roles = {}, {}
-        for c in self.concepts():
+        if self.order is not None:
+            atoms = dict.fromkeys(a for row in self.order.table for a in row)
+        sides = [c for inc in self.axioms for c in (inc.lhs, inc.rhs)]
+        for c in sides + [c for _, c in self.assertions]:
             for s in subconcepts(c):
                 atom = atom_of(s)
                 if atom is not None:

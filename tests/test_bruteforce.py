@@ -1,3 +1,5 @@
+import itertools
+import random
 import time
 
 import pytest
@@ -18,7 +20,9 @@ from galcq import (
     parse_ontology,
     reduce_ontology,
 )
+from galcq.bruteforce import _candidate_labels, _masks, _value
 from galcq.concepts import BOT, TOP, And
+from galcq.nnf import Literals, NAtom, mk_and, mk_or
 
 A = Name("A")
 B = Name("B")
@@ -92,6 +96,15 @@ def test_empty_clause_leaves_no_label():
     result = brute_force_consistency(o, max_domain=3)
     assert time.monotonic() - start < 1.0
     assert (result.consistent, result.completed_domain) == (False, 3)
+
+
+def test_label_enumeration_is_deeper_than_the_recursion_limit():
+    # chain k = 8 has 1,369 atoms; a recursive enumeration overflowed the
+    # interpreter's stack on its first descent, before any budget fired
+    atoms = [Name(f"P{i}") for i in range(1_200)]
+    o = ClassicalOntology(tuple(Inclusion(a, TOP) for a in atoms), (), "a")
+    with pytest.raises(BudgetExceededError, match="label enumeration budget"):
+        brute_force_consistency(o, max_domain=1, budget=2_000)
 
 
 # Label-enumeration visits of the corpus reductions whose enumeration
@@ -168,3 +181,84 @@ def test_corpus_brute_force_is_pinned(corpus_runs):
         for run_ in corpus_runs
     }
     assert observed == CORPUS_BRUTE
+
+
+def _outcome(o):
+    try:
+        return brute_force_consistency(o, max_domain=4, budget=25_000)
+    except BudgetExceededError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CORPUS])
+def test_brute_force_reads_the_structure_like_its_inclusions(name):
+    # the reduction hands the oracle its order structure, read by position;
+    # the same inclusions built by hand have none, so every transitivity
+    # triple is read as an ordinary inclusion
+    red = reduce_ontology(parse_ontology(dict(CORPUS)[name]))
+    plain = ClassicalOntology(red.inclusions, red.assertions, red.individual)
+    assert plain.order is None
+    # verdict, completed domain and the model, atom by atom and edge by edge
+    observed = _outcome(red)
+    assert _outcome(plain) == observed
+    if observed == "label enumeration budget exhausted":
+        return
+    visits = LABEL_VISITS[name]  # enumeration finishes: same visits
+    with pytest.raises(BudgetExceededError, match="label enumeration budget"):
+        brute_force_consistency(plain, max_domain=1, budget=visits - 1)
+    try:
+        brute_force_consistency(plain, max_domain=1, budget=visits)
+    except BudgetExceededError as e:
+        assert "label enumeration" not in str(e)
+
+
+def _naive_labels(atoms, clauses, formulas):
+    """Every assignment in enumeration order, filtered by every constraint."""
+    out = []
+    for values in itertools.product((False, True), repeat=len(atoms)):
+        value = dict(zip(atoms, values))
+        if all(
+            any(value[d.atom] is (type(d) is NAtom) for d in clause)
+            for clause in clauses
+        ) and all(_value(f, value.__getitem__) for f in formulas):
+            out.append(frozenset(a for a in atoms if value[a]))
+    return out
+
+
+def _labels(atoms, clauses, formulas):
+    position = {a: p for p, a in enumerate(atoms)}
+    masks = [_masks(clause, position) for clause in clauses]
+    return _candidate_labels(atoms, masks, formulas, budget=10_000)
+
+
+def test_candidate_labels_match_a_naive_filter():
+    lits = Literals()
+    atoms = tuple(Name(x) for x in "ABCD")
+    pa, pb, pc, pd = (lits.atom(x) for x in atoms)
+    na, nb, nc, nd = (lits.negated(x) for x in atoms)
+    cases = {
+        "tautology": ([[pb, nb, pa], [nc, pd]], []),
+        "lone tautology": ([[pc, nc]], []),
+        "tautology at the last position": ([[pa, nd, pd]], []),
+        "repeated literal": ([[nc, nc, pa], [pd, pd]], []),
+        "units": ([[pa], [nd], [nb, pc, pd]], []),
+        "units that clash": ([[pb], [nb]], []),
+        "empty clause": ([[pa, pb], []], []),
+        "non-flat formula": (
+            [[na, pd]],
+            [mk_or((mk_and((pa, pb)), mk_and((na, pc))))],
+        ),
+        "formula of one atom": ([], [mk_and((pb, mk_or((pb, nb))))]),
+    }
+    for name, (clauses, formulas) in cases.items():
+        expected = _naive_labels(atoms, clauses, formulas)
+        assert _labels(atoms, clauses, formulas) == expected, name
+    # the fold of one clause into another's masks, over random clause sets
+    rng = random.Random(7)
+    literals = [pa, pb, pc, pd, na, nb, nc, nd]
+    for _ in range(300):
+        clauses = [
+            [rng.choice(literals) for _ in range(rng.randint(1, 4))]
+            for _ in range(rng.randint(1, 6))
+        ]
+        assert _labels(atoms, clauses, []) == _naive_labels(atoms, clauses, []), clauses
