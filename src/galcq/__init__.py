@@ -24,7 +24,6 @@ from .classical_model import (
     Inclusion,
     check_classical_model,
     evaluate_classical,
-    transitivity_axioms,
 )
 from .concepts import (
     BOT,

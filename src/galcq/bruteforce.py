@@ -12,8 +12,8 @@ the tableau uses too) and the root assertions by `nnf.nnf`.  A flat
 formula becomes clauses.  One evaluator, `_value`, gives any other
 formula a three-valued value; quantified parts are unknown.  The
 transitivity family is read from `order.table` by position, without an
-inclusion per triple; an ontology without a structure has it among its
-axioms.
+inclusion per triple, both here and where `check_classical_model` verifies
+a model found; an ontology without a structure has it among its axioms.
 
 Candidate element labels are enumerated by backtracking over the atoms,
 pruning assignments that already falsify a quantifier-free global axiom.

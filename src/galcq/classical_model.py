@@ -7,6 +7,7 @@ with an optional tree layer (parent/depth/cut) used by model extraction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
@@ -27,7 +28,7 @@ from .concepts import (
     role_of,
     subconcepts,
 )
-from .orders import Leq, OrderStructure
+from .orders import Leq, OrderStructure, _positions
 
 
 def atom_of(c: Concept) -> Optional[Concept]:
@@ -43,28 +44,17 @@ class Inclusion:
     rhs: Concept
 
 
-def transitivity_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
-    """Transitivity of every element triple, in (i, j, k) position order."""
-    t = u.table
-    span = range(len(u))
-    return tuple(
-        Inclusion(And(t[i][j], t[j][k]), t[i][k])
-        for i in span
-        for j in span
-        for k in span
-    )
-
-
 @dataclass(frozen=True)
 class ClassicalOntology:
     """Inclusions and root assertions over one individual.
 
     `axioms` are the inclusions given as objects.  A reduction also sets
     `order`, its order structure, whose transitivity family the ontology
-    implies besides them without building it: `inclusions` is that family,
-    `transitivity_axioms(order)`, followed by `axioms`, built on first
-    read.  The tableau, the printer and the brute-force oracle read the
-    family from `order` instead.
+    implies besides them without building it.  The tableau, the printer,
+    the brute-force oracle and the model checker read the family from
+    `order` by position.  `inclusions` lists it as objects, every triple
+    (i, j, k) in position order, followed by `axioms`; it is built on
+    first read, as a reference to compare those readers against.
     """
 
     axioms: tuple[Inclusion, ...]
@@ -76,19 +66,15 @@ class ClassicalOntology:
     def inclusions(self) -> tuple[Inclusion, ...]:
         if self.order is None:
             return self.axioms
-        return transitivity_axioms(self.order) + self.axioms
-
-    def concepts(self) -> Iterable[Concept]:
-        for inc in self.inclusions:
-            yield inc.lhs
-            yield inc.rhs
-        for _, c in self.assertions:
-            yield c
+        t = self.order.table
+        triples = itertools.product(range(len(t)), repeat=3)
+        family = (Inclusion(And(t[i][j], t[j][k]), t[i][k]) for i, j, k in triples)
+        return (*family, *self.axioms)
 
     def signature(self) -> tuple[tuple, tuple[str, ...]]:
         """Atomic concepts (names and order atoms) and roles, each in
-        post-order of first occurrence over `inclusions`, then the
-        assertions.
+        post-order of first occurrence over the transitivity family, the
+        axioms, then the assertions.
 
         The transitivity family has no role, and its triples (0, j, k) meet
         the atoms of `order.table` row by row, so the family's atoms are
@@ -208,7 +194,8 @@ def check_classical_model(
     """Violation descriptions; empty means every axiom holds.
 
     GCIs are checked at `elements` (default: the whole domain); assertions
-    always at the root.
+    always at the root.  Each failing inclusion is reported once, at its
+    first failing element, in `o.inclusions` order.
     """
     elems = tuple(elements) if elements is not None else i.domain
     memo = {}
@@ -216,7 +203,20 @@ def check_classical_model(
     for _, c in o.assertions:
         if not evaluate_classical(i, c, i.root, memo):
             violations.append(f"assertion fails at root: {c!r}")
-    for inc in o.inclusions:
+    if o.order is not None:
+        # the transitivity family, by position: (x, y, z) fails at d iff d's
+        # bit rows have bit y in rows[x] and bit z in rows[y] & ~rows[x]
+        first = {}
+        for d in elems:
+            rows = o.order.rows(i.true_atoms.get(d, frozenset()))
+            for x, row in enumerate(rows):
+                for y in _positions(row):
+                    for z in _positions(rows[y] & ~row):
+                        first.setdefault((x, y, z), d)
+        t = o.order.table
+        for (x, y, z), d in sorted(first.items()):
+            violations.append(f"inclusion fails at {d}: {And(t[x][y], t[y][z])!r} vs {t[x][z]!r}")
+    for inc in o.axioms:
         for d in elems:
             if evaluate_classical(i, inc.lhs, d, memo) and not evaluate_classical(
                 i, inc.rhs, d, memo

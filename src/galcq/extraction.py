@@ -26,6 +26,7 @@ from .orders import (
     OrderStructure,
     ShiftedElement,
     ValueElement,
+    _positions,
     invert,
 )
 from .semantics import FuzzyInterpretation, check_fuzzy_model
@@ -49,18 +50,16 @@ class ValueAssignment:
         """All P1-P4 violations, empty when the assignment is coherent."""
         violations = []
         elems = self.structure.elements
-        table = self.structure.table
-        atoms = self.tree.true_atoms
         for node in self.tree.domain:
             for q in self.structure.values:
                 if self.values[(node, ValueElement(q))] != q:
                     violations.append(f"P1 fails at node {node} for constant {q}")
+            rows = self.structure.rows(self.tree.true_atoms[node])
             for i, a in enumerate(elems):
                 va = self.values[(node, a)]
                 for j, b in enumerate(elems):
                     vb = self.values[(node, b)]
-                    has_atom = table[i][j] in atoms[node]
-                    if (va <= vb) != has_atom:
+                    if (va <= vb) != bool(rows[i] >> j & 1):
                         violations.append(
                             f"P2 fails at node {node}: {a!r} vs {b!r}"
                         )
@@ -84,70 +83,57 @@ def _node_preorder(structure: OrderStructure, atoms: frozenset, node: int):
 
     Returns a list of equivalence classes (tuples of elements), ascending.
     Raises MalformedModelError when the atoms violate totality,
-    transitivity, boundedness, the constant facts, or antitonicity.
+    transitivity, boundedness, the constant facts, or antitonicity.  Each
+    check is a bit test on the node's rows (bit j of `rows[i]`: i <= j)
+    and their transpose `cols` (bit i of `cols[j]`: i <= j).
     """
     elems = structure.elements
     index = structure.index
     n = len(elems)
-    leq = [[a in atoms for a in row] for row in structure.table]
+    rows = structure.rows(atoms)
+    cols = [0] * n
+    for i, row in enumerate(rows):
+        for j in _positions(row):
+            cols[j] |= 1 << i
+    full = (1 << n) - 1
     for i in range(n):
-        for j in range(n):
-            if not leq[i][j] and not leq[j][i]:
+        for j in _positions(full & ~(rows[i] | cols[i])):
+            raise MalformedModelError(
+                node, f"totality fails for {elems[i]!r}, {elems[j]!r}"
+            )
+    for i, row in enumerate(rows):
+        for j in _positions(row):
+            for k in _positions(rows[j] & ~row):
                 raise MalformedModelError(
-                    node, f"totality fails for {elems[i]!r}, {elems[j]!r}"
+                    node,
+                    f"transitivity fails for {elems[i]!r}, {elems[j]!r}, {elems[k]!r}",
                 )
-    for i in range(n):
-        for j in range(n):
-            if not leq[i][j]:
-                continue
-            row_j = leq[j]
-            row_i = leq[i]
-            for k in range(n):
-                if row_j[k] and not row_i[k]:
-                    raise MalformedModelError(
-                        node,
-                        f"transitivity fails for {elems[i]!r}, {elems[j]!r}, {elems[k]!r}",
-                    )
     degrees = structure.values.degrees
     zero = index[ValueElement(degrees[0])]
     one = index[ValueElement(degrees[-1])]
-    for i in range(n):
-        if not leq[zero][i] or not leq[i][one]:
-            raise MalformedModelError(node, f"bounds fail for {elems[i]!r}")
+    for i in _positions(full & ~(rows[zero] & cols[one])):
+        raise MalformedModelError(node, f"bounds fail for {elems[i]!r}")
     for qa in degrees:
         for qb in degrees:
             ia, ib = index[ValueElement(qa)], index[ValueElement(qb)]
-            if (qa <= qb) != leq[ia][ib]:
+            if (qa <= qb) != bool(rows[ia] >> ib & 1):
                 raise MalformedModelError(
                     node, f"constant order fails for {qa} vs {qb}"
                 )
     inv = structure.inverse
-    for i in range(n):
-        for j in range(n):
-            if leq[i][j] and not leq[inv[j]][inv[i]]:
+    for i, row in enumerate(rows):
+        for j in _positions(row):
+            if not rows[inv[j]] >> inv[i] & 1:
                 raise MalformedModelError(
                     node, f"antitonicity fails for {elems[i]!r}, {elems[j]!r}"
                 )
 
-    class_of = {}
-    classes = []
-    for i in range(n):
-        placed = False
-        for cls in classes:
-            j = index[cls[0]]
-            if leq[i][j] and leq[j][i]:
-                cls.append(elems[i])
-                placed = True
-                break
-        if not placed:
-            classes.append([elems[i]])
-    # strict order between classes is total; sort by "below" counts
-    def rank(cls):
-        i = index[cls[0]]
-        return sum(1 for j in range(n) if leq[j][i])
-
-    classes.sort(key=rank)
-    return [tuple(cls) for cls in classes]
+    # in a total preorder a row is its class's up-set: equal rows are one
+    # class, and a lower class has more bits
+    classes = {}
+    for i, row in enumerate(rows):
+        classes.setdefault(row, []).append(elems[i])
+    return [tuple(classes[row]) for row in sorted(classes, key=lambda r: -r.bit_count())]
 
 
 def _pin_anchors(structure, classes, node, parent_values):

@@ -136,6 +136,14 @@ OrderOperand = Union[OrderElement, MinExpr, ResExpr]
 AtomFactory = Callable[[OrderElement, OrderElement], Leq]
 
 
+def _positions(bits: int):
+    """The set bits of `bits`, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 def _le(alpha: OrderElement, e: OrderOperand, leq: AtomFactory) -> Concept:
     if isinstance(e, MinExpr):
         return And(_le(alpha, e.a, leq), _le(alpha, e.b, leq))
@@ -221,6 +229,13 @@ class OrderStructure:
     def leq(self, a: OrderElement, b: OrderElement) -> Leq:
         """The table atom `Leq(a, b)`; both elements must be in the structure."""
         return self.table[self.index[a]][self.index[b]]
+
+    def rows(self, atoms) -> list[int]:
+        """An element's order atoms as bit rows over the positions: bit j of
+        row i is set iff `table[i][j] in atoms`."""
+        return [
+            sum(1 << j for j, a in enumerate(row) if a in atoms) for row in self.table
+        ]
 
     @classmethod
     def from_ontology(cls, o: FuzzyOntology) -> "OrderStructure":

@@ -10,8 +10,8 @@ taken from the structure's table (`OrderStructure.table`), by element
 position in the n^3 and n^2 families and through `OrderStructure.leq` in the
 macro expansions, so each atom is one object across the whole ontology.
 The transitivity family, the n^3 bulk, is not built here: the reduction
-hands over the structure itself (`ClassicalOntology.order`), and the family
-is built only when `ClassicalOntology.inclusions` is read.
+hands over the structure itself (`ClassicalOntology.order`), and every
+reader takes the family from it by position.
 """
 
 from __future__ import annotations

@@ -127,7 +127,8 @@ def check_fuzzy_model(
     skipped elements are reported as unchecked.
     """
     elems = tuple(elements) if elements is not None else i.domain
-    unchecked = tuple(d for d in i.domain if d not in set(elems))
+    checked = set(elems)
+    unchecked = tuple(d for d in i.domain if d not in checked)
     memo: dict = {}
     root = i.individuals[o.individual]
     for a in o.abox:

@@ -89,6 +89,7 @@ from .nnf import (
     nnf,
     sort_key,
 )
+from .orders import _positions
 
 # Default resource budgets of a tableau run: nodes created and rule steps.
 NODE_BUDGET = 5000
@@ -217,14 +218,6 @@ class _Interner:
             self.negs[cid] = neg
             self.negs[neg] = cid
         return neg
-
-
-def _positions(bits: int):
-    """The set bits of `bits`, lowest first."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
 
 
 class _Node:

@@ -89,6 +89,16 @@ GRID_BUDGET = 250_000
 BRUTE_BUDGET = 25_000
 
 
+def classical_concepts(o):
+    """Both sides of every `ClassicalOntology.inclusions` entry, then the
+    assertions' concepts."""
+    for inc in o.inclusions:
+        yield inc.lhs
+        yield inc.rhs
+    for _, c in o.assertions:
+        yield c
+
+
 @dataclass
 class CorpusRun:
     name: str

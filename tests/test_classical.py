@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 from galcq import (
     And,
     AtLeast,
@@ -15,6 +18,7 @@ from galcq import (
     evaluate_classical,
 )
 from galcq.concepts import TOP, BOT
+from galcq.tableau import extract_classical_model
 
 A = Name("A")
 B = Name("B")
@@ -86,3 +90,36 @@ def test_interior_with_cut():
         domain=(0,), true_atoms={0: frozenset()}, role_edges={}, root=0
     )
     assert no_cut.interior(5) == (0,)
+
+
+def _perturbed(tree, atoms, rng):
+    """`tree` with the same one to three atoms flipped at about half its
+    elements, so that a triple can fail at several of them."""
+    flips = set(rng.sample(atoms, rng.randint(1, 3)))
+    labels = {}
+    for d in tree.domain:
+        label = tree.true_atoms[d]
+        labels[d] = label ^ flips if rng.random() < 0.5 else label
+    return dataclasses.replace(tree, true_atoms=labels, _succ={})
+
+
+def test_family_by_position_reports_what_the_built_family_does(corpus_runs):
+    # a plain ontology over `inclusions` has no structure, so the checker
+    # evaluates every transitivity triple as an ordinary inclusion
+    rng = random.Random(15)
+    verdicts = []
+    for run_ in corpus_runs:
+        red = run_.reduction
+        plain = ClassicalOntology(red.inclusions, red.assertions, red.individual)
+        trees = [run_.brute.model] if run_.brute and run_.brute.model else []
+        if run_.graph is not None:
+            tree = extract_classical_model(run_.graph, 2)
+            atoms = [a for row in red.order.table for a in row]
+            trees += [tree] + [_perturbed(tree, atoms, rng) for _ in range(3)]
+        for k, t in enumerate(trees):
+            # the whole domain, or the elements off the cut, which skips some
+            elements = t.interior(1) if k % 2 else None
+            violations = check_classical_model(t, red, elements)
+            assert violations == check_classical_model(t, plain, elements), run_.name
+            verdicts.append(not violations)
+    assert any(verdicts) and not all(verdicts)

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from conftest import CORPUS
 
-from galcq import parse_classical
+from galcq import ClassicalOntology, parse_classical
 from galcq.cli import run
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -293,3 +293,26 @@ def test_huge_degree_exponent_exits_2_quickly(tmp_path, capsys):
         assert run(argv) == 2
         assert time.monotonic() - start < 1.0
         assert "degree exponent larger than" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, code",
+    [("tipping-point", 0), ("assert-half", 0), ("open-interval", 0), ("empty", 0),
+     ("squeeze", 1), ("gci-force", 1)],
+)
+def test_no_pipeline_path_builds_the_transitivity_family(
+    tmp_path, capsys, monkeypatch, name, code
+):
+    # every reader takes the family from the order structure by position;
+    # `ClassicalOntology.inclusions` lists it only for reference
+    def refuse(o):
+        raise AssertionError("the transitivity family was built")
+
+    monkeypatch.setattr(ClassicalOntology, "inclusions", property(refuse))
+    texts = dict(CORPUS, **{"tipping-point": (SAMPLES / "tipping-point.sexp").read_text()})
+    path = _write(tmp_path, texts[name])
+    out = tmp_path / "model.sexp"
+    # no stderr: the brute force ran to its end, and its model check with it
+    assert run(["check", path, "--oracle", "brute", "--emit-model", str(out)]) == code
+    assert (capsys.readouterr().err, out.exists()) == ("", code == 0)
+    assert run(["reduce", path]) == 0

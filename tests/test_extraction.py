@@ -15,6 +15,7 @@ from galcq import (
     parse_ontology,
     reduce_ontology,
 )
+from galcq.extraction import _node_preorder
 from galcq.orders import ConceptElement, EdgeElement, ShiftedElement, ValueElement
 
 F = Fraction
@@ -122,6 +123,55 @@ def test_constant_order_violation_diagnosed():
     tree.true_atoms[0] = frozenset(atoms)
     with pytest.raises(MalformedModelError):
         extract_fuzzy_model(tree, structure)
+
+
+def _diagnose(structure, values, atoms=None):
+    """Run the extraction on a one-node tree whose atoms default to the
+    order of `values`."""
+    tree = _single_node_tree(structure, values)
+    if atoms is not None:
+        tree.true_atoms[0] = frozenset(atoms)
+    return extract_fuzzy_model(tree, structure)
+
+
+def test_transitivity_violation_diagnosed():
+    structure = _structure("(assert (inst a A) >= 1/2)")
+    values = _rank_values(structure, {A: F(1, 4)})
+    # 1 <= A on top of a total order: A <= 1/2 then asks for 1 <= 1/2
+    atoms = _atoms_from_values(structure, values) | {Leq(ValueElement(F(1)), ConceptElement(A))}
+    with pytest.raises(MalformedModelError, match="transitivity fails"):
+        _diagnose(structure, values, atoms)
+
+
+def test_bounds_violation_diagnosed():
+    structure = _structure("(assert (inst a A) >= 1/2)")
+    # a total order in which A lies below 0 and its complement above 1
+    values = _rank_values(structure, {A: F(-1, 4)})
+    with pytest.raises(MalformedModelError, match="bounds fail"):
+        _diagnose(structure, values)
+
+
+def test_antitonicity_violation_diagnosed():
+    structure = _structure("(assert (inst a A) >= 1/2)")
+    values = _rank_values(structure, {A: F(1, 4)})
+    # not A at 1/8 instead of 3/4: A <= 1/2 without 1/2 <= not A
+    values[ConceptElement(Not(A))] = F(1, 8)
+    with pytest.raises(MalformedModelError, match="antitonicity fails"):
+        _diagnose(structure, values)
+
+
+def test_tied_elements_form_classes_in_position_order():
+    structure = _structure("(assert (inst a A) > 1/4)\n(assert (inst a B) >= 1/2)")
+    values = _rank_values(structure, {A: F(1, 2), B: F(3, 4)}, edge=F(1, 4))
+    atoms = _atoms_from_values(structure, values)
+    V, C, S = ValueElement, ConceptElement, ShiftedElement
+    assert _node_preorder(structure, atoms, 0) == [
+        (V(F(0)),),
+        (V(F(1, 4)), C(Not(B)), S(Not(B)), EdgeElement(True)),
+        (V(F(1, 2)), C(A), C(Not(A)), S(A), S(Not(A))),
+        (V(F(3, 4)), C(B), S(B), EdgeElement(False)),
+        (V(F(1)),),
+    ]
 
 
 def _certified_assignment(text):

@@ -11,6 +11,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from conftest import classical_concepts
 
 from galcq import (
     And,
@@ -38,6 +39,7 @@ from galcq.orders import (
     ConceptElement,
     ShiftedElement,
     ValueElement,
+    _positions,
 )
 
 F = Fraction
@@ -174,7 +176,7 @@ TWO_ROLES = "(assert (inst a (some r A)) >= 1/2)\n(assert (inst a (some s B)) >=
 def test_reduction_shares_one_object_per_atom():
     red = reduce_ontology(parse_ontology(TWO_ROLES))
     by_id = {}
-    for c in red.concepts():
+    for c in classical_concepts(red):
         for s in subconcepts(c):
             if isinstance(s, Leq):
                 by_id[id(s)] = s
@@ -198,3 +200,16 @@ def test_table_atoms_behave_like_fresh_atoms():
         assert u.elements[up] == shift(u.elements[i])
     copied = pickle.loads(pickle.dumps(atom))
     assert copied == atom and hash(copied) == hash(atom)
+
+
+def test_rows_read_the_atoms_by_position():
+    u = OrderStructure.from_ontology(parse_ontology(TWO_ROLES))
+    n = len(u)
+    pairs = itertools.product(range(n), repeat=2)
+    chosen = {(i, j) for i, j in pairs if (3 * i + j) % 4 != 0}
+    atoms = frozenset({u.table[i][j] for i, j in chosen} | {A})
+    rows = u.rows(atoms)
+    assert len(rows) == n
+    assert {(i, j) for i, row in enumerate(rows) for j in _positions(row)} == chosen
+    assert u.rows(frozenset()) == [0] * n
+    assert list(_positions(0b101001)) == [0, 3, 5]

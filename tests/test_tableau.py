@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from conftest import CORPUS, NODE_BUDGET, STEP_BUDGET
+from conftest import CORPUS, NODE_BUDGET, STEP_BUDGET, classical_concepts
 
 from galcq import (
     And,
@@ -27,7 +27,6 @@ from galcq import (
     parse_ontology,
     reduce_ontology,
 )
-from galcq.classical_model import transitivity_axioms
 from galcq.concepts import TOP, quantifier_depth
 from galcq.orders import ValueElement
 from galcq.nnf import (
@@ -136,7 +135,7 @@ def test_model_readback_from_completion():
     depth = 4
     tree = extract_classical_model(result.graph, depth)
     margin = max(
-        [quantifier_depth(c) for c in red.concepts()] + [0]
+        [quantifier_depth(c) for c in classical_concepts(red)] + [0]
     )
     violations = check_classical_model(tree, red, elements=tree.interior(margin))
     assert violations == []
@@ -230,7 +229,7 @@ def test_agreement_with_brute_force_on_random_ontologies():
                     assert graph.nodes[x].blocked_by is None
                     x = graph.nodes[x].parent
             # and the unraveled tree must satisfy the ontology away from cuts
-            margin = max((quantifier_depth(c) for c in o.concepts()), default=0)
+            margin = max((quantifier_depth(c) for c in classical_concepts(o)), default=0)
             tree = extract_classical_model(graph, depth=margin + 2)
             violations = check_classical_model(
                 tree, o, elements=tree.interior(margin)
@@ -674,7 +673,7 @@ def test_dropped_triples_are_implied(corpus_runs):
         red = run_.reduction
         n, t = len(red.order), red.order.table
         lits = _Interner().lits
-        family = transitivity_axioms(red.order)
+        family = red.inclusions[: n**3]
         for i, j, k in itertools.product(range(n), repeat=3):
             if len({i, j, k}) == 3:
                 continue
