@@ -22,8 +22,13 @@ from .classical_model import (
     ClassicalInterpretation,
     ClassicalOntology,
     Inclusion,
+    antitonicity_axioms,
+    bounds_axioms,
     check_classical_model,
     evaluate_classical,
+    fact_axioms,
+    totality_axioms,
+    value_order_axioms,
 )
 from .concepts import (
     BOT,
@@ -85,14 +90,10 @@ from .orders import (
 )
 from .reduction import (
     abox_assertions,
-    antitonicity_axioms,
-    bounds_axioms,
     reduce_ontology,
     semantics_axioms,
     tbox_axioms,
-    totality_axioms,
     transfer_axioms,
-    value_order_axioms,
 )
 from .semantics import (
     FuzzyInterpretation,

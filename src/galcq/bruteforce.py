@@ -11,9 +11,11 @@ shared literal table, the global axioms by `nnf.inclusion_nnf` (the reader
 the tableau uses too) and the root assertions by `nnf.nnf`.  A flat
 formula becomes clauses.  One evaluator, `_value`, gives any other
 formula a three-valued value; quantified parts are unknown.  The
-transitivity family is read from `order.table` by position, without an
-inclusion per triple, both here and where `check_classical_model` verifies
-a model found; an ontology without a structure has it among its axioms.
+transitivity, totality and antitonicity families are read from
+`order.table` by position, without an inclusion per clause, both here and
+where `check_classical_model` verifies a model found, and the bounds and
+constant facts from `classical_model.fact_axioms`; an ontology without a
+structure has them among its axioms.
 
 Candidate element labels are enumerated by backtracking over the atoms,
 pruning assignments that already falsify a quantifier-free global axiom.
@@ -34,6 +36,7 @@ from .classical_model import (
     ClassicalInterpretation,
     ClassicalOntology,
     check_classical_model,
+    fact_axioms,
 )
 from .errors import BudgetExceededError
 from .nnf import Literals, NAnd, NAtom, NNegAtom, NOr, inclusion_nnf, nnf
@@ -194,13 +197,19 @@ def _candidate_labels(atoms, clauses, formulas, budget: int) -> list[frozenset]:
     return [frozenset(a for p, a in enumerate(atoms) if v >> p & 1) for v in out]
 
 
-def _transitivity(order, position) -> list:
-    """The transitivity family of `order` as clause masks, read from its
-    table by position: (i, j, k) is not leq(i, j) or not leq(j, k) or
-    leq(i, k).  Triples with i = j or j = k are tautologies."""
+def _order_clauses(order, position) -> list:
+    """The transitivity, totality and antitonicity families of `order` as
+    clause masks, read from its table by position: (i, j, k) is not
+    leq(i, j) or not leq(j, k) or leq(i, k), (i, j) leq(i, j) or leq(j, i)
+    and not leq(i, j) or leq(inv j, inv i).  Triples with i = j or j = k
+    are tautologies, and so is antitonicity at j = inv i."""
     bit = [[1 << position[a] for a in row] for row in order.table]
+    inv = order.inverse
     span = range(len(bit))
-    return [(bit[i][k], bit[i][j] | bit[j][k]) for i in span for j in span for k in span]
+    out = [(bit[i][k], bit[i][j] | bit[j][k]) for i in span for j in span for k in span]
+    out += [(bit[i][j] | bit[j][i], 0) for i in span for j in span]
+    out += [(bit[inv[j]][inv[i]], bit[i][j]) for i in span for j in span]
+    return out
 
 
 def _prefix_order(atoms):
@@ -239,10 +248,13 @@ def brute_force_consistency(
     atoms, roles = o.signature()
     atoms = _prefix_order(atoms)
     position = {a: p for p, a in enumerate(atoms)}
-    clauses = [] if o.order is None else _transitivity(o.order, position)
+    clauses, axioms = [], o.axioms
+    if o.order is not None:
+        clauses = _order_clauses(o.order, position)
+        axioms = fact_axioms(o.order) + axioms
     formulas = []
     lits = Literals()
-    for inc in o.axioms:
+    for inc in axioms:
         read = inclusion_nnf(inc, lits)
         if type(read) is list:
             clauses.append(_masks(read, position))

@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
+from .algebra import ValueSet
 from .concepts import (
+    TOP,
     And,
     AtLeast,
     AtMost,
@@ -28,7 +30,7 @@ from .concepts import (
     role_of,
     subconcepts,
 )
-from .orders import Leq, OrderStructure, _positions
+from .orders import AtomFactory, Leq, OrderStructure, ValueElement, _positions
 
 
 def atom_of(c: Concept) -> Optional[Concept]:
@@ -44,17 +46,60 @@ class Inclusion:
     rhs: Concept
 
 
+def totality_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
+    t = u.table
+    span = range(len(u))
+    return tuple(Inclusion(TOP, Or(t[i][j], t[j][i])) for i in span for j in span)
+
+
+def bounds_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
+    # constants come first, ascending
+    t = u.table
+    zero, one = 0, len(u.values) - 1
+    return tuple(Inclusion(TOP, And(t[zero][i], t[i][one])) for i in range(len(u)))
+
+
+def value_order_axioms(values: ValueSet, leq: AtomFactory = Leq) -> tuple[Inclusion, ...]:
+    """Facts between constants: q <= q' for every ordered pair, and the
+    negated converse for every strict pair."""
+    out = []
+    degrees = values.degrees
+    for q in degrees:
+        for p in degrees:
+            if q <= p:
+                out.append(Inclusion(TOP, leq(ValueElement(q), ValueElement(p))))
+            if q < p:
+                out.append(Inclusion(TOP, Not(leq(ValueElement(p), ValueElement(q)))))
+    return tuple(out)
+
+
+def antitonicity_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
+    t, inv = u.table, u.inverse
+    span = range(len(u))
+    return tuple(Inclusion(t[i][j], t[inv[j]][inv[i]]) for i in span for j in span)
+
+
+def fact_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
+    """The bounds and the constant order of `u`: n + O(|values|^2) small
+    inclusions, which every reader takes as objects."""
+    return bounds_axioms(u) + value_order_axioms(u.values, u.leq)
+
+
 @dataclass(frozen=True)
 class ClassicalOntology:
     """Inclusions and root assertions over one individual.
 
     `axioms` are the inclusions given as objects.  A reduction also sets
-    `order`, its order structure, whose transitivity family the ontology
-    implies besides them without building it.  The tableau, the printer,
-    the brute-force oracle and the model checker read the family from
-    `order` by position.  `inclusions` lists it as objects, every triple
-    (i, j, k) in position order, followed by `axioms`; it is built on
-    first read, as a reference to compare those readers against.
+    `order`, its order structure, whose preorder families the ontology
+    implies besides them without building them: transitivity, totality,
+    bounds, the constant order and antitonicity.  The tableau, the
+    printer, the brute-force oracle and the model checker read
+    transitivity, totality and antitonicity from `order` by position, and
+    take the bounds and constant facts from `fact_axioms`.  `inclusions`
+    lists every family as objects, every triple (i, j, k) in position
+    order, then totality, the bounds, the constant order and antitonicity,
+    followed by `axioms`; it is built on first read, as a reference to
+    compare those readers against.
     """
 
     axioms: tuple[Inclusion, ...]
@@ -64,21 +109,29 @@ class ClassicalOntology:
 
     @cached_property
     def inclusions(self) -> tuple[Inclusion, ...]:
-        if self.order is None:
+        u = self.order
+        if u is None:
             return self.axioms
-        t = self.order.table
+        t = u.table
         triples = itertools.product(range(len(t)), repeat=3)
         family = (Inclusion(And(t[i][j], t[j][k]), t[i][k]) for i, j, k in triples)
-        return (*family, *self.axioms)
+        return (
+            *family,
+            *totality_axioms(u),
+            *fact_axioms(u),
+            *antitonicity_axioms(u),
+            *self.axioms,
+        )
 
     def signature(self) -> tuple[tuple, tuple[str, ...]]:
         """Atomic concepts (names and order atoms) and roles, each in
-        post-order of first occurrence over the transitivity family, the
-        axioms, then the assertions.
+        post-order of first occurrence over `inclusions`, then the
+        assertions.
 
-        The transitivity family has no role, and its triples (0, j, k) meet
-        the atoms of `order.table` row by row, so the family's atoms are
-        read from the table; one walk of the subconcepts covers the rest.
+        The structure's families have no role, and its triples (0, j, k)
+        meet the atoms of `order.table` row by row, so the families' atoms
+        are read from the table; one walk of the subconcepts covers the
+        rest.
         """
         atoms, roles = {}, {}
         if self.order is not None:
@@ -204,18 +257,7 @@ def check_classical_model(
         if not evaluate_classical(i, c, i.root, memo):
             violations.append(f"assertion fails at root: {c!r}")
     if o.order is not None:
-        # the transitivity family, by position: (x, y, z) fails at d iff d's
-        # bit rows have bit y in rows[x] and bit z in rows[y] & ~rows[x]
-        first = {}
-        for d in elems:
-            rows = o.order.rows(i.true_atoms.get(d, frozenset()))
-            for x, row in enumerate(rows):
-                for y in _positions(row):
-                    for z in _positions(rows[y] & ~row):
-                        first.setdefault((x, y, z), d)
-        t = o.order.table
-        for (x, y, z), d in sorted(first.items()):
-            violations.append(f"inclusion fails at {d}: {And(t[x][y], t[y][z])!r} vs {t[x][z]!r}")
+        violations += _order_violations(i, o.order, elems)
     for inc in o.axioms:
         for d in elems:
             if evaluate_classical(i, inc.lhs, d, memo) and not evaluate_classical(
@@ -224,3 +266,57 @@ def check_classical_model(
                 violations.append(f"inclusion fails at {d}: {inc.lhs!r} vs {inc.rhs!r}")
                 break
     return violations
+
+
+def _order_violations(i: ClassicalInterpretation, u: OrderStructure, elems) -> list[str]:
+    """The violations of the families `u` fixes, as `check_classical_model`
+    reports them, found by bit tests on each element's rows (bit y of
+    `rows[x]`: leq(x, y)) and their transpose `cols`.  Per family, the
+    first failing element of each inclusion is kept under its position in
+    the family's listing; only a failing inclusion is built."""
+    n, inv = len(u), u.inverse
+    full = (1 << n) - 1
+    last = len(u.values) - 1  # the constants come first, ascending
+    triples, totality, bounds, constants, antitone = {}, {}, {}, {}, {}
+    for d in elems:
+        rows = u.rows(i.true_atoms.get(d, frozenset()))
+        cols = [0] * n
+        for x, row in enumerate(rows):
+            for y in _positions(row):
+                cols[y] |= 1 << x
+                # (x, y, z) fails iff bit z of rows[y] & ~rows[x]
+                for z in _positions(rows[y] & ~row):
+                    triples.setdefault((x, y, z), d)
+                if not rows[inv[y]] >> inv[x] & 1:
+                    antitone.setdefault(x * n + y, d)
+        for x, row in enumerate(rows):
+            for y in _positions(full & ~(row | cols[x])):
+                totality.setdefault(x * n + y, d)
+        for x in _positions(full & ~(rows[0] & cols[last])):
+            bounds.setdefault(x, d)
+        k = 0  # `value_order_axioms` order: leq(a, b), then not leq(b, a) if a < b
+        for a in range(last + 1):
+            for b in range(a, last + 1):
+                if not rows[a] >> b & 1:
+                    constants.setdefault(k, d)
+                if a < b and rows[b] >> a & 1:
+                    constants.setdefault(k + 1, d)
+                k += 1 if a == b else 2
+    t = u.table
+    out = [
+        f"inclusion fails at {d}: {And(t[x][y], t[y][z])!r} vs {t[x][z]!r}"
+        for (x, y, z), d in sorted(triples.items())
+    ]
+    families = (
+        (totality, totality_axioms),
+        (bounds, bounds_axioms),
+        (constants, lambda u: value_order_axioms(u.values, u.leq)),
+        (antitone, antitonicity_axioms),
+    )
+    for failing, listing in families:
+        if failing:
+            built = listing(u)
+            for k, d in sorted(failing.items()):
+                inc = built[k]
+                out.append(f"inclusion fails at {d}: {inc.lhs!r} vs {inc.rhs!r}")
+    return out

@@ -12,9 +12,9 @@ per table rather than once per occurrence.
 
 `inclusion_nnf` is the one reader of a global axiom `C [= D` as the clause
 nnf(not C or D); the tableau and the brute-force oracle both read their
-inclusions through it.  The preorder-family inclusions, nearly all of any
-reduction, come back as a plain list of shared literal nodes, without
-building NNF formulas.
+inclusions through it.  The preorder-family inclusions, nearly all of a
+reduction's inclusions once they are built as objects, come back as a
+plain list of shared literal nodes, without building NNF formulas.
 """
 
 from __future__ import annotations
@@ -127,6 +127,18 @@ class Literals:
         if n is None:
             n = self.neg[a] = NNegAtom(a)
         return n
+
+
+def leq_literals(lits: Literals, atom: Leq, keys: tuple) -> tuple:
+    """The shared literal nodes of order atom `atom` in `lits`, positive
+    then negated, their sort keys set from `keys`, the `_element_key`s of
+    its two sides, as `sort_key` would compute them."""
+    key = (3, *keys)
+    out = (lits.atom(atom), lits.negated(atom))
+    for sign, n in enumerate(out):
+        if n._key is None:
+            object.__setattr__(n, "_key", (sign, key))
+    return out
 
 
 def _element_key(e):

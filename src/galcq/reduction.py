@@ -9,15 +9,18 @@ role edges.  Consistency is preserved in both directions.  Every atom is
 taken from the structure's table (`OrderStructure.table`), by element
 position in the n^3 and n^2 families and through `OrderStructure.leq` in the
 macro expansions, so each atom is one object across the whole ontology.
-The transitivity family, the n^3 bulk, is not built here: the reduction
-hands over the structure itself (`ClassicalOntology.order`), and every
-reader takes the family from it by position.
+The families that the structure alone fixes are not built here:
+transitivity (the n^3 bulk), totality, the bounds, the constant order and
+antitonicity.  The reduction hands over the structure itself
+(`ClassicalOntology.order`) and builds only the transfer family and the
+TBox and semantics axioms; every reader takes the structure's families
+from it, by position or through `classical_model.fact_axioms`.
 """
 
 from __future__ import annotations
 
-from .algebra import ONE, ValueSet
-from .concepts import And, AtLeast, Concept, Forall, Implies, Not, Or, Top
+from .algebra import ONE
+from .concepts import And, AtLeast, Concept, Forall, Implies, Not, Top
 from .classical_model import ClassicalOntology, Inclusion
 from .errors import BudgetExceededError, LocalityError
 from .ontology import ConceptAssertion, FuzzyOntology, is_local
@@ -71,39 +74,6 @@ def semantics_axioms(c: Concept, leq: AtomFactory = Leq) -> tuple[Inclusion, ...
             cap = Not(AtLeast(count, role, order_concept(up, "<", bound, leq)))
             return (Inclusion(TOP, And(floor, cap)),)
     return ()
-
-
-def totality_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
-    t = u.table
-    span = range(len(u))
-    return tuple(Inclusion(TOP, Or(t[i][j], t[j][i])) for i in span for j in span)
-
-
-def bounds_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
-    # constants come first, ascending
-    t = u.table
-    zero, one = 0, len(u.values) - 1
-    return tuple(Inclusion(TOP, And(t[zero][i], t[i][one])) for i in range(len(u)))
-
-
-def value_order_axioms(values: ValueSet, leq: AtomFactory = Leq) -> tuple[Inclusion, ...]:
-    """Facts between constants: q <= q' for every ordered pair, and the
-    negated converse for every strict pair."""
-    out = []
-    degrees = values.degrees
-    for q in degrees:
-        for p in degrees:
-            if q <= p:
-                out.append(Inclusion(TOP, leq(ValueElement(q), ValueElement(p))))
-            if q < p:
-                out.append(Inclusion(TOP, Not(leq(ValueElement(p), ValueElement(q)))))
-    return tuple(out)
-
-
-def antitonicity_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
-    t, inv = u.table, u.inverse
-    span = range(len(u))
-    return tuple(Inclusion(t[i][j], t[inv[j]][inv[i]]) for i in span for j in span)
 
 
 def transfer_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
@@ -164,12 +134,5 @@ def reduce_ontology(o: FuzzyOntology) -> ClassicalOntology:
             f"elements, the limit is {MAX_ORDER_ELEMENTS} (the reduction "
             "grows as n^3)"
         )
-    axioms = (
-        totality_axioms(u)
-        + bounds_axioms(u)
-        + value_order_axioms(u.values, u.leq)
-        + antitonicity_axioms(u)
-        + transfer_axioms(u)
-        + tbox_axioms(o, u)
-    )
+    axioms = transfer_axioms(u) + tbox_axioms(o, u)
     return ClassicalOntology(axioms, abox_assertions(o, u.leq), o.individual, order=u)

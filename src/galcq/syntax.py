@@ -38,7 +38,7 @@ from .concepts import (
     Top,
     normalize,
 )
-from .classical_model import ClassicalOntology, Inclusion
+from .classical_model import ClassicalOntology, Inclusion, fact_axioms
 from .errors import DegreeRangeError, LocalityError, ParseError
 from .ontology import (
     RELATIONS,
@@ -443,25 +443,31 @@ def ontology_to_sexpr(o: FuzzyOntology) -> str:
 def classical_to_sexpr(o: ClassicalOntology) -> str:
     """Deterministic serialization: assertions then inclusions, each sorted.
 
-    Each distinct order atom is rendered once; the n^3 families repeat the
-    same shared atoms on every line.  The transitivity family of the order
-    structure, if there is one, is rendered from its atom table by
-    position, one line per `ClassicalOntology.inclusions` entry, without
-    building those inclusions.
+    Each distinct order atom is rendered once; the n^2 and n^3 families
+    repeat the same shared atoms on every line.  The transitivity,
+    totality and antitonicity families of the order structure, if there is
+    one, are rendered from its atom table by position, one line per
+    `ClassicalOntology.inclusions` entry, without building those
+    inclusions.
     """
     leq = functools.cache(_leq_sexpr)  # freed with this call
     assertion_lines = sorted(
         f"(assert (inst {ind} {_concept_sexpr(c, leq)}))" for ind, c in o.assertions
     )
+    u = o.order
+    given = o.axioms if u is None else fact_axioms(u) + o.axioms
     inclusion_lines = [
         f"(gci {_concept_sexpr(inc.lhs, leq)} {_concept_sexpr(inc.rhs, leq)})"
-        for inc in o.axioms
+        for inc in given
     ]
-    if o.order is not None:
-        atoms = [[leq(a) for a in row] for row in o.order.table]
+    if u is not None:
+        atoms = [[leq(a) for a in row] for row in u.table]
+        inv = u.inverse
         span = range(len(atoms))
         for i in span:
             for j in span:
+                inclusion_lines.append(f"(gci top (or {atoms[i][j]} {atoms[j][i]}))")
+                inclusion_lines.append(f"(gci {atoms[i][j]} {atoms[inv[j]][inv[i]]})")
                 head, row = f"(gci (and {atoms[i][j]} ", atoms[j]
                 inclusion_lines.extend(f"{head}{row[k]}) {atoms[i][k]})" for k in span)
     inclusion_lines.sort()

@@ -13,35 +13,46 @@ Search organization:
     their children's ids rather than by the structural NNF object; the
     NNF literals share one node per atom for the whole construction, and
     every node's sort key is computed once;
-  - the transitivity family, the n^3 bulk of every reduction, is read
-    from the reduction's order structure (`ClassicalOntology.order`), not
-    from inclusions: its clauses `(and t[i][j] t[j][k]) [= t[i][k]` over
-    three distinct positions are all present by construction and never
-    interned, each known by its positions (i, j, k), with its literals in
-    `leq_ids`.  Its triples with two coinciding positions are not read at
-    all: each is a tautology or holds by the base fact `leq(i, i)`, which
-    totality gives at i = j.  Every given inclusion is read by
-    `nnf.inclusion_nnf`, the reader the brute-force oracle shares, and
-    interned, a clause over order atoms straight from its literal nodes;
-    an ontology without a structure has its transitivity clauses, if any,
-    read that way too.  The base concepts are in sort-key order, with runs
-    (i, k, j bits) of triples merged between the disjunctions.  Node
-    labels are dicts from concept id to a dependency bitmask of decision
-    levels;
+  - the order families that the reduction's order structure
+    (`ClassicalOntology.order`) fixes by itself are read from it, not
+    from inclusions: the transitivity clauses `(and t[i][j] t[j][k]) [=
+    t[i][k]` over three distinct positions (the n^3 bulk), the totality
+    clause `leq(i, j) or leq(j, i)` of every pair i != j and the
+    antitonicity clause `t[i][j] [= t[inv j][inv i]` of every (i, j),
+    i != j.  They are present by construction and never interned, each
+    known by its positions, with its literals in `leq_ids`.  The others
+    are not read at all: each is a tautology or holds by the base fact
+    `leq(i, i)`, which totality gives at i = j as a unit.  Those units,
+    the bounds, the constant facts and every given inclusion are read
+    by `nnf.inclusion_nnf`, the reader the brute-force oracle shares,
+    and interned, a clause over order atoms straight from its literal
+    nodes; an ontology without a structure has all its order clauses
+    read that way.  A given inclusion equal to a clause read by position
+    is interned besides it and searches alike; any other concept equal to
+    one (a filler, or a disjunct's complement) is not known as a base
+    clause, and the reduction builds none.  The base concepts are in sort-key order,
+    with the totality and antitonicity clauses as (disjuncts,
+    complements) pairs and runs (i, k, j bits) of triples merged between
+    the disjunctions.  Node labels are dicts from concept id to a
+    dependency bitmask of decision levels;
   - unit propagation and clause clashes are one rule, `_examine`, given a
     clause's disjuncts and their complements.  Four bitsets per node over
     its label and the base atoms hold the order facts: P_row[i] and
     P_col[j] the `leq(i, j)` facts, N_row[i] and N_col[j] the refuted
     ones.  An order fact reads off them the ~2n triples over its pair that
     act (leave one disjunct open or none) and examines them in
-    (i * n + j) * n + k order, then the clauses watched under it in id
-    order; a clause holding a concept and its complement is never a unit
-    or a clash and is not watched.  This is the order of interning and
-    watching every triple, since `ClassicalOntology.inclusions` lists the
-    family first.  Branching scans a node's base and extra clauses with
-    pointers that pass every clause with a present disjunct, a run of
-    triples by bit tests; the first clause without one goes to
-    `_examine`, and only a clause that stays open becomes a branch;
+    (i * n + j) * n + k order, then its totality and antitonicity
+    partners (`not leq(i, j)` gives `leq(j, i)`; `leq(i, j)` gives
+    `leq(inv j, inv i)`, and `not leq(i, j)` gives `not leq(inv j,
+    inv i)`), then the clauses watched under it in id order; a clause
+    holding a concept and its complement is never a unit or a clash and
+    is not watched.  This is the order of interning and watching every
+    clause, since `ClassicalOntology.inclusions` lists transitivity, then
+    totality, then antitonicity, then the given inclusions.  Branching
+    scans a node's base and extra clauses with pointers that pass every
+    clause with a present disjunct, a run of triples by bit tests; the
+    first clause without one goes to `_examine`, and only a clause that
+    stays open becomes a branch;
   - `_find_decision` walks a node agenda, not every live node: bitsets
     over node ids (ids are creation order) of the nodes that may have
     at-most, clause, choose or at-least work.  Every change to a node
@@ -72,7 +83,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .classical_model import ClassicalInterpretation, ClassicalOntology
+from .classical_model import ClassicalInterpretation, ClassicalOntology, fact_axioms
 from .errors import BudgetExceededError
 from .nnf import (
     Literals,
@@ -85,6 +96,7 @@ from .nnf import (
     NOr,
     _element_key,
     inclusion_nnf,
+    leq_literals,
     negate_nnf,
     nnf,
     sort_key,
@@ -358,19 +370,25 @@ class Tableau:
     def _read_inclusions(self, ontology: ClassicalOntology) -> set:
         """Intern the base clauses; return their ids.
 
-        Every given inclusion is read by `nnf.inclusion_nnf`.  None of the
-        transitivity family of the ontology's order structure, if it has
-        one, is interned: its triples (i, j, k) over three distinct
-        positions are known by their positions, and the others are left
-        out, since each is a tautology or holds by the base fact
-        `leq(i, i)` that totality gives at i = j.
+        Every given inclusion is read by `nnf.inclusion_nnf`, and so are
+        the bounds and constant facts of the ontology's order structure,
+        if it has one, and its totality units `leq(i, i)`.  None of the
+        structure's transitivity, totality and antitonicity clauses over
+        distinct positions is interned: each is known by its positions.
+        The others are left out, since each is a tautology or holds by the
+        base facts `leq(i, i)`.
         """
         interner = self.interner
         lits = interner.lits
         base = set()
         order = ontology.order
         self.order_n = 0 if order is None else len(order)
-        for inc in ontology.axioms:
+        axioms = ontology.axioms
+        if order is not None:
+            t = order.table
+            base.update(interner._literal(lits.atom(t[i][i])) for i in range(len(t)))
+            axioms = fact_axioms(order) + axioms
+        for inc in axioms:
             read = inclusion_nnf(inc, lits)
             base.add(interner.clause(read) if type(read) is list else interner.intern(read))
         self._index_order_literals(order)
@@ -381,50 +399,72 @@ class Tableau:
         for none): `leq_ids` holds the id of `leq(i, j)`, i != j, at
         i*n + j and of its negation at n*n + i*n + j, interning the ones no
         clause has, `order_of` the bitset slots and positions of every
-        order literal id, and `by_rank` and `element_rank` the positions by
-        the elements' sort keys, which order a triple's disjuncts."""
+        order literal id, `by_rank` and `element_rank` the positions by the
+        elements' sort keys, which order the disjuncts of the clauses read
+        by position, and `pairs` the totality and antitonicity clauses."""
         interner = self.interner
         lits = interner.lits
         n = self.order_n
         nn = n * n
         ids = self.leq_ids = [None] * (2 * nn)
         self.order_elements = () if order is None else order.elements
+        self.inverse = () if order is None else order.inverse
         # slots: P_row[i] and P_col[j] for leq(i, j), N_row[i] and N_col[j]
         # for its negation
         self.order_of: dict = {}  # literal id -> (row slot, column slot, i, j)
+        keys = [_element_key(e) for e in self.order_elements]
         for p in range(nn):
             i, j = divmod(p, n)
             if i != j:
-                atom = order.table[i][j]
-                for sign, make in ((0, lits.atom), (1, lits.negated)):
-                    cid = ids[sign * nn + p] = interner._literal(make(atom))
+                literals = leq_literals(lits, order.table[i][j], (keys[i], keys[j]))
+                for sign, literal in enumerate(literals):
+                    cid = ids[sign * nn + p] = interner._literal(literal)
                     offset = 2 * n * sign
                     self.order_of[cid] = (offset + i, offset + n + j, i, j)
-        keys = [_element_key(e) for e in self.order_elements]
+                # each is the other's complement, which `negation` would find
+                interner.negs[ids[p]], interner.negs[ids[nn + p]] = ids[nn + p], ids[p]
         self.by_rank = sorted(range(n), key=keys.__getitem__)
-        self.element_rank = [0] * n
+        er = self.element_rank = [0] * n
         for r, p in enumerate(self.by_rank):
-            self.element_rank[p] = r
+            er[p] = r
+        # (disjuncts, complements) in sort-key order: at i*n + j the
+        # totality clause of {i, j}, `top [= leq(i, j) or leq(j, i)`, and at
+        # n*n + i*n + j the antitonicity clause of (i, j), `leq(i, j) [=
+        # leq(inv j, inv i)`
+        pairs = self.pairs = [None] * (2 * nn)
+        for p in range(nn):
+            i, j = divmod(p, n)
+            if i != j:
+                q = self.inverse[j] * n + self.inverse[i]
+                pairs[nn + p] = (ids[q], ids[nn + p]), (ids[nn + q], ids[p])
+                if er[i] < er[j]:
+                    q = j * n + i
+                    pairs[p] = pairs[q] = (ids[p], ids[q]), (ids[nn + p], ids[nn + q])
 
     def _base_order(self, base: set) -> tuple:
-        """The base concepts in sort-key order with the triples merged in,
-        and its slice of disjunctions.
+        """The base concepts in sort-key order with the clauses read by
+        position merged in, and its slice of disjunctions.
 
         A disjunction's key is (3, its disjuncts' keys), and its disjuncts
         are in key order, so disjunctions compare by the ranks of their
-        disjuncts in one sort of every distinct disjunct.  The triple
-        (i, j, k) has the disjuncts leq(i, k), then not leq(i, j) and not
-        leq(j, k) in the order of their first element, so the triples of a
-        pair (i, k) follow each other in the rank order of j, after the
-        disjunctions that start with a smaller literal.  They are merged in
-        as runs (i, k, j bits), split wherever a real disjunction starting
-        with leq(i, k) falls between two of them.
+        disjuncts in one sort of every distinct disjunct.  A positive
+        literal leq(i, k), i != k, leads the block of clauses that start
+        with it: the totality clause of {i, k} if leq(i, k) comes first in
+        it, the antitonicity clause of (inv k, inv i), the interned ones,
+        and the triples (i, j, k).  A triple has the disjuncts leq(i, k),
+        then not leq(i, j) and not leq(j, k) in the order of their first
+        element, so the triples of (i, k) follow each other in the rank
+        order of j.  They are merged in as runs (i, k, j bits), split
+        before each other clause of the block whose remaining disjuncts
+        come after theirs.  The clauses read by position are
+        (disjuncts, complements) pairs, each ahead of an interned one
+        equal to it.
         """
         interner = self.interner
         objs, kinds, parts = interner.objs, interner.kinds, interner.parts
         n = self.order_n
         nn = n * n
-        ids, by_rank = self.leq_ids, self.by_rank
+        ids, by_rank, inv, er = self.leq_ids, self.by_rank, self.inverse, self.element_rank
         ors = [c for c in base if kinds[c] == _KIND_OR]
         others = sorted(
             (c for c in base if kinds[c] != _KIND_OR), key=lambda c: sort_key(objs[c])
@@ -434,41 +474,67 @@ class Tableau:
         ranked = sorted(disjuncts, key=lambda d: sort_key(objs[d]))
         rank = {d: r for r, d in enumerate(ranked)}.__getitem__
         keyed = sorted((tuple(map(rank, parts[c])), c) for c in ors)
-        pairs = (p for p in range(nn) if ids[p] is not None)  # i != k
-        blocks = sorted(pairs, key=lambda p: rank(ids[p]))
+        full = (1 << n) - 1
+        lower = [0] * n  # lower[p]: the positions of smaller rank than p
+        for r in range(1, n):
+            lower[by_rank[r]] = lower[by_rank[r - 1]] | 1 << by_rank[r - 1]
         merged = []
-        at = 0  # the next real disjunction in `keyed`
-        for p in blocks:
-            lead = rank(ids[p])
-            while at < len(keyed) and keyed[at][0][0] < lead:
-                merged.append(keyed[at][1])
-                at += 1
-            i, k = divmod(p, n)
-            # the triples of (i, k) not merged yet: every middle position
-            rest = ((1 << n) - 1) & ~(1 << i | 1 << k)
-            cursor = 0  # into by_rank
-            while at < len(keyed) and keyed[at][0][0] == lead:
-                tail = keyed[at][0][1:]
-                run = 0
-                while cursor < len(by_rank):
-                    j = by_rank[cursor]
-                    if rest >> j & 1:
-                        x, y = rank(ids[nn + i * n + j]), rank(ids[nn + j * n + k])
-                        if ((x, y) if x < y else (y, x)) >= tail:
-                            break
-                        run |= 1 << j
-                    cursor += 1
-                if run:
-                    merged.append((i, k, run))
-                    rest ^= run
-                merged.append(keyed[at][1])
-                at += 1
-            if rest:
-                merged.append((i, k, rest))
+        at = 0  # the next interned disjunction in `keyed`
+        for i in by_rank:
+            for k in by_rank:
+                if i == k:
+                    continue
+                lead = rank(ids[i * n + k])
+                while at < len(keyed) and keyed[at][0][0] < lead:
+                    merged.append(keyed[at][1])
+                    at += 1
+                # each clause of the block: its remaining disjuncts' ranks,
+                # the clause, and the middle positions j of the triples
+                # before it.  No triple comes before totality, whose second
+                # disjunct is positive; one comes before antitonicity,
+                # whose second is not leq(p, q), iff not leq(i, j) or
+                # not leq(j, k) ranks below it
+                p, q = inv[k], inv[i]
+                below = lower[p] | (1 << p if er[k] < er[q] else 0)
+                below |= full if er[i] < er[p] else lower[q] if i == p else 0
+                heads = [((rank(ids[nn + p * n + q]),), self.pairs[nn + p * n + q], below)]
+                if er[i] < er[k]:
+                    heads.append(((rank(ids[k * n + i]),), self.pairs[i * n + k], 0))
+                while at < len(keyed) and keyed[at][0][0] == lead:
+                    tail = keyed[at][0][1:]
+                    heads.append((tail, keyed[at][1], self._triples_below(i, k, tail, rank)))
+                    at += 1
+                heads.sort(key=lambda head: head[0])  # stable
+                rest = full & ~(1 << i | 1 << k)  # the triples not merged yet
+                for _, entry, below in heads:
+                    run = rest & below
+                    if run:
+                        merged.append((i, k, run))
+                        rest ^= run
+                    merged.append(entry)
+                if rest:
+                    merged.append((i, k, rest))
         merged.extend(cid for _, cid in keyed[at:])
         head = [c for c in others if kinds[c] < _KIND_OR]
         order = tuple(head + merged + others[len(head) :])
         return order, order[len(head) : len(head) + len(merged)]
+
+    def _triples_below(self, i: int, k: int, tail: tuple, rank) -> int:
+        """The middle positions j of the triples (i, j, k) whose negative
+        disjuncts, by `rank`, come before the disjuncts `tail`: a prefix of
+        them in the rank order of j."""
+        n = self.order_n
+        nn, ids, by_rank = n * n, self.leq_ids, self.by_rank
+        if tail[0] > rank(ids[nn + by_rank[-1] * n + by_rank[-2]]):
+            return (1 << n) - 1  # after the last negative literal, as a forall is
+        below = 0
+        for j in by_rank:
+            if j != i and j != k:
+                x, y = rank(ids[nn + i * n + j]), rank(ids[nn + j * n + k])
+                if ((x, y) if x < y else (y, x)) >= tail:
+                    break
+                below |= 1 << j
+        return below
 
     def _triple(self, i: int, j: int, k: int) -> tuple:
         """The disjuncts of the triple (i, j, k), `(and leq(i, j) leq(j, k))
@@ -490,7 +556,7 @@ class Tableau:
         dependency 0 without neighbours, and new nodes copy them.  A clash
         there means the axioms are contradictory at every element, hence
         inconsistency.  The pass is bounded by the interned concepts and the
-        triples; it is not traced and takes no steps.
+        clauses read by position; it is not traced and takes no steps.
         """
         node = _Node(0, None, frozenset(), 0, 0)
         bits = node.bits = [0] * (4 * self.order_n)
@@ -507,6 +573,9 @@ class Tableau:
             for entry in self.base_order:
                 if type(entry) is int:
                     self._process(0, entry)
+                    continue
+                if len(entry) == 2:  # totality or antitonicity
+                    self._examine(0, None, *entry)
                     continue
                 # a run of triples (i, j, k) of one (i, k): examine them all
                 # if one acts, leaving no disjunct present and one or none
@@ -587,6 +656,7 @@ class Tableau:
             order = self.order_of.get(cid)
             if order is not None:
                 self._examine_triples(nid, node.bits, kind, order)
+                self._examine_partners(nid, node.bits, kind, order)
         elif kind == _KIND_AND:
             dep = self._dep_of(node, cid)
             for a in part:
@@ -655,12 +725,39 @@ class Tableau:
             for m in _positions(ms):
                 examine(nid, None, *triple(i, m, j))
 
+    def _examine_partners(self, nid: int, bits: list, kind: int, order):
+        """Examine the totality and antitonicity clauses over distinct
+        positions that order literal `order` (its bitset slots and
+        positions i, j) refutes a disjunct of, at node `nid`, whose
+        bitsets are `bits`: for `not leq(i, j)` the totality clause of
+        {i, j}, then the antitonicity clause of (inv j, inv i); for
+        `leq(i, j)` the antitonicity clause of (i, j).  This is the order
+        of interning and watching them, since `ClassicalOntology.inclusions`
+        lists totality before antitonicity.  A clause that holds a present
+        disjunct is skipped, and so is the antitonicity clause at
+        j = inv i, which holds a literal and its complement and would not
+        be watched.
+        """
+        _, _, i, j = order
+        n = self.order_n
+        a, b = self.inverse[j], self.inverse[i]
+        if kind == _KIND_ATOM:
+            # leq(i, j) refutes not leq(i, j), leaving leq(a, b)
+            if a != i and not bits[a] >> b & 1:
+                self._examine(nid, None, *self.pairs[n * n + i * n + j])
+            return
+        # not leq(i, j) refutes leq(i, j), leaving leq(j, i) and not leq(a, b)
+        if not bits[j] >> i & 1:
+            self._examine(nid, None, *self.pairs[i * n + j])
+        if a != i and not bits[2 * n + a] >> b & 1:
+            self._examine(nid, None, *self.pairs[n * n + a * n + b])
+
     def _examine(self, nid: int, oid, disjuncts, negs) -> bool:
         """Settle the clause with `disjuncts`, whose complements are `negs`,
         at node `nid`: True if it is satisfied or its one open disjunct was
         added, False if two or more are open; a clause with every disjunct
         refuted raises `_Clash`.  `oid` is the clause's id, None for a
-        transitivity triple."""
+        clause read by position."""
         node = self.nodes[nid]
         label = node.label
         base = self.base_set
@@ -684,8 +781,8 @@ class Tableau:
     def _refuted_dep(self, node: _Node, oid, negs) -> int:
         """Dependency of clause `oid` at `node` joined with the dependencies
         of its refuted disjuncts' complements `negs` (an open disjunct has
-        none).  A base clause, a triple (`oid` None) among them, has the
-        node's own dependency."""
+        none).  A base clause, one read by position (`oid` None) among
+        them, has the node's own dependency."""
         label = node.label
         dep = label.get(oid, node.dep)
         for nd in negs:
@@ -980,15 +1077,20 @@ class Tableau:
             while ptr < end:
                 entry = ors[ptr]
                 if type(entry) is int:
-                    for d in parts[entry]:
-                        if d in label or d in base:
-                            break
-                    else:
-                        break
+                    disjuncts = parts[entry]
+                elif len(entry) == 2:
+                    disjuncts = entry[0]
                 else:
                     i, k, run = entry
                     if not bits[i] >> k & 1 and run & ~(bits[n_row + i] | bits[n_col + k]):
                         break
+                    ptr += 1
+                    continue
+                for d in disjuncts:
+                    if d in label or d in base:
+                        break
+                else:
+                    break
                 ptr += 1
             if ptr != old:
                 self.trail.append(("attr", node, attr, old))
@@ -998,6 +1100,8 @@ class Tableau:
             entry = ors[ptr]
             if type(entry) is int:
                 oid, disjuncts, negs = entry, parts[entry], self.interner.or_negs[entry]
+            elif len(entry) == 2:
+                oid, (disjuncts, negs) = None, entry
             else:
                 # the run holds up to its first open triple in rank order
                 i, k, run = entry

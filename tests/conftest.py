@@ -109,7 +109,9 @@ class CorpusRun:
     graph: Optional[object]
     tableau_seconds: float
     # (verdict, base clauses, interned concepts, nodes created, steps,
-    # distinct-position transitivity triples)
+    # clauses read by position: the distinct-position transitivity triples,
+    # the totality clause of every pair and the antitonicity clause of
+    # every (i, j), i != j)
     search: tuple
     grid_model: Optional[object] = None
     grid_skipped: bool = False
@@ -143,7 +145,8 @@ def corpus_runs():
                 len(tab.interner.objs),
                 tab.created,
                 tab.steps,
-                tab.order_n * (tab.order_n - 1) * (tab.order_n - 2),
+                tab.order_n * (tab.order_n - 1) * (tab.order_n - 2)
+                + 3 * tab.order_n * (tab.order_n - 1) // 2,
             ),
         )
         start = time.monotonic()

@@ -123,3 +123,43 @@ def test_family_by_position_reports_what_the_built_family_does(corpus_runs):
             assert violations == check_classical_model(t, plain, elements), run_.name
             verdicts.append(not violations)
     assert any(verdicts) and not all(verdicts)
+
+
+def _relabelled(tree, d, drop=(), add=()):
+    """`tree` with the atoms `drop` removed from and `add` added to the
+    label of element `d`."""
+    labels = dict(tree.true_atoms)
+    labels[d] = (labels[d] - set(drop)) | set(add)
+    return dataclasses.replace(tree, true_atoms=labels, _succ={})
+
+
+def test_each_order_family_is_reported_like_its_inclusions(corpus_runs):
+    # bit tests on the rows against one `Inclusion` at a time over
+    # `inclusions`, on labels that break totality, the bounds, the constant
+    # order and antitonicity in turn
+    run_ = next(r for r in corpus_runs if r.name == "duality")
+    red = run_.reduction
+    u, t, inv = red.order, red.order.table, red.order.inverse
+    plain = ClassicalOntology(red.inclusions, red.assertions, red.individual)
+    tree = extract_classical_model(run_.graph, 2)
+    d = tree.domain[-1]
+    assert d != tree.root
+    label = tree.true_atoms[d]
+    n, last = len(u), len(u.values) - 1
+    i = last + 1  # the first subconcept
+    # a true leq(x, y) whose antitone partner is another atom
+    x, y = next((x, y) for x in range(n) for y in range(n) if t[x][y] in label and inv[y] != x)
+    j = i + 1
+    cases = {  # the labels, and the right side of an inclusion they break
+        "totality": ({"drop": (t[i][j], t[j][i])}, Or(t[i][j], t[j][i])),
+        "bounds": ({"drop": (t[0][i],)}, And(t[0][i], t[i][last])),
+        "constants": ({"add": (t[last][0],)}, Not(t[last][0])),
+        "antitonicity": ({"drop": (t[inv[y]][inv[x]],)}, t[inv[y]][inv[x]]),
+    }
+    for family, (change, rhs) in cases.items():
+        broken = _relabelled(tree, d, **change)
+        for elements in (None, (tree.root, d), (tree.root,)):
+            violations = check_classical_model(broken, red, elements)
+            assert violations == check_classical_model(broken, plain, elements), family
+            hit = any(v.endswith(f" vs {rhs!r}") for v in violations)
+            assert hit == (elements != (tree.root,)), family

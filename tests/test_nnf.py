@@ -1,15 +1,30 @@
-from galcq import And, AtLeast, Implies, Name, Not, Or, Forall
+from galcq import (
+    And,
+    AtLeast,
+    Forall,
+    Implies,
+    Name,
+    Not,
+    Or,
+    parse_ontology,
+    reduce_ontology,
+)
 from galcq.nnf import (
+    Literals,
     NAtLeast,
     NAtMost,
     NAtom,
     NNegAtom,
     NTRUE,
     NFALSE,
+    _element_key,
+    _structural_key,
+    leq_literals,
     mk_and,
     mk_or,
     negate_nnf,
     nnf,
+    sort_key,
 )
 
 A = Name("A")
@@ -64,3 +79,15 @@ def test_negate_nnf_counting_duals():
     n = NAtLeast(2, "r", NAtom(A))
     assert negate_nnf(n) == NAtMost(1, "r", NAtom(A))
     assert negate_nnf(NAtMost(1, "r", NAtom(A))) == n
+
+
+def test_order_literal_keys_are_the_structural_ones():
+    red = reduce_ontology(parse_ontology("(assert (inst a (some r (and A (not B)))) >= 1/3)"))
+    u, lits = red.order, Literals()
+    keys = [_element_key(e) for e in u.elements]
+    for i, row in enumerate(u.table):
+        for j, atom in enumerate(row):
+            pos, neg = leq_literals(lits, atom, (keys[i], keys[j]))
+            assert (pos, neg) == (lits.atom(atom), lits.negated(atom))
+            assert sort_key(pos) == _structural_key(pos) and pos == NAtom(atom)
+            assert sort_key(neg) == _structural_key(neg) and neg == NNegAtom(atom)

@@ -20,18 +20,18 @@ from galcq import (
     reduce_ontology,
     semantics_axioms,
 )
-from galcq.classical_model import Inclusion
+from galcq.classical_model import (
+    Inclusion,
+    antitonicity_axioms,
+    bounds_axioms,
+    fact_axioms,
+    totality_axioms,
+    value_order_axioms,
+)
 from galcq.concepts import TOP, subconcepts
 from galcq.ontology import FuzzyOntology, OrderAssertion, RoleAssertion
 from galcq.orders import EDGE, ConceptElement, OrderStructure, ShiftedElement, ValueElement
-from galcq.reduction import (
-    antitonicity_axioms,
-    bounds_axioms,
-    tbox_axioms,
-    totality_axioms,
-    transfer_axioms,
-    value_order_axioms,
-)
+from galcq.reduction import tbox_axioms, transfer_axioms
 from galcq.syntax import classical_to_sexpr
 
 F = Fraction
@@ -242,18 +242,21 @@ def test_inclusions_are_the_transitivity_family_then_the_rest():
     red = reduce_ontology(o)
     u = red.order
     assert u == OrderStructure.from_ontology(o)
-    assert red.axioms == (
-        totality_axioms(u)
-        + bounds_axioms(u)
-        + value_order_axioms(u.values, u.leq)
-        + antitonicity_axioms(u)
-        + transfer_axioms(u)
-        + tbox_axioms(o, u)
-    )
+    # the structure fixes the preorder families; only transfer and the
+    # TBox and semantics axioms are given as objects
+    assert red.axioms == transfer_axioms(u) + tbox_axioms(o, u)
+    assert fact_axioms(u) == bounds_axioms(u) + value_order_axioms(u.values, u.leq)
     t, span = u.table, range(len(u))
     family = tuple(
         Inclusion(And(t[i][j], t[j][k]), t[i][k]) for i in span for j in span for k in span
     )
     inclusions = red.inclusions
-    assert inclusions == family + red.axioms
+    assert inclusions == (
+        family
+        + totality_axioms(u)
+        + bounds_axioms(u)
+        + value_order_axioms(u.values, u.leq)
+        + antitonicity_axioms(u)
+        + red.axioms
+    )
     assert inclusions is red.inclusions  # built once

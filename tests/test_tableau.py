@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from galcq import (
     parse_ontology,
     reduce_ontology,
 )
+from galcq.classical_model import fact_axioms
 from galcq.concepts import TOP, quantifier_depth
 from galcq.orders import ValueElement
 from galcq.nnf import (
@@ -242,17 +244,17 @@ def test_agreement_with_brute_force_on_random_ontologies():
 # base clauses, interned concepts, nodes created, steps, sha256 prefix of
 # the printed reduction).  Interning order, base clause order and disjunct
 # order decide the search, so any change to them moves these numbers.  The
-# base clause and interned concept columns count every distinct-position
-# transitivity triple as one of each, as if it were interned, and none of
-# the triples with two coinciding positions, which the tableau does not
-# read (the inclusion column, from `ClassicalOntology.inclusions`, still
-# counts them).
+# base clause and interned concept columns count every clause read by
+# position (`_by_position_count`) as one of each, as if it were interned,
+# and none of the triples with two coinciding positions or antitonicity
+# clauses at i = j, which the tableau does not read (the inclusion column,
+# from `ClassicalOntology.inclusions`, still counts them).
 PINNED = {
-    "two-roles": (True, 10659, 9165, 11004, 7, 3890, "f3194964bdce0744"),
-    "count-clash": (False, 17251, 15123, 17034, 3, 1796, "d1b452b3b95c29d4"),
-    "duality": (True, 5681, 4709, 5608, 37, 11168, "0404f426a9d5e3ea"),
-    "atmost-res": (True, 10418, 8924, 10276, 11, 4833, "a9838d4e4a85d866"),
-    "forall-clash": (False, 13615, 11816, 13523, 2, 697, "f66013164866c31b"),
+    "two-roles": (True, 10659, 9144, 10983, 7, 3890, "f3194964bdce0744"),
+    "count-clash": (False, 17251, 15098, 17009, 3, 1796, "d1b452b3b95c29d4"),
+    "duality": (True, 5681, 4692, 5591, 37, 11168, "0404f426a9d5e3ea"),
+    "atmost-res": (True, 10418, 8903, 10255, 11, 4833, "a9838d4e4a85d866"),
+    "forall-clash": (False, 13615, 11793, 13500, 2, 697, "f66013164866c31b"),
 }
 
 
@@ -262,12 +264,12 @@ def test_search_behaviour_is_pinned(name):
     tab = Tableau(red, NODE_BUDGET, STEP_BUDGET)
     result = tab.run()
     digest = hashlib.sha256(classical_to_sexpr(red).encode("utf-8")).hexdigest()[:16]
-    triples = _triple_count(tab)
+    by_position = _by_position_count(tab)
     observed = (
         result.consistent,
         len(red.inclusions),
-        len(tab.base_list) + triples,
-        len(tab.interner.objs) + triples,
+        len(tab.base_list) + by_position,
+        len(tab.interner.objs) + by_position,
         tab.created,
         tab.steps,
         digest,
@@ -278,51 +280,56 @@ def test_search_behaviour_is_pinned(name):
 # Search on every corpus entry, as (verdict, base clauses, interned
 # concepts, nodes created, steps), recorded by the session fixture's own
 # tableau runs; the base clause and interned concept columns count every
-# distinct-position transitivity triple as one of each, and no triple with
-# two coinciding positions.
+# clause read by position as one of each, as `PINNED` does.
 CORPUS_SEARCH = {
-    "empty": (True, 111, 150, 1, 10),
-    "assert-half": (True, 645, 792, 1, 54),
-    "godel-mid": (True, 1996, 2317, 1, 125),
-    "godel-above": (True, 3111, 3528, 1, 165),
-    "cmp-lt": (True, 1995, 2314, 1, 130),
-    "cmp-eq-neg": (True, 1995, 2316, 1, 131),
-    "implies-deg": (True, 6405, 7094, 1, 294),
-    "gci-chain": (True, 3111, 3526, 1, 171),
-    "gci-top": (True, 1997, 2315, 1, 104),
-    "exists-half": (True, 2094, 2619, 3, 479),
-    "forall-low": (True, 2094, 2621, 3, 482),
-    "atleast-two": (True, 2094, 2617, 5, 798),
-    "atmost-inv": (True, 2094, 2617, 5, 798),
-    "atmost-res": (True, 8924, 10276, 11, 4833),
-    "duality": (True, 4709, 5608, 37, 11168),
-    "crisp-sat": (True, 1996, 2315, 1, 131),
-    "two-roles": (True, 9165, 11004, 7, 3890),
-    "loop-gci": (True, 2095, 2618, 3, 478),
-    "open-interval": (True, 645, 792, 1, 54),
-    "neg-forall": (True, 2094, 2621, 3, 482),
-    "godel-high": (False, 3111, 3528, 1, 5),
-    "squeeze": (False, 1208, 1419, 1, 1),
-    "top-neg": (False, 1997, 2315, 1, 3),
-    "forall-clash": (False, 11816, 13523, 2, 697),
-    "count-clash": (False, 15123, 17034, 3, 1796),
-    "self-implies": (False, 1996, 2321, 1, 0),
-    "top-low": (False, 646, 792, 1, 0),
-    "below-zero": (False, 645, 792, 1, 0),
-    "cmp-circle": (False, 1995, 2314, 1, 1),
-    "res-atmost-midway": (False, 4710, 5602, 1, 8),
-    "gci-force": (False, 1997, 2315, 1, 1),
-    "exists-zero": (False, 8924, 10280, 3, 1445),
-    "chain-squeeze": (False, 1997, 2316, 1, 9),
-    "count-squeeze": (False, 3273, 4018, 1, 2),
+    "empty": (True, 106, 145, 1, 10),
+    "assert-half": (True, 636, 783, 1, 54),
+    "godel-mid": (True, 1983, 2304, 1, 125),
+    "godel-above": (True, 3096, 3513, 1, 165),
+    "cmp-lt": (True, 1982, 2301, 1, 130),
+    "cmp-eq-neg": (True, 1982, 2303, 1, 131),
+    "implies-deg": (True, 6386, 7075, 1, 294),
+    "gci-chain": (True, 3096, 3511, 1, 171),
+    "gci-top": (True, 1984, 2302, 1, 104),
+    "exists-half": (True, 2081, 2606, 3, 479),
+    "forall-low": (True, 2081, 2608, 3, 482),
+    "atleast-two": (True, 2081, 2604, 5, 798),
+    "atmost-inv": (True, 2081, 2604, 5, 798),
+    "atmost-res": (True, 8903, 10255, 11, 4833),
+    "duality": (True, 4692, 5591, 37, 11168),
+    "crisp-sat": (True, 1983, 2302, 1, 131),
+    "two-roles": (True, 9144, 10983, 7, 3890),
+    "loop-gci": (True, 2082, 2605, 3, 478),
+    "open-interval": (True, 636, 783, 1, 54),
+    "neg-forall": (True, 2081, 2608, 3, 482),
+    "godel-high": (False, 3096, 3513, 1, 5),
+    "squeeze": (False, 1197, 1408, 1, 1),
+    "top-neg": (False, 1984, 2302, 1, 3),
+    "forall-clash": (False, 11793, 13500, 2, 697),
+    "count-clash": (False, 15098, 17009, 3, 1796),
+    "self-implies": (False, 1983, 2308, 1, 0),
+    "top-low": (False, 637, 783, 1, 0),
+    "below-zero": (False, 636, 783, 1, 0),
+    "cmp-circle": (False, 1982, 2301, 1, 1),
+    "res-atmost-midway": (False, 4693, 5585, 1, 8),
+    "gci-force": (False, 1984, 2302, 1, 1),
+    "exists-zero": (False, 8903, 10259, 3, 1445),
+    "chain-squeeze": (False, 1984, 2303, 1, 9),
+    "count-squeeze": (False, 3258, 4003, 1, 2),
 }
 
 
 def test_corpus_search_is_pinned(corpus_runs):
     observed = {}
     for run_ in corpus_runs:
-        consistent, base, interned, created, steps, triples = run_.search
-        observed[run_.name] = (consistent, base + triples, interned + triples, created, steps)
+        consistent, base, interned, created, steps, by_position = run_.search
+        observed[run_.name] = (
+            consistent,
+            base + by_position,
+            interned + by_position,
+            created,
+            steps,
+        )
     assert observed == CORPUS_SEARCH
 
 
@@ -360,11 +367,11 @@ def test_family_search_is_pinned(family, k, q):
 # they move whenever the interning order does; the label order is what new
 # nodes copy and merges iterate.
 STATIC = {
-    "two-roles": (106, 0, 0x75286BDDB2A22ED4, "300f76addb573ec8"),
-    "count-clash": (171, 1, 0xBE08970856849888, "c0495645b283f671"),
-    "duality": (59, 0, 0xB02D521E272868E8, "e2994ca21e07f9d3"),
-    "atmost-res": (137, 3, 0x030A4221E0BB67D4, "79e8d8795b4d202f"),
-    "forall-clash": (168, 0, 0x9FD1A0C314F6CEF4, "91a71eeff58289a0"),
+    "two-roles": (106, 0, 0x062B5838B33D413B, "300f76addb573ec8"),
+    "count-clash": (171, 1, 0xCC444ABB772B7A7B, "c0495645b283f671"),
+    "duality": (59, 0, 0x3906F16FCDB499AB, "e2994ca21e07f9d3"),
+    "atmost-res": (137, 3, 0x790115EDCDAC88A2, "79e8d8795b4d202f"),
+    "forall-clash": (168, 0, 0xEE77D2809CD11285, "91a71eeff58289a0"),
 }
 
 
@@ -401,14 +408,50 @@ def test_static_pass_is_not_traced():
 # clause-level base clauses against the NNF path
 
 
+def _families(ontology):
+    """The slices of `ontology.inclusions` that its order structure fixes,
+    with the element positions of each entry: transitivity (i, j, k),
+    totality (i, j), the bounds and constant facts (no positions) and
+    antitonicity (i, j); empty without a structure."""
+    if ontology.order is None:
+        return [], [], [], []
+    u = ontology.order
+    n = len(u)
+    inclusions = ontology.inclusions
+    facts = len(fact_axioms(u))
+    cut = list(itertools.accumulate((n**3, n * n, facts, n * n)))
+    positions = (
+        itertools.product(range(n), repeat=3),
+        itertools.product(range(n), repeat=2),
+        itertools.repeat(()),
+        itertools.product(range(n), repeat=2),
+    )
+    return [
+        list(zip(inclusions[start:end], at))
+        for start, end, at in zip([0] + cut, cut, positions)
+    ]
+
+
 def _read_inclusions(ontology):
     """The inclusions the tableau reads: all but the transitivity triples
-    with two coinciding positions."""
-    n = 0 if ontology.order is None else len(ontology.order)
-    positions = itertools.product(range(n), repeat=3)
-    family = ontology.inclusions[: n**3]
-    distinct = (inc for inc, p in zip(family, positions) if len(set(p)) == 3)
-    return (*distinct, *ontology.axioms)
+    with two coinciding positions and the antitonicity clauses at i = j."""
+    triples, totality, facts, antitone = _families(ontology)
+    return (
+        *(inc for inc, p in triples if len(set(p)) == 3),
+        *(inc for inc, _ in totality + facts),
+        *(inc for inc, (i, j) in antitone if i != j),
+        *ontology.axioms,
+    )
+
+
+def _pair_clause(tab, entry):
+    """The clause of a totality or antitonicity entry of `tab.base_order`,
+    (disjuncts, complements), after checking that the complements are
+    those of the disjuncts."""
+    objs, lits = tab.interner.objs, tab.interner.lits
+    disjuncts, negs = entry
+    assert [objs[d] for d in negs] == [negate_nnf(objs[d], lits) for d in disjuncts]
+    return mk_or(objs[d] for d in disjuncts)
 
 
 def _reference_base(ontology):
@@ -443,11 +486,18 @@ def _assert_base_matches_reference(ontology):
     reference, ref = _reference_base(ontology)
     got = tab.interner
     objs, lits, e = got.objs, got.lits, tab.order_elements
-    # the merged base order, every run of triples written out by the NNF path
-    expanded, triples = [], set()
+    # the merged base order, every clause read by position written out by
+    # the NNF path
+    expanded, by_position = [], set()
     for entry in tab.base_order:
         if type(entry) is int:
             expanded.append(objs[entry])
+            continue
+        if len(entry) == 2:
+            clause = _pair_clause(tab, entry)
+            assert clause.args == tuple(objs[d] for d in entry[0])
+            expanded.append(clause)
+            by_position.add(clause)
             continue
         i, k, run = entry
         for j in tab.by_rank:
@@ -459,25 +509,28 @@ def _assert_base_matches_reference(ontology):
                 assert [objs[d] for d in negs] == [negate_nnf(d, lits) for d in clause.args]
                 assert len({i, j, k}) == 3
                 expanded.append(clause)
-                triples.add(clause)
+                by_position.add(clause)
     assert expanded == [ref.objs[cid] for cid in reference]
-    assert len(triples) == _triple_count(tab)
+    assert len(by_position) == _by_position_count(tab)
     assert tab.base_list == tuple(c for c in tab.base_order if type(c) is int)
     ors = [c for c in tab.base_order if type(c) is not int or got.kinds[c] == _KIND_OR]
     assert list(tab.base_ors) == ors
     # every other reference concept is interned, with the same parts, and
-    # all but the literals, whose ids the triples no longer assign, in the
-    # same relative id order
+    # all but the literals, whose ids the clauses read by position no
+    # longer assign, in the same relative id order
     known = {o: cid for cid, o in enumerate(objs)}
     for cid, o in enumerate(ref.objs):
-        if o not in triples:
+        if o not in by_position:
             assert _described(got, known[o]) == _described(ref, cid)
-    assert not triples & set(objs)
-    compound = [o for o in ref.objs if o not in triples and type(o) not in (NAtom, NNegAtom)]
+    assert not by_position & set(objs)
+    compound = [
+        o for o in ref.objs if o not in by_position and type(o) not in (NAtom, NNegAtom)
+    ]
     assert sorted(compound, key=known.__getitem__) == compound
 
     # the watch lists are the reference's, in the same order, without the
-    # triples and the clauses that hold a concept and its complement
+    # clauses read by position and those that hold a concept and its
+    # complement
     def watching(interner, keep):
         lists = {}
         for nd, cids in interner.watch.items():
@@ -491,7 +544,7 @@ def _assert_base_matches_reference(ontology):
 
     refs = set(ref.objs)
     assert watching(got, lambda c: objs[c] in refs) == watching(
-        ref, lambda c: ref.objs[c] not in triples and not tautology(c)
+        ref, lambda c: ref.objs[c] not in by_position and not tautology(c)
     )
     assert all(cids == sorted(cids) for cids in got.watch.values())
 
@@ -643,18 +696,63 @@ def _triple_count(tab):
     return n * (n - 1) * (n - 2)
 
 
+def _by_position_count(tab):
+    """The number of distinct clauses the tableau reads by position: the
+    triples over three distinct positions, the totality clause of every
+    pair and the antitonicity clause of every (i, j), i != j."""
+    n = tab.order_n
+    return _triple_count(tab) + n * (n - 1) // 2 + n * (n - 1)
+
+
 def test_triple_table_holds_every_distinct_vertex_transitivity_clause():
     red = reduce_ontology(parse_ontology(dict(CORPUS)["duality"]))
     tab = Tableau(red)
     assert tab.order_n == len(red.order) and tab.order_elements == red.order.elements
-    triples = _triple_count(tab)
-    # the inclusions it reads without the structure: every triple is interned
+    by_position = _by_position_count(tab)
+    # the inclusions it reads without the structure: every triple, totality
+    # and antitonicity clause is interned
     read = _read_inclusions(red)
     for inclusions in (read, read[::-1]):
         plain = Tableau(ClassicalOntology(inclusions, red.assertions, "a"))
         assert plain.order_n == 0
-        assert len(plain.base_list) == len(tab.base_list) + triples
-        assert len(plain.interner.objs) == len(tab.interner.objs) + triples
+        assert len(plain.base_list) == len(tab.base_list) + by_position
+        assert len(plain.interner.objs) == len(tab.interner.objs) + by_position
+
+
+def test_totality_and_antitonicity_are_read_by_position(corpus_runs):
+    # every totality and antitonicity clause over distinct positions, the
+    # self-partner ones (j = inv i) included, is a (disjuncts, complements)
+    # entry of the base order and is never interned; the ones at i = j hold
+    # by the base facts leq(m, m)
+    self_partners = 0
+    for run_ in corpus_runs:
+        red = run_.reduction
+        tab = Tableau(red)
+        inv, t = red.order.inverse, red.order.table
+        lits = tab.interner.lits
+        entries = [e for e in tab.base_order if type(e) is not int and len(e) == 2]
+        read = {_pair_clause(tab, e) for e in entries}
+        assert len(read) == len(entries)
+        units = {tab.interner.ids[_KIND_ATOM, t[m][m]] for m in range(len(t))}
+        assert units <= tab.base_set, run_.name
+        _, totality, _, antitone = _families(red)
+        clauses = set()
+        for inc, (i, j) in totality:
+            clause = mk_or(inclusion_nnf(inc, lits))
+            if i != j:
+                clauses.add(clause)
+            else:
+                assert clause == NAtom(t[i][i])
+        for inc, (i, j) in antitone:
+            clause = mk_or(inclusion_nnf(inc, lits))
+            if i != j:
+                clauses.add(clause)
+                self_partners += inv[j] == i
+            else:
+                assert NAtom(t[inv[i]][inv[i]]) in clause.args
+        assert read == clauses, run_.name
+        assert not clauses & set(tab.interner.objs), run_.name
+    assert self_partners
 
 
 def test_corpus_verdicts_do_not_depend_on_inclusion_order(corpus_runs):
@@ -687,30 +785,65 @@ def test_dropped_triples_are_implied(corpus_runs):
         assert units <= tab.base_set, run_.name
 
 
-DIFFERENTIAL_INPUTS = {
-    name: text
-    for name, text in CORPUS
-    if name in ("duality", "two-roles", "atmost-res", "count-clash")
-}
-DIFFERENTIAL_INPUTS.update({f"chain-{k}": _chain(k) for k in (1, 2, 3)})
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
+DIFFERENTIAL_INPUTS = dict(CORPUS)
+DIFFERENTIAL_INPUTS.update({p.stem: p.read_text() for p in sorted(SAMPLES.glob("*.sexp"))})
 DIFFERENTIAL_INPUTS.update(
-    {f"counting-k1-q{q}": _counting_text(1, q) for q in ("1/4", "1/2", "3/4")}
+    {
+        f"counting-k{k}-q{q}": _counting_text(k, q)
+        for k in (1, 2, 3)
+        for q in ("1/4", "1/2", "3/4")
+    }
 )
+DIFFERENTIAL_INPUTS.update({f"chain-{k}": _chain(k) for k in range(1, 6)})
+
+
+def _search_alike(red, plain):
+    """Run `red` and `plain` and check that they search alike: verdict,
+    nodes, steps, search counters and the static label; return the
+    tableau of `red`."""
+    observed, tabs = [], []
+    for o in (red, plain):
+        tab = Tableau(o, NODE_BUDGET, STEP_BUDGET)
+        static = [tab.interner.objs[cid] for cid in tab.static_label]
+        result = tab.run()
+        observed.append((result.consistent, tab.created, tab.steps, _counters(tab), static))
+        tabs.append(tab)
+    assert observed[0] == observed[1]
+    return tabs[0]
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_INPUTS))
 def test_structure_and_its_inclusions_search_alike(name):
     # the reduction hands the tableau its order structure; the same
-    # inclusions built by hand have none, so every transitivity clause is
-    # read, interned and watched as an ordinary clause
+    # inclusions built by hand have none, so every transitivity, totality
+    # and antitonicity clause is read, interned and watched as an ordinary
+    # clause
     red = reduce_ontology(parse_ontology(DIFFERENTIAL_INPUTS[name]))
-    observed = []
-    for o in (red, ClassicalOntology(red.inclusions, red.assertions, red.individual)):
-        tab = Tableau(o, NODE_BUDGET, STEP_BUDGET)
-        static = [tab.interner.objs[cid] for cid in tab.static_label]
-        result = tab.run()
-        observed.append((result.consistent, tab.created, tab.steps, static))
-    assert observed[0] == observed[1]
+    tab = _search_alike(red, ClassicalOntology(red.inclusions, red.assertions, red.individual))
+    # nor does the search build a concept equal to a clause read by
+    # position, which the tableau would not know as a base clause
+    pairs = [e for e in tab.base_order if type(e) is not int and len(e) == 2]
+    assert not {_pair_clause(tab, e) for e in pairs} & set(tab.interner.objs)
+
+
+@pytest.mark.parametrize("name", ["duality", "atmost-res", "counting-k1-q1/4"])
+def test_given_clauses_equal_to_ones_read_by_position_search_alike(name):
+    # a given inclusion equal to a totality or antitonicity clause is
+    # interned besides the one read by position, which is merged in and
+    # examined ahead of it; without a structure the two are one clause
+    red = reduce_ontology(parse_ontology(DIFFERENTIAL_INPUTS[name]))
+    _, totality, _, antitone = _families(red)
+    given = tuple(inc for inc, (i, j) in totality + antitone if i != j)
+    both = ClassicalOntology(given + red.axioms, red.assertions, red.individual, red.order)
+    plain = ClassicalOntology(both.inclusions, red.assertions, red.individual)
+    tab = _search_alike(both, plain)
+    ref = Tableau(red, NODE_BUDGET, STEP_BUDGET)
+    ref.run()
+    assert (tab.created, tab.steps, _counters(tab)) == (ref.created, ref.steps, _counters(ref))
+    # the given ones are interned: one clause per pair {i, j} and per (i, j)
+    n = len(red.order)
+    assert len(tab.base_list) == len(ref.base_list) + 3 * n * (n - 1) // 2
 
 
 # ---------------------------------------------------------------------------
