@@ -9,13 +9,14 @@ large.
 One reader: every constraint is read into negation normal form over one
 shared literal table, the global axioms by `nnf.inclusion_nnf` (the reader
 the tableau uses too) and the root assertions by `nnf.nnf`.  A flat
-formula becomes clauses.  One evaluator, `_value`, gives any other
-formula a three-valued value; quantified parts are unknown.  The
-transitivity, totality and antitonicity families are read from
-`order.table` by position, without an inclusion per clause, both here and
-where `check_classical_model` verifies a model found, and the bounds and
-constant facts from `classical_model.fact_axioms`; an ontology without a
-structure has them among its axioms.
+formula, a clause among them, becomes clauses.  One evaluator, `_value`,
+gives any other formula a three-valued value; quantified parts are
+unknown.  The transitivity, totality and antitonicity families are read
+from `order.table` by position as clause masks, without an inclusion per
+clause, and the bounds and constant facts from
+`classical_model.fact_axioms`; an ontology without a structure has them
+among its axioms.  `check_classical_model`, which verifies a model found,
+reads all five families by position through `OrderStructure.broken`.
 
 Candidate element labels are enumerated by backtracking over the atoms,
 pruning assignments that already falsify a quantifier-free global axiom.
@@ -256,9 +257,7 @@ def brute_force_consistency(
     lits = Literals()
     for inc in axioms:
         read = inclusion_nnf(inc, lits)
-        if type(read) is list:
-            clauses.append(_masks(read, position))
-        elif (flat := _literals(read)) is not None:
+        if (flat := _literals(read)) is not None:
             clauses += (_masks(c, position) for c in flat)
         elif _mentions(read) is not None:
             formulas.append(read)

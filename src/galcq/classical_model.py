@@ -30,7 +30,7 @@ from .concepts import (
     role_of,
     subconcepts,
 )
-from .orders import AtomFactory, Leq, OrderStructure, ValueElement, _positions
+from .orders import AtomFactory, Leq, OrderStructure, ValueElement
 
 
 def atom_of(c: Concept) -> Optional[Concept]:
@@ -248,7 +248,10 @@ def check_classical_model(
 
     GCIs are checked at `elements` (default: the whole domain); assertions
     always at the root.  Each failing inclusion is reported once, at its
-    first failing element, in `o.inclusions` order.
+    first failing element, in `o.inclusions` order.  The families that
+    `o.order` fixes are checked by `OrderStructure.broken` on each
+    element's bit rows, the test the model extraction makes too; only the
+    inclusions in `o.axioms` are evaluated one at a time.
     """
     elems = tuple(elements) if elements is not None else i.domain
     memo = {}
@@ -270,53 +273,26 @@ def check_classical_model(
 
 def _order_violations(i: ClassicalInterpretation, u: OrderStructure, elems) -> list[str]:
     """The violations of the families `u` fixes, as `check_classical_model`
-    reports them, found by bit tests on each element's rows (bit y of
-    `rows[x]`: leq(x, y)) and their transpose `cols`.  Per family, the
-    first failing element of each inclusion is kept under its position in
-    the family's listing; only a failing inclusion is built."""
-    n, inv = len(u), u.inverse
-    full = (1 << n) - 1
-    last = len(u.values) - 1  # the constants come first, ascending
-    triples, totality, bounds, constants, antitone = {}, {}, {}, {}, {}
+    reports them: `OrderStructure.broken` on each element's rows, the first
+    failing element of each instance kept, and only a failing inclusion
+    rendered, from `u.table` by position."""
+    first = ({}, {}, {}, {}, {})
     for d in elems:
         rows = u.rows(i.true_atoms.get(d, frozenset()))
-        cols = [0] * n
-        for x, row in enumerate(rows):
-            for y in _positions(row):
-                cols[y] |= 1 << x
-                # (x, y, z) fails iff bit z of rows[y] & ~rows[x]
-                for z in _positions(rows[y] & ~row):
-                    triples.setdefault((x, y, z), d)
-                if not rows[inv[y]] >> inv[x] & 1:
-                    antitone.setdefault(x * n + y, d)
-        for x, row in enumerate(rows):
-            for y in _positions(full & ~(row | cols[x])):
-                totality.setdefault(x * n + y, d)
-        for x in _positions(full & ~(rows[0] & cols[last])):
-            bounds.setdefault(x, d)
-        k = 0  # `value_order_axioms` order: leq(a, b), then not leq(b, a) if a < b
-        for a in range(last + 1):
-            for b in range(a, last + 1):
-                if not rows[a] >> b & 1:
-                    constants.setdefault(k, d)
-                if a < b and rows[b] >> a & 1:
-                    constants.setdefault(k + 1, d)
-                k += 1 if a == b else 2
-    t = u.table
-    out = [
-        f"inclusion fails at {d}: {And(t[x][y], t[y][z])!r} vs {t[x][z]!r}"
-        for (x, y, z), d in sorted(triples.items())
-    ]
-    families = (
-        (totality, totality_axioms),
-        (bounds, bounds_axioms),
-        (constants, lambda u: value_order_axioms(u.values, u.leq)),
-        (antitone, antitonicity_axioms),
+        for seen, failing in zip(first, u.broken(rows)):
+            for p in failing:
+                seen.setdefault(p, d)
+    t, inv, last = u.table, u.inverse, len(u.values) - 1
+    sides = (
+        lambda x, y, z: (And(t[x][y], t[y][z]), t[x][z]),
+        lambda x, y: (TOP, Or(t[x][y], t[y][x])),
+        lambda x: (TOP, And(t[0][x], t[x][last])),
+        lambda a, b, flipped: (TOP, Not(t[b][a]) if flipped else t[a][b]),
+        lambda x, y: (t[x][y], t[inv[y]][inv[x]]),
     )
-    for failing, listing in families:
-        if failing:
-            built = listing(u)
-            for k, d in sorted(failing.items()):
-                inc = built[k]
-                out.append(f"inclusion fails at {d}: {inc.lhs!r} vs {inc.rhs!r}")
+    out = []
+    for seen, side in zip(first, sides):
+        for p, d in sorted(seen.items()):
+            lhs, rhs = side(*p)
+            out.append(f"inclusion fails at {d}: {lhs!r} vs {rhs!r}")
     return out

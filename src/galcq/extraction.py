@@ -26,7 +26,6 @@ from .orders import (
     OrderStructure,
     ShiftedElement,
     ValueElement,
-    _positions,
     invert,
 )
 from .semantics import FuzzyInterpretation, check_fuzzy_model
@@ -82,51 +81,24 @@ def _node_preorder(structure: OrderStructure, atoms: frozenset, node: int):
     """Validate the order axioms at one node and return its sorted classes.
 
     Returns a list of equivalence classes (tuples of elements), ascending.
-    Raises MalformedModelError when the atoms violate totality,
-    transitivity, boundedness, the constant facts, or antitonicity.  Each
-    check is a bit test on the node's rows (bit j of `rows[i]`: i <= j)
-    and their transpose `cols` (bit i of `cols[j]`: i <= j).
+    Raises MalformedModelError, naming the family and the elements, at the
+    first instance of transitivity, totality, the bounds, the constant
+    order or antitonicity that `OrderStructure.broken` finds failing on the
+    node's rows, the check `check_classical_model` reports from too.
     """
     elems = structure.elements
-    index = structure.index
-    n = len(elems)
-    rows = structure.rows(atoms)
-    cols = [0] * n
-    for i, row in enumerate(rows):
-        for j in _positions(row):
-            cols[j] |= 1 << i
-    full = (1 << n) - 1
-    for i in range(n):
-        for j in _positions(full & ~(rows[i] | cols[i])):
-            raise MalformedModelError(
-                node, f"totality fails for {elems[i]!r}, {elems[j]!r}"
-            )
-    for i, row in enumerate(rows):
-        for j in _positions(row):
-            for k in _positions(rows[j] & ~row):
-                raise MalformedModelError(
-                    node,
-                    f"transitivity fails for {elems[i]!r}, {elems[j]!r}, {elems[k]!r}",
-                )
     degrees = structure.values.degrees
-    zero = index[ValueElement(degrees[0])]
-    one = index[ValueElement(degrees[-1])]
-    for i in _positions(full & ~(rows[zero] & cols[one])):
-        raise MalformedModelError(node, f"bounds fail for {elems[i]!r}")
-    for qa in degrees:
-        for qb in degrees:
-            ia, ib = index[ValueElement(qa)], index[ValueElement(qb)]
-            if (qa <= qb) != bool(rows[ia] >> ib & 1):
-                raise MalformedModelError(
-                    node, f"constant order fails for {qa} vs {qb}"
-                )
-    inv = structure.inverse
-    for i, row in enumerate(rows):
-        for j in _positions(row):
-            if not rows[inv[j]] >> inv[i] & 1:
-                raise MalformedModelError(
-                    node, f"antitonicity fails for {elems[i]!r}, {elems[j]!r}"
-                )
+    rows = structure.rows(atoms)
+    messages = (
+        lambda i, j, k: f"transitivity fails for {elems[i]!r}, {elems[j]!r}, {elems[k]!r}",
+        lambda i, j: f"totality fails for {elems[i]!r}, {elems[j]!r}",
+        lambda i: f"bounds fail for {elems[i]!r}",
+        lambda a, b, _: f"constant order fails for {degrees[a]} vs {degrees[b]}",
+        lambda i, j: f"antitonicity fails for {elems[i]!r}, {elems[j]!r}",
+    )
+    for message, failing in zip(messages, structure.broken(rows)):
+        if failing:
+            raise MalformedModelError(node, message(*failing[0]))
 
     # in a total preorder a row is its class's up-set: equal rows are one
     # class, and a lower class has more bits

@@ -10,11 +10,11 @@ passed through `nnf`, `nnf_not` and `negate_nnf` shares one literal node per
 atom, so the keys of literals, the bulk of every clause, are computed once
 per table rather than once per occurrence.
 
-`inclusion_nnf` is the one reader of a global axiom `C [= D` as the clause
-nnf(not C or D); the tableau and the brute-force oracle both read their
-inclusions through it.  The preorder-family inclusions, nearly all of a
-reduction's inclusions once they are built as objects, come back as a
-plain list of shared literal nodes, without building NNF formulas.
+`inclusion_nnf` is the one reader of a global axiom `C [= D` as the
+formula nnf(not C or D); the tableau and the brute-force oracle both read
+their inclusions through it.  The transitivity, totality and
+antitonicity families of a reduction's order structure, nearly all of its
+inclusions, never reach it: both read those by position.
 """
 
 from __future__ import annotations
@@ -334,32 +334,7 @@ def negate_nnf(n: NNFConcept, lits: Literals | None = None) -> NNFConcept:
     raise TypeError(f"not an NNF concept: {n!r}")
 
 
-def inclusion_nnf(inc, lits: Literals):
-    """Read the inclusion `lhs [= rhs` as nnf(not lhs or rhs).
-
-    An inclusion with a clause shape of the preorder families (the left
-    side an order atom, `(and atom atom)` or top; the right side an order
-    atom, `(not atom)` or `(or atom atom)`) gives the list of its literal
-    nodes from `lits`, unsorted and possibly repeated.  Any other inclusion
-    gives the formula `mk_or((nnf_not(lhs), nnf(rhs)))`.
-    """
-    lhs, rhs = inc.lhs, inc.rhs
-    if type(lhs) is Leq:
-        literals = [lits.negated(lhs)]
-    elif type(lhs) is And and type(lhs.left) is Leq and type(lhs.right) is Leq:
-        literals = [lits.negated(lhs.left), lits.negated(lhs.right)]
-    elif type(lhs) is Top:
-        literals = []
-    else:
-        literals = None
-    if literals is not None:
-        if type(rhs) is Leq:
-            literals.append(lits.atom(rhs))
-            return literals
-        if type(rhs) is Not and type(rhs.sub) is Leq:
-            literals.append(lits.negated(rhs.sub))
-            return literals
-        if type(rhs) is Or and type(rhs.left) is Leq and type(rhs.right) is Leq:
-            literals += (lits.atom(rhs.left), lits.atom(rhs.right))
-            return literals
-    return mk_or((nnf_not(lhs, lits), nnf(rhs, lits)))
+def inclusion_nnf(inc, lits: Literals) -> NNFConcept:
+    """Read the inclusion `lhs [= rhs` as nnf(not lhs or rhs), its literals
+    from `lits`."""
+    return mk_or((nnf_not(inc.lhs, lits), nnf(inc.rhs, lits)))

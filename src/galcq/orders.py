@@ -237,6 +237,42 @@ class OrderStructure:
             sum(1 << j for j, a in enumerate(row) if a in atoms) for row in self.table
         ]
 
+    def broken(self, rows) -> tuple[list, list, list, list, list]:
+        """The instances of the preorder families that the bit rows `rows`,
+        as `OrderStructure.rows` gives them, fail, by position.
+
+        The five lists come in `ClassicalOntology.inclusions` order, each
+        in its family's listing order: transitivity triples (i, j, k),
+        totality pairs (i, j), bounds (i,), constant facts (a, b, flipped)
+        with a <= b, the fact `leq(a, b)` or, flipped, `not leq(b, a)`, and
+        antitonicity pairs (i, j).  All five are empty exactly when the
+        rows are a bounded total preorder that orders the constants by
+        value and that inversion reverses."""
+        n, inv = len(rows), self.inverse
+        last = len(self.values) - 1  # the constants come first, ascending
+        full = (1 << n) - 1
+        cols = [0] * n  # the transpose: bit x of cols[y] is leq(x, y)
+        triples, totality, antitone = [], [], []
+        for x, row in enumerate(rows):
+            for y in _positions(row):
+                cols[y] |= 1 << x
+                # (x, y, z) fails iff bit z of rows[y] & ~rows[x]
+                if missing := rows[y] & ~row:
+                    triples += [(x, y, z) for z in _positions(missing)]
+                if not rows[inv[y]] >> inv[x] & 1:
+                    antitone.append((x, y))
+        for x, row in enumerate(rows):
+            totality += [(x, y) for y in _positions(full & ~(row | cols[x]))]
+        bounds = [(x,) for x in _positions(full & ~(rows[0] & cols[last]))]
+        constants = []
+        for a in range(last + 1):
+            for b in range(a, last + 1):
+                if not rows[a] >> b & 1:
+                    constants.append((a, b, False))
+                if a < b and rows[b] >> a & 1:
+                    constants.append((a, b, True))
+        return triples, totality, bounds, constants, antitone
+
     @classmethod
     def from_ontology(cls, o: FuzzyOntology) -> "OrderStructure":
         values = value_closure(o)

@@ -230,6 +230,8 @@ def _parse_element(node) -> OrderElement:
         if _is_numeric(token):
             return ValueElement(_parse_degree_at(node))
         return ConceptElement(parse_concept(node))
+    if not node.items:
+        raise ParseError("empty order element", node.line, node.column)
     head = _expect_atom(node.items[0], "order element")
     if head == "up":
         if len(node.items) != 2:
@@ -518,13 +520,14 @@ def model_to_sexpr(interp, names: tuple[str, ...], roles: tuple[str, ...],
             f"({d} {format_degree(interp.concept_value(name, d))})" for d in interp.domain
         )
         lines.append(f"  (concept {name} {entries})")
+    at = {d: k for k, d in enumerate(interp.domain)}
     for role in roles:
-        entries = []
-        for d in interp.domain:
-            for e in interp.domain:
-                v = interp.role_value(role, d, e)
-                if v != 0:
-                    entries.append(f"({d} {e} {format_degree(v)})")
-        lines.append(f"  (role {role} {' '.join(entries)})")
+        # the nonzero edges between domain elements, in domain order
+        entries = sorted(
+            (at[d], at[e], f"({d} {e} {format_degree(v)})")
+            for (r, d, e), v in interp.role_values.items()
+            if r == role and v != 0 and d in at and e in at
+        )
+        lines.append(f"  (role {role} {' '.join(text for _, _, text in entries)})")
     lines.append(")")
     return "\n".join(lines) + "\n"

@@ -22,19 +22,19 @@ Search organization:
     i != j.  They are present by construction and never interned, each
     known by its positions, with its literals in `leq_ids`.  The others
     are not read at all: each is a tautology or holds by the base fact
-    `leq(i, i)`, which totality gives at i = j as a unit.  Those units,
-    the bounds, the constant facts and every given inclusion are read
+    `leq(i, i)`, which totality gives at i = j as a unit.  The bounds,
+    the constant facts and every given inclusion are read as formulas
     by `nnf.inclusion_nnf`, the reader the brute-force oracle shares,
-    and interned, a clause over order atoms straight from its literal
-    nodes; an ontology without a structure has all its order clauses
-    read that way.  A given inclusion equal to a clause read by position
-    is interned besides it and searches alike; any other concept equal to
-    one (a filler, or a disjunct's complement) is not known as a base
-    clause, and the reduction builds none.  The base concepts are in sort-key order,
-    with the totality and antitonicity clauses as (disjuncts,
-    complements) pairs and runs (i, k, j bits) of triples merged between
-    the disjunctions.  Node labels are dicts from concept id to a
-    dependency bitmask of decision levels;
+    and interned beside those units; an ontology without a structure
+    has all its order clauses read that way.  A given inclusion equal to
+    a clause read by position is interned besides it and searches alike;
+    any other concept equal to one (a filler, or a disjunct's complement)
+    is not known as a base clause, and the reduction builds none.  The
+    base concepts are in sort-key order, with the totality and
+    antitonicity clauses as (disjuncts, complements) pairs and runs
+    (i, k, j bits) of triples merged between the disjunctions.  Node
+    labels are dicts from concept id to a dependency bitmask of decision
+    levels;
   - unit propagation and clause clashes are one rule, `_examine`, given a
     clause's disjuncts and their complements.  Four bitsets per node over
     its label and the base atoms hold the order facts: P_row[i] and
@@ -149,7 +149,6 @@ class _Interner:
         self.negs: list = []
         self.or_negs: list = []
         self.watch: dict[int, list[int]] = {}
-        self.literal_ids: dict[int, int] = {}  # id(literal node) -> id
         self.fingerprints: list[int] = []
         self._fp_rng = random.Random(0xA1C9)
 
@@ -173,36 +172,6 @@ class _Interner:
                 raise TypeError(f"not an NNF concept: {n!r}")
         cid = self.ids.get((kind, part))
         return self._new(n, kind, part) if cid is None else cid
-
-    def clause(self, literals: list) -> int:
-        """Id of the disjunction of shared literal nodes.
-
-        Gives what `intern(mk_or(literals))` gives, ids and interning order
-        included, without building the intermediate formulas: the literals
-        are sorted by sort key and deduplicated (equal literals are one
-        node), then interned in that order before the clause itself.
-        """
-        unique = sorted({id(d): d for d in literals}.values(), key=sort_key)
-        if len(unique) == 1:
-            return self._literal(unique[0])
-        part = tuple([self._literal(d) for d in unique])
-        cid = self.ids.get((_KIND_OR, part))
-        if cid is None:
-            return self._new(NOr(tuple(unique)), _KIND_OR, part)
-        return cid
-
-    def _literal(self, d) -> int:
-        # a shared literal node is looked up by identity, without hashing
-        # its atom
-        cid = self.literal_ids.get(id(d))
-        if cid is not None and self.objs[cid] is d:
-            return cid
-        kind = _KIND_ATOM if type(d) is NAtom else _KIND_NEGATOM
-        cid = self.ids.get((kind, d.atom))
-        if cid is None:
-            cid = self._new(d, kind, d.atom)
-        self.literal_ids[id(d)] = cid
-        return cid
 
     def _new(self, n, kind: int, part) -> int:
         cid = len(self.objs)
@@ -372,11 +341,11 @@ class Tableau:
 
         Every given inclusion is read by `nnf.inclusion_nnf`, and so are
         the bounds and constant facts of the ontology's order structure,
-        if it has one, and its totality units `leq(i, i)`.  None of the
-        structure's transitivity, totality and antitonicity clauses over
-        distinct positions is interned: each is known by its positions.
-        The others are left out, since each is a tautology or holds by the
-        base facts `leq(i, i)`.
+        if it has one; its totality units `leq(i, i)` are interned as
+        literals.  None of the structure's transitivity, totality and
+        antitonicity clauses over distinct positions is interned: each is
+        known by its positions.  The others are left out, since each is a
+        tautology or holds by the base facts `leq(i, i)`.
         """
         interner = self.interner
         lits = interner.lits
@@ -386,11 +355,9 @@ class Tableau:
         axioms = ontology.axioms
         if order is not None:
             t = order.table
-            base.update(interner._literal(lits.atom(t[i][i])) for i in range(len(t)))
+            base.update(interner.intern(lits.atom(t[i][i])) for i in range(len(t)))
             axioms = fact_axioms(order) + axioms
-        for inc in axioms:
-            read = inclusion_nnf(inc, lits)
-            base.add(interner.clause(read) if type(read) is list else interner.intern(read))
+        base.update(interner.intern(inclusion_nnf(inc, lits)) for inc in axioms)
         self._index_order_literals(order)
         return base
 
@@ -418,7 +385,7 @@ class Tableau:
             if i != j:
                 literals = leq_literals(lits, order.table[i][j], (keys[i], keys[j]))
                 for sign, literal in enumerate(literals):
-                    cid = ids[sign * nn + p] = interner._literal(literal)
+                    cid = ids[sign * nn + p] = interner.intern(literal)
                     offset = 2 * n * sign
                     self.order_of[cid] = (offset + i, offset + n + j, i, j)
                 # each is the other's complement, which `negation` would find

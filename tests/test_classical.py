@@ -1,5 +1,8 @@
 import dataclasses
 import random
+from fractions import Fraction
+
+import pytest
 
 from galcq import (
     And,
@@ -11,13 +14,17 @@ from galcq import (
     Forall,
     Implies,
     Inclusion,
+    Leq,
+    MalformedModelError,
     Name,
     Not,
     Or,
     check_classical_model,
     evaluate_classical,
 )
+from galcq.classical_model import fact_axioms
 from galcq.concepts import TOP, BOT
+from galcq.extraction import _node_preorder
 from galcq.tableau import extract_classical_model
 
 A = Name("A")
@@ -163,3 +170,57 @@ def test_each_order_family_is_reported_like_its_inclusions(corpus_runs):
             assert violations == check_classical_model(broken, plain, elements), family
             hit = any(v.endswith(f" vs {rhs!r}") for v in violations)
             assert hit == (elements != (tree.root,)), family
+    # labels that break one family alone, built from a valuation of the
+    # elements: the checker reports only that family at d, and the
+    # extraction's `_node_preorder` names the same one
+    by_text = _family_of_each_inclusion(plain, u)
+    pairs = sorted({min(p, inv[p]) for p in range(last + 1, n)})
+    assert all(inv[p] != p for p in pairs) and len(pairs) >= 3
+    value = {p: u.elements[p].value for p in range(last + 1)}
+    for k, p in enumerate(pairs):  # distinct values in (0, 1/2) and (1/2, 1)
+        value[p] = Fraction(k + 1, 2 * len(pairs) + 2)
+        value[inv[p]] = 1 - value[p]
+
+    def valued(changes=None):
+        v = value | (changes or {})
+        return {t[a][b] for a in range(n) for b in range(n) if v[a] <= v[b]}
+
+    low, next_, high = pairs[0], pairs[1], pairs[-1]  # adjacent, then apart
+    alone = {
+        "transitivity": valued() | {t[high][low], t[inv[low]][inv[high]]},
+        "totality": valued()
+        - {t[low][next_], t[next_][low], t[inv[next_]][inv[low]], t[inv[low]][inv[next_]]},
+        "bounds": valued({low: Fraction(-1, 4), inv[low]: Fraction(5, 4)}),
+        "constant order": {a for row in t for a in row},
+        "antitonicity": valued({inv[low]: Fraction(1, 2)}),
+    }
+    order_atoms = [a for a in label if isinstance(a, Leq)]
+    assert _node_preorder(u, frozenset(valued()), d)
+    for family, atoms in alone.items():
+        broken = _relabelled(tree, d, drop=order_atoms, add=atoms)
+        violations = check_classical_model(broken, red, (d,))
+        assert violations == check_classical_model(broken, plain, (d,)), family
+        texts = (v.split(": ", 1)[1] for v in violations)
+        assert {by_text[x] for x in texts if x in by_text} == {family}
+        with pytest.raises(MalformedModelError, match=f"{family} fail"):
+            _node_preorder(u, broken.true_atoms[d], d)
+
+
+def _family_of_each_inclusion(plain, u):
+    """The family of each inclusion that the order structure `u` fixes,
+    keyed by the text the checker reports a failing inclusion with;
+    `plain.inclusions` lists the families first."""
+    n = len(u)
+    sizes = {
+        "transitivity": n**3,
+        "totality": n * n,
+        "bounds": n,
+        "constant order": len(fact_axioms(u)) - n,
+        "antitonicity": n * n,
+    }
+    out, start = {}, 0
+    for family, size in sizes.items():
+        for inc in plain.inclusions[start : start + size]:
+            out[f"{inc.lhs!r} vs {inc.rhs!r}"] = family
+        start += size
+    return out

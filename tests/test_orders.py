@@ -8,10 +8,11 @@ all valuations from a small value grid.
 
 import itertools
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
-from conftest import classical_concepts
+from conftest import CORPUS, classical_concepts
 
 from galcq import (
     And,
@@ -213,3 +214,66 @@ def test_rows_read_the_atoms_by_position():
     assert {(i, j) for i, row in enumerate(rows) for j in _positions(row)} == chosen
     assert u.rows(frozenset()) == [0] * n
     assert list(_positions(0b101001)) == [0, 3, 5]
+
+
+def _broken_by_definition(u, rows):
+    """The failing instances of each preorder family, read off its
+    definition one instance at a time, in the families' listing order."""
+    n, inv, last = len(u), u.inverse, len(u.values) - 1
+    span = range(n)
+
+    def leq(i, j):
+        return bool(rows[i] >> j & 1)
+
+    triples = [
+        (i, j, k)
+        for i, j, k in itertools.product(span, repeat=3)
+        if leq(i, j) and leq(j, k) and not leq(i, k)
+    ]
+    totality = [(i, j) for i in span for j in span if not (leq(i, j) or leq(j, i))]
+    bounds = [(i,) for i in span if not (leq(0, i) and leq(i, last))]
+    constants = []  # `value_order_axioms`: leq(a, b) if a <= b, not leq(b, a) if a < b
+    for a in range(last + 1):
+        for b in range(last + 1):
+            if a <= b and not leq(a, b):
+                constants.append((a, b, False))
+            if a < b and leq(b, a):
+                constants.append((a, b, True))
+    antitone = [(i, j) for i in span for j in span if leq(i, j) and not leq(inv[j], inv[i])]
+    return triples, totality, bounds, constants, antitone
+
+
+def _valuation_rows(u, rng):
+    """The rows of a random valuation of `u`'s elements, with a few bits
+    flipped, some between constants: constants keep their value, an
+    element's complement mostly takes 1 - its value, and a value is
+    sometimes outside [0, 1]."""
+    n, inv, m = len(u), u.inverse, len(u.values)
+    grid = [F(k, 8) for k in range(9)] + [F(-1, 8), F(9, 8)]
+    weights = [8] * 9 + [1, 1]
+    value = {i: e.value for i, e in enumerate(u.elements) if isinstance(e, ValueElement)}
+    for i in range(n):
+        if i not in value:
+            value[i] = rng.choices(grid, weights)[0]
+            if inv[i] not in value:
+                value[inv[i]] = 1 - value[i] if rng.random() < 0.8 else rng.choice(grid)
+    rows = [sum(1 << j for j in range(n) if value[i] <= value[j]) for i in range(n)]
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        span = m if rng.random() < 0.3 else n
+        rows[rng.randrange(span)] ^= 1 << rng.randrange(span)
+    return rows
+
+
+@pytest.mark.parametrize("name", ["squeeze", "godel-above", "duality"])
+def test_broken_matches_the_family_definitions(name):
+    u = OrderStructure.from_ontology(parse_ontology(dict(CORPUS)[name]))
+    rng = random.Random(7)
+    failing = [0] * 5
+    samples = 60
+    for _ in range(samples):
+        rows = _valuation_rows(u, rng)
+        got = u.broken(rows)
+        assert got == _broken_by_definition(u, rows), name
+        failing = [k + bool(family) for k, family in zip(failing, got)]
+    # the rows exercise every family, both holding and failing
+    assert all(0 < k < samples for k in failing), failing

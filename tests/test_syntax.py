@@ -16,7 +16,13 @@ from galcq import (
     parse_ontology,
     reduce_ontology,
 )
-from galcq.syntax import classical_to_sexpr, concept_to_sexpr, ontology_to_sexpr
+from galcq.semantics import FuzzyInterpretation
+from galcq.syntax import (
+    classical_to_sexpr,
+    concept_to_sexpr,
+    model_to_sexpr,
+    ontology_to_sexpr,
+)
 
 F = Fraction
 A = Name("A")
@@ -148,6 +154,55 @@ def test_both_readers_refuse_the_same_individual_names(name):
         parse_ontology(f"(assert (inst {name} A) >= 1/2)")
     with pytest.raises(ParseError, match="bad individual name"):
         parse_classical(f"(assert (inst {name} A))")
+
+
+def test_model_printer_lists_role_edges_in_domain_order():
+    # entries stored out of order, a zero degree and an element outside the
+    # domain: the printer keeps the nonzero edges between domain elements,
+    # ordered by the domain's order, as a scan of every pair would
+    role_values = {
+        ("r", 0, 2): F(1, 3),
+        ("s", 2, 0): F(1),
+        ("r", 2, 2): F(0),
+        ("r", 2, 0): F(1, 2),
+        ("r", 0, 7): F(1),
+        ("r", 2, 1): F(2, 3),
+    }
+    interp = FuzzyInterpretation(
+        domain=(2, 0, 1),
+        concept_values={("A", 0): F(1, 2)},
+        role_values=role_values,
+        individuals={"a": 2},
+    )
+    text = model_to_sexpr(interp, ("A",), ("r", "s"))
+    assert text == (
+        "(model\n"
+        "  (domain 2 0 1)\n"
+        "  (individual a 2)\n"
+        "  (concept A (2 0) (0 1/2) (1 0))\n"
+        "  (role r (2 0 1/2) (2 1 2/3) (0 2 1/3))\n"
+        "  (role s (2 0 1))\n"
+        ")\n"
+    )
+
+
+MALFORMED_CLASSICAL = [
+    ("(gci A)", 1),
+    ("(frob A B)", 1),
+    ("()", 1),
+    ("(assert (inst a A B))", 9),
+    ("(gci (leq 0) top)", 6),
+    ("(gci (leq () 0) top)", 11),
+    ("(gci top (leq 0 ()))", 17),
+    ("(gci (leq (up A B) 0) top)", 11),
+]
+
+
+@pytest.mark.parametrize("text, column", MALFORMED_CLASSICAL)
+def test_malformed_classical_inputs_raise_parse_error(text, column):
+    with pytest.raises(ParseError) as err:
+        parse_classical(text)
+    assert (err.value.line, err.value.column) == (1, column)
 
 
 def test_concept_printer_handles_value_atoms():

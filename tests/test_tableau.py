@@ -34,6 +34,7 @@ from galcq.orders import ValueElement
 from galcq.nnf import (
     NAtom,
     NNegAtom,
+    NOr,
     inclusion_nnf,
     mk_or,
     negate_nnf,
@@ -569,21 +570,28 @@ def test_clause_path_literal_shapes():
         Leq(ValueElement(Fraction(p)), ValueElement(Fraction(q)))
         for p, q in ((0, 1), (1, 0), (1, 1), (0, 0))
     )
-    clauses = (
-        Inclusion(And(a, b), c),  # transitivity
-        Inclusion(And(a, a), a),  # i = j = k: dedups to (or a (not a))
-        Inclusion(a, b),  # antitonicity
-        Inclusion(c, c),
-        Inclusion(TOP, Or(b, a)),  # totality
-        Inclusion(TOP, Or(d, d)),  # i = j: one literal
-        Inclusion(TOP, c),  # constant order: a one-literal base entry
-        Inclusion(TOP, Not(d)),
-        Inclusion(a, Not(c)),
-        Inclusion(And(b, c), Not(d)),
-        Inclusion(And(c, d), Or(a, b)),
-    )
     lits = _Interner().lits
-    assert all(isinstance(inclusion_nnf(inc, lits), list) for inc in clauses)
+    P, N = lits.atom, lits.negated
+    shapes = {  # each clause of the preorder families, and its literals
+        Inclusion(And(a, b), c): (N(a), N(b), P(c)),  # transitivity
+        Inclusion(And(a, a), a): (N(a), P(a)),  # i = j = k: (or a (not a))
+        Inclusion(a, b): (N(a), P(b)),  # antitonicity
+        Inclusion(c, c): (N(c), P(c)),
+        Inclusion(TOP, Or(b, a)): (P(b), P(a)),  # totality
+        Inclusion(TOP, Or(d, d)): (P(d),),  # i = j: one literal
+        Inclusion(TOP, c): (P(c),),  # constant order: a one-literal base entry
+        Inclusion(TOP, Not(d)): (N(d),),
+        Inclusion(a, Not(c)): (N(a), N(c)),
+        Inclusion(And(b, c), Not(d)): (N(b), N(c), N(d)),
+        Inclusion(And(c, d), Or(a, b)): (N(c), N(d), P(a), P(b)),
+    }
+    for inc, literals in shapes.items():
+        read = inclusion_nnf(inc, lits)
+        assert read == mk_or(literals), inc
+        # the formula holds the table's shared literal nodes
+        args = read.args if isinstance(read, NOr) else (read,)
+        assert all(any(x is y for y in literals) for x in args), inc
+    clauses = tuple(shapes)
     others = (
         Inclusion(TOP, And(a, b)),  # bounds
         Inclusion(a, Forall("r", b)),  # transfer
@@ -591,7 +599,6 @@ def test_clause_path_literal_shapes():
         Inclusion(A, B),
         Inclusion(TOP, Or(c, Not(c))),
     )
-    assert not any(isinstance(inclusion_nnf(inc, lits), list) for inc in others)
     _assert_base_matches_reference(ClassicalOntology(clauses + others, (), "a"))
     _assert_base_matches_reference(ClassicalOntology(others + clauses, (), "a"))
 
@@ -738,13 +745,13 @@ def test_totality_and_antitonicity_are_read_by_position(corpus_runs):
         _, totality, _, antitone = _families(red)
         clauses = set()
         for inc, (i, j) in totality:
-            clause = mk_or(inclusion_nnf(inc, lits))
+            clause = inclusion_nnf(inc, lits)
             if i != j:
                 clauses.add(clause)
             else:
                 assert clause == NAtom(t[i][i])
         for inc, (i, j) in antitone:
-            clause = mk_or(inclusion_nnf(inc, lits))
+            clause = inclusion_nnf(inc, lits)
             if i != j:
                 clauses.add(clause)
                 self_partners += inv[j] == i
@@ -776,9 +783,10 @@ def test_dropped_triples_are_implied(corpus_runs):
             if len({i, j, k}) == 3:
                 continue
             clause = inclusion_nnf(family[(i * n + j) * n + k], lits)
-            assert isinstance(clause, list)
-            assert any(negate_nnf(d, lits) in clause for d in clause) or any(
-                NAtom(t[m][m]) in clause for m in (i, j, k)
+            assert isinstance(clause, NOr)
+            args = clause.args
+            assert any(negate_nnf(d, lits) in args for d in args) or any(
+                NAtom(t[m][m]) in args for m in (i, j, k)
             ), (run_.name, i, j, k)
         tab = Tableau(red)
         units = {tab.interner.ids[_KIND_ATOM, t[m][m]] for m in range(n)}
