@@ -28,6 +28,7 @@ from .classical_model import (
     evaluate_classical,
     fact_axioms,
     totality_axioms,
+    transfer_axioms,
     value_order_axioms,
 )
 from .concepts import (
@@ -93,7 +94,6 @@ from .reduction import (
     reduce_ontology,
     semantics_axioms,
     tbox_axioms,
-    transfer_axioms,
 )
 from .semantics import (
     FuzzyInterpretation,

@@ -15,8 +15,11 @@ unknown.  The transitivity, totality and antitonicity families are read
 from `order.table` by position as clause masks, without an inclusion per
 clause, and the bounds and constant facts from
 `classical_model.fact_axioms`; an ontology without a structure has them
-among its axioms.  `check_classical_model`, which verifies a model found,
-reads all five families by position through `OrderStructure.broken`.
+among its axioms.  The transfer family is quantified, so the label
+enumeration has nothing to read from it.  `check_classical_model`, which
+verifies a model found, reads all six families by position: the five
+preorder families through `OrderStructure.broken`, and transfer along
+each role edge.
 
 Candidate element labels are enumerated by backtracking over the atoms,
 pruning assignments that already falsify a quantifier-free global axiom.

@@ -7,6 +7,7 @@ with an optional tree layer (parent/depth/cut) used by model extraction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,7 +31,7 @@ from .concepts import (
     role_of,
     subconcepts,
 )
-from .orders import AtomFactory, Leq, OrderStructure, ValueElement
+from .orders import AtomFactory, Leq, OrderStructure, ValueElement, _positions
 
 
 def atom_of(c: Concept) -> Optional[Concept]:
@@ -79,6 +80,26 @@ def antitonicity_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
     return tuple(Inclusion(t[i][j], t[inv[j]][inv[i]]) for i in span for j in span)
 
 
+def transfer_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
+    """Propagate order facts between constants/subconcepts to successors.
+
+    For the complementary relator pair {<=, >}, `a rel b` here forces
+    `shift(a) rel shift(b)` at every role successor; the other relators are
+    Boolean combinations of these.  Listed by base positions (i, j), then
+    role, the `<=` inclusion before the `>` one.
+    """
+    t, up = u.table, u.up
+    out = []
+    for i in range(len(up)):
+        for j in range(len(up)):
+            atom = t[i][j]
+            shifted = t[up[i]][up[j]]
+            for r in u.roles:
+                out.append(Inclusion(atom, Forall(r, shifted)))
+                out.append(Inclusion(Not(atom), Forall(r, Not(shifted))))
+    return tuple(out)
+
+
 def fact_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
     """The bounds and the constant order of `u`: n + O(|values|^2) small
     inclusions, which every reader takes as objects."""
@@ -90,16 +111,18 @@ class ClassicalOntology:
     """Inclusions and root assertions over one individual.
 
     `axioms` are the inclusions given as objects.  A reduction also sets
-    `order`, its order structure, whose preorder families the ontology
-    implies besides them without building them: transitivity, totality,
-    bounds, the constant order and antitonicity.  The tableau, the
-    printer, the brute-force oracle and the model checker read
-    transitivity, totality and antitonicity from `order` by position, and
-    take the bounds and constant facts from `fact_axioms`.  `inclusions`
-    lists every family as objects, every triple (i, j, k) in position
-    order, then totality, the bounds, the constant order and antitonicity,
-    followed by `axioms`; it is built on first read, as a reference to
-    compare those readers against.
+    `order`, its order structure, whose families the ontology implies
+    besides them without building them: transitivity, totality, bounds,
+    the constant order, antitonicity and transfer along the structure's
+    roles.  The tableau, the printer and the model checker read
+    transitivity, totality, antitonicity and transfer from `order` by
+    position, and take the bounds and constant facts from `fact_axioms`;
+    the brute-force oracle does the same, but for transfer, which it
+    leaves to the model checker.  `inclusions` lists every family as
+    objects, every triple (i, j, k) in position order, then totality, the
+    bounds, the constant order, antitonicity and transfer, followed by
+    `axioms`; it is built on first read, as a reference to compare those
+    readers against.
     """
 
     axioms: tuple[Inclusion, ...]
@@ -120,6 +143,7 @@ class ClassicalOntology:
             *totality_axioms(u),
             *fact_axioms(u),
             *antitonicity_axioms(u),
+            *transfer_axioms(u),
             *self.axioms,
         )
 
@@ -128,14 +152,17 @@ class ClassicalOntology:
         post-order of first occurrence over `inclusions`, then the
         assertions.
 
-        The structure's families have no role, and its triples (0, j, k)
-        meet the atoms of `order.table` row by row, so the families' atoms
-        are read from the table; one walk of the subconcepts covers the
-        rest.
+        The structure's triples (0, j, k) meet the atoms of `order.table`
+        row by row, and its transfer family, the first of its families
+        with a role, meets `order.roles` in order, so the families' atoms
+        and roles are read from the structure; one walk of the subconcepts
+        covers the rest.
         """
         atoms, roles = {}, {}
         if self.order is not None:
             atoms = dict.fromkeys(a for row in self.order.table for a in row)
+            if self.order.up:
+                roles = dict.fromkeys(self.order.roles)
         sides = [c for inc in self.axioms for c in (inc.lhs, inc.rhs)]
         for c in sides + [c for _, c in self.assertions]:
             for s in subconcepts(c):
@@ -249,9 +276,11 @@ def check_classical_model(
     GCIs are checked at `elements` (default: the whole domain); assertions
     always at the root.  Each failing inclusion is reported once, at its
     first failing element, in `o.inclusions` order.  The families that
-    `o.order` fixes are checked by `OrderStructure.broken` on each
-    element's bit rows, the test the model extraction makes too; only the
-    inclusions in `o.axioms` are evaluated one at a time.
+    `o.order` fixes are checked on each element's bit rows: the preorder
+    families by `OrderStructure.broken`, the test the model extraction
+    makes too, and transfer by comparing the rows of the two ends of each
+    role edge.  Only the inclusions in `o.axioms` are evaluated one at a
+    time.
     """
     elems = tuple(elements) if elements is not None else i.domain
     memo = {}
@@ -273,22 +302,50 @@ def check_classical_model(
 
 def _order_violations(i: ClassicalInterpretation, u: OrderStructure, elems) -> list[str]:
     """The violations of the families `u` fixes, as `check_classical_model`
-    reports them: `OrderStructure.broken` on each element's rows, the first
-    failing element of each instance kept, and only a failing inclusion
-    rendered, from `u.table` by position."""
-    first = ({}, {}, {}, {}, {})
+    reports them, the first failing element of each instance kept and
+    only a failing inclusion rendered, from `u.table` by position: the
+    preorder families by `OrderStructure.broken` on each element's rows,
+    then transfer, which holds along an `r`-edge (d, e), r in `u.roles`,
+    iff bit j of d's row i equals bit `up j` of e's row `up i` for all base
+    positions i, j.  Instance (i, j, r, flipped) is `leq(i, j) [= all r
+    leq(up i, up j)`, or, flipped, the same with both atoms negated."""
+    t, inv, up, last = u.table, u.inverse, u.up, len(u.values) - 1
+    rows = functools.cache(lambda d: u.rows(i.true_atoms.get(d, frozenset())))
+
+    @functools.cache
+    def shifted(e):
+        """e's rows at the shifted pairs, by base pair: bit y of row x is
+        bit `up y` of e's row `up x`."""
+        there = rows(e)
+        return [sum(1 << y for y, uy in enumerate(up) if there[ux] >> uy & 1) for ux in up]
+
+    first = ({}, {}, {}, {}, {}, {})
+    base = (1 << len(up)) - 1
     for d in elems:
-        rows = u.rows(i.true_atoms.get(d, frozenset()))
-        for seen, failing in zip(first, u.broken(rows)):
+        here = rows(d)
+        for seen, failing in zip(first, u.broken(here)):
             for p in failing:
                 seen.setdefault(p, d)
-    t, inv, last = u.table, u.inverse, len(u.values) - 1
+        for k, r in enumerate(u.roles):
+            for e in i.successors(r, d):
+                for x, theirs in enumerate(shifted(e)):
+                    mine = here[x] & base
+                    for y in _positions(mine ^ theirs):
+                        first[5].setdefault((x, y, k, not mine >> y & 1), d)
+
+    def transfer(x, y, k, flipped):
+        lhs, rhs = t[x][y], t[up[x]][up[y]]
+        if flipped:
+            lhs, rhs = Not(lhs), Not(rhs)
+        return lhs, Forall(u.roles[k], rhs)
+
     sides = (
         lambda x, y, z: (And(t[x][y], t[y][z]), t[x][z]),
         lambda x, y: (TOP, Or(t[x][y], t[y][x])),
         lambda x: (TOP, And(t[0][x], t[x][last])),
         lambda a, b, flipped: (TOP, Not(t[b][a]) if flipped else t[a][b]),
         lambda x, y: (t[x][y], t[inv[y]][inv[x]]),
+        transfer,
     )
     out = []
     for seen, side in zip(first, sides):

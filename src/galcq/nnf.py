@@ -12,9 +12,10 @@ per table rather than once per occurrence.
 
 `inclusion_nnf` is the one reader of a global axiom `C [= D` as the
 formula nnf(not C or D); the tableau and the brute-force oracle both read
-their inclusions through it.  The transitivity, totality and
-antitonicity families of a reduction's order structure, nearly all of its
-inclusions, never reach it: both read those by position.
+their inclusions through it.  The transitivity, totality, antitonicity
+and transfer families of a reduction's order structure, nearly all of its
+inclusions, never reach it: both read those by position (the oracle has
+nothing to read from transfer, which is quantified).
 """
 
 from __future__ import annotations

@@ -3,18 +3,17 @@
 Each domain element of a tree-shaped classical model carries a total
 preorder over the order structure (constants, subconcept values here and at
 the parent, and the incoming edge degree), encoded by the Leq atoms.  The
-emitted axiom families force those preorders to be well-formed, tie each
-complex subconcept's position to its parts, and propagate order facts along
-role edges.  Consistency is preserved in both directions.  Every atom is
-taken from the structure's table (`OrderStructure.table`), by element
-position in the n^3 and n^2 families and through `OrderStructure.leq` in the
-macro expansions, so each atom is one object across the whole ontology.
+compilation forces those preorders to be well-formed, ties each complex
+subconcept's position to its parts, and propagates order facts along role
+edges.  Consistency is preserved in both directions.  Every atom is taken
+from the structure's table (`OrderStructure.table`), through
+`OrderStructure.leq`, so each atom is one object across the whole ontology.
 The families that the structure alone fixes are not built here:
-transitivity (the n^3 bulk), totality, the bounds, the constant order and
-antitonicity.  The reduction hands over the structure itself
-(`ClassicalOntology.order`) and builds only the transfer family and the
-TBox and semantics axioms; every reader takes the structure's families
-from it, by position or through `classical_model.fact_axioms`.
+transitivity (the n^3 bulk), totality, the bounds, the constant order,
+antitonicity and transfer along the roles.  The reduction hands over the
+structure itself (`ClassicalOntology.order`) and builds only the TBox and
+semantics axioms; every reader takes the structure's families from it, by
+position or through `classical_model.fact_axioms`.
 """
 
 from __future__ import annotations
@@ -76,25 +75,6 @@ def semantics_axioms(c: Concept, leq: AtomFactory = Leq) -> tuple[Inclusion, ...
     return ()
 
 
-def transfer_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
-    """Propagate order facts between constants/subconcepts to successors.
-
-    For the complementary relator pair {<=, >}, `a rel b` here forces
-    `shift(a) rel shift(b)` at every role successor; the other relators are
-    Boolean combinations of these.
-    """
-    t, up = u.table, u.up
-    out = []
-    for i in range(len(up)):
-        for j in range(len(up)):
-            atom = t[i][j]
-            shifted = t[up[i]][up[j]]
-            for r in u.roles:
-                out.append(Inclusion(atom, Forall(r, shifted)))
-                out.append(Inclusion(Not(atom), Forall(r, Not(shifted))))
-    return tuple(out)
-
-
 def abox_assertions(o: FuzzyOntology, leq: AtomFactory = Leq) -> tuple[tuple[str, Concept], ...]:
     out = []
     for a in o.abox:
@@ -134,5 +114,5 @@ def reduce_ontology(o: FuzzyOntology) -> ClassicalOntology:
             f"elements, the limit is {MAX_ORDER_ELEMENTS} (the reduction "
             "grows as n^3)"
         )
-    axioms = transfer_axioms(u) + tbox_axioms(o, u)
-    return ClassicalOntology(axioms, abox_assertions(o, u.leq), o.individual, order=u)
+    assertions = abox_assertions(o, u.leq)
+    return ClassicalOntology(tbox_axioms(o, u), assertions, o.individual, order=u)

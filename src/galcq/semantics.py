@@ -43,6 +43,7 @@ class FuzzyInterpretation:
     concept_values: dict[tuple[str, int], Fraction] = field(default_factory=dict)
     role_values: dict[tuple[str, int, int], Fraction] = field(default_factory=dict)
     individuals: dict[str, int] = field(default_factory=dict)
+    _edges: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for v in self.concept_values.values():
@@ -57,6 +58,17 @@ class FuzzyInterpretation:
 
     def role_value(self, role: str, d: int, e: int) -> Fraction:
         return self.role_values.get((role, d, e), ZERO)
+
+    def edges(self, role: str, d: int) -> list[tuple[int, Fraction]]:
+        """The `role`-successors e of d in the domain with a nonzero
+        degree, as (e, degree) pairs; the index is built on first call."""
+        if self._edges is None:
+            domain = set(self.domain)
+            self._edges = {}
+            for (r, s, e), v in self.role_values.items():
+                if v != 0 and e in domain:
+                    self._edges.setdefault((r, s), []).append((e, v))
+        return self._edges.get((role, d), [])
 
 
 def evaluate_concept(
@@ -84,23 +96,22 @@ def evaluate_concept(
                 evaluate_concept(i, left, d, memo), evaluate_concept(i, right, d, memo)
             )
         case Forall(role, sub):
+            # an element with degree 0 gives residuum(0, x) = 1, which no
+            # infimum in [0, 1] moves, so only the nonzero edges are read
             v = min(
-                (
-                    residuum(i.role_value(role, d, e), evaluate_concept(i, sub, e, memo))
-                    for e in i.domain
-                ),
+                (residuum(r, evaluate_concept(i, sub, e, memo)) for e, r in i.edges(role, d)),
                 default=ONE,
             )
         case AtLeast(count, role, sub):
             # the best pairwise-different count-tuple takes the count largest
             # edge values, so the supremum of their minimum is the count-th
-            # largest; an empty supremum (domain smaller than count) is 0
+            # largest; an empty supremum (domain smaller than count) is 0.
+            # An element with degree 0 gives t_norm(0, x) = 0, which cannot
+            # raise the count-th largest above 0, so only the nonzero edges
+            # are read, and fewer than count of them give 0 too
             top = heapq.nlargest(
                 count,
-                (
-                    t_norm(i.role_value(role, d, e), evaluate_concept(i, sub, e, memo))
-                    for e in i.domain
-                ),
+                (t_norm(r, evaluate_concept(i, sub, e, memo)) for e, r in i.edges(role, d)),
             )
             v = top[-1] if len(top) == count else ZERO
         case _:

@@ -16,6 +16,7 @@ operands are degrees, concepts, `(up C)`, `edge` or `edge-inv`.
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -447,9 +448,9 @@ def classical_to_sexpr(o: ClassicalOntology) -> str:
 
     Each distinct order atom is rendered once; the n^2 and n^3 families
     repeat the same shared atoms on every line.  The transitivity,
-    totality and antitonicity families of the order structure, if there is
-    one, are rendered from its atom table by position, one line per
-    `ClassicalOntology.inclusions` entry, without building those
+    totality, antitonicity and transfer families of the order structure,
+    if there is one, are rendered from its atom table by position, one line
+    per `ClassicalOntology.inclusions` entry, without building those
     inclusions.
     """
     leq = functools.cache(_leq_sexpr)  # freed with this call
@@ -472,6 +473,12 @@ def classical_to_sexpr(o: ClassicalOntology) -> str:
                 inclusion_lines.append(f"(gci {atoms[i][j]} {atoms[inv[j]][inv[i]]})")
                 head, row = f"(gci (and {atoms[i][j]} ", atoms[j]
                 inclusion_lines.extend(f"{head}{row[k]}) {atoms[i][k]})" for k in span)
+        up = u.up
+        for i, j in itertools.product(range(len(up)), repeat=2):
+            here, there = atoms[i][j], atoms[up[i]][up[j]]
+            for r in u.roles:
+                inclusion_lines.append(f"(gci {here} (all {r} {there}))")
+                inclusion_lines.append(f"(gci (not {here}) (all {r} (not {there})))")
     inclusion_lines.sort()
     return "\n".join(assertion_lines + inclusion_lines) + "\n"
 

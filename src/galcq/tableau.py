@@ -17,24 +17,27 @@ Search organization:
     (`ClassicalOntology.order`) fixes by itself are read from it, not
     from inclusions: the transitivity clauses `(and t[i][j] t[j][k]) [=
     t[i][k]` over three distinct positions (the n^3 bulk), the totality
-    clause `leq(i, j) or leq(j, i)` of every pair i != j and the
+    clause `leq(i, j) or leq(j, i)` of every pair i != j, the
     antitonicity clause `t[i][j] [= t[inv j][inv i]` of every (i, j),
-    i != j.  They are present by construction and never interned, each
-    known by its positions, with its literals in `leq_ids`.  The others
-    are not read at all: each is a tautology or holds by the base fact
-    `leq(i, i)`, which totality gives at i = j as a unit.  The bounds,
-    the constant facts and every given inclusion are read as formulas
-    by `nnf.inclusion_nnf`, the reader the brute-force oracle shares,
-    and interned beside those units; an ontology without a structure
-    has all its order clauses read that way.  A given inclusion equal to
-    a clause read by position is interned besides it and searches alike;
-    any other concept equal to one (a filler, or a disjunct's complement)
-    is not known as a base clause, and the reduction builds none.  The
-    base concepts are in sort-key order, with the totality and
-    antitonicity clauses as (disjuncts, complements) pairs and runs
-    (i, k, j bits) of triples merged between the disjunctions.  Node
-    labels are dicts from concept id to a dependency bitmask of decision
-    levels;
+    i != j, and the transfer clauses `t[i][j] [= all r t[up i][up j]`
+    and `not t[i][j] [= all r not t[up i][up j]` of every pair of base
+    positions and role r.  They are present by construction and never
+    interned, each known by its positions, with its literals in
+    `leq_ids`; only transfer's quantified concepts are interned.  The
+    others are not read at all: each is a tautology or holds by the base
+    fact `leq(i, i)`, which totality gives at i = j as a unit.  The
+    bounds, the constant facts and every given inclusion are read as
+    formulas by `nnf.inclusion_nnf`, the reader the brute-force oracle
+    shares, and interned beside those units; an ontology without a
+    structure has all its order clauses read that way.  A given
+    inclusion equal to a clause read by position is interned besides it
+    and searches alike; any other concept equal to one (a filler, or a
+    disjunct's complement) is not known as a base clause, and the
+    reduction builds none.  The base concepts are in sort-key order, with
+    the totality, antitonicity and transfer clauses as (disjuncts,
+    complements) pairs and runs (i, k, j bits) of triples merged between
+    the disjunctions.  Node labels are dicts from concept id to a
+    dependency bitmask of decision levels;
   - unit propagation and clause clashes are one rule, `_examine`, given a
     clause's disjuncts and their complements.  Four bitsets per node over
     its label and the base atoms hold the order facts: P_row[i] and
@@ -44,11 +47,14 @@ Search organization:
     (i * n + j) * n + k order, then its totality and antitonicity
     partners (`not leq(i, j)` gives `leq(j, i)`; `leq(i, j)` gives
     `leq(inv j, inv i)`, and `not leq(i, j)` gives `not leq(inv j,
-    inv i)`), then the clauses watched under it in id order; a clause
-    holding a concept and its complement is never a unit or a clash and
-    is not watched.  This is the order of interning and watching every
-    clause, since `ClassicalOntology.inclusions` lists transitivity, then
-    totality, then antitonicity, then the given inclusions.  Branching
+    inv i)`), then its transfer clauses in role order, then the clauses
+    watched under it in id order; `at-least 1 r not s` and `at-least 1
+    r s` examine their transfer clause before their watched ones too.  A
+    clause holding a concept and its complement is never a unit or a
+    clash and is not watched.  This is the order of interning and
+    watching every clause, since `ClassicalOntology.inclusions` lists
+    transitivity, then totality, then antitonicity, then transfer, then
+    the given inclusions.  Branching
     scans a node's base and extra clauses with pointers that pass every
     clause with a present disjunct, a run of triples by bit tests; the
     first clause without one goes to `_examine`, and only a clause that
@@ -322,9 +328,9 @@ class Tableau:
         self.active = 0
 
         interner = self.interner
-        base = self._read_inclusions(ontology)
+        base, transfer = self._read_inclusions(ontology)
         self.base_set = frozenset(base)
-        self.base_order, self.base_ors = self._base_order(base)
+        self.base_order, self.base_ors = self._base_order(base, transfer)
         # the interned base concepts, without the triples
         self.base_list = tuple(c for c in self.base_order if type(c) is int)
         individuals = {ind for ind, _ in ontology.assertions}
@@ -336,16 +342,20 @@ class Tableau:
         self._precompute_static()
         self.trace = trace
 
-    def _read_inclusions(self, ontology: ClassicalOntology) -> set:
-        """Intern the base clauses; return their ids.
+    def _read_inclusions(self, ontology: ClassicalOntology) -> tuple[set, list]:
+        """Intern the base clauses; return their ids and the transfer
+        clauses of `_read_transfer` that go into the base order.
 
         Every given inclusion is read by `nnf.inclusion_nnf`, and so are
         the bounds and constant facts of the ontology's order structure,
         if it has one; its totality units `leq(i, i)` are interned as
-        literals.  None of the structure's transitivity, totality and
-        antitonicity clauses over distinct positions is interned: each is
-        known by its positions.  The others are left out, since each is a
-        tautology or holds by the base facts `leq(i, i)`.
+        literals.  None of the structure's transitivity, totality,
+        antitonicity and transfer clauses is interned: each is known by its
+        positions.  The others of the first three families are left out,
+        since each is a tautology or holds by the base facts `leq(i, i)`.
+        The facts, the transfer family's quantified concepts and the given
+        inclusions are interned in that order, the order of
+        `ClassicalOntology.inclusions`.
         """
         interner = self.interner
         lits = interner.lits
@@ -353,13 +363,52 @@ class Tableau:
         order = ontology.order
         self.order_n = 0 if order is None else len(order)
         axioms = ontology.axioms
+        self.transfers: dict[int, list] = {}
+        transfer = []
         if order is not None:
             t = order.table
             base.update(interner.intern(lits.atom(t[i][i])) for i in range(len(t)))
-            axioms = fact_axioms(order) + axioms
+            facts = fact_axioms(order)
+            base.update(interner.intern(inclusion_nnf(inc, lits)) for inc in facts)
+            transfer = self._read_transfer(order)
         base.update(interner.intern(inclusion_nnf(inc, lits)) for inc in axioms)
         self._index_order_literals(order)
-        return base
+        return base, transfer
+
+    def _read_transfer(self, order) -> list:
+        """Read the transfer family of `order` by position; return its
+        clauses over distinct positions.
+
+        The clauses of base positions (i, j) and role r, `not leq(i, j) or
+        all r leq(up i, up j)` and `leq(i, j) or all r not leq(up i, up
+        j)`, become (disjuncts, complements) entries, filed in `transfers`
+        under each complement in the order `_Interner` would watch them,
+        and only their quantified disjuncts and complements are interned,
+        in the order interning the clauses would intern them.  Those at
+        i = j go into no base order: `leq(i, i) or ...` holds by that base
+        fact, and the other only makes the static pass add `all r leq(up
+        i, up i)` to every label when it processes `leq(i, i)`, as
+        watching it would."""
+        interner = self.interner
+        lits, intern, negation = interner.lits, interner.intern, interner.negation
+        t, up = order.table, order.up
+        out = []
+        if not order.roles:
+            return out
+        for i, j in itertools.product(range(len(up)), repeat=2):
+            a, na = intern(lits.atom(t[i][j])), intern(lits.negated(t[i][j]))
+            there = t[up[i]][up[j]]
+            for r in order.roles:
+                forall = intern(NForall(r, lits.atom(there)))
+                first = (na, forall), (a, negation(forall))
+                forall = intern(NForall(r, lits.negated(there)))
+                clauses = first, ((a, forall), (na, negation(forall)))
+                for clause in clauses:
+                    for nd in clause[1]:
+                        self.transfers.setdefault(nd, []).append(clause)
+                if i != j:
+                    out += clauses
+        return out
 
     def _index_order_literals(self, order):
         """Tables over the literals of the order structure `order` (None
@@ -408,7 +457,7 @@ class Tableau:
                     q = j * n + i
                     pairs[p] = pairs[q] = (ids[p], ids[q]), (ids[nn + p], ids[nn + q])
 
-    def _base_order(self, base: set) -> tuple:
+    def _base_order(self, base: set, transfer: list) -> tuple:
         """The base concepts in sort-key order with the clauses read by
         position merged in, and its slice of disjunctions.
 
@@ -425,7 +474,11 @@ class Tableau:
         before each other clause of the block whose remaining disjuncts
         come after theirs.  The clauses read by position are
         (disjuncts, complements) pairs, each ahead of an interned one
-        equal to it.
+        equal to it.  The `transfer` clauses are sorted with the interned
+        disjunctions: `leq(i, k) or all r not leq(up i, up k)` ends the
+        block of leq(i, k), after every triple, and `not leq(i, k) or all
+        r leq(up i, up k)` falls among the clauses led by a negative
+        literal, which follow the blocks.
         """
         interner = self.interner
         objs, kinds, parts = interner.objs, interner.kinds, interner.parts
@@ -438,9 +491,14 @@ class Tableau:
         )
         disjuncts = {d for c in ors for d in parts[c]}
         disjuncts.update(c for c in ids if c is not None)
+        disjuncts.update(clause[0][1] for clause in transfer)
         ranked = sorted(disjuncts, key=lambda d: sort_key(objs[d]))
         rank = {d: r for r, d in enumerate(ranked)}.__getitem__
-        keyed = sorted((tuple(map(rank, parts[c])), c) for c in ors)
+        # (disjunct ranks, clause), stable: a transfer clause comes ahead
+        # of an interned one equal to it
+        keyed = [(tuple(map(rank, clause[0])), clause) for clause in transfer]
+        keyed += ((tuple(map(rank, parts[c])), c) for c in ors)
+        keyed.sort(key=lambda pair: pair[0])
         full = (1 << n) - 1
         lower = [0] * n  # lower[p]: the positions of smaller rank than p
         for r in range(1, n):
@@ -541,7 +599,7 @@ class Tableau:
                 if type(entry) is int:
                     self._process(0, entry)
                     continue
-                if len(entry) == 2:  # totality or antitonicity
+                if len(entry) == 2:  # totality, antitonicity or transfer
                     self._examine(0, None, *entry)
                     continue
                 # a run of triples (i, j, k) of one (i, k): examine them all
@@ -650,6 +708,10 @@ class Tableau:
             if cid not in counted:
                 counted.add(cid)
                 self.trail.append(("discard", counted, cid))
+        # the transfer clauses it refutes a disjunct of, then the watched
+        # ones: the id order of interning them all
+        for disjuncts, negs in self.transfers.get(cid, ()):
+            self._examine(nid, None, disjuncts, negs)
         for oid in interner.watch.get(cid, ()):
             if oid in node.label or oid in self.base_set:
                 self._examine(nid, oid, interner.parts[oid], interner.or_negs[oid])

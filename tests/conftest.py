@@ -110,8 +110,9 @@ class CorpusRun:
     tableau_seconds: float
     # (verdict, base clauses, interned concepts, nodes created, steps,
     # clauses read by position: the distinct-position transitivity triples,
-    # the totality clause of every pair and the antitonicity clause of
-    # every (i, j), i != j)
+    # the totality clause of every pair, the antitonicity clause of every
+    # (i, j), i != j, and the two transfer clauses of every (i, j), i != j,
+    # over base positions and role)
     search: tuple
     grid_model: Optional[object] = None
     grid_skipped: bool = False
@@ -130,6 +131,7 @@ def corpus_runs():
         start = time.monotonic()
         tab = Tableau(reduction, node_budget=NODE_BUDGET, step_budget=STEP_BUDGET)
         result = tab.run()
+        up = reduction.order.up
         elapsed = time.monotonic() - start
         run = CorpusRun(
             name=name,
@@ -146,7 +148,8 @@ def corpus_runs():
                 tab.created,
                 tab.steps,
                 tab.order_n * (tab.order_n - 1) * (tab.order_n - 2)
-                + 3 * tab.order_n * (tab.order_n - 1) // 2,
+                + 3 * tab.order_n * (tab.order_n - 1) // 2
+                + 2 * len(up) * (len(up) - 1) * len(reduction.order.roles),
             ),
         )
         start = time.monotonic()

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import pathlib
 import random
 from fractions import Fraction
 
@@ -20,7 +22,10 @@ from galcq import (
     Not,
     Or,
     check_classical_model,
+    check_consistency,
     evaluate_classical,
+    parse_ontology,
+    reduce_ontology,
 )
 from galcq.classical_model import fact_axioms
 from galcq.concepts import TOP, BOT
@@ -29,6 +34,7 @@ from galcq.tableau import extract_classical_model
 
 A = Name("A")
 B = Name("B")
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
 
 def _interp():
@@ -204,6 +210,80 @@ def test_each_order_family_is_reported_like_its_inclusions(corpus_runs):
         assert {by_text[x] for x in texts if x in by_text} == {family}
         with pytest.raises(MalformedModelError, match=f"{family} fail"):
             _node_preorder(u, broken.true_atoms[d], d)
+
+
+def _shifted_swaps(u, rows):
+    """Permutations of the positions of `u`, as lists, that move the rows
+    `rows` and swap the shifted copies of a subconcept and its negation,
+    or those of two subconcepts and those of their negations: each
+    commutes with inversion, so it keeps every preorder family, and no
+    restriction's shifted copy moves, so no semantics axiom reads the
+    positions it swaps."""
+    inv, e = u.inverse, u.elements
+
+    def free(p):
+        return not isinstance(e[p].concept, (Forall, AtLeast)) and not isinstance(
+            e[inv[p]].concept, (Forall, AtLeast)
+        )
+
+    shifted = [u.up[p] for p in range(len(u.values), len(u.up))]
+    shifted = [p for p in shifted if p < inv[p] and free(p)]
+    for p, q in itertools.combinations_with_replacement(shifted, 2):
+        swap = list(range(len(u)))
+        if p == q:
+            swap[p], swap[inv[p]] = inv[p], p
+        else:
+            swap[p], swap[q], swap[inv[p]], swap[inv[q]] = q, p, inv[q], inv[p]
+        if [rows[swap[x]] for x in range(len(u))] != rows:
+            yield swap
+
+
+def test_transfer_is_checked_along_each_edge(corpus_runs):
+    # a child whose label is relabelled by `_shifted_swaps` breaks only
+    # transfer from its parent: the checker reports the same violations as
+    # one `Inclusion` at a time over `inclusions`, all of them transfer
+    # inclusions at the parent
+    runs = [(r.name, r.reduction, r.graph) for r in corpus_runs if r.graph is not None]
+    for name, text in (
+        ("counting", "(gci B C >= 1/2)\n(assert (inst a (all s (not C))) = 1)\n"
+         "(assert (inst a (atleast 1 s B)) >= 1/4)"),
+        ("no-duality", (SAMPLES / "no-duality.sexp").read_text()),
+    ):
+        red = reduce_ontology(parse_ontology(text))
+        runs.append((name, red, check_consistency(red).graph))
+    swapped = 0
+    for name, red, graph in runs:
+        u = red.order
+        if not u.roles:
+            continue
+        t, n = u.table, len(u)
+        plain = ClassicalOntology(red.inclusions, red.assertions, red.individual)
+        tree = extract_classical_model(graph, 3)
+        edges = [(tree.parent[e], e) for e in tree.domain if e != tree.root]
+        found, before = 0, {}
+        for d, e in edges:
+            if found == 3 or check_classical_model(tree, red, (d,)):
+                continue  # enough, or near the cut
+            label = tree.true_atoms[e]
+            for swap in itertools.islice(_shifted_swaps(u, u.rows(label)), 3 - found):
+                found += 1
+                pairs = itertools.product(range(n), repeat=2)
+                moved = {t[swap[x]][swap[y]] for x, y in pairs if t[x][y] in label}
+                order_atoms = [a for a in label if isinstance(a, Leq)]
+                broken = _relabelled(tree, e, drop=order_atoms, add=moved)
+                assert not any(u.broken(u.rows(broken.true_atoms[e])))
+                # the whole domain once per input: it is the slow case
+                for elements in ((d,), (e,)) + ((None,) if found == 1 else ()):
+                    violations = check_classical_model(broken, red, elements)
+                    assert violations == check_classical_model(broken, plain, elements)
+                    if elements not in before:
+                        before[elements] = check_classical_model(tree, red, elements)
+                    new = [v for v in violations if v not in before[elements]]
+                    assert all(v.startswith(f"inclusion fails at {d}: ") for v in new)
+                    assert all(" vs Forall(" in v for v in new)
+                    assert bool(new) == (elements != (e,)), name
+        swapped += found
+    assert swapped >= 10
 
 
 def _family_of_each_inclusion(plain, u):

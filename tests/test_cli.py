@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from conftest import CORPUS
 
+import galcq.classical_model
 from galcq import ClassicalOntology, parse_classical
 from galcq.cli import run
 
@@ -316,3 +317,21 @@ def test_no_pipeline_path_builds_the_transitivity_family(
     assert run(["check", path, "--oracle", "brute", "--emit-model", str(out)]) == code
     assert (capsys.readouterr().err, out.exists()) == ("", code == 0)
     assert run(["reduce", path]) == 0
+
+
+@pytest.mark.parametrize(
+    "text", ["(assert (inst a (some r top)) >= 1)", "(assert (inst a (all r bot)) = 1)"]
+)
+def test_no_pipeline_path_builds_the_transfer_family(tmp_path, capsys, monkeypatch, text):
+    # the tableau, the printer and the model checker that verifies the
+    # brute force's model (an r-loop on the root) read transfer by position
+    def refuse(u):
+        raise AssertionError("the transfer family was built")
+
+    monkeypatch.setattr(galcq.classical_model, "transfer_axioms", refuse)
+    path = _write(tmp_path, text)
+    out = tmp_path / "model.sexp"
+    assert run(["check", path, "--oracle", "brute", "--emit-model", str(out)]) == 0
+    assert (capsys.readouterr().err, out.exists()) == ("", True)
+    assert run(["reduce", path]) == 0
+    assert "(all r (not (leq " in capsys.readouterr().out

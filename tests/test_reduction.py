@@ -26,12 +26,13 @@ from galcq.classical_model import (
     bounds_axioms,
     fact_axioms,
     totality_axioms,
+    transfer_axioms,
     value_order_axioms,
 )
 from galcq.concepts import TOP, subconcepts
 from galcq.ontology import FuzzyOntology, OrderAssertion, RoleAssertion
 from galcq.orders import EDGE, ConceptElement, OrderStructure, ShiftedElement, ValueElement
-from galcq.reduction import tbox_axioms, transfer_axioms
+from galcq.reduction import tbox_axioms
 from galcq.syntax import classical_to_sexpr
 
 F = Fraction
@@ -242,9 +243,9 @@ def test_inclusions_are_the_transitivity_family_then_the_rest():
     red = reduce_ontology(o)
     u = red.order
     assert u == OrderStructure.from_ontology(o)
-    # the structure fixes the preorder families; only transfer and the
+    # the structure fixes the preorder families and transfer; only the
     # TBox and semantics axioms are given as objects
-    assert red.axioms == transfer_axioms(u) + tbox_axioms(o, u)
+    assert red.axioms == tbox_axioms(o, u)
     assert fact_axioms(u) == bounds_axioms(u) + value_order_axioms(u.values, u.leq)
     t, span = u.table, range(len(u))
     family = tuple(
@@ -257,6 +258,7 @@ def test_inclusions_are_the_transitivity_family_then_the_rest():
         + bounds_axioms(u)
         + value_order_axioms(u.values, u.leq)
         + antitonicity_axioms(u)
+        + transfer_axioms(u)
         + red.axioms
     )
     assert inclusions is red.inclusions  # built once

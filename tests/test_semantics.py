@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -8,19 +9,27 @@ from galcq import (
     And,
     AtLeast,
     BudgetExceededError,
+    Top,
     Forall,
     FuzzyInterpretation,
     Implies,
     Name,
     Not,
+    check_consistency,
     check_fuzzy_model,
     default_grid,
     evaluate_concept,
+    extract_classical_model,
+    extract_fuzzy_model,
     grid_search_fuzzy_model,
+    involutive_negation,
     parse_ontology,
+    reduce_ontology,
     residuum,
+    sub_closure,
     t_norm,
 )
+from galcq.algebra import ONE, ZERO
 from galcq.concepts import TOP
 
 F = Fraction
@@ -215,3 +224,125 @@ def test_grid_search_verifies_before_returning():
     model = grid_search_fuzzy_model(o, max_domain=1)
     assert model is not None
     assert check_fuzzy_model(model, o).satisfied
+
+
+def _whole_domain(i, c, d, memo):
+    """The degree of `c` at d by the defining equations, every quantifier
+    scanning the whole domain through `role_value`."""
+    key = (c, d)
+    if key not in memo:
+        match c:
+            case Top():
+                v = ONE
+            case Name(name):
+                v = i.concept_value(name, d)
+            case Not(sub):
+                v = involutive_negation(_whole_domain(i, sub, d, memo))
+            case And(left, right):
+                v = t_norm(*(_whole_domain(i, x, d, memo) for x in (left, right)))
+            case Implies(left, right):
+                v = residuum(*(_whole_domain(i, x, d, memo) for x in (left, right)))
+            case Forall(role, sub):
+                v = min(
+                    (
+                        residuum(i.role_value(role, d, e), _whole_domain(i, sub, e, memo))
+                        for e in i.domain
+                    ),
+                    default=ONE,
+                )
+            case AtLeast(count, role, sub):
+                top = heapq.nlargest(
+                    count,
+                    (
+                        t_norm(i.role_value(role, d, e), _whole_domain(i, sub, e, memo))
+                        for e in i.domain
+                    ),
+                )
+                v = top[-1] if len(top) == count else ZERO
+        memo[key] = v
+    return memo[key]
+
+
+def _assert_evaluators_agree(i, concepts):
+    memo, reference = {}, {}
+    for c in concepts:
+        for d in i.domain:
+            expected = _whole_domain(i, c, d, reference)
+            assert evaluate_concept(i, c, d, memo) == expected, (c, d)
+
+
+QUANTIFIED = (
+    Forall("r", A),
+    Forall("r", Not(Forall("s", B))),
+    AtLeast(1, "r", A),
+    AtLeast(2, "r", Implies(A, B)),
+    AtLeast(3, "s", Not(AtLeast(1, "r", A))),
+    And(AtLeast(2, "r", Forall("r", A)), Forall("s", AtLeast(2, "s", B))),
+)
+
+
+def test_successor_evaluation_matches_the_whole_domain():
+    # on random interpretations with degree-0 edges, edges to elements
+    # outside the domain and elements with fewer successors than a count
+    rng = random.Random(18)
+    grid = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
+    for _ in range(200):
+        domain = tuple(range(rng.randint(1, 4)))
+        concepts = {(n, d): rng.choice(grid) for n in "AB" for d in domain}
+        roles = {
+            (r, d, e): rng.choice(grid)
+            for r in "rs"
+            for d in domain
+            for e in domain + (len(domain),)
+            if rng.random() < 0.6
+        }
+        i = _single(concepts, roles, domain)
+        _assert_evaluators_agree(i, QUANTIFIED)
+
+
+def test_successor_evaluation_matches_on_grid_models_and_trees(corpus_runs):
+    grids = trees = 0
+    for run_ in corpus_runs:
+        o, red = run_.ontology, run_.reduction
+        concepts = sub_closure(o)
+        if run_.grid_model is not None:
+            _assert_evaluators_agree(run_.grid_model, concepts + QUANTIFIED)
+            grids += bool(red.order.roles)
+        if run_.graph is not None:
+            tree = extract_classical_model(run_.graph, 3)
+            interp, _ = extract_fuzzy_model(tree, red.order, o.individual)
+            _assert_evaluators_agree(interp, concepts)
+            trees += len(interp.domain) > 1
+    assert grids >= 3 and trees >= 5
+
+
+def test_role_reads_grow_linearly_with_tree_size(monkeypatch):
+    # each element reads its own edges once per quantified concept, so a
+    # tree four times as large is read four times as often, not sixteen
+    reads = [0]
+    role_value, edges = FuzzyInterpretation.role_value, FuzzyInterpretation.edges
+
+    def counted_role_value(self, role, d, e):
+        reads[0] += 1
+        return role_value(self, role, d, e)
+
+    def counted_edges(self, role, d):
+        out = edges(self, role, d)
+        reads[0] += len(out)
+        return out
+
+    monkeypatch.setattr(FuzzyInterpretation, "role_value", counted_role_value)
+    monkeypatch.setattr(FuzzyInterpretation, "edges", counted_edges)
+    o = parse_ontology("(gci top (atleast 2 r A) >= 1/2)")
+    red = reduce_ontology(o)
+    graph = check_consistency(red).graph
+    sizes, counts = [], []
+    for depth in (6, 8):
+        tree = extract_classical_model(graph, depth)
+        interp, _ = extract_fuzzy_model(tree, red.order, o.individual)
+        reads[0] = 0
+        assert check_fuzzy_model(interp, o, tree.interior(1)).satisfied
+        sizes.append(len(interp.domain))
+        counts.append(reads[0])
+    assert sizes[1] > 3.9 * sizes[0] and counts[0] > 0
+    assert counts[1] <= 4.1 * counts[0]

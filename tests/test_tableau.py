@@ -33,6 +33,7 @@ from galcq.concepts import TOP, quantifier_depth
 from galcq.orders import ValueElement
 from galcq.nnf import (
     NAtom,
+    NForall,
     NNegAtom,
     NOr,
     inclusion_nnf,
@@ -248,14 +249,15 @@ def test_agreement_with_brute_force_on_random_ontologies():
 # base clause and interned concept columns count every clause read by
 # position (`_by_position_count`) as one of each, as if it were interned,
 # and none of the triples with two coinciding positions or antitonicity
-# clauses at i = j, which the tableau does not read (the inclusion column,
-# from `ClassicalOntology.inclusions`, still counts them).
+# and transfer clauses at i = j, which are not base clauses of the tableau
+# (the inclusion column, from `ClassicalOntology.inclusions`, still counts
+# them).
 PINNED = {
-    "two-roles": (True, 10659, 9144, 10983, 7, 3890, "f3194964bdce0744"),
-    "count-clash": (False, 17251, 15098, 17009, 3, 1796, "d1b452b3b95c29d4"),
-    "duality": (True, 5681, 4692, 5591, 37, 11168, "0404f426a9d5e3ea"),
-    "atmost-res": (True, 10418, 8903, 10255, 11, 4833, "a9838d4e4a85d866"),
-    "forall-clash": (False, 13615, 11793, 13500, 2, 697, "f66013164866c31b"),
+    "two-roles": (True, 10659, 9100, 10939, 7, 3890, "f3194964bdce0744"),
+    "count-clash": (False, 17251, 15072, 16983, 3, 1796, "d1b452b3b95c29d4"),
+    "duality": (True, 5681, 4674, 5573, 37, 11168, "0404f426a9d5e3ea"),
+    "atmost-res": (True, 10418, 8881, 10233, 11, 4833, "a9838d4e4a85d866"),
+    "forall-clash": (False, 13615, 11767, 13474, 2, 697, "f66013164866c31b"),
 }
 
 
@@ -265,7 +267,7 @@ def test_search_behaviour_is_pinned(name):
     tab = Tableau(red, NODE_BUDGET, STEP_BUDGET)
     result = tab.run()
     digest = hashlib.sha256(classical_to_sexpr(red).encode("utf-8")).hexdigest()[:16]
-    by_position = _by_position_count(tab)
+    by_position = _by_position_count(red.order)
     observed = (
         result.consistent,
         len(red.inclusions),
@@ -292,31 +294,31 @@ CORPUS_SEARCH = {
     "implies-deg": (True, 6386, 7075, 1, 294),
     "gci-chain": (True, 3096, 3511, 1, 171),
     "gci-top": (True, 1984, 2302, 1, 104),
-    "exists-half": (True, 2081, 2606, 3, 479),
-    "forall-low": (True, 2081, 2608, 3, 482),
-    "atleast-two": (True, 2081, 2604, 5, 798),
-    "atmost-inv": (True, 2081, 2604, 5, 798),
-    "atmost-res": (True, 8903, 10255, 11, 4833),
-    "duality": (True, 4692, 5591, 37, 11168),
+    "exists-half": (True, 2067, 2592, 3, 479),
+    "forall-low": (True, 2067, 2594, 3, 482),
+    "atleast-two": (True, 2067, 2590, 5, 798),
+    "atmost-inv": (True, 2067, 2590, 5, 798),
+    "atmost-res": (True, 8881, 10233, 11, 4833),
+    "duality": (True, 4674, 5573, 37, 11168),
     "crisp-sat": (True, 1983, 2302, 1, 131),
-    "two-roles": (True, 9144, 10983, 7, 3890),
-    "loop-gci": (True, 2082, 2605, 3, 478),
+    "two-roles": (True, 9100, 10939, 7, 3890),
+    "loop-gci": (True, 2068, 2591, 3, 478),
     "open-interval": (True, 636, 783, 1, 54),
-    "neg-forall": (True, 2081, 2608, 3, 482),
+    "neg-forall": (True, 2067, 2594, 3, 482),
     "godel-high": (False, 3096, 3513, 1, 5),
     "squeeze": (False, 1197, 1408, 1, 1),
     "top-neg": (False, 1984, 2302, 1, 3),
-    "forall-clash": (False, 11793, 13500, 2, 697),
-    "count-clash": (False, 15098, 17009, 3, 1796),
+    "forall-clash": (False, 11767, 13474, 2, 697),
+    "count-clash": (False, 15072, 16983, 3, 1796),
     "self-implies": (False, 1983, 2308, 1, 0),
     "top-low": (False, 637, 783, 1, 0),
     "below-zero": (False, 636, 783, 1, 0),
     "cmp-circle": (False, 1982, 2301, 1, 1),
-    "res-atmost-midway": (False, 4693, 5585, 1, 8),
+    "res-atmost-midway": (False, 4675, 5567, 1, 8),
     "gci-force": (False, 1984, 2302, 1, 1),
-    "exists-zero": (False, 8903, 10259, 3, 1445),
+    "exists-zero": (False, 8881, 10237, 3, 1445),
     "chain-squeeze": (False, 1984, 2303, 1, 9),
-    "count-squeeze": (False, 3258, 4003, 1, 2),
+    "count-squeeze": (False, 3240, 3985, 1, 2),
 }
 
 
@@ -368,11 +370,11 @@ def test_family_search_is_pinned(family, k, q):
 # they move whenever the interning order does; the label order is what new
 # nodes copy and merges iterate.
 STATIC = {
-    "two-roles": (106, 0, 0x062B5838B33D413B, "300f76addb573ec8"),
-    "count-clash": (171, 1, 0xCC444ABB772B7A7B, "c0495645b283f671"),
-    "duality": (59, 0, 0x3906F16FCDB499AB, "e2994ca21e07f9d3"),
-    "atmost-res": (137, 3, 0x790115EDCDAC88A2, "79e8d8795b4d202f"),
-    "forall-clash": (168, 0, 0xEE77D2809CD11285, "91a71eeff58289a0"),
+    "two-roles": (106, 0, 0xF873E2E8757815FA, "300f76addb573ec8"),
+    "count-clash": (171, 1, 0x8C0A526580E479E8, "c0495645b283f671"),
+    "duality": (59, 0, 0x1EE1A9AC0B5EA3A6, "e2994ca21e07f9d3"),
+    "atmost-res": (137, 3, 0x7C0AD19B7E48153D, "79e8d8795b4d202f"),
+    "forall-clash": (168, 0, 0xB299AAB264BF171A, "91a71eeff58289a0"),
 }
 
 
@@ -412,20 +414,23 @@ def test_static_pass_is_not_traced():
 def _families(ontology):
     """The slices of `ontology.inclusions` that its order structure fixes,
     with the element positions of each entry: transitivity (i, j, k),
-    totality (i, j), the bounds and constant facts (no positions) and
-    antitonicity (i, j); empty without a structure."""
+    totality (i, j), the bounds and constant facts (no positions),
+    antitonicity (i, j) and transfer (i, j, role, negated); empty without
+    a structure."""
     if ontology.order is None:
-        return [], [], [], []
+        return [], [], [], [], []
     u = ontology.order
-    n = len(u)
+    n, m = len(u), len(u.up)
     inclusions = ontology.inclusions
     facts = len(fact_axioms(u))
-    cut = list(itertools.accumulate((n**3, n * n, facts, n * n)))
+    transfer = 2 * m * m * len(u.roles)
+    cut = list(itertools.accumulate((n**3, n * n, facts, n * n, transfer)))
     positions = (
         itertools.product(range(n), repeat=3),
         itertools.product(range(n), repeat=2),
         itertools.repeat(()),
         itertools.product(range(n), repeat=2),
+        itertools.product(range(m), range(m), u.roles, (False, True)),
     )
     return [
         list(zip(inclusions[start:end], at))
@@ -435,12 +440,14 @@ def _families(ontology):
 
 def _read_inclusions(ontology):
     """The inclusions the tableau reads: all but the transitivity triples
-    with two coinciding positions and the antitonicity clauses at i = j."""
-    triples, totality, facts, antitone = _families(ontology)
+    with two coinciding positions and the antitonicity and transfer
+    clauses at i = j."""
+    triples, totality, facts, antitone, transfer = _families(ontology)
     return (
         *(inc for inc, p in triples if len(set(p)) == 3),
         *(inc for inc, _ in totality + facts),
         *(inc for inc, (i, j) in antitone if i != j),
+        *(inc for inc, (i, j, _, _) in transfer if i != j),
         *ontology.axioms,
     )
 
@@ -512,7 +519,7 @@ def _assert_base_matches_reference(ontology):
                 expanded.append(clause)
                 by_position.add(clause)
     assert expanded == [ref.objs[cid] for cid in reference]
-    assert len(by_position) == _by_position_count(tab)
+    assert len(by_position) == _by_position_count(ontology.order)
     assert tab.base_list == tuple(c for c in tab.base_order if type(c) is int)
     ors = [c for c in tab.base_order if type(c) is not int or got.kinds[c] == _KIND_OR]
     assert list(tab.base_ors) == ors
@@ -696,29 +703,31 @@ def test_order_bitsets_match_labels_when_cut_mid_search():
     check()
 
 
-def _triple_count(tab):
-    """The number of transitivity triples over three distinct positions of
-    the tableau's order structure; 0 when it has none."""
-    n = tab.order_n
-    return n * (n - 1) * (n - 2)
-
-
-def _by_position_count(tab):
-    """The number of distinct clauses the tableau reads by position: the
-    triples over three distinct positions, the totality clause of every
-    pair and the antitonicity clause of every (i, j), i != j."""
-    n = tab.order_n
-    return _triple_count(tab) + n * (n - 1) // 2 + n * (n - 1)
+def _by_position_count(order):
+    """The number of distinct clauses the tableau reads by position from
+    the order structure `order` (None for none): the triples over three
+    distinct positions, the totality clause of every pair, the
+    antitonicity clause of every (i, j), i != j, and the two transfer
+    clauses of every (i, j), i != j, over base positions and role."""
+    if order is None:
+        return 0
+    n, m = len(order), len(order.up)
+    return n * (n - 1) * (n - 2) + 3 * n * (n - 1) // 2 + 2 * m * (m - 1) * len(order.roles)
 
 
 def test_triple_table_holds_every_distinct_vertex_transitivity_clause():
     red = reduce_ontology(parse_ontology(dict(CORPUS)["duality"]))
     tab = Tableau(red)
     assert tab.order_n == len(red.order) and tab.order_elements == red.order.elements
-    by_position = _by_position_count(tab)
-    # the inclusions it reads without the structure: every triple, totality
-    # and antitonicity clause is interned
-    read = _read_inclusions(red)
+    # the inclusions it reads without the structure: every triple, totality,
+    # antitonicity and transfer clause is interned, and so are the transfer
+    # clauses at i = j, of which the structure's tableau interns the
+    # quantified parts only
+    transfer = _families(red)[4]
+    diagonal = tuple(inc for inc, (i, j, _, _) in transfer if i == j)
+    assert diagonal
+    by_position = _by_position_count(red.order) + len(diagonal)
+    read = _read_inclusions(red) + diagonal
     for inclusions in (read, read[::-1]):
         plain = Tableau(ClassicalOntology(inclusions, red.assertions, "a"))
         assert plain.order_n == 0
@@ -737,12 +746,16 @@ def test_totality_and_antitonicity_are_read_by_position(corpus_runs):
         tab = Tableau(red)
         inv, t = red.order.inverse, red.order.table
         lits = tab.interner.lits
-        entries = [e for e in tab.base_order if type(e) is not int and len(e) == 2]
+        entries = [
+            e
+            for e in tab.base_order
+            if type(e) is not int and len(e) == 2 and not _is_transfer(tab, e)
+        ]
         read = {_pair_clause(tab, e) for e in entries}
         assert len(read) == len(entries)
         units = {tab.interner.ids[_KIND_ATOM, t[m][m]] for m in range(len(t))}
         assert units <= tab.base_set, run_.name
-        _, totality, _, antitone = _families(red)
+        _, totality, _, antitone, _ = _families(red)
         clauses = set()
         for inc, (i, j) in totality:
             clause = inclusion_nnf(inc, lits)
@@ -760,6 +773,50 @@ def test_totality_and_antitonicity_are_read_by_position(corpus_runs):
         assert read == clauses, run_.name
         assert not clauses & set(tab.interner.objs), run_.name
     assert self_partners
+
+
+def _is_transfer(tab, entry):
+    """Whether a (disjuncts, complements) entry is a transfer clause, the
+    only ones read by position with a quantified disjunct."""
+    return tab.interner.kinds[entry[0][-1]] == _KIND_FORALL
+
+
+def test_transfer_is_read_by_position(corpus_runs):
+    # every transfer clause over distinct base positions is a (disjuncts,
+    # complements) entry of the base order and is never interned; every
+    # clause, those at i = j too, is filed under its complements in the
+    # order interning and watching the clauses would file it; the ones at
+    # i = j hold by the base facts leq(i, i), at the node and, through the
+    # static fact `all r leq(up i, up i)`, at every successor
+    with_roles = 0
+    for run_ in corpus_runs:
+        red = run_.reduction
+        tab = Tableau(red)
+        u, objs, lits = red.order, tab.interner.objs, tab.interner.lits
+        t, up = u.table, u.up
+        entries = [e for e in tab.base_order if type(e) is not int and len(e) == 2]
+        read = [_pair_clause(tab, e) for e in entries if _is_transfer(tab, e)]
+        static = {objs[cid] for cid in tab.static_label}
+        clauses, filed = [], {}
+        for inc, (i, j, role, negated) in _families(red)[4]:
+            clause = inclusion_nnf(inc, lits)
+            for d in clause.args:
+                filed.setdefault(negate_nnf(d, lits), []).append(clause)
+            if i != j:
+                clauses.append(clause)
+            elif negated:
+                assert NAtom(t[i][i]) in clause.args
+            else:
+                forall = NForall(role, NAtom(t[up[i]][up[i]]))
+                assert clause.args == (NNegAtom(t[i][i]), forall)
+                assert clause.args[1] in static, run_.name
+        assert sorted(read, key=sort_key) == sorted(clauses, key=sort_key), run_.name
+        assert len(set(read)) == len(read)
+        got = {objs[nd]: [_pair_clause(tab, e) for e in v] for nd, v in tab.transfers.items()}
+        assert got == filed, run_.name
+        assert not set(clauses) & set(objs), run_.name
+        with_roles += bool(clauses)
+    assert with_roles >= 10
 
 
 def test_corpus_verdicts_do_not_depend_on_inclusion_order(corpus_runs):
@@ -824,11 +881,16 @@ def _search_alike(red, plain):
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_INPUTS))
 def test_structure_and_its_inclusions_search_alike(name):
     # the reduction hands the tableau its order structure; the same
-    # inclusions built by hand have none, so every transitivity, totality
-    # and antitonicity clause is read, interned and watched as an ordinary
-    # clause
+    # inclusions built by hand have none, so every transitivity, totality,
+    # antitonicity and transfer clause is read, interned and watched as an
+    # ordinary clause
     red = reduce_ontology(parse_ontology(DIFFERENTIAL_INPUTS[name]))
-    tab = _search_alike(red, ClassicalOntology(red.inclusions, red.assertions, red.individual))
+    plain = ClassicalOntology(red.inclusions, red.assertions, red.individual)
+    transfer = [inc for inc, _ in _families(red)[4]]
+    given = len(red.axioms)
+    assert plain.axioms[-given - len(transfer) : -given] == tuple(transfer)
+    assert bool(transfer) == bool(red.order.roles)
+    tab = _search_alike(red, plain)
     # nor does the search build a concept equal to a clause read by
     # position, which the tableau would not know as a base clause
     pairs = [e for e in tab.base_order if type(e) is not int and len(e) == 2]
@@ -837,21 +899,47 @@ def test_structure_and_its_inclusions_search_alike(name):
 
 @pytest.mark.parametrize("name", ["duality", "atmost-res", "counting-k1-q1/4"])
 def test_given_clauses_equal_to_ones_read_by_position_search_alike(name):
-    # a given inclusion equal to a totality or antitonicity clause is
-    # interned besides the one read by position, which is merged in and
-    # examined ahead of it; without a structure the two are one clause
+    # a given inclusion equal to a totality, antitonicity or transfer
+    # clause is interned besides the one read by position, which is merged
+    # in and examined ahead of it; without a structure the two are one
+    # clause
     red = reduce_ontology(parse_ontology(DIFFERENTIAL_INPUTS[name]))
-    _, totality, _, antitone = _families(red)
+    _, totality, _, antitone, transfer = _families(red)
     given = tuple(inc for inc, (i, j) in totality + antitone if i != j)
+    given += tuple(inc for inc, _ in transfer)
     both = ClassicalOntology(given + red.axioms, red.assertions, red.individual, red.order)
     plain = ClassicalOntology(both.inclusions, red.assertions, red.individual)
     tab = _search_alike(both, plain)
     ref = Tableau(red, NODE_BUDGET, STEP_BUDGET)
     ref.run()
     assert (tab.created, tab.steps, _counters(tab)) == (ref.created, ref.steps, _counters(ref))
-    # the given ones are interned: one clause per pair {i, j} and per (i, j)
+    # the given ones are interned: one clause per pair {i, j}, per (i, j)
+    # and per transfer inclusion
     n = len(red.order)
-    assert len(tab.base_list) == len(ref.base_list) + 3 * n * (n - 1) // 2
+    assert len(transfer) == 2 * len(red.order.up) ** 2 * len(red.order.roles) > 0
+    assert len(tab.base_list) == len(ref.base_list) + 3 * n * (n - 1) // 2 + len(transfer)
+
+
+@pytest.mark.parametrize("name", ["two-roles", "count-clash", "counting-k1-q1/2"])
+def test_given_transfer_clause_searches_like_its_plain_copy(name):
+    # a TBox inclusion equal to a transfer clause, over distinct positions
+    # or at i = j, of either sign, given beside the reduction's own axioms,
+    # searches as the structure-less copy, where the two are one clause
+    red = reduce_ontology(parse_ontology(DIFFERENTIAL_INPUTS[name]))
+    last = red.order.roles[-1]
+    given = [
+        inc
+        for inc, (i, j, r, _) in _families(red)[4]
+        if (i, j, r) in ((0, 1, last), (1, 1, last))
+    ]
+    assert len(given) == 4
+    for inc in given:
+        axioms = red.axioms + (inc,)
+        both = ClassicalOntology(axioms, red.assertions, red.individual, red.order)
+        plain = ClassicalOntology(both.inclusions, red.assertions, red.individual)
+        assert plain.axioms.count(inc) == 2
+        tab = _search_alike(both, plain)
+        assert len(tab.base_list) == len(Tableau(red).base_list) + 1
 
 
 # ---------------------------------------------------------------------------
