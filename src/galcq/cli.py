@@ -48,10 +48,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def source(p):
         p.add_argument("ontology", help="input ontology file")
         p.add_argument("--atmost", choices=("involutive", "residual"), default=None,
                        help="override the file's at-most expansion")
+
+    def common(p):
+        source(p)
         p.add_argument("--emit-reduction", metavar="PATH",
                        help="write the classical compilation here")
         p.add_argument("--emit-model", metavar="PATH",
@@ -86,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sub.add_argument("--degree", "-d", required=True, help="degree in (0,1]")
 
     p_red = sub.add_parser("reduce", help="emit the classical compilation")
-    common(p_red)
+    source(p_red)
     p_red.add_argument("--output", "-o", metavar="PATH", default=None,
                        help="output file (default: stdout)")
     return parser

@@ -171,6 +171,10 @@ def extract_fuzzy_model(
     if tree.parent is None:
         raise ValueError("tree metadata (parent map) is required")
     values: dict[tuple[int, object], Fraction] = {}
+    # the tree's elements copy the labels of a few graph nodes: each
+    # distinct label is validated and sorted into classes once, at the
+    # first element that carries it
+    preorders: dict[frozenset, list] = {}
     order = sorted(tree.domain, key=lambda d: (tree.depth[d], d))
     for node in order:
         parent = tree.parent.get(node)
@@ -179,7 +183,10 @@ def extract_fuzzy_model(
             if parent is not None
             else None
         )
-        classes = _node_preorder(structure, tree.true_atoms[node], node)
+        atoms = tree.true_atoms[node]
+        classes = preorders.get(atoms)
+        if classes is None:
+            classes = preorders[atoms] = _node_preorder(structure, atoms, node)
         pinned = _pin_anchors(structure, classes, node, parent_values)
         class_values = _interpolate(classes, pinned, node)
         for k, cls in enumerate(classes):

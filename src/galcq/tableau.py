@@ -6,9 +6,12 @@ number restrictions (choose and merge).  Every GCI `C [= D` contributes the
 clause nnf(not C or D) to every node label.
 
 Search organization:
-  - the global axioms are propagated once, by the ordinary rules, on a
-    scratch node of dependency 0; every node starts from a copy of the
-    resulting static seed instead of re-propagating the axioms;
+  - a node's label is its one record of what holds there: a dict from
+    concept id to a dependency bitmask of decision levels, holding the
+    base concepts with the node's own dependency.  The global axioms are
+    propagated once, by the ordinary rules, on a scratch node of
+    dependency 0; every node starts from a copy of the base concepts and
+    the resulting static seed instead of re-propagating the axioms;
   - concepts are interned to dense integers, looked up by their kind and
     their children's ids rather than by the structural NNF object; the
     NNF literals share one node per atom for the whole construction, and
@@ -33,29 +36,27 @@ Search organization:
     inclusion equal to a clause read by position is interned besides it
     and searches alike; any other concept equal to one (a filler, or a
     disjunct's complement) is not known as a base clause, and the
-    reduction builds none.  The base concepts are in sort-key order, with
-    the totality, antitonicity and transfer clauses as (disjuncts,
-    complements) pairs and runs (i, k, j bits) of triples merged between
-    the disjunctions.  Node labels are dicts from concept id to a
-    dependency bitmask of decision levels;
+    reduction builds none;
+  - every clause has one shape, the entry (id, disjuncts, complements),
+    id None for a clause read by position.  The base concepts are in
+    sort-key order, with the clauses read by position and runs (i, k,
+    j bits) of triples merged between the disjunctions;
   - unit propagation and clause clashes are one rule, `_examine`, given a
-    clause's disjuncts and their complements.  Four bitsets per node over
-    its label and the base atoms hold the order facts: P_row[i] and
-    P_col[j] the `leq(i, j)` facts, N_row[i] and N_col[j] the refuted
-    ones.  An order fact reads off them the ~2n triples over its pair that
-    act (leave one disjunct open or none) and examines them in
-    (i * n + j) * n + k order, then its totality and antitonicity
-    partners (`not leq(i, j)` gives `leq(j, i)`; `leq(i, j)` gives
-    `leq(inv j, inv i)`, and `not leq(i, j)` gives `not leq(inv j,
-    inv i)`), then its transfer clauses in role order, then the clauses
-    watched under it in id order; `at-least 1 r not s` and `at-least 1
-    r s` examine their transfer clause before their watched ones too.  A
-    clause holding a concept and its complement is never a unit or a
-    clash and is not watched.  This is the order of interning and
+    clause entry.  Four bitsets per node over its label hold the order
+    facts: P_row[i] and P_col[j] the `leq(i, j)` facts, N_row[i] and
+    N_col[j] the refuted ones.  An order fact reads off them the ~2n
+    triples over its pair that act (leave one disjunct open or none) and
+    examines them in (i * n + j) * n + k order, then its totality and
+    antitonicity partners (`not leq(i, j)` gives `leq(j, i)`; `leq(i, j)`
+    gives `leq(inv j, inv i)`, and `not leq(i, j)` gives `not leq(inv j,
+    inv i)`), then the clauses filed under it in `_Interner.watch`, the
+    one watch index: the transfer entries in role order, then the
+    interned clauses in id order.  This is the order of interning and
     watching every clause, since `ClassicalOntology.inclusions` lists
-    transitivity, then totality, then antitonicity, then transfer, then
-    the given inclusions.  Branching
-    scans a node's base and extra clauses with pointers that pass every
+    transitivity, then totality, antitonicity, transfer and the given
+    inclusions.  A clause holding a concept and its complement is never
+    a unit or a clash and is not watched.  Branching scans a node's base
+    and extra clauses, entries and runs, with pointers that pass every
     clause with a present disjunct, a run of triples by bit tests; the
     first clause without one goes to `_examine`, and only a clause that
     stays open becomes a branch;
@@ -140,10 +141,12 @@ class _Interner:
     literal and otherwise already holds the child ids, so a lookup hashes a
     shallow tuple whatever the concept's depth.  `parts` holds the per-id
     rule descriptor: child ids for and/or, (role, sub) for forall, (n, role,
-    sub) for the counting restrictions; `or_negs` caches the complement ids
-    of every disjunction's disjuncts; `fingerprints` are fixed random words
-    for xor label fingerprints.  `lits` shares literal nodes across every
-    formula built for this tableau.
+    sub) for the counting restrictions; `clauses` holds every disjunction's
+    clause entry, (its id, its disjuncts, their complements), the one shape
+    of every clause the tableau examines; `watch` files each entry under
+    the complements of its disjuncts, in filing order; `fingerprints` are
+    fixed random words for xor label fingerprints.  `lits` shares literal
+    nodes across every formula built for this tableau.
     """
 
     def __init__(self):
@@ -153,8 +156,8 @@ class _Interner:
         self.kinds: list[int] = []
         self.parts: list = []
         self.negs: list = []
-        self.or_negs: list = []
-        self.watch: dict[int, list[int]] = {}
+        self.clauses: list = []
+        self.watch: dict[int, list[tuple]] = {}
         self.fingerprints: list[int] = []
         self._fp_rng = random.Random(0xA1C9)
 
@@ -186,17 +189,21 @@ class _Interner:
         self.kinds.append(kind)
         self.parts.append(part)
         self.negs.append(None)
-        self.or_negs.append(None)
+        self.clauses.append(None)
         self.fingerprints.append(self._fp_rng.getrandbits(64))
         if kind == _KIND_OR:
             negs = tuple(self.negation(d) for d in part)
-            self.or_negs[cid] = negs
+            self.clauses[cid] = clause = (cid, part, negs)
             # a clause holding a concept and its complement is never a unit
             # or a clash: whichever of the two is refuted, the other holds
             if not any(nd in part for nd in negs):
-                for nd in negs:
-                    self.watch.setdefault(nd, []).append(cid)
+                self.file(clause)
         return cid
+
+    def file(self, clause: tuple):
+        """Watch clause entry `clause` under each of its complements."""
+        for nd in clause[2]:
+            self.watch.setdefault(nd, []).append(clause)
 
     def negation(self, cid: int) -> int:
         neg = self.negs[cid]
@@ -212,7 +219,6 @@ class _Node:
         "id",
         "parent",
         "parent_roles",
-        "depth",
         "dep",
         "children",
         "label",
@@ -231,7 +237,7 @@ class _Node:
         "crowding",
     )
 
-    def __init__(self, nid, parent, parent_roles, depth, dep):
+    def __init__(self, nid, parent, parent_roles, dep):
         self.id = nid
         self.parent = parent
         self.bit = 1 << nid
@@ -240,11 +246,10 @@ class _Node:
         self.twins = None  # its blocking class, filed in `Tableau.classes`
         self.crowding = None  # `Tableau._crowding` of it, if in `crowded`
         self.parent_roles = parent_roles
-        self.depth = depth
         self.dep = dep
         self.children = []
         self.label = {}  # concept id -> dependency bitmask
-        self.fp = 0  # xor fingerprint of the label's key set
+        self.fp = 0  # xor fingerprint of the label's key set but the base
         self.foralls = {}
         self.atleasts = set()
         self.atmosts = set()
@@ -331,7 +336,7 @@ class Tableau:
         base, transfer = self._read_inclusions(ontology)
         self.base_set = frozenset(base)
         self.base_order, self.base_ors = self._base_order(base, transfer)
-        # the interned base concepts, without the triples
+        # the interned base concepts, in base order
         self.base_list = tuple(c for c in self.base_order if type(c) is int)
         individuals = {ind for ind, _ in ontology.assertions}
         if individuals - {ontology.individual}:
@@ -363,7 +368,6 @@ class Tableau:
         order = ontology.order
         self.order_n = 0 if order is None else len(order)
         axioms = ontology.axioms
-        self.transfers: dict[int, list] = {}
         transfer = []
         if order is not None:
             t = order.table
@@ -381,8 +385,8 @@ class Tableau:
 
         The clauses of base positions (i, j) and role r, `not leq(i, j) or
         all r leq(up i, up j)` and `leq(i, j) or all r not leq(up i, up
-        j)`, become (disjuncts, complements) entries, filed in `transfers`
-        under each complement in the order `_Interner` would watch them,
+        j)`, become clause entries, watched ahead of every interned clause
+        as their place in `ClassicalOntology.inclusions` would watch them,
         and only their quantified disjuncts and complements are interned,
         in the order interning the clauses would intern them.  Those at
         i = j go into no base order: `leq(i, i) or ...` holds by that base
@@ -400,12 +404,11 @@ class Tableau:
             there = t[up[i]][up[j]]
             for r in order.roles:
                 forall = intern(NForall(r, lits.atom(there)))
-                first = (na, forall), (a, negation(forall))
+                first = None, (na, forall), (a, negation(forall))
                 forall = intern(NForall(r, lits.negated(there)))
-                clauses = first, ((a, forall), (na, negation(forall)))
+                clauses = first, (None, (a, forall), (na, negation(forall)))
                 for clause in clauses:
-                    for nd in clause[1]:
-                        self.transfers.setdefault(nd, []).append(clause)
+                    interner.file(clause)
                 if i != j:
                     out += clauses
         return out
@@ -417,7 +420,8 @@ class Tableau:
         clause has, `order_of` the bitset slots and positions of every
         order literal id, `by_rank` and `element_rank` the positions by the
         elements' sort keys, which order the disjuncts of the clauses read
-        by position, and `pairs` the totality and antitonicity clauses."""
+        by position, and `pairs` the totality and antitonicity clause
+        entries."""
         interner = self.interner
         lits = interner.lits
         n = self.order_n
@@ -443,7 +447,7 @@ class Tableau:
         er = self.element_rank = [0] * n
         for r, p in enumerate(self.by_rank):
             er[p] = r
-        # (disjuncts, complements) in sort-key order: at i*n + j the
+        # clause entries, disjuncts in sort-key order: at i*n + j the
         # totality clause of {i, j}, `top [= leq(i, j) or leq(j, i)`, and at
         # n*n + i*n + j the antitonicity clause of (i, j), `leq(i, j) [=
         # leq(inv j, inv i)`
@@ -452,14 +456,15 @@ class Tableau:
             i, j = divmod(p, n)
             if i != j:
                 q = self.inverse[j] * n + self.inverse[i]
-                pairs[nn + p] = (ids[q], ids[nn + p]), (ids[nn + q], ids[p])
+                pairs[nn + p] = None, (ids[q], ids[nn + p]), (ids[nn + q], ids[p])
                 if er[i] < er[j]:
                     q = j * n + i
-                    pairs[p] = pairs[q] = (ids[p], ids[q]), (ids[nn + p], ids[nn + q])
+                    pairs[p] = pairs[q] = None, (ids[p], ids[q]), (ids[nn + p], ids[nn + q])
 
     def _base_order(self, base: set, transfer: list) -> tuple:
         """The base concepts in sort-key order with the clauses read by
-        position merged in, and its slice of disjunctions.
+        position merged in, and its slice of disjunctions as clause entries
+        and runs of triples.
 
         A disjunction's key is (3, its disjuncts' keys), and its disjuncts
         are in key order, so disjunctions compare by the ranks of their
@@ -472,9 +477,9 @@ class Tableau:
         element, so the triples of (i, k) follow each other in the rank
         order of j.  They are merged in as runs (i, k, j bits), split
         before each other clause of the block whose remaining disjuncts
-        come after theirs.  The clauses read by position are
-        (disjuncts, complements) pairs, each ahead of an interned one
-        equal to it.  The `transfer` clauses are sorted with the interned
+        come after theirs.  The other clauses read by position are clause
+        entries, each ahead of an interned one equal to it.  The
+        `transfer` clauses are sorted with the interned
         disjunctions: `leq(i, k) or all r not leq(up i, up k)` ends the
         block of leq(i, k), after every triple, and `not leq(i, k) or all
         r leq(up i, up k)` falls among the clauses led by a negative
@@ -491,12 +496,12 @@ class Tableau:
         )
         disjuncts = {d for c in ors for d in parts[c]}
         disjuncts.update(c for c in ids if c is not None)
-        disjuncts.update(clause[0][1] for clause in transfer)
+        disjuncts.update(clause[1][1] for clause in transfer)
         ranked = sorted(disjuncts, key=lambda d: sort_key(objs[d]))
         rank = {d: r for r, d in enumerate(ranked)}.__getitem__
         # (disjunct ranks, clause), stable: a transfer clause comes ahead
         # of an interned one equal to it
-        keyed = [(tuple(map(rank, clause[0])), clause) for clause in transfer]
+        keyed = [(tuple(map(rank, clause[1])), clause) for clause in transfer]
         keyed += ((tuple(map(rank, parts[c])), c) for c in ors)
         keyed.sort(key=lambda pair: pair[0])
         full = (1 << n) - 1
@@ -541,8 +546,8 @@ class Tableau:
                     merged.append((i, k, rest))
         merged.extend(cid for _, cid in keyed[at:])
         head = [c for c in others if kinds[c] < _KIND_OR]
-        order = tuple(head + merged + others[len(head) :])
-        return order, order[len(head) : len(head) + len(merged)]
+        ors = tuple(interner.clauses[c] if type(c) is int else c for c in merged)
+        return tuple(head + merged + others[len(head) :]), ors
 
     def _triples_below(self, i: int, k: int, tail: tuple, rank) -> int:
         """The middle positions j of the triples (i, j, k) whose negative
@@ -562,15 +567,15 @@ class Tableau:
         return below
 
     def _triple(self, i: int, j: int, k: int) -> tuple:
-        """The disjuncts of the triple (i, j, k), `(and leq(i, j) leq(j, k))
-        [= leq(i, k)`, in sort-key order, and their complements."""
+        """The clause entry of the triple (i, j, k), `(and leq(i, j) leq(j,
+        k)) [= leq(i, k)`, its disjuncts in sort-key order."""
         n = self.order_n
         nn = n * n
         ids = self.leq_ids
         ik, ij, jk = i * n + k, i * n + j, j * n + k
         if self.element_rank[j] < self.element_rank[i]:
             ij, jk = jk, ij
-        return (ids[ik], ids[nn + ij], ids[nn + jk]), (ids[nn + ik], ids[ij], ids[jk])
+        return None, (ids[ik], ids[nn + ij], ids[nn + jk]), (ids[nn + ik], ids[ij], ids[jk])
 
     def _precompute_static(self):
         """Propagate the global axioms once, on a scratch node.
@@ -581,9 +586,12 @@ class Tableau:
         dependency 0 without neighbours, and new nodes copy them.  A clash
         there means the axioms are contradictory at every element, hence
         inconsistency.  The pass is bounded by the interned concepts and the
-        clauses read by position; it is not traced and takes no steps.
+        clauses read by position; it is not traced and takes no steps.  The
+        node starts out holding the base concepts; `static_label` is the
+        rest of its label, and new nodes copy both.
         """
-        node = _Node(0, None, frozenset(), 0, 0)
+        node = _Node(0, None, frozenset(), 0)
+        node.label = dict.fromkeys(self.base_list, 0)
         bits = node.bits = [0] * (4 * self.order_n)
         for cid, (row, col, i, j) in self.order_of.items():
             if cid in self.base_set:
@@ -599,8 +607,8 @@ class Tableau:
                 if type(entry) is int:
                     self._process(0, entry)
                     continue
-                if len(entry) == 2:  # totality, antitonicity or transfer
-                    self._examine(0, None, *entry)
+                if type(entry[2]) is tuple:  # totality, antitonicity or transfer
+                    self._examine(0, entry)
                     continue
                 # a run of triples (i, j, k) of one (i, k): examine them all
                 # if one acts, leaving no disjunct present and one or none
@@ -616,13 +624,14 @@ class Tableau:
                 if acting:
                     for j in self.by_rank:
                         if run >> j & 1:
-                            self._examine(0, None, *self._triple(i, j, k))
+                            self._examine(0, self._triple(i, j, k))
             while queue:
                 self._process(*queue.popleft())
             self.static_clash = False
         except _Clash:
             self.static_clash = True
-        self.static_label = tuple(node.label)
+        self.seed_label = tuple(node.label)
+        self.static_label = self.seed_label[len(self.base_list) :]
         self.static_foralls = node.foralls
         self.static_atleasts = frozenset(node.atleasts)
         self.static_atmosts = frozenset(node.atmosts)
@@ -637,21 +646,17 @@ class Tableau:
     # ------------------------------------------------------------------
     # label operations
 
-    def _dep_of(self, node: _Node, cid: int) -> int:
-        # base clauses share the node's own dependency
-        return node.label.get(cid, node.dep)
-
     def _full_mask(self) -> int:
         return (1 << (len(self.stack) + 1)) - 1
 
     def _add(self, nid: int, cid: int, dep: int, rule: str = ""):
         node = self.nodes[nid]
         label = node.label
-        if cid in label or cid in self.base_set:
+        if cid in label:
             return
         neg = self.interner.negation(cid)
-        if neg in label or neg in self.base_set:
-            raise _Clash(dep | self._dep_of(node, neg))
+        if neg in label:
+            raise _Clash(dep | label[neg])
         label[cid] = dep
         node.fp ^= self.interner.fingerprints[cid]
         self.marked |= node.mark
@@ -671,35 +676,37 @@ class Tableau:
         if node.pruned:
             return
         interner = self.interner
+        label = node.label
         kind = interner.kinds[cid]
         part = interner.parts[cid]
         # only the rules that use the dependency look it up; clauses do not
         if kind == _KIND_ATOM or kind == _KIND_NEGATOM:
             neg = interner.negation(cid)
-            if neg in node.label or neg in self.base_set:
-                raise _Clash(self._dep_of(node, cid) | self._dep_of(node, neg))
+            if neg in label:
+                raise _Clash(label[cid] | label[neg])
             order = self.order_of.get(cid)
             if order is not None:
                 self._examine_triples(nid, node.bits, kind, order)
                 self._examine_partners(nid, node.bits, kind, order)
         elif kind == _KIND_AND:
-            dep = self._dep_of(node, cid)
+            dep = label[cid]
             for a in part:
                 self._add(nid, a, dep)
         elif kind == _KIND_OR:
             if not part:
-                raise _Clash(self._dep_of(node, cid))
+                raise _Clash(label[cid])
+            clause = interner.clauses[cid]
             if cid not in self.base_set:
-                node.extra_ors.append(cid)
+                node.extra_ors.append(clause)
                 self.trail.append(("pop", node.extra_ors))
-            self._examine(nid, cid, part, interner.or_negs[cid])
+            self._examine(nid, clause)
         elif kind == _KIND_FORALL:
             role, sub = part
             bucket = node.foralls.setdefault(role, {})
             if sub not in bucket:
                 bucket[sub] = cid  # remember the forall literal for its dep
                 self.trail.append(("del", bucket, sub))
-                dep = self._dep_of(node, cid)
+                dep = label[cid]
                 for child_id in self._live_children(node, role):
                     child_dep = self.nodes[child_id].dep
                     self._add(child_id, sub, dep | child_dep, rule="forall")
@@ -708,13 +715,12 @@ class Tableau:
             if cid not in counted:
                 counted.add(cid)
                 self.trail.append(("discard", counted, cid))
-        # the transfer clauses it refutes a disjunct of, then the watched
-        # ones: the id order of interning them all
-        for disjuncts, negs in self.transfers.get(cid, ()):
-            self._examine(nid, None, disjuncts, negs)
-        for oid in interner.watch.get(cid, ()):
-            if oid in node.label or oid in self.base_set:
-                self._examine(nid, oid, interner.parts[oid], interner.or_negs[oid])
+        # the clauses it refutes a disjunct of, the transfer ones read by
+        # position first: the order of interning them all
+        for clause in interner.watch.get(cid, ()):
+            oid = clause[0]
+            if oid is None or oid in label:
+                self._examine(nid, clause)
 
     def _examine_triples(self, nid: int, bits: list, kind: int, order):
         """Examine the transitivity triples that order literal `order` (its
@@ -743,16 +749,16 @@ class Tableau:
             firsts &= ~(bits[n_col + i] | bits[p_col + j]) & others
             below = firsts & ((1 << i) - 1)
             for h in _positions(below):
-                examine(nid, None, *triple(h, i, j))
+                examine(nid, triple(h, i, j))
             for k in _positions(ks):
-                examine(nid, None, *triple(i, j, k))
+                examine(nid, triple(i, j, k))
             for h in _positions(firsts ^ below):
-                examine(nid, None, *triple(h, i, j))
+                examine(nid, triple(h, i, j))
         else:
             ms = bits[i] | bits[p_col + j]
             ms &= ~(bits[n_row + i] | bits[n_col + j]) & others
             for m in _positions(ms):
-                examine(nid, None, *triple(i, m, j))
+                examine(nid, triple(i, m, j))
 
     def _examine_partners(self, nid: int, bits: list, kind: int, order):
         """Examine the totality and antitonicity clauses over distinct
@@ -773,47 +779,47 @@ class Tableau:
         if kind == _KIND_ATOM:
             # leq(i, j) refutes not leq(i, j), leaving leq(a, b)
             if a != i and not bits[a] >> b & 1:
-                self._examine(nid, None, *self.pairs[n * n + i * n + j])
+                self._examine(nid, self.pairs[n * n + i * n + j])
             return
         # not leq(i, j) refutes leq(i, j), leaving leq(j, i) and not leq(a, b)
         if not bits[j] >> i & 1:
-            self._examine(nid, None, *self.pairs[i * n + j])
+            self._examine(nid, self.pairs[i * n + j])
         if a != i and not bits[2 * n + a] >> b & 1:
-            self._examine(nid, None, *self.pairs[n * n + a * n + b])
+            self._examine(nid, self.pairs[n * n + a * n + b])
 
-    def _examine(self, nid: int, oid, disjuncts, negs) -> bool:
-        """Settle the clause with `disjuncts`, whose complements are `negs`,
-        at node `nid`: True if it is satisfied or its one open disjunct was
-        added, False if two or more are open; a clause with every disjunct
-        refuted raises `_Clash`.  `oid` is the clause's id, None for a
-        clause read by position."""
+    def _examine(self, nid: int, clause: tuple) -> bool:
+        """Settle clause entry `clause` (its id, None for a clause read by
+        position, its disjuncts and their complements) at node `nid`: True
+        if it is satisfied or its one open disjunct was added, False if two
+        or more are open; a clause with every disjunct refuted raises
+        `_Clash`."""
         node = self.nodes[nid]
         label = node.label
-        base = self.base_set
         unit = -1
         open_count = 0
-        for d, nd in zip(disjuncts, negs):
-            if d in label or d in base:
+        for d, nd in zip(clause[1], clause[2]):
+            if d in label:
                 return True
-            if not (nd in label or nd in base):
+            if nd not in label:
                 open_count += 1
                 if open_count > 1:
                     return False  # a later falsification retriggers
                 unit = d
         # unit propagation or clash: only now collect the refuter deps
-        dep = self._refuted_dep(node, oid, negs)
+        dep = self._refuted_dep(node, clause)
         if open_count == 0:
             raise _Clash(dep)
         self._add(nid, unit, dep, rule="unit")
         return True
 
-    def _refuted_dep(self, node: _Node, oid, negs) -> int:
-        """Dependency of clause `oid` at `node` joined with the dependencies
-        of its refuted disjuncts' complements `negs` (an open disjunct has
-        none).  A base clause, one read by position (`oid` None) among
-        them, has the node's own dependency."""
+    def _refuted_dep(self, node: _Node, clause: tuple) -> int:
+        """Dependency of clause entry `clause` at `node` joined with the
+        dependencies of its refuted disjuncts' complements (an open
+        disjunct has none).  A clause read by position (id None) has the
+        node's own dependency, as every base clause in the label has."""
+        oid, _, negs = clause
         label = node.label
-        dep = label.get(oid, node.dep)
+        dep = node.dep if oid is None else label[oid]
         for nd in negs:
             fd = label.get(nd)
             if fd is not None:
@@ -836,10 +842,10 @@ class Tableau:
         if len(self.nodes) >= self.node_budget:
             raise BudgetExceededError("tableau node budget exhausted")
         nid = len(self.nodes)
-        depth = 0 if parent_id is None else self.nodes[parent_id].depth + 1
-        node = _Node(nid, parent_id, roles, depth, dep)
-        # seed the deterministic consequences of the global axioms
-        node.label = dict.fromkeys(self.static_label, dep)
+        node = _Node(nid, parent_id, roles, dep)
+        # seed the base concepts and the deterministic consequences of the
+        # global axioms
+        node.label = dict.fromkeys(self.seed_label, dep)
         node.fp = self.static_fp
         node.foralls = {r: dict(subs) for r, subs in self.static_foralls.items()}
         node.atleasts = set(self.static_atleasts)
@@ -861,7 +867,7 @@ class Tableau:
         parent = self.nodes[self.nodes[nid].parent]
         for role in roles:
             for sub, fcid in parent.foralls.get(role, {}).items():
-                self._add(nid, sub, self._dep_of(parent, fcid) | dep, rule="forall")
+                self._add(nid, sub, parent.label[fcid] | dep, rule="forall")
 
     def _add_neq(self, a: int, b: int, dep: int):
         pair = frozenset((a, b))
@@ -1088,16 +1094,15 @@ class Tableau:
     def _scan_ors(self, node: _Node):
         """Advance this node's clause pointers; return a decision or None.
 
-        Each pointer passes the clauses that have a present disjunct and
-        stops at the first one that has none; a run of triples (i, j, k)
+        The pointers run over clause entries and runs of triples.  Each
+        passes the clauses that have a present disjunct and stops at the
+        first one that has none; a run of triples (i, j, k)
         holds once `leq(i, k)` does, and otherwise triple by triple once
         `not leq(i, j)` or `not leq(j, k)` does.  `_examine` settles the
         first clause without a present disjunct if it is a unit or a clash;
         otherwise it becomes the branch.
         """
         label = node.label
-        base = self.base_set
-        parts = self.interner.parts
         bits = node.bits
         n_row, n_col = 2 * self.order_n, 3 * self.order_n
         for ors, attr in ((self.base_ors, "base_ptr"), (node.extra_ors, "extra_ptr")):
@@ -1105,51 +1110,39 @@ class Tableau:
             end = len(ors)
             while ptr < end:
                 entry = ors[ptr]
-                if type(entry) is int:
-                    disjuncts = parts[entry]
-                elif len(entry) == 2:
-                    disjuncts = entry[0]
-                else:
+                if type(entry[2]) is int:
                     i, k, run = entry
                     if not bits[i] >> k & 1 and run & ~(bits[n_row + i] | bits[n_col + k]):
                         break
-                    ptr += 1
-                    continue
-                for d in disjuncts:
-                    if d in label or d in base:
-                        break
                 else:
-                    break
+                    for d in entry[1]:
+                        if d in label:
+                            break
+                    else:
+                        break
                 ptr += 1
             if ptr != old:
                 self.trail.append(("attr", node, attr, old))
                 setattr(node, attr, ptr)
             if ptr == end:
                 continue
-            entry = ors[ptr]
-            if type(entry) is int:
-                oid, disjuncts, negs = entry, parts[entry], self.interner.or_negs[entry]
-            elif len(entry) == 2:
-                oid, (disjuncts, negs) = None, entry
-            else:
+            clause = ors[ptr]
+            if type(clause[2]) is int:
                 # the run holds up to its first open triple in rank order
-                i, k, run = entry
+                i, k, run = clause
                 run &= ~(bits[n_row + i] | bits[n_col + k])
                 j = next(j for j in self.by_rank if run >> j & 1)
-                oid = None
-                disjuncts, negs = self._triple(i, j, k)
-            if self._examine(node.id, oid, disjuncts, negs):
+                clause = self._triple(i, j, k)
+            if self._examine(node.id, clause):
                 return _ACTED
-            candidates = [
-                d for d, nd in zip(disjuncts, negs) if not (nd in label or nd in base)
-            ]
+            candidates = [d for d, nd in zip(clause[1], clause[2]) if nd not in label]
             # the refuted disjuncts' dependency is part of any conflict
             # derived from exhausting the remaining candidates
             return (
                 "or",
                 node.id,
                 self._branch_order(candidates),
-                self._refuted_dep(node, oid, negs),
+                self._refuted_dep(node, clause),
             )
         return None
 
@@ -1199,10 +1192,8 @@ class Tableau:
                 _, role, qid = interner.parts[amid]
                 nqid = interner.negation(qid)
                 for child_id in self._live_children(node, role):
-                    child = nodes[child_id]
-                    if not self._present_id(child, qid) and not self._present_id(
-                        child, nqid
-                    ):
+                    label = nodes[child_id].label
+                    if qid not in label and nqid not in label:
                         # negated qualifier first: zero holders always
                         # satisfies the at-most, and uniform siblings keep
                         # labels convergent; the two are jointly exhaustive
@@ -1217,7 +1208,7 @@ class Tableau:
             count, role, qid = interner.parts[alid]
             # successor generation is sound whenever the at-least concept
             # is present, so the new nodes depend only on that concept
-            dep = self._dep_of(node, alid) | node.dep
+            dep = node.label[alid] | node.dep
             if self.trace:
                 self.trace(f"atleast n{node.id} {interner.objs[alid]!r}"[:200])
             created = []
@@ -1247,10 +1238,10 @@ class Tableau:
             if len(holders) > count:
                 distinct_dep = self._distinct_subset_dep(holders, count + 1)
                 if distinct_dep is not None:
-                    conflict = self._dep_of(node, amid) | node.dep | distinct_dep
+                    conflict = node.label[amid] | node.dep | distinct_dep
                     for c in holders:
                         child = self.nodes[c]
-                        conflict |= self._dep_of(child, qid) | child.dep
+                        conflict |= child.label[qid] | child.dep
                     return conflict, pairs
                 if pairs is None:
                     pairs = tuple(
@@ -1269,16 +1260,9 @@ class Tableau:
                 return alid
         return None
 
-    def _present_id(self, node: _Node, cid: int) -> bool:
-        return cid in node.label or cid in self.base_set
-
     def _holders(self, node: _Node, role: str, qid: int) -> list[int]:
         """Live `role`-successors of `node` whose label holds `qid`."""
-        return [
-            c
-            for c in self._live_children(node, role)
-            if self._present_id(self.nodes[c], qid)
-        ]
+        return [c for c in self._live_children(node, role) if qid in self.nodes[c].label]
 
     # ------------------------------------------------------------------
     # search
@@ -1368,11 +1352,6 @@ class Tableau:
 
     def _export(self) -> CompletionGraph:
         interner = self.interner
-        base_atoms = frozenset(
-            interner.parts[cid]
-            for cid in self.base_set
-            if interner.kinds[cid] == _KIND_ATOM
-        )
         self._refresh()
         blocked_by = {}
         for node in self.nodes:
@@ -1387,10 +1366,8 @@ class Tableau:
             node = self.nodes[nid]
             children = tuple(c for c in node.children if not self.nodes[c].pruned)
             atoms = frozenset(
-                interner.parts[cid]
-                for cid in node.label
-                if interner.kinds[cid] == _KIND_ATOM
-            ) | base_atoms
+                interner.parts[cid] for cid in node.label if interner.kinds[cid] == _KIND_ATOM
+            )
             nodes[nid] = GraphNode(
                 id=nid,
                 parent=node.parent,

@@ -147,6 +147,35 @@ def test_subsumes_rejects_degree_zero(tmp_path, capsys):
     assert run(["subsumes", path, "--lhs", "A", "--rhs", "B", "-d", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--emit-reduction", "red.sexp"],
+        ["--emit-model", "model.sexp"],
+        ["--oracle", "brute"],
+        ["--grid-step", "1/4"],
+        ["--max-domain", "3"],
+        ["--budget", "10"],
+        ["--depth", "1"],
+        ["--trace"],
+    ],
+    ids=lambda flags: flags[0],
+)
+def test_reduce_refuses_the_flags_it_does_not_read(tmp_path, capsys, flags):
+    # `reduce` reads only the ontology, --atmost and --output; any flag of
+    # the decision tasks is a usage error, not silently ignored
+    path = _write(tmp_path, "(assert (inst a A) >= 1/2)")
+    args = [tmp_path / f if f.endswith(".sexp") else f for f in flags]
+    with pytest.raises(SystemExit) as exit_info:
+        run(["reduce", path, *map(str, args)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["onto.sexp"]  # nothing written
+    out = tmp_path / "out.sexp"
+    assert run(["reduce", path, "--atmost", "residual", "--output", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").startswith("(")
+
+
 def test_emit_reduction_round_trips(tmp_path, capsys):
     path = _write(tmp_path, "(assert (inst a A) >= 1/2)")
     out = tmp_path / "red.sexp"

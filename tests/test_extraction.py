@@ -11,6 +11,7 @@ from galcq import (
     OrderStructure,
     certify,
     check_consistency,
+    extract_classical_model,
     extract_fuzzy_model,
     parse_ontology,
     reduce_ontology,
@@ -112,6 +113,48 @@ def test_totality_violation_diagnosed():
     tree.true_atoms[0] = broken
     with pytest.raises(MalformedModelError, match="totality"):
         extract_fuzzy_model(tree, structure)
+
+
+def test_malformed_label_raises_at_its_first_element():
+    # two children share one label that breaks totality: the extraction
+    # reads it once, and names the first of them in depth, then id, order
+    structure = _structure("(assert (inst a A) >= 1/2)")
+    values = _rank_values(structure, {A: F(1, 4)})
+    atoms = _atoms_from_values(structure, values)
+    broken = frozenset(a for a in atoms if ConceptElement(A) not in (a.lhs, a.rhs))
+    tree = ClassicalInterpretation(
+        domain=(0, 1, 2, 3),
+        true_atoms={0: atoms, 1: atoms, 2: broken, 3: broken},
+        role_edges={"r": frozenset({(0, 1), (0, 3), (1, 2)})},
+        root=0,
+        parent={0: None, 1: 0, 2: 1, 3: 0},
+        depth={0: 0, 1: 1, 2: 2, 3: 1},
+    )
+    with pytest.raises(MalformedModelError, match="totality") as info:
+        extract_fuzzy_model(tree, structure)
+    assert info.value.node == 3
+
+
+def test_each_distinct_label_is_read_once(monkeypatch):
+    # the unravelled tree copies the labels of a few completion-graph
+    # nodes, so the extraction validates one label per distinct atom set
+    o = parse_ontology("(gci top (atleast 2 r A) >= 1/2)")
+    red = reduce_ontology(o)
+    tree = extract_classical_model(check_consistency(red).graph, 8)
+    labels = set(tree.true_atoms.values())
+    assert len(tree.domain) == 511 and len(labels) == 2
+    calls = []
+    broken = OrderStructure.broken
+
+    def counted(self, rows):
+        calls.append(rows)
+        return broken(self, rows)
+
+    monkeypatch.setattr(OrderStructure, "broken", counted)
+    _, assignment = extract_fuzzy_model(tree, red.order)
+    assert len(calls) == len(labels)
+    monkeypatch.undo()
+    assert assignment.check_properties() == []
 
 
 def test_constant_order_violation_diagnosed():

@@ -453,13 +453,20 @@ def _read_inclusions(ontology):
 
 
 def _pair_clause(tab, entry):
-    """The clause of a totality or antitonicity entry of `tab.base_order`,
-    (disjuncts, complements), after checking that the complements are
-    those of the disjuncts."""
+    """The clause of an entry read by position, (None, disjuncts,
+    complements), after checking that it has no id and that the
+    complements are those of the disjuncts."""
     objs, lits = tab.interner.objs, tab.interner.lits
-    disjuncts, negs = entry
+    oid, disjuncts, negs = entry
+    assert oid is None
     assert [objs[d] for d in negs] == [negate_nnf(objs[d], lits) for d in disjuncts]
     return mk_or(objs[d] for d in disjuncts)
+
+
+def _by_position_entries(tab):
+    """The clause entries read by position in `tab.base_order`: neither an
+    interned id nor a run of triples (i, k, j bits)."""
+    return [e for e in tab.base_order if type(e) is not int and type(e[2]) is tuple]
 
 
 def _reference_base(ontology):
@@ -477,16 +484,20 @@ def _reference_base(ontology):
 
 def _described(interner, cid):
     """Kind, parts and disjunct complements of concept `cid`, with every id
-    replaced by its concept."""
+    replaced by its concept, after checking that a disjunction's clause
+    entry holds its id and parts."""
     objs, kind, part = interner.objs, interner.kinds[cid], interner.parts[cid]
+    clause = interner.clauses[cid]
+    assert (clause is None) == (kind != _KIND_OR)
+    if clause is not None:
+        assert clause[:2] == (cid, part)
     if kind in (_KIND_AND, _KIND_OR):
         part = tuple(objs[x] for x in part)
     elif kind == _KIND_FORALL:
         part = (part[0], objs[part[1]])
     elif kind in (_KIND_ATLEAST, _KIND_ATMOST):
         part = (part[0], part[1], objs[part[2]])
-    negs = interner.or_negs[cid]
-    return kind, part, None if negs is None else tuple(objs[x] for x in negs)
+    return kind, part, None if clause is None else tuple(objs[x] for x in clause[2])
 
 
 def _assert_base_matches_reference(ontology):
@@ -501,9 +512,9 @@ def _assert_base_matches_reference(ontology):
         if type(entry) is int:
             expanded.append(objs[entry])
             continue
-        if len(entry) == 2:
+        if type(entry[2]) is tuple:
             clause = _pair_clause(tab, entry)
-            assert clause.args == tuple(objs[d] for d in entry[0])
+            assert clause.args == tuple(objs[d] for d in entry[1])
             expanded.append(clause)
             by_position.add(clause)
             continue
@@ -512,7 +523,8 @@ def _assert_base_matches_reference(ontology):
             if run >> j & 1:
                 lhs = And(Leq(e[i], e[j]), Leq(e[j], e[k]))
                 clause = mk_or((nnf_not(lhs, lits), nnf(Leq(e[i], e[k]), lits)))
-                disjuncts, negs = tab._triple(i, j, k)
+                oid, disjuncts, negs = tab._triple(i, j, k)
+                assert oid is None
                 assert tuple(objs[d] for d in disjuncts) == clause.args
                 assert [objs[d] for d in negs] == [negate_nnf(d, lits) for d in clause.args]
                 assert len({i, j, k}) == 3
@@ -521,8 +533,9 @@ def _assert_base_matches_reference(ontology):
     assert expanded == [ref.objs[cid] for cid in reference]
     assert len(by_position) == _by_position_count(ontology.order)
     assert tab.base_list == tuple(c for c in tab.base_order if type(c) is int)
+    # the disjunctions of the base order, an interned one as its entry
     ors = [c for c in tab.base_order if type(c) is not int or got.kinds[c] == _KIND_OR]
-    assert list(tab.base_ors) == ors
+    assert list(tab.base_ors) == [got.clauses[c] if type(c) is int else c for c in ors]
     # every other reference concept is interned, with the same parts, and
     # all but the literals, whose ids the clauses read by position no
     # longer assign, in the same relative id order
@@ -536,25 +549,30 @@ def _assert_base_matches_reference(ontology):
     ]
     assert sorted(compound, key=known.__getitem__) == compound
 
-    # the watch lists are the reference's, in the same order, without the
-    # clauses read by position and those that hold a concept and its
-    # complement
+    # the watch lists of interned clauses are the reference's, in the same
+    # order, without the clauses read by position and those that hold a
+    # concept and its complement; every interned one is filed as its entry
     def watching(interner, keep):
         lists = {}
-        for nd, cids in interner.watch.items():
-            kept = [interner.objs[c] for c in cids if keep(c)]
+        for nd, entries in interner.watch.items():
+            assert all(x[0] is None or interner.clauses[x[0]] is x for x in entries)
+            kept = [interner.objs[c] for c, _, _ in entries if c is not None and keep(c)]
             if kept:
                 lists[interner.objs[nd]] = kept
         return lists
 
     def tautology(c):
-        return set(ref.parts[c]) & set(ref.or_negs[c])
+        return set(ref.parts[c]) & set(ref.clauses[c][2])
 
     refs = set(ref.objs)
     assert watching(got, lambda c: objs[c] in refs) == watching(
         ref, lambda c: ref.objs[c] not in by_position and not tautology(c)
     )
-    assert all(cids == sorted(cids) for cids in got.watch.values())
+    # each list holds the transfer entries read by position first, then the
+    # interned clauses in id order
+    for entries in got.watch.values():
+        order = [-1 if c is None else c for c, _, _ in entries]
+        assert order == sorted(order)
 
 
 def _chain(k):
@@ -615,10 +633,11 @@ def test_clause_path_literal_shapes():
 
 
 def _bitset_check(tab):
-    """A check that every live node's order bitsets (P_row, P_col, N_row,
-    N_col) equal those recomputed from its label plus the base atoms:
-    `leq(i, j)`, i != j, sets bit j of P_row[i] and bit i of P_col[j], and
-    `not leq(i, j)` the same bits of N_row and N_col."""
+    """A check that every live node's label holds every base concept with
+    the node's own dependency, and that its order bitsets (P_row, P_col,
+    N_row, N_col) equal those recomputed from its label plus the base
+    atoms: `leq(i, j)`, i != j, sets bit j of P_row[i] and bit i of
+    P_col[j], and `not leq(i, j)` the same bits of N_row and N_col."""
     n = tab.order_n
     slots = {}  # concept id -> (row, row bit, column, column bit) or None
 
@@ -646,11 +665,14 @@ def _bitset_check(tab):
         return [b | x for b, x in zip(base_bits, bits_of(cids))]
 
     assert list(tab.static_bits) == with_base(tab.static_label)
+    assert tab.seed_label == tab.base_list + tab.static_label
 
     def check():
         for node in tab.nodes:
             if not node.pruned:
                 assert node.bits == with_base(node.label), f"n{node.id}"
+                # the label holds the base with the node's own dependency
+                assert all(node.label.get(c) == node.dep for c in tab.base_set), f"n{node.id}"
 
     return check
 
@@ -737,20 +759,16 @@ def test_triple_table_holds_every_distinct_vertex_transitivity_clause():
 
 def test_totality_and_antitonicity_are_read_by_position(corpus_runs):
     # every totality and antitonicity clause over distinct positions, the
-    # self-partner ones (j = inv i) included, is a (disjuncts, complements)
-    # entry of the base order and is never interned; the ones at i = j hold
-    # by the base facts leq(m, m)
+    # self-partner ones (j = inv i) included, is a clause entry read by
+    # position in the base order and is never interned; the ones at i = j
+    # hold by the base facts leq(m, m)
     self_partners = 0
     for run_ in corpus_runs:
         red = run_.reduction
         tab = Tableau(red)
         inv, t = red.order.inverse, red.order.table
         lits = tab.interner.lits
-        entries = [
-            e
-            for e in tab.base_order
-            if type(e) is not int and len(e) == 2 and not _is_transfer(tab, e)
-        ]
+        entries = [e for e in _by_position_entries(tab) if not _is_transfer(tab, e)]
         read = {_pair_clause(tab, e) for e in entries}
         assert len(read) == len(entries)
         units = {tab.interner.ids[_KIND_ATOM, t[m][m]] for m in range(len(t))}
@@ -776,16 +794,17 @@ def test_totality_and_antitonicity_are_read_by_position(corpus_runs):
 
 
 def _is_transfer(tab, entry):
-    """Whether a (disjuncts, complements) entry is a transfer clause, the
-    only ones read by position with a quantified disjunct."""
-    return tab.interner.kinds[entry[0][-1]] == _KIND_FORALL
+    """Whether a clause entry read by position is a transfer clause, the
+    only ones with a quantified disjunct."""
+    return tab.interner.kinds[entry[1][-1]] == _KIND_FORALL
 
 
 def test_transfer_is_read_by_position(corpus_runs):
-    # every transfer clause over distinct base positions is a (disjuncts,
-    # complements) entry of the base order and is never interned; every
-    # clause, those at i = j too, is filed under its complements in the
-    # order interning and watching the clauses would file it; the ones at
+    # every transfer clause over distinct base positions is a clause entry
+    # read by position in the base order and is never interned; every
+    # clause, those at i = j too, is filed in the one watch index under its
+    # complements in the order interning and watching the clauses would
+    # file it, ahead of every interned clause there; the ones at
     # i = j hold by the base facts leq(i, i), at the node and, through the
     # static fact `all r leq(up i, up i)`, at every successor
     with_roles = 0
@@ -794,7 +813,7 @@ def test_transfer_is_read_by_position(corpus_runs):
         tab = Tableau(red)
         u, objs, lits = red.order, tab.interner.objs, tab.interner.lits
         t, up = u.table, u.up
-        entries = [e for e in tab.base_order if type(e) is not int and len(e) == 2]
+        entries = _by_position_entries(tab)
         read = [_pair_clause(tab, e) for e in entries if _is_transfer(tab, e)]
         static = {objs[cid] for cid in tab.static_label}
         clauses, filed = [], {}
@@ -812,7 +831,12 @@ def test_transfer_is_read_by_position(corpus_runs):
                 assert clause.args[1] in static, run_.name
         assert sorted(read, key=sort_key) == sorted(clauses, key=sort_key), run_.name
         assert len(set(read)) == len(read)
-        got = {objs[nd]: [_pair_clause(tab, e) for e in v] for nd, v in tab.transfers.items()}
+        got = {}
+        for nd, v in tab.interner.watch.items():
+            transfers = [_pair_clause(tab, e) for e in v if e[0] is None]
+            assert v[: len(transfers)] == [e for e in v if e[0] is None]
+            if transfers:
+                got[objs[nd]] = transfers
         assert got == filed, run_.name
         assert not set(clauses) & set(objs), run_.name
         with_roles += bool(clauses)
@@ -893,7 +917,7 @@ def test_structure_and_its_inclusions_search_alike(name):
     tab = _search_alike(red, plain)
     # nor does the search build a concept equal to a clause read by
     # position, which the tableau would not know as a base clause
-    pairs = [e for e in tab.base_order if type(e) is not int and len(e) == 2]
+    pairs = _by_position_entries(tab)
     assert not {_pair_clause(tab, e) for e in pairs} & set(tab.interner.objs)
 
 
@@ -1003,10 +1027,8 @@ def _has_choose_work(tab, node):
         _, role, qid = tab.interner.parts[amid]
         nqid = tab.interner.negs[qid]
         for child_id in tab._live_children(node, role):
-            child = tab.nodes[child_id]
-            if not tab._present_id(child, qid) and not (
-                nqid is not None and tab._present_id(child, nqid)
-            ):
+            label = tab.nodes[child_id].label
+            if qid not in label and not (nqid is not None and nqid in label):
                 return True
     return False
 
