@@ -1,13 +1,13 @@
 """Fuzzy model extraction from classical tree models.
 
 Each tree element's true Leq atoms induce a total preorder over the order
-structure.  Walking the tree top-down, every equivalence class containing a
-constant (or, below the root, a shifted copy whose parent value is known)
-is pinned to that value; the remaining classes in each gap between
-consecutive pinned classes are spaced evenly: the j-th of n anonymous
-classes between values l < r gets l + j/(n+1) * (r - l).  The result is an
-exact rational valuation of every element at every node, from which the
-fuzzy interpretation reads off concept and role degrees.
+structure's positions.  Walking the tree top-down, every equivalence class
+containing a constant (or, below the root, a shifted copy whose parent
+value is known) is pinned to that value; the remaining classes in each gap
+between consecutive pinned classes are spaced evenly: the j-th of n
+anonymous classes between values l < r gets l + j/(n+1) * (r - l).  The
+result is one row of exact rational values per tree element, by position,
+from which the fuzzy interpretation reads off concept and role degrees.
 """
 
 from __future__ import annotations
@@ -20,14 +20,7 @@ from .classical_model import ClassicalInterpretation, ClassicalOntology
 from .concepts import Name
 from .errors import MalformedModelError, ReasonerError
 from .ontology import FuzzyOntology, certification_margin
-from .orders import (
-    ConceptElement,
-    EdgeElement,
-    OrderStructure,
-    ShiftedElement,
-    ValueElement,
-    invert,
-)
+from .orders import EDGE, ConceptElement, OrderStructure
 from .semantics import FuzzyInterpretation, check_fuzzy_model
 from .tableau import CompletionGraph, extract_classical_model
 
@@ -36,6 +29,7 @@ from .tableau import CompletionGraph, extract_classical_model
 class ValueAssignment:
     """Per-node rational value of every order-structure element.
 
+    `values[node][p]` is the value of `structure.elements[p]` at `node`.
     The defining properties, checkable per node: constants keep their value
     (P1); the values order exactly as the Leq atoms say (P2); inversion is
     1-x (P3); shifted copies equal the parent's unshifted values (P4).
@@ -43,44 +37,41 @@ class ValueAssignment:
 
     structure: OrderStructure
     tree: ClassicalInterpretation
-    values: dict[tuple[int, object], Fraction]
+    values: dict[int, tuple[Fraction, ...]]
 
     def check_properties(self) -> list[str]:
         """All P1-P4 violations, empty when the assignment is coherent."""
         violations = []
-        elems = self.structure.elements
+        u = self.structure
+        elems, inv, up = u.elements, u.inverse, u.up
         for node in self.tree.domain:
-            for q in self.structure.values:
-                if self.values[(node, ValueElement(q))] != q:
+            row = self.values[node]
+            for p, q in enumerate(u.values):
+                if row[p] != q:
                     violations.append(f"P1 fails at node {node} for constant {q}")
-            rows = self.structure.rows(self.tree.true_atoms[node])
-            for i, a in enumerate(elems):
-                va = self.values[(node, a)]
-                for j, b in enumerate(elems):
-                    vb = self.values[(node, b)]
-                    if (va <= vb) != bool(rows[i] >> j & 1):
+            rows = u.rows(self.tree.true_atoms[node])
+            for i, vi in enumerate(row):
+                for j, vj in enumerate(row):
+                    if (vi <= vj) != bool(rows[i] >> j & 1):
                         violations.append(
-                            f"P2 fails at node {node}: {a!r} vs {b!r}"
+                            f"P2 fails at node {node}: {elems[i]!r} vs {elems[j]!r}"
                         )
-            for a in elems:
-                if self.values[(node, invert(a))] != involutive_negation(
-                    self.values[(node, a)]
-                ):
-                    violations.append(f"P3 fails at node {node}: {a!r}")
+            for p, v in enumerate(row):
+                if row[inv[p]] != involutive_negation(v):
+                    violations.append(f"P3 fails at node {node}: {elems[p]!r}")
             parent = self.tree.parent.get(node) if self.tree.parent else None
             if parent is not None:
-                for c in self.structure.subconcepts:
-                    if self.values[(node, ShiftedElement(c))] != self.values[
-                        (parent, ConceptElement(c))
-                    ]:
-                        violations.append(f"P4 fails at node {node}: {c!r}")
+                above = self.values[parent]
+                for p in range(len(u.values), len(up)):
+                    if row[up[p]] != above[p]:
+                        violations.append(f"P4 fails at node {node}: {elems[p].concept!r}")
         return violations
 
 
 def _node_preorder(structure: OrderStructure, atoms: frozenset, node: int):
     """Validate the order axioms at one node and return its sorted classes.
 
-    Returns a list of equivalence classes (tuples of elements), ascending.
+    Returns a list of equivalence classes (tuples of positions), ascending.
     Raises MalformedModelError, naming the family and the elements, at the
     first instance of transitivity, totality, the bounds, the constant
     order or antitonicity that `OrderStructure.broken` finds failing on the
@@ -104,56 +95,41 @@ def _node_preorder(structure: OrderStructure, atoms: frozenset, node: int):
     # class, and a lower class has more bits
     classes = {}
     for i, row in enumerate(rows):
-        classes.setdefault(row, []).append(elems[i])
+        classes.setdefault(row, []).append(i)
     return [tuple(classes[row]) for row in sorted(classes, key=lambda r: -r.bit_count())]
 
 
-def _pin_anchors(structure, classes, node, parent_values):
-    """Value for each class that contains a constant or a shifted copy."""
-    pinned = {}
+def _node_values(classes, anchors, elems, node) -> tuple[Fraction, ...]:
+    """The value of each position at `node`.  A class holding anchors
+    (positions with a known value) takes their one value; the anonymous
+    classes between two such classes are spaced evenly inside their gap."""
+    pinned = {}  # class index -> value, ascending in the index
     for k, cls in enumerate(classes):
-        anchor_value = None
-        anchor_elem = None
-        for e in cls:
-            if isinstance(e, ValueElement):
-                v = e.value
-            elif isinstance(e, ShiftedElement) and parent_values is not None:
-                v = parent_values[ConceptElement(e.concept)]
-            else:
-                continue
-            if anchor_value is None:
-                anchor_value, anchor_elem = v, e
-            elif anchor_value != v:
+        held = [p for p in cls if p in anchors]
+        for p in held[1:]:
+            if anchors[p] != anchors[held[0]]:
                 raise MalformedModelError(
                     node,
-                    f"equivalent elements {anchor_elem!r} and {e!r} carry "
-                    f"different values {anchor_value} and {v}",
+                    f"equivalent elements {elems[held[0]]!r} and {elems[p]!r} carry "
+                    f"different values {anchors[held[0]]} and {anchors[p]}",
                 )
-        if anchor_value is not None:
-            pinned[k] = anchor_value
-    ordered = [pinned[k] for k in sorted(pinned)]
-    if any(b <= a for a, b in zip(ordered, ordered[1:])):
+        if held:
+            pinned[k] = anchors[held[0]]
+    ks = list(pinned)
+    if any(pinned[b] <= pinned[a] for a, b in zip(ks, ks[1:])):
         raise MalformedModelError(node, "pinned classes are not strictly increasing")
-    return pinned
-
-
-def _interpolate(classes, pinned, node):
-    """Value per class: pinned classes keep their value, anonymous runs are
-    spaced evenly inside the surrounding gap."""
-    values = {}
-    anchor_positions = sorted(pinned)
-    if not anchor_positions:
+    if not ks:
         raise MalformedModelError(node, "no pinned class at all")
-    if anchor_positions[0] != 0 or anchor_positions[-1] != len(classes) - 1:
+    if ks[0] != 0 or ks[-1] != len(classes) - 1:
         raise MalformedModelError(node, "extreme classes are not pinned")
-    for pos, nxt in zip(anchor_positions, anchor_positions[1:]):
-        lo, hi = pinned[pos], pinned[nxt]
-        gap = nxt - pos - 1
-        values[pos] = lo
-        for j in range(1, gap + 1):
-            values[pos + j] = lo + Fraction(j, gap + 1) * (hi - lo)
-    values[anchor_positions[-1]] = pinned[anchor_positions[-1]]
-    return values
+    row = [pinned[ks[-1]]] * len(elems)
+    for a, b in zip(ks, ks[1:]):
+        v, step = pinned[a], (pinned[b] - pinned[a]) / (b - a)
+        for cls in classes[a:b]:
+            for p in cls:
+                row[p] = v
+            v += step
+    return tuple(row)
 
 
 def extract_fuzzy_model(
@@ -165,51 +141,57 @@ def extract_fuzzy_model(
 
     The tree must satisfy the order axioms at every node; violations raise
     MalformedModelError naming the node and the failed family.  Concept
-    degrees come from each node's valuation, role degrees from the edge
+    degrees come from each node's row of values, role degrees from the edge
     element's value at the child.
     """
     if tree.parent is None:
         raise ValueError("tree metadata (parent map) is required")
-    values: dict[tuple[int, object], Fraction] = {}
+    u = structure
+    # the constants are the first positions; below the root each subconcept
+    # position p also pins its shifted copy up[p] to the parent's value at p
+    constants = dict(enumerate(u.values))
+    subconcepts = range(len(u.values), len(u.up))
+    values: dict[int, tuple[Fraction, ...]] = {}
     # the tree's elements copy the labels of a few graph nodes: each
     # distinct label is validated and sorted into classes once, at the
-    # first element that carries it
+    # first element that carries it; and a row depends only on the label
+    # and the parent's row, so each such pair is valued once (rows are
+    # kept for the whole call, so their ids stay unique)
     preorders: dict[frozenset, list] = {}
-    order = sorted(tree.domain, key=lambda d: (tree.depth[d], d))
-    for node in order:
-        parent = tree.parent.get(node)
-        parent_values = (
-            {e: values[(parent, e)] for e in structure.elements}
-            if parent is not None
-            else None
-        )
+    rows: dict[tuple[frozenset, int], tuple[Fraction, ...]] = {}
+    for node in sorted(tree.domain, key=lambda d: (tree.depth[d], d)):
         atoms = tree.true_atoms[node]
-        classes = preorders.get(atoms)
-        if classes is None:
-            classes = preorders[atoms] = _node_preorder(structure, atoms, node)
-        pinned = _pin_anchors(structure, classes, node, parent_values)
-        class_values = _interpolate(classes, pinned, node)
-        for k, cls in enumerate(classes):
-            for e in cls:
-                values[(node, e)] = class_values[k]
+        parent = tree.parent.get(node)
+        above = values[parent] if parent is not None else None
+        key = (atoms, id(above))
+        row = rows.get(key)
+        if row is None:
+            classes = preorders.get(atoms)
+            if classes is None:
+                classes = preorders[atoms] = _node_preorder(u, atoms, node)
+            anchors = constants
+            if above is not None:
+                anchors = constants | {u.up[p]: above[p] for p in subconcepts}
+            row = rows[key] = _node_values(classes, anchors, u.elements, node)
+        values[node] = row
 
-    assignment = ValueAssignment(structure, tree, values)
-    concept_values = {}
-    names = [c for c in structure.subconcepts if isinstance(c, Name)]
-    for node in tree.domain:
-        for c in names:
-            concept_values[(c.name, node)] = values[(node, ConceptElement(c))]
-    role_values = {}
-    for role, edges in tree.role_edges.items():
-        for (u, w) in edges:
-            role_values[(role, u, w)] = values[(w, EdgeElement(True))]
+    names = [
+        (c.name, u.index[ConceptElement(c)]) for c in u.subconcepts if isinstance(c, Name)
+    ]
+    edge = u.index[EDGE]
     interp = FuzzyInterpretation(
         domain=tuple(tree.domain),
-        concept_values=concept_values,
-        role_values=role_values,
+        concept_values={
+            (name, node): values[node][p] for node in tree.domain for name, p in names
+        },
+        role_values={
+            (role, v, w): values[w][edge]
+            for role, edges in tree.role_edges.items()
+            for (v, w) in edges
+        },
         individuals={individual: tree.root},
     )
-    return interp, assignment
+    return interp, ValueAssignment(structure, tree, values)
 
 
 def certify(

@@ -113,6 +113,11 @@ from .orders import _positions
 # Default resource budgets of a tableau run: nodes created and rule steps.
 NODE_BUDGET = 5000
 STEP_BUDGET = 2_000_000
+# Elements of an unravelled tree model.  With two successors per element a
+# tree doubles per level: `check --emit-model --depth 12` makes 8,191 elements
+# and peaks at 25 MB, `--depth 14` 32,767 at 52 MB (CPython 3.11), and each
+# further level doubles both.  The benchmark's trees have at most 85.
+TREE_BUDGET = 50_000
 
 _KIND_ATOM = 0
 _KIND_NEGATOM = 1
@@ -1399,7 +1404,8 @@ def extract_classical_model(graph: CompletionGraph, depth: int) -> ClassicalInte
 
     Tree nodes at the requested depth whose expansion was truncated are
     recorded in `cut`; axioms are only guaranteed at elements whose distance
-    from those leaves exceeds the ontology's quantifier depth.
+    from those leaves exceeds the ontology's quantifier depth.  Raises
+    BudgetExceededError as the tree's element count passes TREE_BUDGET.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -1435,6 +1441,11 @@ def extract_classical_model(graph: CompletionGraph, depth: int) -> ClassicalInte
         for child_gid in children:
             child = graph.nodes[child_gid]
             child_elem = next(counter)
+            if child_elem >= TREE_BUDGET:
+                raise BudgetExceededError(
+                    f"unravelled tree budget of {TREE_BUDGET} elements exhausted "
+                    f"at depth {depths[elem] + 1}"
+                )
             parent[child_elem] = elem
             depths[child_elem] = depths[elem] + 1
             true_atoms[child_elem] = child.atoms

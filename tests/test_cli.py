@@ -221,6 +221,18 @@ def test_emit_model_depth_must_exceed_quantifier_depth(tmp_path, capsys, text, l
         assert f"use {least} or more" in capsys.readouterr().err
 
 
+def test_deep_unravelling_exits_2_on_the_tree_budget(tmp_path, capsys):
+    # every element has two successors, so depth 40 would ask for 2^41 - 1
+    # elements: the unravelling stops at TREE_BUDGET and writes no model
+    path = _write(tmp_path, "(gci top (atleast 2 r A) >= 1/2)")
+    out = tmp_path / "model.sexp"
+    start = time.monotonic()
+    assert run(["check", path, "--emit-model", str(out), "--depth", "40"]) == 2
+    assert time.monotonic() - start < 5.0
+    assert "tree budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_subsumes_emits_a_countermodel_on_not_subsumed_only(tmp_path, capsys):
     # the task ontology asserts (A => B) < d, so its models are countermodels
     path = _write(tmp_path, "(gci A B >= 1/2)")

@@ -208,7 +208,8 @@ def test_tied_elements_form_classes_in_position_order():
     values = _rank_values(structure, {A: F(1, 2), B: F(3, 4)}, edge=F(1, 4))
     atoms = _atoms_from_values(structure, values)
     V, C, S = ValueElement, ConceptElement, ShiftedElement
-    assert _node_preorder(structure, atoms, 0) == [
+    classes = _node_preorder(structure, atoms, 0)
+    assert [tuple(structure.elements[p] for p in cls) for cls in classes] == [
         (V(F(0)),),
         (V(F(1, 4)), C(Not(B)), S(Not(B)), EdgeElement(True)),
         (V(F(1, 2)), C(A), C(Not(A)), S(A), S(Not(A))),
@@ -272,3 +273,62 @@ def test_anonymous_class_between_shifted_anchors():
 def test_pipeline_duality_case():
     text = "(assert-cmp (inst a (some r A)) < (inst a (not (all r (not A)))))"
     assert _certified_assignment(text).check_properties() == []
+
+
+def _corrupted(assignment, node, position, value):
+    """The violations after `node`'s value at `position` becomes `value`."""
+    row = list(assignment.values[node])
+    row[position] = value
+    assignment.values[node] = tuple(row)
+    return assignment.check_properties()
+
+
+def test_check_properties_reports_each_corrupted_property():
+    # each case corrupts a freshly certified assignment
+    text = "(assert (inst a (some r A)) = 1/2)"
+    assignment = _certified_assignment(text)
+    root, u = assignment.tree.root, assignment.structure
+    elems, index = u.elements, u.index
+    half, one = index[ValueElement(F(1, 2))], index[ValueElement(F(1))]
+    a, shifted_a = index[ConceptElement(A)], index[ShiftedElement(A)]
+    assert f"P1 fails at node {root} for constant 1/2" in _corrupted(
+        assignment, root, half, F(2, 3)
+    )
+    # A moved past every constant: the order no longer matches the atoms,
+    # and not A is no longer 1 - A
+    assignment = _certified_assignment(text)
+    violations = _corrupted(assignment, root, a, F(3, 2))
+    assert f"P2 fails at node {root}: {elems[a]!r} vs {elems[one]!r}" in violations
+    assert f"P3 fails at node {root}: {elems[a]!r}" in violations
+    # a child's copy of the root's A no longer equals the root's A
+    assignment = _certified_assignment(text)
+    child = next(d for d in assignment.tree.domain if assignment.tree.parent[d] == root)
+    below = assignment.values[child][shifted_a] + F(1, 1000)
+    assert f"P4 fails at node {child}: {A!r}" in _corrupted(
+        assignment, child, shifted_a, below
+    )
+
+
+def test_extraction_hashes_no_order_element_per_tree_element(monkeypatch):
+    # the values are read by position: the order-element hashes of one call
+    # do not grow with the tree
+    o = parse_ontology("(gci top (atleast 2 r A) >= 1/2)")
+    red = reduce_ontology(o)
+    graph = check_consistency(red).graph
+    trees = [extract_classical_model(graph, depth) for depth in (4, 8)]
+    assert [len(t.domain) for t in trees] == [31, 511]
+    calls = []
+    for cls in (ConceptElement, ShiftedElement):
+        def counted(self, _hash=cls.__hash__):
+            calls.append(self)
+            return _hash(self)
+
+        monkeypatch.setattr(cls, "__hash__", counted)
+    hash(ConceptElement(A)), hash(ShiftedElement(A))
+    assert len(calls) == 2  # the counters are in place
+    counts = []
+    for tree in trees:
+        calls.clear()
+        extract_fuzzy_model(tree, red.order)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
