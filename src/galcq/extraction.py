@@ -40,31 +40,40 @@ class ValueAssignment:
     values: dict[int, tuple[Fraction, ...]]
 
     def check_properties(self) -> list[str]:
-        """All P1-P4 violations, empty when the assignment is coherent."""
-        violations = []
+        """All P1-P4 violations, empty when the assignment is coherent: P1-P3
+        checked once per distinct (atoms, row) pair, P4 once per (row, parent
+        row) pair, rows by identity as `extract_fuzzy_model` shares them."""
         u = self.structure
         elems, inv, up = u.elements, u.inverse, u.up
+        seen: dict[tuple, list] = {}  # pair -> its failures, as (property, detail)
+        violations = []
         for node in self.tree.domain:
-            row = self.values[node]
-            for p, q in enumerate(u.values):
-                if row[p] != q:
-                    violations.append(f"P1 fails at node {node} for constant {q}")
-            rows = u.rows(self.tree.true_atoms[node])
-            for i, vi in enumerate(row):
-                for j, vj in enumerate(row):
-                    if (vi <= vj) != bool(rows[i] >> j & 1):
-                        violations.append(
-                            f"P2 fails at node {node}: {elems[i]!r} vs {elems[j]!r}"
-                        )
-            for p, v in enumerate(row):
-                if row[inv[p]] != involutive_negation(v):
-                    violations.append(f"P3 fails at node {node}: {elems[p]!r}")
+            row, atoms = self.values[node], self.tree.true_atoms[node]
+            if (atoms, id(row)) not in seen:
+                failures = seen[atoms, id(row)] = []
+                for p, q in enumerate(u.values):
+                    if row[p] != q:
+                        failures.append(("P1", f" for constant {q}"))
+                rows = u.rows(atoms)
+                for i, vi in enumerate(row):
+                    for j, vj in enumerate(row):
+                        if (vi <= vj) != bool(rows[i] >> j & 1):
+                            failures.append(("P2", f": {elems[i]!r} vs {elems[j]!r}"))
+                for p, v in enumerate(row):
+                    if row[inv[p]] != involutive_negation(v):
+                        failures.append(("P3", f": {elems[p]!r}"))
+            failures = seen[atoms, id(row)]
             parent = self.tree.parent.get(node) if self.tree.parent else None
             if parent is not None:
                 above = self.values[parent]
-                for p in range(len(u.values), len(up)):
-                    if row[up[p]] != above[p]:
-                        violations.append(f"P4 fails at node {node}: {elems[p].concept!r}")
+                if (id(row), id(above)) not in seen:
+                    seen[id(row), id(above)] = [
+                        ("P4", f": {elems[p].concept!r}")
+                        for p in range(len(u.values), len(up))
+                        if row[up[p]] != above[p]
+                    ]
+                failures = failures + seen[id(row), id(above)]
+            violations += (f"{kind} fails at node {node}{detail}" for kind, detail in failures)
         return violations
 
 

@@ -130,18 +130,6 @@ class Literals:
         return n
 
 
-def leq_literals(lits: Literals, atom: Leq, keys: tuple) -> tuple:
-    """The shared literal nodes of order atom `atom` in `lits`, positive
-    then negated, their sort keys set from `keys`, the `_element_key`s of
-    its two sides, as `sort_key` would compute them."""
-    key = (3, *keys)
-    out = (lits.atom(atom), lits.negated(atom))
-    for sign, n in enumerate(out):
-        if n._key is None:
-            object.__setattr__(n, "_key", (sign, key))
-    return out
-
-
 def _element_key(e):
     match e:
         case ValueElement(value):

@@ -15,7 +15,9 @@ Search organization:
   - concepts are interned to dense integers, looked up by their kind and
     their children's ids rather than by the structural NNF object; the
     NNF literals share one node per atom for the whole construction, and
-    every node's sort key is computed once;
+    every node's sort key is computed once.  The 2n^2 order literals are
+    numbered by position instead, `leq(i, j)` i*n + j and its negation
+    n*n + i*n + j, and rank in key order by their elements' ranks;
   - the order families that the reduction's order structure
     (`ClassicalOntology.order`) fixes by itself are read from it, not
     from inclusions: the transitivity clauses `(and t[i][j] t[j][k]) [=
@@ -25,8 +27,8 @@ Search organization:
     i != j, and the transfer clauses `t[i][j] [= all r t[up i][up j]`
     and `not t[i][j] [= all r not t[up i][up j]` of every pair of base
     positions and role r.  They are present by construction and never
-    interned, each known by its positions, with its literals in
-    `leq_ids`; only transfer's quantified concepts are interned.  The
+    interned, each known by its positions, which give its literals'
+    ids; only transfer's quantified concepts are interned.  The
     others are not read at all: each is a tautology or holds by the base
     fact `leq(i, i)`, which totality gives at i = j as a unit.  The
     bounds, the constant facts and every given inclusion are read as
@@ -86,6 +88,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -103,7 +106,6 @@ from .nnf import (
     NOr,
     _element_key,
     inclusion_nnf,
-    leq_literals,
     negate_nnf,
     nnf,
     sort_key,
@@ -151,20 +153,26 @@ class _Interner:
     of every clause the tableau examines; `watch` files each entry under
     the complements of its disjuncts, in filing order; `fingerprints` are
     fixed random words for xor label fingerprints.  `lits` shares literal
-    nodes across every formula built for this tableau.
+    nodes across every formula built for this tableau.  Given an order
+    structure `order`, its 2n^2 literals are filled in bulk ahead of the
+    rest: `leq(i, j)` is id i*n + j, its negation n*n + i*n + j.
     """
 
-    def __init__(self):
+    def __init__(self, order=None):
+        atoms = [] if order is None else [a for row in order.table for a in row]
+        nn = len(atoms)
+        self.objs: list = [*map(NAtom, atoms), *map(NNegAtom, atoms)]
         self.lits = Literals()
-        self.ids: dict = {}
-        self.objs: list = []
-        self.kinds: list[int] = []
-        self.parts: list = []
-        self.negs: list = []
-        self.clauses: list = []
+        self.lits.pos = dict(zip(atoms, self.objs))
+        self.lits.neg = dict(zip(atoms, self.objs[nn:]))
+        self.kinds: list[int] = [_KIND_ATOM] * nn + [_KIND_NEGATOM] * nn
+        self.parts: list = atoms + atoms
+        self.ids: dict = dict(zip(zip(self.kinds, self.parts), range(2 * nn)))
+        self.negs: list = [*range(nn, 2 * nn), *range(nn)]
+        self.clauses: list = [None] * (2 * nn)
         self.watch: dict[int, list[tuple]] = {}
-        self.fingerprints: list[int] = []
         self._fp_rng = random.Random(0xA1C9)
+        self.fingerprints = [self._fp_rng.getrandbits(64) for _ in range(2 * nn)]
 
     def intern(self, n) -> int:
         match n:
@@ -302,7 +310,7 @@ class Tableau:
         self.node_budget = node_budget
         self.step_budget = step_budget
         self.trace = None  # set after the silent static pre-pass
-        self.interner = _Interner()
+        self.interner = _Interner(ontology.order)
         self.nodes: list[_Node] = []
         self.created = 0
         self.steps = 0
@@ -358,8 +366,8 @@ class Tableau:
 
         Every given inclusion is read by `nnf.inclusion_nnf`, and so are
         the bounds and constant facts of the ontology's order structure,
-        if it has one; its totality units `leq(i, i)` are interned as
-        literals.  None of the structure's transitivity, totality,
+        if it has one; its totality units `leq(i, i)` are the literals of
+        ids i * (n + 1).  None of the structure's transitivity, totality,
         antitonicity and transfer clauses is interned: each is known by its
         positions.  The others of the first three families are left out,
         since each is a tautology or holds by the base facts `leq(i, i)`.
@@ -375,8 +383,7 @@ class Tableau:
         axioms = ontology.axioms
         transfer = []
         if order is not None:
-            t = order.table
-            base.update(interner.intern(lits.atom(t[i][i])) for i in range(len(t)))
+            base.update(range(0, self.order_n**2, self.order_n + 1))  # leq(i, i)
             facts = fact_axioms(order)
             base.update(interner.intern(inclusion_nnf(inc, lits)) for inc in facts)
             transfer = self._read_transfer(order)
@@ -400,12 +407,12 @@ class Tableau:
         watching it would."""
         interner = self.interner
         lits, intern, negation = interner.lits, interner.intern, interner.negation
-        t, up = order.table, order.up
+        t, up, n = order.table, order.up, self.order_n
         out = []
         if not order.roles:
             return out
         for i, j in itertools.product(range(len(up)), repeat=2):
-            a, na = intern(lits.atom(t[i][j])), intern(lits.negated(t[i][j]))
+            a, na = i * n + j, n * n + i * n + j
             there = t[up[i]][up[j]]
             for r in order.roles:
                 forall = intern(NForall(r, lits.atom(there)))
@@ -420,34 +427,22 @@ class Tableau:
 
     def _index_order_literals(self, order):
         """Tables over the literals of the order structure `order` (None
-        for none): `leq_ids` holds the id of `leq(i, j)`, i != j, at
-        i*n + j and of its negation at n*n + i*n + j, interning the ones no
-        clause has, `order_of` the bitset slots and positions of every
-        order literal id, `by_rank` and `element_rank` the positions by the
-        elements' sort keys, which order the disjuncts of the clauses read
-        by position, and `pairs` the totality and antitonicity clause
-        entries."""
-        interner = self.interner
-        lits = interner.lits
+        for none), whose ids are their positions in the interner's block:
+        `order_of` the bitset slots and positions of the literal of each id
+        over distinct positions (None on the diagonal), `by_rank` and
+        `element_rank` the positions by the elements' sort keys, which
+        order the disjuncts of the clauses read by position, and `pairs`
+        the totality and antitonicity clause entries."""
         n = self.order_n
         nn = n * n
-        ids = self.leq_ids = [None] * (2 * nn)
         self.order_elements = () if order is None else order.elements
         self.inverse = () if order is None else order.inverse
+        self.order_ids = 2 * nn  # the ids of the block
         # slots: P_row[i] and P_col[j] for leq(i, j), N_row[i] and N_col[j]
         # for its negation
-        self.order_of: dict = {}  # literal id -> (row slot, column slot, i, j)
+        slots = ((s + i, s + n + j, i, j) for s in (0, 2 * n) for i in range(n) for j in range(n))
+        self.order_of = [None if slot[2] == slot[3] else slot for slot in slots]
         keys = [_element_key(e) for e in self.order_elements]
-        for p in range(nn):
-            i, j = divmod(p, n)
-            if i != j:
-                literals = leq_literals(lits, order.table[i][j], (keys[i], keys[j]))
-                for sign, literal in enumerate(literals):
-                    cid = ids[sign * nn + p] = interner.intern(literal)
-                    offset = 2 * n * sign
-                    self.order_of[cid] = (offset + i, offset + n + j, i, j)
-                # each is the other's complement, which `negation` would find
-                interner.negs[ids[p]], interner.negs[ids[nn + p]] = ids[nn + p], ids[p]
         self.by_rank = sorted(range(n), key=keys.__getitem__)
         er = self.element_rank = [0] * n
         for r, p in enumerate(self.by_rank):
@@ -461,10 +456,32 @@ class Tableau:
             i, j = divmod(p, n)
             if i != j:
                 q = self.inverse[j] * n + self.inverse[i]
-                pairs[nn + p] = None, (ids[q], ids[nn + p]), (ids[nn + q], ids[p])
+                pairs[nn + p] = None, (q, nn + p), (nn + q, p)
                 if er[i] < er[j]:
                     q = j * n + i
-                    pairs[p] = pairs[q] = None, (ids[p], ids[q]), (ids[nn + p], ids[nn + q])
+                    pairs[p] = pairs[q] = None, (p, q), (nn + p, nn + q)
+
+    def _ranks(self, disjuncts) -> list:
+        """Ranks by id of the order literals and of `disjuncts`, in the
+        sort-key order of their concepts.  With m - 1 disjuncts besides the
+        literals, the literal b-th in key order (`leq(i, j)` at b = er[i]*n +
+        er[j], its negation at n*n + b) ranks b*m + m - 1, and the k-th of
+        the others by key c*m + k, where c literals come before it: all of
+        them, but for a literal outside the block (a `Name` atom)."""
+        objs = self.interner.objs
+        n, er, by_rank = self.order_n, self.element_rank, self.by_rank
+        nn = n * n
+        rest = sorted((d for d in disjuncts if d >= 2 * nn), key=lambda d: sort_key(objs[d]))
+        m = len(rest) + 1
+        ranks = [x + y for x in [(r * n + 1) * m - 1 for r in er] for y in [r * m for r in er]]
+        ranks += [r + nn * m for r in ranks] + [0] * (len(objs) - 2 * nn)
+        for k, d in enumerate(rest):
+            key, c = sort_key(objs[d]), 2 * nn
+            if key[0] < 2:  # a literal: bisect the literals in key order
+                by_key = [s + i * n + j for s in (0, nn) for i in by_rank for j in by_rank]
+                c = bisect_left(by_key, key, key=lambda b: sort_key(objs[b]))
+            ranks[d] = c * m + k
+        return ranks
 
     def _base_order(self, base: set, transfer: list) -> tuple:
         """The base concepts in sort-key order with the clauses read by
@@ -473,37 +490,35 @@ class Tableau:
 
         A disjunction's key is (3, its disjuncts' keys), and its disjuncts
         are in key order, so disjunctions compare by the ranks of their
-        disjuncts in one sort of every distinct disjunct.  A positive
-        literal leq(i, k), i != k, leads the block of clauses that start
-        with it: the totality clause of {i, k} if leq(i, k) comes first in
-        it, the antitonicity clause of (inv k, inv i), the interned ones,
-        and the triples (i, j, k).  A triple has the disjuncts leq(i, k),
-        then not leq(i, j) and not leq(j, k) in the order of their first
-        element, so the triples of (i, k) follow each other in the rank
-        order of j.  They are merged in as runs (i, k, j bits), split
-        before each other clause of the block whose remaining disjuncts
-        come after theirs.  The other clauses read by position are clause
-        entries, each ahead of an interned one equal to it.  The
-        `transfer` clauses are sorted with the interned
+        disjuncts, `_ranks`: the order literals' by position, the others'
+        from one sort of them alone.  A positive literal leq(i, k), i != k,
+        leads the block of clauses that start with it: the totality clause
+        of {i, k} if leq(i, k) comes first in it, the antitonicity clause of
+        (inv k, inv i), the interned ones, and the triples (i, j, k).  A
+        triple has the disjuncts leq(i, k), then not leq(i, j) and not
+        leq(j, k) in the order of their first element, so the triples of
+        (i, k) follow each other in the rank order of j.  They are merged in
+        as runs (i, k, j bits), split before each other clause of the block
+        whose remaining disjuncts come after theirs.  The other clauses read
+        by position are clause entries, each ahead of an interned one equal
+        to it.  The `transfer` clauses are sorted with the interned
         disjunctions: `leq(i, k) or all r not leq(up i, up k)` ends the
-        block of leq(i, k), after every triple, and `not leq(i, k) or all
-        r leq(up i, up k)` falls among the clauses led by a negative
-        literal, which follow the blocks.
+        block of leq(i, k), after every triple, and `not leq(i, k) or all r
+        leq(up i, up k)` falls among the clauses led by a negative literal,
+        which follow the blocks.
         """
         interner = self.interner
         objs, kinds, parts = interner.objs, interner.kinds, interner.parts
         n = self.order_n
         nn = n * n
-        ids, by_rank, inv, er = self.leq_ids, self.by_rank, self.inverse, self.element_rank
+        by_rank, inv, er = self.by_rank, self.inverse, self.element_rank
         ors = [c for c in base if kinds[c] == _KIND_OR]
         others = sorted(
             (c for c in base if kinds[c] != _KIND_OR), key=lambda c: sort_key(objs[c])
         )
         disjuncts = {d for c in ors for d in parts[c]}
-        disjuncts.update(c for c in ids if c is not None)
         disjuncts.update(clause[1][1] for clause in transfer)
-        ranked = sorted(disjuncts, key=lambda d: sort_key(objs[d]))
-        rank = {d: r for r, d in enumerate(ranked)}.__getitem__
+        rank = self._ranks(disjuncts).__getitem__
         # (disjunct ranks, clause), stable: a transfer clause comes ahead
         # of an interned one equal to it
         keyed = [(tuple(map(rank, clause[1])), clause) for clause in transfer]
@@ -519,7 +534,7 @@ class Tableau:
             for k in by_rank:
                 if i == k:
                     continue
-                lead = rank(ids[i * n + k])
+                lead = rank(i * n + k)
                 while at < len(keyed) and keyed[at][0][0] < lead:
                     merged.append(keyed[at][1])
                     at += 1
@@ -532,9 +547,9 @@ class Tableau:
                 p, q = inv[k], inv[i]
                 below = lower[p] | (1 << p if er[k] < er[q] else 0)
                 below |= full if er[i] < er[p] else lower[q] if i == p else 0
-                heads = [((rank(ids[nn + p * n + q]),), self.pairs[nn + p * n + q], below)]
+                heads = [((rank(nn + p * n + q),), self.pairs[nn + p * n + q], below)]
                 if er[i] < er[k]:
-                    heads.append(((rank(ids[k * n + i]),), self.pairs[i * n + k], 0))
+                    heads.append(((rank(k * n + i),), self.pairs[i * n + k], 0))
                 while at < len(keyed) and keyed[at][0][0] == lead:
                     tail = keyed[at][0][1:]
                     heads.append((tail, keyed[at][1], self._triples_below(i, k, tail, rank)))
@@ -559,13 +574,13 @@ class Tableau:
         disjuncts, by `rank`, come before the disjuncts `tail`: a prefix of
         them in the rank order of j."""
         n = self.order_n
-        nn, ids, by_rank = n * n, self.leq_ids, self.by_rank
-        if tail[0] > rank(ids[nn + by_rank[-1] * n + by_rank[-2]]):
+        nn, by_rank = n * n, self.by_rank
+        if tail[0] > rank(nn + by_rank[-1] * n + by_rank[-2]):
             return (1 << n) - 1  # after the last negative literal, as a forall is
         below = 0
         for j in by_rank:
             if j != i and j != k:
-                x, y = rank(ids[nn + i * n + j]), rank(ids[nn + j * n + k])
+                x, y = rank(nn + i * n + j), rank(nn + j * n + k)
                 if ((x, y) if x < y else (y, x)) >= tail:
                     break
                 below |= 1 << j
@@ -576,11 +591,10 @@ class Tableau:
         k)) [= leq(i, k)`, its disjuncts in sort-key order."""
         n = self.order_n
         nn = n * n
-        ids = self.leq_ids
         ik, ij, jk = i * n + k, i * n + j, j * n + k
         if self.element_rank[j] < self.element_rank[i]:
             ij, jk = jk, ij
-        return None, (ids[ik], ids[nn + ij], ids[nn + jk]), (ids[nn + ik], ids[ij], ids[jk])
+        return None, (ik, nn + ij, nn + jk), (nn + ik, ij, jk)
 
     def _precompute_static(self):
         """Propagate the global axioms once, on a scratch node.
@@ -598,8 +612,9 @@ class Tableau:
         node = _Node(0, None, frozenset(), 0)
         node.label = dict.fromkeys(self.base_list, 0)
         bits = node.bits = [0] * (4 * self.order_n)
-        for cid, (row, col, i, j) in self.order_of.items():
-            if cid in self.base_set:
+        for cid, order in enumerate(self.order_of):
+            if order is not None and cid in self.base_set:
+                row, col, i, j = order
                 bits[row] |= 1 << j
                 bits[col] |= 1 << i
         self.nodes.append(node)
@@ -666,7 +681,7 @@ class Tableau:
         node.fp ^= self.interner.fingerprints[cid]
         self.marked |= node.mark
         self.relabelled |= node.bit
-        order = self.order_of.get(cid)
+        order = self.order_of[cid] if cid < self.order_ids else None
         if order is not None:
             row, col, i, j = order
             node.bits[row] |= 1 << j
@@ -689,7 +704,7 @@ class Tableau:
             neg = interner.negation(cid)
             if neg in label:
                 raise _Clash(label[cid] | label[neg])
-            order = self.order_of.get(cid)
+            order = self.order_of[cid] if cid < self.order_ids else None
             if order is not None:
                 self._examine_triples(nid, node.bits, kind, order)
                 self._examine_partners(nid, node.bits, kind, order)
@@ -932,7 +947,7 @@ class Tableau:
                 cid = entry[2]
                 del node.label[cid]
                 node.fp ^= self.interner.fingerprints[cid]
-                order = self.order_of.get(cid)
+                order = self.order_of[cid] if cid < self.order_ids else None
                 if order is not None:
                     row, col, i, j = order
                     node.bits[row] &= ~(1 << j)

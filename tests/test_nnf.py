@@ -10,22 +10,20 @@ from galcq import (
     reduce_ontology,
 )
 from galcq.nnf import (
-    Literals,
     NAtLeast,
     NAtMost,
     NAtom,
     NNegAtom,
     NTRUE,
     NFALSE,
-    _element_key,
     _structural_key,
-    leq_literals,
     mk_and,
     mk_or,
     negate_nnf,
     nnf,
     sort_key,
 )
+from galcq.tableau import Tableau
 
 A = Name("A")
 B = Name("B")
@@ -82,12 +80,14 @@ def test_negate_nnf_counting_duals():
 
 
 def test_order_literal_keys_are_the_structural_ones():
+    # the tableau's block of order literals holds the shared literal nodes,
+    # and every key cached on them is the structural one
     red = reduce_ontology(parse_ontology("(assert (inst a (some r (and A (not B)))) >= 1/3)"))
-    u, lits = red.order, Literals()
-    keys = [_element_key(e) for e in u.elements]
-    for i, row in enumerate(u.table):
+    interner = Tableau(red).interner
+    objs, lits, n = interner.objs, interner.lits, len(red.order)
+    for i, row in enumerate(red.order.table):
         for j, atom in enumerate(row):
-            pos, neg = leq_literals(lits, atom, (keys[i], keys[j]))
-            assert (pos, neg) == (lits.atom(atom), lits.negated(atom))
+            pos, neg = objs[i * n + j], objs[n * n + i * n + j]
+            assert pos is lits.atom(atom) and neg is lits.negated(atom)
             assert sort_key(pos) == _structural_key(pos) and pos == NAtom(atom)
             assert sort_key(neg) == _structural_key(neg) and neg == NNegAtom(atom)

@@ -49,6 +49,7 @@ from galcq.tableau import (
     _KIND_ATLEAST,
     _KIND_ATMOST,
     _KIND_FORALL,
+    _KIND_NEGATOM,
     _KIND_OR,
     Tableau,
     _Interner,
@@ -370,11 +371,11 @@ def test_family_search_is_pinned(family, k, q):
 # they move whenever the interning order does; the label order is what new
 # nodes copy and merges iterate.
 STATIC = {
-    "two-roles": (106, 0, 0xF873E2E8757815FA, "300f76addb573ec8"),
-    "count-clash": (171, 1, 0x8C0A526580E479E8, "c0495645b283f671"),
-    "duality": (59, 0, 0x1EE1A9AC0B5EA3A6, "e2994ca21e07f9d3"),
-    "atmost-res": (137, 3, 0x7C0AD19B7E48153D, "79e8d8795b4d202f"),
-    "forall-clash": (168, 0, 0xB299AAB264BF171A, "91a71eeff58289a0"),
+    "two-roles": (106, 0, 0x66E5E962972DA55E, "300f76addb573ec8"),
+    "count-clash": (171, 1, 0xC464A5B4616839E9, "c0495645b283f671"),
+    "duality": (59, 0, 0x4989569FD2FF7B40, "e2994ca21e07f9d3"),
+    "atmost-res": (137, 3, 0x967B8324F90C8A09, "79e8d8795b4d202f"),
+    "forall-clash": (168, 0, 0x81EA3113400F7ADB, "91a71eeff58289a0"),
 }
 
 
@@ -588,6 +589,22 @@ def _chain(k):
 )
 def test_clause_path_matches_nnf_path(text):
     _assert_base_matches_reference(reduce_ontology(parse_ontology(text)))
+
+
+def test_name_atoms_merge_with_the_order_literals():
+    # positive names rank before every order literal, negated ones between
+    # the positive and the negated order literals, and quantified disjuncts
+    # after them all, as their sort keys order them
+    red = reduce_ontology(parse_ontology(dict(CORPUS)["assert-half"]))
+    t = red.order.table
+    given = (
+        Inclusion(TOP, Or(A, Or(Not(B), t[1][2]))),
+        Inclusion(A, Or(Not(t[2][1]), Forall("r", B))),
+        Inclusion(B, Or(Not(A), t[0][1])),
+    )
+    mixed = ClassicalOntology(red.axioms + given, red.assertions, "a", red.order)
+    _assert_base_matches_reference(mixed)
+    _search_alike(mixed, ClassicalOntology(mixed.inclusions, red.assertions, "a"))
 
 
 def test_clause_path_literal_shapes():
@@ -885,6 +902,31 @@ DIFFERENTIAL_INPUTS.update(
     }
 )
 DIFFERENTIAL_INPUTS.update({f"chain-{k}": _chain(k) for k in range(1, 6)})
+
+
+
+BLOCK_INPUTS = dict(DIFFERENTIAL_INPUTS)
+BLOCK_INPUTS.update({f"chain-{k}": _chain(k) for k in (6, 7, 8)})
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_INPUTS))
+def test_order_literals_are_numbered_by_position(name):
+    # leq(i, j) is id i*n + j and its negation n*n + i*n + j: the shared
+    # literal nodes, each other's complements, found by lookup, and ranked
+    # by position in the order of their sort keys
+    red = reduce_ontology(parse_ontology(BLOCK_INPUTS[name]))
+    tab = Tableau(red)
+    interner, t, n = tab.interner, red.order.table, len(red.order)
+    objs, lits, nn = interner.objs, interner.lits, n * n
+    for i, j in itertools.product(range(n), repeat=2):
+        p = i * n + j
+        assert objs[p] is lits.atom(t[i][j]) and objs[nn + p] is lits.negated(t[i][j])
+        assert (interner.negs[p], interner.negs[nn + p]) == (nn + p, p)
+        assert interner.ids[_KIND_ATOM, t[i][j]] == p
+        assert interner.ids[_KIND_NEGATOM, t[i][j]] == nn + p
+    ranks = tab._ranks(())
+    by_key = sorted(range(2 * nn), key=lambda c: sort_key(objs[c]))
+    assert sorted(range(2 * nn), key=ranks.__getitem__) == by_key
 
 
 def _search_alike(red, plain):
