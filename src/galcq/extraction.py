@@ -45,7 +45,8 @@ class ValueAssignment:
         row) pair, rows by identity as `extract_fuzzy_model` shares them."""
         u = self.structure
         elems, inv, up = u.elements, u.inverse, u.up
-        seen: dict[tuple, list] = {}  # pair -> its failures, as (property, detail)
+        # (atoms, row id) and (row id, parent row id) -> [(property, detail)]
+        seen: dict[tuple, list] = {}
         violations = []
         for node in self.tree.domain:
             row, atoms = self.values[node], self.tree.true_atoms[node]

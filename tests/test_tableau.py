@@ -902,9 +902,6 @@ DIFFERENTIAL_INPUTS.update(
     }
 )
 DIFFERENTIAL_INPUTS.update({f"chain-{k}": _chain(k) for k in range(1, 6)})
-
-
-
 BLOCK_INPUTS = dict(DIFFERENTIAL_INPUTS)
 BLOCK_INPUTS.update({f"chain-{k}": _chain(k) for k in (6, 7, 8)})
 
