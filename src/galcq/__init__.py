@@ -13,7 +13,6 @@ from .algebra import (
     involutive_negation,
     parse_degree,
     rel_holds,
-    residual_negation,
     residuum,
     t_norm,
 )

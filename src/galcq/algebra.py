@@ -68,11 +68,6 @@ def residuum(x: Fraction, y: Fraction) -> Fraction:
     return ONE if x <= y else y
 
 
-def residual_negation(x: Fraction) -> Fraction:
-    """x => 0; collapses every positive degree to 0."""
-    return residuum(x, ZERO)
-
-
 def involutive_negation(x: Fraction) -> Fraction:
     """1 - x."""
     return ONE - x

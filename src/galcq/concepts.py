@@ -171,8 +171,3 @@ def quantifier_depth(c: Concept) -> int:
     if isinstance(c, (Exists, Forall, AtLeast, AtMost)):
         return inner + 1
     return inner
-
-
-def concept_size(c: Concept) -> int:
-    """Number of AST nodes."""
-    return 1 + sum(concept_size(k) for k in children(c))

@@ -14,7 +14,6 @@ from typing import Iterable, Iterator, Union
 from .algebra import ValueSet
 from .concepts import (
     Concept,
-    concept_size,
     first_occurrences,
     negate,
     quantifier_depth,
@@ -115,11 +114,6 @@ def value_closure(o: FuzzyOntology) -> ValueSet:
 def roles(o: FuzzyOntology) -> tuple[str, ...]:
     """Role names in order of first occurrence."""
     return first_occurrences(o.concepts(), role_of)
-
-
-def ontology_size(o: FuzzyOntology) -> int:
-    """Crude input-size measure: total AST nodes plus one per axiom."""
-    return len(o.abox) + len(o.tbox) + sum(concept_size(c) for c in o.concepts())
 
 
 def certification_margin(o: FuzzyOntology) -> int:

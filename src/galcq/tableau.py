@@ -43,21 +43,25 @@ Search organization:
     id None for a clause read by position.  The base concepts are in
     sort-key order, with the clauses read by position and runs (i, k,
     j bits) of triples merged between the disjunctions;
-  - unit propagation and clause clashes are one rule, `_examine`, given a
-    clause entry.  Four bitsets per node over its label hold the order
-    facts: P_row[i] and P_col[j] the `leq(i, j)` facts, N_row[i] and
-    N_col[j] the refuted ones.  An order fact reads off them the ~2n
-    triples over its pair that act (leave one disjunct open or none) and
-    examines them in (i * n + j) * n + k order, then its totality and
-    antitonicity partners (`not leq(i, j)` gives `leq(j, i)`; `leq(i, j)`
-    gives `leq(inv j, inv i)`, and `not leq(i, j)` gives `not leq(inv j,
-    inv i)`), then the clauses filed under it in `_Interner.watch`, the
-    one watch index: the transfer entries in role order, then the
-    interned clauses in id order.  This is the order of interning and
-    watching every clause, since `ClassicalOntology.inclusions` lists
-    transitivity, then totality, antitonicity, transfer and the given
-    inclusions.  A clause holding a concept and its complement is never
-    a unit or a clash and is not watched.  Branching scans a node's base
+  - an order fact settles its own clauses: four bitsets per node over its
+    label hold the order facts, P_row[i] and P_col[j] the `leq(i, j)`
+    facts, N_row[i] and N_col[j] the refuted ones, and `_order_fact`
+    reads off them the ~2n triples over its pair that act (leave one
+    disjunct open or none), in (i * n + j) * n + k order, then its
+    totality and antitonicity partners (`not leq(i, j)` gives `leq(j,
+    i)`; `leq(i, j)` gives `leq(inv j, inv i)`, and `not leq(i, j)` gives
+    `not leq(inv j, inv i)`), then its transfer units, `transfer_units`
+    in role order.  Each is settled from the label entries of its other
+    atoms, with the unit or clash and dependencies that examining its
+    clause gives, and no clause is built.  Then come the interned
+    clauses filed under it in `_Interner.watch`, the one watch index, in
+    id order.  This is the order of interning and watching every clause,
+    since `ClassicalOntology.inclusions` lists transitivity, then
+    totality, antitonicity, transfer and the given inclusions.  Every
+    other fact examines the clauses watched under it with `_examine`,
+    the one rule of unit propagation and clause clashes over a clause
+    entry.  A clause holding a concept and its complement is never a
+    unit or a clash and is not watched.  Branching scans a node's base
     and extra clauses, entries and runs, with pointers that pass every
     clause with a present disjunct, a run of triples by bit tests; the
     first clause without one goes to `_examine`, and only a clause that
@@ -151,7 +155,8 @@ class _Interner:
     sub) for the counting restrictions; `clauses` holds every disjunction's
     clause entry, (its id, its disjuncts, their complements), the one shape
     of every clause the tableau examines; `watch` files each entry under
-    the complements of its disjuncts, in filing order; `fingerprints` are
+    the complements of its disjuncts, in filing order (a transfer clause
+    only under its quantified one); `fingerprints` are
     fixed random words for xor label fingerprints.  `lits` shares literal
     nodes across every formula built for this tableau.  Given an order
     structure `order`, its 2n^2 literals are filled in bulk ahead of the
@@ -210,13 +215,9 @@ class _Interner:
             # a clause holding a concept and its complement is never a unit
             # or a clash: whichever of the two is refuted, the other holds
             if not any(nd in part for nd in negs):
-                self.file(clause)
+                for nd in negs:
+                    self.watch.setdefault(nd, []).append(clause)
         return cid
-
-    def file(self, clause: tuple):
-        """Watch clause entry `clause` under each of its complements."""
-        for nd in clause[2]:
-            self.watch.setdefault(nd, []).append(clause)
 
     def negation(self, cid: int) -> int:
         neg = self.negs[cid]
@@ -382,6 +383,7 @@ class Tableau:
         self.order_n = 0 if order is None else len(order)
         axioms = ontology.axioms
         transfer = []
+        self.transfer_units = [()] * (2 * self.order_n**2)
         if order is not None:
             base.update(range(0, self.order_n**2, self.order_n + 1))  # leq(i, i)
             facts = fact_axioms(order)
@@ -397,20 +399,24 @@ class Tableau:
 
         The clauses of base positions (i, j) and role r, `not leq(i, j) or
         all r leq(up i, up j)` and `leq(i, j) or all r not leq(up i, up
-        j)`, become clause entries, watched ahead of every interned clause
-        as their place in `ClassicalOntology.inclusions` would watch them,
-        and only their quantified disjuncts and complements are interned,
-        in the order interning the clauses would intern them.  Those at
-        i = j go into no base order: `leq(i, i) or ...` holds by that base
-        fact, and the other only makes the static pass add `all r leq(up
-        i, up i)` to every label when it processes `leq(i, i)`, as
-        watching it would."""
+        j)`, become clause entries, and only their quantified disjuncts and
+        complements are interned, in the order interning the clauses would
+        intern them.  Each is filed in `_Interner.watch` under its
+        quantified complement, ahead of every interned clause there, as its
+        place in `ClassicalOntology.inclusions` would file it.  Its literal
+        complement is not watched: `transfer_units[cid]` holds, in role
+        order, the quantified disjunct of each clause that order literal
+        `cid` refutes the other disjunct of, and `_order_fact` settles
+        those ahead of the interned clauses watched under the literal, as
+        watching them there did.  Those at i = j go into no base order:
+        `leq(i, i) or ...` holds by that base fact, and the other only
+        makes the static pass add `all r leq(up i, up i)` to every label
+        when it processes `leq(i, i)`."""
         interner = self.interner
         lits, intern, negation = interner.lits, interner.intern, interner.negation
         t, up, n = order.table, order.up, self.order_n
+        units, watch = self.transfer_units, interner.watch
         out = []
-        if not order.roles:
-            return out
         for i, j in itertools.product(range(len(up)), repeat=2):
             a, na = i * n + j, n * n + i * n + j
             there = t[up[i]][up[j]]
@@ -420,7 +426,9 @@ class Tableau:
                 forall = intern(NForall(r, lits.negated(there)))
                 clauses = first, (None, (a, forall), (na, negation(forall)))
                 for clause in clauses:
-                    interner.file(clause)
+                    literal, side = clause[2]
+                    units[literal] += (clause[1][1],)
+                    watch.setdefault(side, []).append(clause)
                 if i != j:
                     out += clauses
         return out
@@ -674,26 +682,37 @@ class Tableau:
         label = node.label
         if cid in label:
             return
-        neg = self.interner.negation(cid)
+        interner = self.interner
+        neg = interner.negs[cid]
+        if neg is None:
+            neg = interner.negation(cid)
         if neg in label:
             raise _Clash(dep | label[neg])
         label[cid] = dep
-        node.fp ^= self.interner.fingerprints[cid]
+        node.fp ^= interner.fingerprints[cid]
         self.marked |= node.mark
         self.relabelled |= node.bit
-        order = self.order_of[cid] if cid < self.order_ids else None
-        if order is not None:
-            row, col, i, j = order
-            node.bits[row] |= 1 << j
-            node.bits[col] |= 1 << i
+        if cid < self.order_ids:
+            order = self.order_of[cid]
+            if order is not None:
+                row, col, i, j = order
+                node.bits[row] |= 1 << j
+                node.bits[col] |= 1 << i
         self.trail.append(("add", nid, cid))
         self.queue.append((nid, cid))
         if rule and self.trace:
-            self.trace(f"{rule} n{nid} {self.interner.objs[cid]!r}"[:200])
+            self.trace(f"{rule} n{nid} {interner.objs[cid]!r}"[:200])
 
     def _process(self, nid: int, cid: int):
+        """Apply the rules of concept `cid`, just added at node `nid`: an
+        order literal goes to `_order_fact`; any other concept is
+        decomposed by its kind, and the clauses watched under it are
+        examined."""
         node = self.nodes[nid]
         if node.pruned:
+            return
+        if cid < self.order_ids:
+            self._order_fact(nid, node, cid)
             return
         interner = self.interner
         label = node.label
@@ -704,10 +723,6 @@ class Tableau:
             neg = interner.negation(cid)
             if neg in label:
                 raise _Clash(label[cid] | label[neg])
-            order = self.order_of[cid] if cid < self.order_ids else None
-            if order is not None:
-                self._examine_triples(nid, node.bits, kind, order)
-                self._examine_partners(nid, node.bits, kind, order)
         elif kind == _KIND_AND:
             dep = label[cid]
             for a in part:
@@ -742,70 +757,84 @@ class Tableau:
             if oid is None or oid in label:
                 self._examine(nid, clause)
 
-    def _examine_triples(self, nid: int, bits: list, kind: int, order):
-        """Examine the transitivity triples that order literal `order` (its
-        bitset slots and positions i, j) makes act at node `nid`, whose
-        bitsets are `bits`: it refutes one of their disjuncts and leaves one
-        or none open.  `leq(i, j)` refutes a disjunct of (i, j, k), which
-        acts when `leq(j, k)` or `not leq(i, k)` is present and neither
-        complement is, and of (k, i, j), likewise over `leq(k, i)` and
-        `not leq(k, j)`; `not leq(i, j)` one of (i, m, j), likewise over
-        `leq(i, m)` and `leq(m, j)`.  The acting triples are read from the
-        bitsets before the first is examined, which finds the ones that
-        watching every triple would: the units of the triples examined
-        earlier for a fact share no atom with a later one's open disjuncts.
-        They are examined in (i * n + j) * n + k order, as
-        `ClassicalOntology.inclusions` lists them.
-        """
-        _, _, i, j = order
-        n = self.order_n
-        p_col, n_row, n_col = n, 2 * n, 3 * n  # P_row starts at 0
-        others = ~(1 << i | 1 << j)  # every triple over distinct positions is present
-        examine, triple = self._examine, self._triple
-        if kind == _KIND_ATOM:
-            ks = bits[j] | bits[n_row + i]
-            ks &= ~(bits[n_row + j] | bits[i]) & others
-            firsts = bits[p_col + i] | bits[n_col + j]
-            firsts &= ~(bits[n_col + i] | bits[p_col + j]) & others
-            below = firsts & ((1 << i) - 1)
-            for h in _positions(below):
-                examine(nid, triple(h, i, j))
-            for k in _positions(ks):
-                examine(nid, triple(i, j, k))
-            for h in _positions(firsts ^ below):
-                examine(nid, triple(h, i, j))
-        else:
-            ms = bits[i] | bits[p_col + j]
-            ms &= ~(bits[n_row + i] | bits[n_col + j]) & others
-            for m in _positions(ms):
-                examine(nid, triple(i, m, j))
+    def _order_fact(self, nid: int, node: _Node, cid: int):
+        """Process order literal `cid` at node `nid`: settle each clause it
+        refutes a disjunct of and that acts (leaves one disjunct open or
+        none) straight from the node's bitsets and label, in the order of
+        interning and watching every clause.
 
-    def _examine_partners(self, nid: int, bits: list, kind: int, order):
-        """Examine the totality and antitonicity clauses over distinct
-        positions that order literal `order` (its bitset slots and
-        positions i, j) refutes a disjunct of, at node `nid`, whose
-        bitsets are `bits`: for `not leq(i, j)` the totality clause of
-        {i, j}, then the antitonicity clause of (inv j, inv i); for
-        `leq(i, j)` the antitonicity clause of (i, j).  This is the order
-        of interning and watching them, since `ClassicalOntology.inclusions`
-        lists totality before antitonicity.  A clause that holds a present
-        disjunct is skipped, and so is the antitonicity clause at
-        j = inv i, which holds a literal and its complement and would not
-        be watched.
-        """
-        _, _, i, j = order
-        n = self.order_n
-        a, b = self.inverse[j], self.inverse[i]
-        if kind == _KIND_ATOM:
-            # leq(i, j) refutes not leq(i, j), leaving leq(a, b)
-            if a != i and not bits[a] >> b & 1:
-                self._examine(nid, self.pairs[n * n + i * n + j])
+        `leq(i, j)` refutes a disjunct of the triples (h, i, j) and (i, j,
+        k), `not leq(i, j)` one of the triples (i, m, j); a triple acts
+        when neither of its other two disjuncts is present and one of
+        their complements is.  The acting triples are read from the
+        bitsets before the first is settled, which finds the ones that
+        watching every triple would: the units of the triples settled
+        earlier for a fact share no atom with a later one's open
+        disjuncts.  They are settled in (i * n + j) * n + k order (h < i,
+        every k, h > i), then the totality clause of {i, j} for `not
+        leq(i, j)`, the antitonicity clause that leaves `leq(inv j, inv i)`
+        or its negation (a tautology at j = inv i), the transfer clauses of
+        `transfer_units` in role order, and, by `_examine`, the interned
+        clauses filed under `cid` in `_Interner.watch`."""
+        label = node.label
+        nn = self.order_ids >> 1
+        neg = cid - nn if cid >= nn else cid + nn
+        if neg in label:
+            raise _Clash(label[cid] | label[neg])
+        dep = node.dep | label[cid]
+        settle = self._settle
+        order = self.order_of[cid]
+        if order is not None:
+            n, bits = self.order_n, node.bits
+            _, _, i, j = order
+            a, b = self.inverse[j], self.inverse[i]
+            others = ~(1 << i | 1 << j)  # every triple over distinct positions
+            if cid < nn:
+                ks = (bits[j] | bits[2 * n + i]) & ~(bits[2 * n + j] | bits[i]) & others
+                hs = (bits[n + i] | bits[3 * n + j]) & ~(bits[3 * n + i] | bits[n + j]) & others
+                if ks | hs:
+                    below = hs & ((1 << i) - 1)
+                    for h in _positions(below):
+                        settle(nid, label, dep, h * n + j, nn + h * n + i)
+                    for k in _positions(ks):
+                        settle(nid, label, dep, i * n + k, nn + j * n + k)
+                    for h in _positions(hs ^ below):
+                        settle(nid, label, dep, h * n + j, nn + h * n + i)
+                if a != i and not bits[a] >> b & 1:
+                    settle(nid, label, dep, a * n + b, neg)
+            else:
+                ms = (bits[i] | bits[n + j]) & ~(bits[2 * n + i] | bits[3 * n + j]) & others
+                for m in _positions(ms):
+                    settle(nid, label, dep, nn + i * n + m, nn + m * n + j)
+                if not bits[j] >> i & 1:
+                    settle(nid, label, dep, j * n + i, neg)
+                if a != i and not bits[2 * n + a] >> b & 1:
+                    settle(nid, label, dep, nn + a * n + b, neg)
+        for forall in self.transfer_units[cid]:
+            settle(nid, label, dep, forall, neg)
+        for clause in self.interner.watch.get(cid, ()):
+            if clause[0] in label:
+                self._examine(nid, clause)
+
+    def _settle(self, nid: int, label: dict, dep: int, d: int, e: int):
+        """Settle at node `nid`, whose label is `label`, a clause whose
+        disjuncts other than `d` and `e` are refuted with dependency `dep`,
+        as `_examine` would: nothing if `d` or `e` is present or both are
+        open; if one is open, add it with `dep` joined with the dependency
+        of the other's complement; if neither is, clash on `dep` and both
+        complements' dependencies.  A clause of two disjuncts passes its
+        refuted one as `e`."""
+        if d in label or e in label:
             return
-        # not leq(i, j) refutes leq(i, j), leaving leq(j, i) and not leq(a, b)
-        if not bits[j] >> i & 1:
-            self._examine(nid, self.pairs[i * n + j])
-        if a != i and not bits[2 * n + a] >> b & 1:
-            self._examine(nid, self.pairs[n * n + a * n + b])
+        negs = self.interner.negs
+        nd, ne = negs[d], negs[e]
+        if nd not in label:
+            if ne in label:
+                self._add(nid, d, dep | label[ne], "unit")
+        elif ne not in label:
+            self._add(nid, e, dep | label[nd], "unit")
+        else:
+            raise _Clash(dep | label[nd] | label[ne])
 
     def _examine(self, nid: int, clause: tuple) -> bool:
         """Settle clause entry `clause` (its id, None for a clause read by
@@ -847,12 +876,12 @@ class Tableau:
         return dep
 
     def _propagate(self):
-        while self.queue:
+        queue, popleft, process = self.queue, self.queue.popleft, self._process
+        while queue:
             self.steps += 1
             if self.steps > self.step_budget:
                 raise BudgetExceededError("tableau step budget exhausted")
-            nid, cid = self.queue.popleft()
-            self._process(nid, cid)
+            process(*popleft())
 
     # ------------------------------------------------------------------
     # structural operations
@@ -937,17 +966,18 @@ class Tableau:
         marked with its parent.  The other entries need no mark: the queue
         is empty at every decision, so each is undone together with the
         label fact or the new node it came with."""
-        trail = self.trail
+        trail, nodes, fingerprints = self.trail, self.nodes, self.interner.fingerprints
+        order_of, order_ids = self.order_of, self.order_ids
         marked, relabelled = self.marked, self.relabelled
         while len(trail) > mark:
             entry = trail.pop()
             tag = entry[0]
             if tag == "add":
-                node = self.nodes[entry[1]]
+                node = nodes[entry[1]]
                 cid = entry[2]
                 del node.label[cid]
-                node.fp ^= self.interner.fingerprints[cid]
-                order = self.order_of[cid] if cid < self.order_ids else None
+                node.fp ^= fingerprints[cid]
+                order = order_of[cid] if cid < order_ids else None
                 if order is not None:
                     row, col, i, j = order
                     node.bits[row] &= ~(1 << j)
@@ -955,10 +985,10 @@ class Tableau:
                 marked |= node.mark
                 relabelled |= node.bit
             elif tag == "node":
-                node = self.nodes.pop()
+                node = nodes.pop()
                 self._unfile(node)
                 if node.parent is not None:
-                    self.nodes[node.parent].children.pop()
+                    nodes[node.parent].children.pop()
                 marked |= node.mark
             elif tag == "del":
                 del entry[1][entry[2]]

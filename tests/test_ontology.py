@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from conftest import CORPUS
+from conftest import CORPUS, ontology_size
 
 from galcq import (
     AtLeast,
@@ -24,7 +24,7 @@ from galcq import (
     value_closure,
 )
 from galcq.concepts import negate
-from galcq.ontology import ontology_size, roles
+from galcq.ontology import roles
 from galcq.semantics import concept_names
 
 F = Fraction

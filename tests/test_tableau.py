@@ -52,6 +52,7 @@ from galcq.tableau import (
     _KIND_NEGATOM,
     _KIND_OR,
     Tableau,
+    _Clash,
     _Interner,
     _positions,
 )
@@ -742,6 +743,97 @@ def test_order_bitsets_match_labels_when_cut_mid_search():
     check()
 
 
+def _reference_order_fact(tab, order, nid, cid):
+    """Process order literal `cid` at node `nid` of `tab`, whose order
+    structure is `order`, as watching every clause would: `_examine` on
+    every triple over distinct positions that has its complement as a
+    disjunct, in (i * n + j) * n + k order, then on every totality and
+    antitonicity entry that has it, then on the literal's transfer clauses
+    in role order, rebuilt here from the structure, then on the interned
+    clauses filed under it."""
+    interner, n = tab.interner, tab.order_n
+    nn = n * n
+    label = tab.nodes[nid].label
+    neg = interner.negs[cid]
+    if neg in label:
+        raise _Clash(label[cid] | label[neg])
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if len({i, j, k}) == 3 and neg in (i * n + k, nn + i * n + j, nn + j * n + k):
+            tab._examine(nid, tab._triple(i, j, k))
+    for entry in tab.pairs:
+        if entry is not None and neg in entry[1]:
+            tab._examine(nid, entry)
+    i, j = divmod(cid % nn, n)
+    if max(i, j) < len(order.up):
+        there = order.up[i] * n + order.up[j] + (0 if cid < nn else nn)
+        for role in order.roles:
+            forall = interner.ids[_KIND_FORALL, (role, there)]
+            tab._examine(nid, (None, (neg, forall), (cid, interner.negs[forall])))
+    for clause in interner.watch.get(cid, ()):
+        if clause[0] in label:
+            tab._examine(nid, clause)
+
+
+KERNEL_INPUTS = dict(CORPUS)
+KERNEL_INPUTS.update({f"counting-k1-q{q}": _counting_text(1, q) for q in ("1/4", "1/2", "3/4")})
+KERNEL_INPUTS["chain-2"] = _chain(2)
+
+
+def test_order_facts_settle_as_watching_every_clause_would():
+    # on a fresh node holding a random consistent set of order literals
+    # with random dependencies, processing one more literal adds the same
+    # units with the same dependencies, in the same order, and raises the
+    # same conflict as examining every clause that holds its complement:
+    # the acting clauses can be read off the bitsets up front
+    rng = random.Random(0x0C0DE)
+    seen = {"unit": 0, "transfer": 0, "clash": 0}
+    for name, text in KERNEL_INPUTS.items():
+        red = reduce_ontology(parse_ontology(text))
+        tab = Tableau(red)
+        n = tab.order_n
+        nn = n * n
+        for _ in range(12):
+            start = len(tab.trail)
+            nid = tab._new_node(None, frozenset(), rng.getrandbits(6) | 1)
+            density = rng.uniform(0.01, 0.3)
+            for lit in rng.sample(range(2 * nn), 2 * nn):
+                if rng.random() < density:
+                    try:
+                        tab._add(nid, lit, rng.getrandbits(10))
+                    except _Clash:
+                        pass
+            label, negs = tab.nodes[nid].label, tab.interner.negs
+            fresh = [c for c in range(2 * nn) if c not in label and negs[c] not in label]
+            if not fresh:
+                tab._undo_to(start)
+                continue
+            cid = rng.choice(fresh)
+            tab._add(nid, cid, rng.getrandbits(10))
+            tab.queue.clear()
+            mark = len(tab.trail)
+            outcomes = []
+            for kernel in (True, False):
+                try:
+                    if kernel:
+                        tab._process(nid, cid)
+                    else:
+                        _reference_order_fact(tab, red.order, nid, cid)
+                    conflict = None
+                except _Clash as clash:
+                    conflict = clash.conflict
+                label = tab.nodes[nid].label
+                outcomes.append(([(c, label[c]) for _, c in tab.queue], conflict))
+                tab._undo_to(mark)
+            assert outcomes[0] == outcomes[1], (name, cid)
+            added, conflict = outcomes[0]
+            seen["unit"] += len(added)
+            seen["transfer"] += sum(c >= 2 * nn for c, _ in added)
+            seen["clash"] += conflict is not None
+            tab._undo_to(start)
+        assert not tab.nodes
+    assert min(seen.values()) > 10, seen
+
+
 def _by_position_count(order):
     """The number of distinct clauses the tableau reads by position from
     the order structure `order` (None for none): the triples over three
@@ -819,9 +911,11 @@ def _is_transfer(tab, entry):
 def test_transfer_is_read_by_position(corpus_runs):
     # every transfer clause over distinct base positions is a clause entry
     # read by position in the base order and is never interned; every
-    # clause, those at i = j too, is filed in the one watch index under its
-    # complements in the order interning and watching the clauses would
-    # file it, ahead of every interned clause there; the ones at
+    # clause, those at i = j too, is filed under its complements in the
+    # order interning and watching the clauses would file it, ahead of
+    # every interned clause there: in the one watch index under its
+    # quantified complement, and as a unit of `transfer_units` under its
+    # literal complement; the ones at
     # i = j hold by the base facts leq(i, i), at the node and, through the
     # static fact `all r leq(up i, up i)`, at every successor
     with_roles = 0
@@ -854,6 +948,12 @@ def test_transfer_is_read_by_position(corpus_runs):
             assert v[: len(transfers)] == [e for e in v if e[0] is None]
             if transfers:
                 got[objs[nd]] = transfers
+        negs = tab.interner.negs
+        for cid, units in enumerate(tab.transfer_units):
+            if units:
+                assert objs[cid] not in got
+                entries = [(None, (negs[cid], f), (cid, negs[f])) for f in units]
+                got[objs[cid]] = [_pair_clause(tab, e) for e in entries]
         assert got == filed, run_.name
         assert not set(clauses) & set(objs), run_.name
         with_roles += bool(clauses)
