@@ -86,9 +86,10 @@ class SList:
     column: int
 
 
-# Deepest list nesting accepted.  Every later stage recurses over concepts,
-# so input nested past Python's recursion limit must be refused here; the
-# bound leaves room for the few levels a reduction adds around a concept.
+# Deepest list nesting accepted, and deepest concept built.  Every later
+# stage recurses over concepts, so input nested past Python's recursion
+# limit must be refused here; the bound leaves room for the few levels a
+# reduction adds around a concept.
 MAX_NESTING = 200
 
 
@@ -158,6 +159,17 @@ def _is_numeric(token: str) -> bool:
 
 
 def parse_concept(node, allow_order_atoms: bool = False) -> Concept:
+    """Build the concept of `node`, refusing one deeper than MAX_NESTING
+    levels: an `and` or `or` of k arguments builds a chain k - 1 deep."""
+    return _concept(node, allow_order_atoms, MAX_NESTING)
+
+
+def _concept(node, allow_order_atoms: bool, room: int) -> Concept:
+    """`parse_concept` of `node`, which may nest `room` more levels."""
+    if room <= 0:
+        raise ParseError(
+            f"concept nested deeper than {MAX_NESTING} levels", node.line, node.column
+        )
     if isinstance(node, SAtom):
         token = node.text
         if token == "top":
@@ -178,12 +190,15 @@ def parse_concept(node, allow_order_atoms: bool = False) -> Concept:
 
     if head == "not":
         arity(1)
-        return Not(parse_concept(args[0], allow_order_atoms))
+        return Not(_concept(args[0], allow_order_atoms, room - 1))
     if head in ("and", "or"):
         if len(args) < 2:
             raise ParseError(f"{head} takes at least 2 arguments", node.line, node.column)
         ctor = And if head == "and" else Or
-        parsed = [parse_concept(a, allow_order_atoms) for a in args]
+        last = len(args) - 1  # argument i is min(i + 1, last) levels down
+        parsed = [
+            _concept(a, allow_order_atoms, room - min(i + 1, last)) for i, a in enumerate(args)
+        ]
         out = parsed[-1]
         for c in reversed(parsed[:-1]):
             out = ctor(c, out)
@@ -191,13 +206,13 @@ def parse_concept(node, allow_order_atoms: bool = False) -> Concept:
     if head == "implies":
         arity(2)
         return Implies(
-            parse_concept(args[0], allow_order_atoms),
-            parse_concept(args[1], allow_order_atoms),
+            _concept(args[0], allow_order_atoms, room - 1),
+            _concept(args[1], allow_order_atoms, room - 1),
         )
     if head in ("all", "some"):
         arity(2)
         role = _parse_role(args[0])
-        sub = parse_concept(args[1], allow_order_atoms)
+        sub = _concept(args[1], allow_order_atoms, room - 1)
         return Forall(role, sub) if head == "all" else Exists(role, sub)
     if head in ("atleast", "atmost"):
         arity(3)
@@ -206,11 +221,11 @@ def parse_concept(node, allow_order_atoms: bool = False) -> Concept:
             raise ParseError(f"bad cardinality {count_text!r}", node.line, node.column)
         count = int(count_text)
         role = _parse_role(args[1])
-        sub = parse_concept(args[2], allow_order_atoms)
+        sub = _concept(args[2], allow_order_atoms, room - 1)
         return AtLeast(count, role, sub) if head == "atleast" else AtMost(count, role, sub)
     if head == "leq" and allow_order_atoms:
         arity(2)
-        return Leq(_parse_element(args[0]), _parse_element(args[1]))
+        return Leq(_parse_element(args[0], room - 1), _parse_element(args[1], room - 1))
     raise ParseError(f"unknown concept constructor {head!r}", node.line, node.column)
 
 
@@ -221,7 +236,7 @@ def _parse_role(node) -> str:
     return token
 
 
-def _parse_element(node) -> OrderElement:
+def _parse_element(node, room: int) -> OrderElement:
     if isinstance(node, SAtom):
         token = node.text
         if token == "edge":
@@ -230,15 +245,15 @@ def _parse_element(node) -> OrderElement:
             return EDGE_INV
         if _is_numeric(token):
             return ValueElement(_parse_degree_at(node))
-        return ConceptElement(parse_concept(node))
+        return ConceptElement(_concept(node, False, room))
     if not node.items:
         raise ParseError("empty order element", node.line, node.column)
     head = _expect_atom(node.items[0], "order element")
     if head == "up":
         if len(node.items) != 2:
             raise ParseError("up takes 1 argument", node.line, node.column)
-        return ShiftedElement(parse_concept(node.items[1]))
-    return ConceptElement(parse_concept(node))
+        return ShiftedElement(_concept(node.items[1], False, room - 1))
+    return ConceptElement(_concept(node, False, room))
 
 
 def parse_concept_text(text: str, at_most: str = "involutive") -> Concept:

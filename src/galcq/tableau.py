@@ -71,9 +71,10 @@ Search organization:
     at-most, clause, choose or at-least work.  Every change to a node
     marks it and its parent; each phase takes its nodes lowest id first,
     so it decides what a walk over every node would, and drops the ones
-    it finds without work.  Blocking is kept the same way: nodes are
-    filed by label fingerprint in classes of equal labels, and only the
-    nodes whose activity may have changed are redecided;
+    it finds without work.  Blocking is kept the same way: every live
+    node is filed under its label's key set, in a class with the nodes of
+    equal labels, and only the nodes whose activity may have changed are
+    redecided;
   - every decision is (kind, node, alternatives, exhaustion dependency):
     "or" tries a clause's open disjuncts semantically (failed atomic ones
     are asserted negatively before the next try), "choose" tries (not q, q)
@@ -91,7 +92,6 @@ Search organization:
 from __future__ import annotations
 
 import itertools
-import random
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -156,11 +156,10 @@ class _Interner:
     clause entry, (its id, its disjuncts, their complements), the one shape
     of every clause the tableau examines; `watch` files each entry under
     the complements of its disjuncts, in filing order (a transfer clause
-    only under its quantified one); `fingerprints` are
-    fixed random words for xor label fingerprints.  `lits` shares literal
-    nodes across every formula built for this tableau.  Given an order
-    structure `order`, its 2n^2 literals are filled in bulk ahead of the
-    rest: `leq(i, j)` is id i*n + j, its negation n*n + i*n + j.
+    only under its quantified one).  `lits` shares literal nodes across
+    every formula built for this tableau.  Given an order structure
+    `order`, its 2n^2 literals are filled in bulk ahead of the rest:
+    `leq(i, j)` is id i*n + j, its negation n*n + i*n + j.
     """
 
     def __init__(self, order=None):
@@ -176,8 +175,6 @@ class _Interner:
         self.negs: list = [*range(nn, 2 * nn), *range(nn)]
         self.clauses: list = [None] * (2 * nn)
         self.watch: dict[int, list[tuple]] = {}
-        self._fp_rng = random.Random(0xA1C9)
-        self.fingerprints = [self._fp_rng.getrandbits(64) for _ in range(2 * nn)]
 
     def intern(self, n) -> int:
         match n:
@@ -208,7 +205,6 @@ class _Interner:
         self.parts.append(part)
         self.negs.append(None)
         self.clauses.append(None)
-        self.fingerprints.append(self._fp_rng.getrandbits(64))
         if kind == _KIND_OR:
             negs = tuple(self.negation(d) for d in part)
             self.clauses[cid] = clause = (cid, part, negs)
@@ -236,7 +232,6 @@ class _Node:
         "dep",
         "children",
         "label",
-        "fp",
         "foralls",
         "atleasts",
         "atmosts",
@@ -263,7 +258,6 @@ class _Node:
         self.dep = dep
         self.children = []
         self.label = {}  # concept id -> dependency bitmask
-        self.fp = 0  # xor fingerprint of the label's key set but the base
         self.foralls = {}
         self.atleasts = set()
         self.atmosts = set()
@@ -334,8 +328,9 @@ class Tableau:
         # `_refresh`, which keeps `unmet`, the live nodes with an unmet
         # at-least.  Blocking: `relabelled` holds the nodes whose label, or
         # whether they live, changed since the last `_refresh`; `classes`
-        # files every live node by label fingerprint, in classes of equal
-        # labels ([bits, fingerprint]); `active` is the set of active nodes
+        # files every live node under its label's key set, in the class of
+        # the live nodes with that key set ([bits, key set]); `active` is
+        # the set of active nodes
         self.marked = 0
         self.crowded = 0
         self.scan_agenda = 0
@@ -343,7 +338,7 @@ class Tableau:
         self.stale = 0
         self.unmet = 0
         self.relabelled = 0
-        self.classes: dict[int, list] = {}
+        self.classes: dict[frozenset, list] = {}
         self.active = 0
 
         interner = self.interner
@@ -664,7 +659,6 @@ class Tableau:
         self.static_atleasts = frozenset(node.atleasts)
         self.static_atmosts = frozenset(node.atmosts)
         self.static_extra_ors = tuple(node.extra_ors)
-        self.static_fp = node.fp
         self.static_bits = tuple(node.bits)
         self.nodes.clear()
         queue.clear()
@@ -689,7 +683,6 @@ class Tableau:
         if neg in label:
             raise _Clash(dep | label[neg])
         label[cid] = dep
-        node.fp ^= interner.fingerprints[cid]
         self.marked |= node.mark
         self.relabelled |= node.bit
         if cid < self.order_ids:
@@ -895,7 +888,6 @@ class Tableau:
         # seed the base concepts and the deterministic consequences of the
         # global axioms
         node.label = dict.fromkeys(self.seed_label, dep)
-        node.fp = self.static_fp
         node.foralls = {r: dict(subs) for r, subs in self.static_foralls.items()}
         node.atleasts = set(self.static_atleasts)
         node.atmosts = set(self.static_atmosts)
@@ -906,17 +898,14 @@ class Tableau:
         self.relabelled |= node.bit
         self.trail.append(("node", nid))
         if parent_id is not None:
-            self.nodes[parent_id].children.append(nid)
-            self._add_fillers(nid, roles, dep)
+            parent = self.nodes[parent_id]
+            parent.children.append(nid)
+            # the parent's universal fillers over `roles`, each depending on
+            # its restriction and on `dep`
+            for role in roles:
+                for sub, fcid in parent.foralls.get(role, {}).items():
+                    self._add(nid, sub, parent.label[fcid] | dep, rule="forall")
         return nid
-
-    def _add_fillers(self, nid: int, roles, dep: int):
-        """Add the parent's universal fillers over `roles` to successor `nid`,
-        each depending on its restriction and on `dep`."""
-        parent = self.nodes[self.nodes[nid].parent]
-        for role in roles:
-            for sub, fcid in parent.foralls.get(role, {}).items():
-                self._add(nid, sub, parent.label[fcid] | dep, rule="forall")
 
     def _add_neq(self, a: int, b: int, dep: int):
         pair = frozenset((a, b))
@@ -942,13 +931,6 @@ class Tableau:
                 stack.extend(node.children)
         keep = self.nodes[keep_id]
         absorb = self.nodes[absorb_id]
-        merged_roles = keep.parent_roles | absorb.parent_roles
-        if merged_roles != keep.parent_roles:
-            self.trail.append(("attr", keep, "parent_roles", keep.parent_roles))
-            keep.parent_roles = merged_roles
-            self.marked |= keep.mark
-            # the full mask already holds every restriction's dependency
-            self._add_fillers(keep_id, merged_roles, dep)
         # distinctness only ever relates siblings: those of at-least
         # successors and, through merges, those of the nodes they kept
         for other in self.nodes[absorb.parent].children:
@@ -966,7 +948,7 @@ class Tableau:
         marked with its parent.  The other entries need no mark: the queue
         is empty at every decision, so each is undone together with the
         label fact or the new node it came with."""
-        trail, nodes, fingerprints = self.trail, self.nodes, self.interner.fingerprints
+        trail, nodes = self.trail, self.nodes
         order_of, order_ids = self.order_of, self.order_ids
         marked, relabelled = self.marked, self.relabelled
         while len(trail) > mark:
@@ -976,7 +958,6 @@ class Tableau:
                 node = nodes[entry[1]]
                 cid = entry[2]
                 del node.label[cid]
-                node.fp ^= fingerprints[cid]
                 order = order_of[cid] if cid < order_ids else None
                 if order is not None:
                     row, col, i, j = order
@@ -1028,26 +1009,14 @@ class Tableau:
             node.twins = None
             twins[0] &= ~node.bit
             if not twins[0]:
-                group = self.classes[twins[1]]
-                if len(group) == 1:
-                    del self.classes[twins[1]]
-                else:
-                    group.remove(twins)  # the one empty class
+                del self.classes[twins[1]]
 
     def _file(self, node: _Node):
-        """File live `node` in the class of its label, comparing labels
-        only with one node of each class under its fingerprint."""
-        group = self.classes.setdefault(node.fp, [])
-        keys = node.label.keys()
-        for twins in group:
-            y = (twins[0] & -twins[0]).bit_length() - 1
-            if self.nodes[y].label.keys() == keys:
-                twins[0] |= node.bit
-                break
-        else:
-            twins = [node.bit, node.fp]
-            group.append(twins)
-        node.twins = twins
+        """File live `node` in the class of its label's key set, which holds
+        the one copy of that key set."""
+        key = frozenset(node.label)
+        twins = node.twins = self.classes.setdefault(key, [0, key])
+        twins[0] |= node.bit
 
     def _refresh(self):
         """Bring `classes`, `active` and `unmet` up to date.
@@ -1269,11 +1238,7 @@ class Tableau:
             for a, b in itertools.combinations(created, 2):
                 self._add_neq(a, b, dep)
             return _ACTED
-        if merge_option is not None and merge_option[2]:
-            return merge_option
-        if merge_option is not None:
-            raise _Clash(self._full_mask())
-        return None
+        return merge_option
 
     def _crowding(self, node: _Node) -> Optional[tuple]:
         """None if no at-most of `node` has more holders than it allows;

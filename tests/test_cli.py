@@ -83,6 +83,34 @@ def test_oversized_order_structure_exits_2_quickly(tmp_path, capsys):
         assert "reduction budget exceeded" in capsys.readouterr().err
 
 
+def _wide(head, width):
+    return f"({head} " + " ".join(f"A{i}" for i in range(width)) + ")"
+
+
+# an n-ary `and` or `or` builds a chain one level per argument, so these are
+# within the list nesting bound but built deeper than it
+WIDE_CASES = {
+    "wide-and": (f"(assert (inst a {_wide('and', 600)}) >= 1/2)", ["check"]),
+    "nested-chains": (
+        "(assert (inst a " + "(and B0 B1 B2 B3 B4 B5 " * 100 + "A" + ")" * 100 + ") >= 1/2)",
+        ["check"],
+    ),
+    "wide-or": ("", ["sat", "-c", _wide("or", 700), "-d", "1/2"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_CASES))
+def test_wide_concepts_exit_2_quickly(name, tmp_path, capsys):
+    text, argv = WIDE_CASES[name]
+    path = _write(tmp_path, text)
+    start = time.monotonic()
+    assert run([argv[0], path, *argv[1:]]) == 2
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert "concept nested deeper than 200 levels" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "name, code",
     [("graded-chain", 1), ("no-duality", 0), ("residual-atmost", 1), ("tipping-point", 0)],
