@@ -18,20 +18,31 @@ Search organization:
     every node's sort key is computed once.  The 2n^2 order literals are
     numbered by position instead, `leq(i, j)` i*n + j and its negation
     n*n + i*n + j, and rank in key order by their elements' ranks;
+  - every model has `leq(i, j)` iff `leq(inv j, inv i)` (antitonicity), so
+    the two atoms of such a pair are one literal, the representative, the
+    atom of lower sort key.  The interner hands it out for both atoms, so
+    every formula, filler, label, clause and blocking key holds
+    representatives only, and the antitonicity clauses, `not r or r`, are
+    never read.  A node's order bitsets hold both atoms of every literal
+    in its label, and `_export` gives both atoms to the completion graph;
   - the order families that the reduction's order structure
     (`ClassicalOntology.order`) fixes by itself are read from it, not
     from inclusions: the transitivity clauses `(and t[i][j] t[j][k]) [=
     t[i][k]` over three distinct positions (the n^3 bulk), the totality
-    clause `leq(i, j) or leq(j, i)` of every pair i != j, the
-    antitonicity clause `t[i][j] [= t[inv j][inv i]` of every (i, j),
-    i != j, and the transfer clauses `t[i][j] [= all r t[up i][up j]`
-    and `not t[i][j] [= all r not t[up i][up j]` of every pair of base
-    positions and role r.  They are present by construction and never
-    interned, each known by its positions, which give its literals'
-    ids; only transfer's quantified concepts are interned.  The
-    others are not read at all: each is a tautology or holds by the base
-    fact `leq(i, i)`, which totality gives at i = j as a unit.  The
-    bounds, the constant facts and every given inclusion are read as
+    clause `leq(i, j) or leq(j, i)` of every pair i != j, and the transfer
+    clauses `t[i][j] [= all r t[up i][up j]` and `not t[i][j] [= all r
+    not t[up i][up j]` of every pair of base positions and role r, each
+    over representatives, where the clause of (i, j, k) is that of its
+    image (inv k, inv j, inv i), and those of (i, j) are those of (inv j,
+    inv i).  They are present by construction and never interned, each
+    known by its positions, which give its literals' ids; only
+    transfer's quantified concepts are interned.  The triples (i, i, k)
+    and (i, k, k) read `r or not r or not leq(m, m)`: never a unit, but a
+    branch of the scan while r is open, so they are clause entries too.
+    The others are not read at all: each holds by a base fact `leq(i,
+    i)`, which totality gives at i = j as a unit, or is the antitonicity
+    clause `r or not r`, which sorts after one of those two triples and
+    so never branches.  The bounds, the constant facts and every given inclusion are read as
     formulas by `nnf.inclusion_nnf`, the reader the brute-force oracle
     shares, and interned beside those units; an ontology without a
     structure has all its order clauses read that way.  A given
@@ -47,17 +58,16 @@ Search organization:
     label hold the order facts, P_row[i] and P_col[j] the `leq(i, j)`
     facts, N_row[i] and N_col[j] the refuted ones, and `_order_fact`
     reads off them the ~2n triples over its pair that act (leave one
-    disjunct open or none), in (i * n + j) * n + k order, then its
-    totality and antitonicity partners (`not leq(i, j)` gives `leq(j,
-    i)`; `leq(i, j)` gives `leq(inv j, inv i)`, and `not leq(i, j)` gives
-    `not leq(inv j, inv i)`), then its transfer units, `transfer_units`
-    in role order.  Each is settled from the label entries of its other
-    atoms, with the unit or clash and dependencies that examining its
-    clause gives, and no clause is built.  Then come the interned
-    clauses filed under it in `_Interner.watch`, the one watch index, in
-    id order.  This is the order of interning and watching every clause,
-    since `ClassicalOntology.inclusions` lists transitivity, then
-    totality, antitonicity, transfer and the given inclusions.  Every
+    disjunct open or none), each at its first listing, then for `not
+    leq(i, j)` its totality partner `leq(j, i)`, then its transfer units,
+    `transfer_units` in role order.  Each is settled from the label
+    entries of its other atoms, with the unit or clash and dependencies
+    that examining its clause gives, and no clause is built.  Then come
+    the interned clauses filed under it in `_Interner.watch`, the one
+    watch index, in id order.  This is the order of interning and
+    watching every clause of `ClassicalOntology.inclusions` over
+    representatives, which lists transitivity, then totality,
+    antitonicity, transfer and the given inclusions.  Every
     other fact examines the clauses watched under it with `_examine`,
     the one rule of unit propagation and clause clashes over a clause
     entry.  A clause holding a concept and its complement is never a
@@ -92,6 +102,7 @@ Search organization:
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -134,6 +145,28 @@ _KIND_ATLEAST = 5
 _KIND_ATMOST = 6
 
 
+def _pair_key(x: int, y: int) -> tuple:
+    """The ranks x and y of a triple's negative disjuncts in sort order:
+    (x, -1) for one disjunct, which sorts as (x,) would against a tail."""
+    return (x, y) if x < y else (y, x) if y < x else (x, -1)
+
+
+def _increasing(values: list) -> tuple:
+    """`values` in increasing order, and the bits of the positions of the
+    first c of them, by c."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    bits = itertools.accumulate((1 << j for j in order), operator.or_, initial=0)
+    return [values[j] for j in order], list(bits)
+
+
+def _mirror(bits: int, inv) -> int:
+    """The positions inv p of the set bits p of `bits`."""
+    out = 0
+    for p in _positions(bits):
+        out |= 1 << inv[p]
+    return out
+
+
 class _Clash(Exception):
     """Internal: current branch is contradictory.
 
@@ -159,19 +192,40 @@ class _Interner:
     only under its quantified one).  `lits` shares literal nodes across
     every formula built for this tableau.  Given an order structure
     `order`, its 2n^2 literals are filled in bulk ahead of the rest:
-    `leq(i, j)` is id i*n + j, its negation n*n + i*n + j.
+    `leq(i, j)` is id i*n + j, its negation n*n + i*n + j.  Every model
+    has `leq(i, j)` iff `leq(inv j, inv i)`, so the two atoms of such a
+    pair share one literal, the representative: the one of lower sort key,
+    which the involution may make the atom itself.  `rep[p]` is the
+    representative's position for position p, and `partner[p]` the
+    position of the pair's other atom; `lits` hands out the
+    representative's literal nodes for both atoms and `ids` finds its ids
+    by either, so every formula built here lands on representatives.
+    `element_rank` ranks the positions by their elements' sort keys.
     """
 
     def __init__(self, order=None):
         atoms = [] if order is None else [a for row in order.table for a in row]
         nn = len(atoms)
         self.objs: list = [*map(NAtom, atoms), *map(NNegAtom, atoms)]
+        self.rep = self.partner = list(range(nn))
+        self.element_rank = []
+        if order is not None:
+            n, inv = len(order), order.inverse
+            keys = [_element_key(e) for e in order.elements]
+            er = self.element_rank = [0] * n
+            for r, p in enumerate(sorted(range(n), key=keys.__getitem__)):
+                er[p] = r
+            self.partner = [inv[j] * n + inv[i] for i in range(n) for j in range(n)]
+            key = [x * n + y for x in er for y in er]  # leq(i, j) by (er[i], er[j])
+            self.rep = [p if key[p] <= key[q] else q for p, q in enumerate(self.partner)]
+        rep = self.rep
+        negated = [nn + r for r in rep]
         self.lits = Literals()
-        self.lits.pos = dict(zip(atoms, self.objs))
-        self.lits.neg = dict(zip(atoms, self.objs[nn:]))
+        self.lits.pos = dict(zip(atoms, map(self.objs.__getitem__, rep)))
+        self.lits.neg = dict(zip(atoms, map(self.objs.__getitem__, negated)))
         self.kinds: list[int] = [_KIND_ATOM] * nn + [_KIND_NEGATOM] * nn
         self.parts: list = atoms + atoms
-        self.ids: dict = dict(zip(zip(self.kinds, self.parts), range(2 * nn)))
+        self.ids: dict = dict(zip(zip(self.kinds, self.parts), rep + negated))
         self.negs: list = [*range(nn, 2 * nn), *range(nn)]
         self.clauses: list = [None] * (2 * nn)
         self.watch: dict[int, list[tuple]] = {}
@@ -362,12 +416,14 @@ class Tableau:
 
         Every given inclusion is read by `nnf.inclusion_nnf`, and so are
         the bounds and constant facts of the ontology's order structure,
-        if it has one; its totality units `leq(i, i)` are the literals of
-        ids i * (n + 1).  None of the structure's transitivity, totality,
-        antitonicity and transfer clauses is interned: each is known by its
-        positions.  The others of the first three families are left out,
-        since each is a tautology or holds by the base facts `leq(i, i)`.
-        The facts, the transfer family's quantified concepts and the given
+        if it has one; its totality units `leq(i, i)` are the
+        representatives of ids i * (n + 1).  None of the structure's
+        transitivity, totality and transfer clauses is interned: each is
+        known by its positions.  The others of the first two families are
+        left out, since each is a tautology or holds by the base facts
+        `leq(i, i)`, and so is antitonicity, whose every clause reads `not
+        r or r` over the representative r.  The facts, the transfer
+        family's quantified concepts and the given
         inclusions are interned in that order, the order of
         `ClassicalOntology.inclusions`.
         """
@@ -380,7 +436,8 @@ class Tableau:
         transfer = []
         self.transfer_units = [()] * (2 * self.order_n**2)
         if order is not None:
-            base.update(range(0, self.order_n**2, self.order_n + 1))  # leq(i, i)
+            rep = interner.rep
+            base.update(rep[p] for p in range(0, self.order_n**2, self.order_n + 1))  # leq(i, i)
             facts = fact_axioms(order)
             base.update(interner.intern(inclusion_nnf(inc, lits)) for inc in facts)
             transfer = self._read_transfer(order)
@@ -406,14 +463,19 @@ class Tableau:
         watching them there did.  Those at i = j go into no base order:
         `leq(i, i) or ...` holds by that base fact, and the other only
         makes the static pass add `all r leq(up i, up i)` to every label
-        when it processes `leq(i, i)`."""
+        when it processes `leq(i, i)`.  The clauses of (i, j) and of its
+        image (inv j, inv i) are one clause over representatives, read at
+        the one listed first."""
         interner = self.interner
         lits, intern, negation = interner.lits, interner.intern, interner.negation
-        t, up, n = order.table, order.up, self.order_n
-        units, watch = self.transfer_units, interner.watch
+        t, up, inv, n = order.table, order.up, order.inverse, self.order_n
+        units, watch, rep = self.transfer_units, interner.watch, interner.rep
         out = []
         for i, j in itertools.product(range(len(up)), repeat=2):
-            a, na = i * n + j, n * n + i * n + j
+            if (inv[j], inv[i]) < (i, j):
+                continue
+            a = rep[i * n + j]
+            na = n * n + a
             there = t[up[i]][up[j]]
             for r in order.roles:
                 forall = intern(NForall(r, lits.atom(there)))
@@ -431,38 +493,31 @@ class Tableau:
     def _index_order_literals(self, order):
         """Tables over the literals of the order structure `order` (None
         for none), whose ids are their positions in the interner's block:
-        `order_of` the bitset slots and positions of the literal of each id
-        over distinct positions (None on the diagonal), `by_rank` and
-        `element_rank` the positions by the elements' sort keys, which
-        order the disjuncts of the clauses read by position, and `pairs`
-        the totality and antitonicity clause entries."""
+        `order_of` the positions of each representative over distinct
+        positions (None elsewhere) and the bitset slots of it and of its
+        partner, `by_rank` and `element_rank` the positions by the
+        elements' sort keys, which order the disjuncts of the clauses read
+        by position, and `fixed` the bit of the position that the
+        involution fixes (the constant 1/2), 0 for none."""
         n = self.order_n
         nn = n * n
+        interner = self.interner
         self.order_elements = () if order is None else order.elements
-        self.inverse = () if order is None else order.inverse
+        self.inverse = inv = () if order is None else order.inverse
+        self.fixed = sum(1 << p for p in range(n) if inv[p] == p)
         self.order_ids = 2 * nn  # the ids of the block
-        # slots: P_row[i] and P_col[j] for leq(i, j), N_row[i] and N_col[j]
-        # for its negation
-        slots = ((s + i, s + n + j, i, j) for s in (0, 2 * n) for i in range(n) for j in range(n))
-        self.order_of = [None if slot[2] == slot[3] else slot for slot in slots]
-        keys = [_element_key(e) for e in self.order_elements]
-        self.by_rank = sorted(range(n), key=keys.__getitem__)
-        er = self.element_rank = [0] * n
-        for r, p in enumerate(self.by_rank):
-            er[p] = r
-        # clause entries, disjuncts in sort-key order: at i*n + j the
-        # totality clause of {i, j}, `top [= leq(i, j) or leq(j, i)`, and at
-        # n*n + i*n + j the antitonicity clause of (i, j), `leq(i, j) [=
-        # leq(inv j, inv i)`
-        pairs = self.pairs = [None] * (2 * nn)
-        for p in range(nn):
+        self.element_rank = er = interner.element_rank
+        self.by_rank = sorted(range(n), key=er.__getitem__)
+        # (i, j, then per atom of the pair: the P_row[i] slot and bit j and
+        # the P_col[j] slot and bit i), N_row and N_col for the negation
+        order_of = self.order_of = [None] * (2 * nn)
+        for p, q in enumerate(interner.partner):
             i, j = divmod(p, n)
-            if i != j:
-                q = self.inverse[j] * n + self.inverse[i]
-                pairs[nn + p] = None, (q, nn + p), (nn + q, p)
-                if er[i] < er[j]:
-                    q = j * n + i
-                    pairs[p] = pairs[q] = None, (p, q), (nn + p, nn + q)
+            if i != j and interner.rep[p] == p:
+                k, m = divmod(q, n)
+                for s in (0, 2 * n):
+                    slots = (s + i, 1 << j, s + n + j, 1 << i, s + k, 1 << m, s + n + m, 1 << k)
+                    order_of[p + (s >> 1) * n] = (i, j) + slots
 
     def _ranks(self, disjuncts) -> list:
         """Ranks by id of the order literals and of `disjuncts`, in the
@@ -494,27 +549,27 @@ class Tableau:
         A disjunction's key is (3, its disjuncts' keys), and its disjuncts
         are in key order, so disjunctions compare by the ranks of their
         disjuncts, `_ranks`: the order literals' by position, the others'
-        from one sort of them alone.  A positive literal leq(i, k), i != k,
-        leads the block of clauses that start with it: the totality clause
-        of {i, k} if leq(i, k) comes first in it, the antitonicity clause of
-        (inv k, inv i), the interned ones, and the triples (i, j, k).  A
-        triple has the disjuncts leq(i, k), then not leq(i, j) and not
-        leq(j, k) in the order of their first element, so the triples of
-        (i, k) follow each other in the rank order of j.  They are merged in
-        as runs (i, k, j bits), split before each other clause of the block
-        whose remaining disjuncts come after theirs.  The other clauses read
-        by position are clause entries, each ahead of an interned one equal
-        to it.  The `transfer` clauses are sorted with the interned
-        disjunctions: `leq(i, k) or all r not leq(up i, up k)` ends the
-        block of leq(i, k), after every triple, and `not leq(i, k) or all r
-        leq(up i, up k)` falls among the clauses led by a negative literal,
+        from one sort of them alone.  Only representatives occur in them.
+        A positive one, r = leq(i, k), i != k, leads the block of clauses
+        that start with it: the totality clause of {i, k} if r comes first
+        in it, the interned ones, and the triples (i, j, k).  A triple has
+        the disjuncts r, then the representatives' negations of leq(i, j)
+        and leq(j, k) in key order, one if they coincide, and the block
+        holds them in that order (`_in_block_order`), one j of each two
+        that make one clause (the image of (i, j, k) is (i, inv j, k) when
+        k = inv i).  They are merged in as runs (i, k, j bits),
+        split before each other clause of the block whose remaining
+        disjuncts come after theirs.  The other clauses read by position
+        are clause entries, each ahead of an interned one equal to it.  The
+        `transfer` clauses are sorted with the interned disjunctions: `r or
+        all r' not ...` ends the block of r, after every triple, and `not r
+        or all r' ...` falls among the clauses led by a negative literal,
         which follow the blocks.
         """
         interner = self.interner
-        objs, kinds, parts = interner.objs, interner.kinds, interner.parts
+        objs, kinds, parts, rep = interner.objs, interner.kinds, interner.parts, interner.rep
         n = self.order_n
         nn = n * n
-        by_rank, inv, er = self.by_rank, self.inverse, self.element_rank
         ors = [c for c in base if kinds[c] == _KIND_OR]
         others = sorted(
             (c for c in base if kinds[c] != _KIND_OR), key=lambda c: sort_key(objs[c])
@@ -527,39 +582,63 @@ class Tableau:
         keyed = [(tuple(map(rank, clause[1])), clause) for clause in transfer]
         keyed += ((tuple(map(rank, parts[c])), c) for c in ors)
         keyed.sort(key=lambda pair: pair[0])
-        full = (1 << n) - 1
-        lower = [0] * n  # lower[p]: the positions of smaller rank than p
-        for r in range(1, n):
-            lower[by_rank[r]] = lower[by_rank[r - 1]] | 1 << by_rank[r - 1]
+        # the rank of not rep[p], by p, which orders the triples of a block,
+        # and in increasing order over each row i and each column k, with
+        # the bits of the positions below each
+        negated = self.negated = [rank(nn + r) for r in rep]
+        last = max(negated, default=0)
+        rows = [_increasing(negated[i * n : i * n + n]) for i in range(n)]
+        columns = [_increasing(negated[k::n]) for k in range(n)]
+        upper = sum(1 << j for j in range(n) if self.inverse[j] < j)
         merged = []
         at = 0  # the next interned disjunction in `keyed`
-        for i in by_rank:
-            for k in by_rank:
-                if i == k:
+        for i in self.by_rank:
+            for k in self.by_rank:
+                p = i * n + k
+                if i == k or rep[p] != p:
                     continue
-                lead = rank(i * n + k)
+                lead = rank(p)
                 while at < len(keyed) and keyed[at][0][0] < lead:
                     merged.append(keyed[at][1])
                     at += 1
+                # the block's triples, one j of each two that are images
+                rest = ((1 << n) - 1) & ~(1 << i | 1 << k)
+                if k == self.inverse[i]:
+                    rest &= ~upper
+
                 # each clause of the block: its remaining disjuncts' ranks,
                 # the clause, and the middle positions j of the triples
                 # before it.  No triple comes before totality, whose second
-                # disjunct is positive; one comes before antitonicity,
-                # whose second is not leq(p, q), iff not leq(i, j) or
-                # not leq(j, k) ranks below it
-                p, q = inv[k], inv[i]
-                below = lower[p] | (1 << p if er[k] < er[q] else 0)
-                below |= full if er[i] < er[p] else lower[q] if i == p else 0
-                heads = [((rank(nn + p * n + q),), self.pairs[nn + p * n + q], below)]
-                if er[i] < er[k]:
-                    heads.append(((rank(k * n + i),), self.pairs[i * n + k], 0))
+                # disjunct is positive
+                heads = []
+                q = rep[k * n + i]
+                if lead < rank(q):
+                    heads.append(((rank(q),), (None, (p, q), (nn + p, nn + q)), 0))
+                # the triples (i, i, k) and (i, k, k): `p or not p`, and not
+                # the base fact leq(i, i) or leq(k, k), open until p is
+                # decided.  No triple of the block holds either negation, so
+                # one comes first iff a negative disjunct of it ranks below
+                # both
+                (row, row_bits), (column, column_bits) = rows[i], columns[k]
+                for m in (i, k) if rep[i * (n + 1)] != rep[k * (n + 1)] else (i,):
+                    a, x, y = rep[m * (n + 1)], negated[m * (n + 1)], negated[p]
+                    entry = (p, nn + a, nn + p) if x < y else (p, nn + p, nn + a)
+                    tail = (x, y) if x < y else (y, x)
+                    first = row_bits[bisect_left(row, tail[0])] | column_bits[bisect_left(column, tail[0])]
+                    heads.append((tail, (None, entry, (nn + p, entry[1] - nn, entry[2] - nn)), first & rest))
                 while at < len(keyed) and keyed[at][0][0] == lead:
                     tail = keyed[at][0][1:]
-                    heads.append((tail, keyed[at][1], self._triples_below(i, k, tail, rank)))
+                    below = rest  # after every negative literal
+                    if tail[0] <= last:
+                        below = sum(
+                            1 << j
+                            for j in _positions(rest)
+                            if _pair_key(negated[i * n + j], negated[j * n + k]) < tail
+                        )
+                    heads.append((tail, keyed[at][1], below))
                     at += 1
                 heads.sort(key=lambda head: head[0])  # stable
-                rest = full & ~(1 << i | 1 << k)  # the triples not merged yet
-                for _, entry, below in heads:
+                for _, entry, below in heads:  # `rest`: the triples not merged yet
                     run = rest & below
                     if run:
                         merged.append((i, k, run))
@@ -572,32 +651,28 @@ class Tableau:
         ors = tuple(interner.clauses[c] if type(c) is int else c for c in merged)
         return tuple(head + merged + others[len(head) :]), ors
 
-    def _triples_below(self, i: int, k: int, tail: tuple, rank) -> int:
-        """The middle positions j of the triples (i, j, k) whose negative
-        disjuncts, by `rank`, come before the disjuncts `tail`: a prefix of
-        them in the rank order of j."""
-        n = self.order_n
-        nn, by_rank = n * n, self.by_rank
-        if tail[0] > rank(nn + by_rank[-1] * n + by_rank[-2]):
-            return (1 << n) - 1  # after the last negative literal, as a forall is
-        below = 0
-        for j in by_rank:
-            if j != i and j != k:
-                x, y = rank(nn + i * n + j), rank(nn + j * n + k)
-                if ((x, y) if x < y else (y, x)) >= tail:
-                    break
-                below |= 1 << j
-        return below
-
     def _triple(self, i: int, j: int, k: int) -> tuple:
         """The clause entry of the triple (i, j, k), `(and leq(i, j) leq(j,
-        k)) [= leq(i, k)`, its disjuncts in sort-key order."""
-        n = self.order_n
+        k)) [= leq(i, k)` over representatives, its disjuncts in sort-key
+        order: two if leq(i, j) and leq(j, k) share one, at j = inv j and k
+        = inv i."""
+        n, rep, er = self.order_n, self.interner.rep, self.element_rank
         nn = n * n
-        ik, ij, jk = i * n + k, i * n + j, j * n + k
-        if self.element_rank[j] < self.element_rank[i]:
+        ik, ij, jk = rep[i * n + k], rep[i * n + j], rep[j * n + k]
+        if ij == jk:
+            return None, (ik, nn + ij), (nn + ik, ij)
+        if (er[jk // n], er[jk % n]) < (er[ij // n], er[ij % n]):
             ij, jk = jk, ij
         return None, (ik, nn + ij, nn + jk), (nn + ik, ij, jk)
+
+    def _in_block_order(self, i: int, k: int, run: int) -> list:
+        """The middle positions j of the triples (i, j, k) in `run`, in the
+        order of the block of leq(i, k): by their negative disjuncts'
+        ranks."""
+        n, negated = self.order_n, self.negated
+        return sorted(
+            _positions(run), key=lambda j: _pair_key(negated[i * n + j], negated[j * n + k])
+        )
 
     def _precompute_static(self):
         """Propagate the global axioms once, on a scratch node.
@@ -617,12 +692,12 @@ class Tableau:
         bits = node.bits = [0] * (4 * self.order_n)
         for cid, order in enumerate(self.order_of):
             if order is not None and cid in self.base_set:
-                row, col, i, j = order
-                bits[row] |= 1 << j
-                bits[col] |= 1 << i
+                for s in range(2, 10, 2):
+                    bits[order[s]] |= order[s + 1]
         self.nodes.append(node)
         queue = self.queue
-        p_col, n_row, n_col = self.order_n, 2 * self.order_n, 3 * self.order_n
+        n = self.order_n
+        p_col, n_row, n_col = n, 2 * n, 3 * n
         try:
             # every base clause first, in base order, then what they add:
             # queue order
@@ -630,24 +705,25 @@ class Tableau:
                 if type(entry) is int:
                     self._process(0, entry)
                     continue
-                if type(entry[2]) is tuple:  # totality, antitonicity or transfer
+                if type(entry[2]) is tuple:  # totality or transfer
                     self._examine(0, entry)
                     continue
                 # a run of triples (i, j, k) of one (i, k): examine them all
                 # if one acts, leaving no disjunct present and one or none
-                # open
+                # open; the one of two disjuncts (j = inv j, k = inv i) acts
+                # once not leq(i, k) holds
                 i, k, run = entry
                 if bits[i] >> k & 1:
                     continue
                 run_open = run & ~(bits[n_row + i] | bits[n_col + k])
                 if bits[n_row + i] >> k & 1:
-                    acting = run_open & (bits[i] | bits[p_col + k])
+                    fixed = self.fixed if k == self.inverse[i] else 0
+                    acting = run_open & (bits[i] | bits[p_col + k] | fixed)
                 else:
                     acting = run_open & bits[i] & bits[p_col + k]
                 if acting:
-                    for j in self.by_rank:
-                        if run >> j & 1:
-                            self._examine(0, self._triple(i, j, k))
+                    for j in self._in_block_order(i, k, run):
+                        self._examine(0, self._triple(i, j, k))
             while queue:
                 self._process(*queue.popleft())
             self.static_clash = False
@@ -681,6 +757,8 @@ class Tableau:
         if neg is None:
             neg = interner.negation(cid)
         if neg in label:
+            if self.trace:
+                self.trace(f"clash n{nid} {interner.objs[cid]!r}"[:200])
             raise _Clash(dep | label[neg])
         label[cid] = dep
         self.marked |= node.mark
@@ -688,9 +766,12 @@ class Tableau:
         if cid < self.order_ids:
             order = self.order_of[cid]
             if order is not None:
-                row, col, i, j = order
-                node.bits[row] |= 1 << j
-                node.bits[col] |= 1 << i
+                _, _, a, x, b, y, c, z, d, w = order
+                bits = node.bits
+                bits[a] |= x
+                bits[b] |= y
+                bits[c] |= z
+                bits[d] |= w
         self.trail.append(("add", nid, cid))
         self.queue.append((nid, cid))
         if rule and self.trace:
@@ -751,24 +832,32 @@ class Tableau:
                 self._examine(nid, clause)
 
     def _order_fact(self, nid: int, node: _Node, cid: int):
-        """Process order literal `cid` at node `nid`: settle each clause it
-        refutes a disjunct of and that acts (leaves one disjunct open or
-        none) straight from the node's bitsets and label, in the order of
-        interning and watching every clause.
+        """Process order literal `cid`, a representative, at node `nid`:
+        settle each clause it refutes a disjunct of and that acts (leaves
+        one disjunct open or none) straight from the node's bitsets and
+        label, in the order of interning and watching every clause over
+        representatives.
 
-        `leq(i, j)` refutes a disjunct of the triples (h, i, j) and (i, j,
-        k), `not leq(i, j)` one of the triples (i, m, j); a triple acts
-        when neither of its other two disjuncts is present and one of
-        their complements is.  The acting triples are read from the
-        bitsets before the first is settled, which finds the ones that
-        watching every triple would: the units of the triples settled
-        earlier for a fact share no atom with a later one's open
-        disjuncts.  They are settled in (i * n + j) * n + k order (h < i,
-        every k, h > i), then the totality clause of {i, j} for `not
-        leq(i, j)`, the antitonicity clause that leaves `leq(inv j, inv i)`
-        or its negation (a tautology at j = inv i), the transfer clauses of
-        `transfer_units` in role order, and, by `_examine`, the interned
-        clauses filed under `cid` in `_Interner.watch`."""
+        With `cid` over (i, j), `leq(i, j)` refutes a disjunct of the
+        triples (h, i, j) and (i, j, k), `not leq(i, j)` one of the
+        triples (i, m, j); their images (inv k, inv j, inv i) hold the
+        partner and are the same clauses.  A triple acts when neither of
+        its other two disjuncts is present and one of their complements
+        is.  The acting triples are read from the bitsets, which hold both
+        atoms of every pair, before the first is settled, as watching
+        every triple would find them, but for one case: a unit of one
+        triple can settle a disjunct of another when the two share an atom
+        up to the pair.  For `leq(i, j)` that couples (i, j, inv j) with
+        (i, j, inv i) and (inv i, i, j) with (inv j, i, j), or, if i or j
+        is the fixed position of inv, (i, j, k) with (inv k, i, j); the
+        partner of an acting triple is settled too, acting or not.  Each
+        clause is settled once, at its first listing, the lower of (i * n
+        + j) * n + k and its image's; at j = inv i and the fixed position
+        h, the triple (i, h, j) is the clause `leq(i, j) or not leq(i,
+        h)`.  Then come the totality clause of {i, j} for `not leq(i, j)`,
+        the transfer clauses of `transfer_units` in role order, and, by
+        `_examine`, the interned clauses filed under `cid` in
+        `_Interner.watch`."""
         label = node.label
         nn = self.order_ids >> 1
         neg = cid - nn if cid >= nn else cid + nn
@@ -778,31 +867,58 @@ class Tableau:
         settle = self._settle
         order = self.order_of[cid]
         if order is not None:
-            n, bits = self.order_n, node.bits
-            _, _, i, j = order
-            a, b = self.inverse[j], self.inverse[i]
+            n, bits, inv, rep = self.order_n, node.bits, self.inverse, self.interner.rep
+            i, j = order[0], order[1]
             others = ~(1 << i | 1 << j)  # every triple over distinct positions
+            units = []
             if cid < nn:
                 ks = (bits[j] | bits[2 * n + i]) & ~(bits[2 * n + j] | bits[i]) & others
-                hs = (bits[n + i] | bits[3 * n + j]) & ~(bits[3 * n + i] | bits[n + j]) & others
-                if ks | hs:
-                    below = hs & ((1 << i) - 1)
-                    for h in _positions(below):
-                        settle(nid, label, dep, h * n + j, nn + h * n + i)
+                if j == inv[i]:
+                    hs = 0  # (h, i, j) is the image of (i, j, inv h)
+                else:
+                    hs = (bits[n + i] | bits[3 * n + j]) & ~(bits[3 * n + i] | bits[n + j]) & others
+                    if self.fixed >> i & 1 or self.fixed >> j & 1:
+                        mirror = _mirror(hs, inv)
+                        hs |= _mirror(ks, inv) & others
+                        ks |= mirror & others
+                    else:
+                        coupled = (1 << inv[i] | 1 << inv[j]) & others
+                        if ks & coupled:
+                            ks |= coupled
+                        if hs & coupled:
+                            hs |= coupled
+                if ks:
+                    ij = (i * n + j) * n
+                    image = inv[j] * n + inv[i]
                     for k in _positions(ks):
-                        settle(nid, label, dep, i * n + k, nn + j * n + k)
-                    for h in _positions(hs ^ below):
-                        settle(nid, label, dep, h * n + j, nn + h * n + i)
-                if a != i and not bits[a] >> b & 1:
-                    settle(nid, label, dep, a * n + b, neg)
+                        a, b = ij + k, image + inv[k] * n * n
+                        units.append((a if a < b else b, rep[i * n + k], nn + rep[j * n + k]))
+                if hs:
+                    image = (inv[j] * n + inv[i]) * n
+                    for h in _positions(hs):
+                        a, b = (h * n + i) * n + j, image + inv[h]
+                        units.append((a if a < b else b, rep[h * n + j], nn + rep[h * n + i]))
             else:
                 ms = (bits[i] | bits[n + j]) & ~(bits[2 * n + i] | bits[3 * n + j]) & others
-                for m in _positions(ms):
-                    settle(nid, label, dep, nn + i * n + m, nn + m * n + j)
-                if not bits[j] >> i & 1:
-                    settle(nid, label, dep, j * n + i, neg)
-                if a != i and not bits[2 * n + a] >> b & 1:
-                    settle(nid, label, dep, nn + a * n + b, neg)
+                if j == inv[i]:
+                    fixed = self.fixed
+                    for m in _positions(ms & ~fixed):
+                        if m < inv[m]:  # (i, inv m, j) is its image
+                            units.append(((i * n + m) * n + j, nn + rep[i * n + m], nn + rep[m * n + j]))
+                    if fixed & others:
+                        m = fixed.bit_length() - 1
+                        units.append(((i * n + m) * n + j, nn + rep[i * n + m], neg))
+                elif ms:
+                    image = (inv[j] * n) * n + inv[i]
+                    for m in _positions(ms):
+                        a, b = (i * n + m) * n + j, image + inv[m] * n
+                        units.append((a if a < b else b, nn + rep[i * n + m], nn + rep[m * n + j]))
+            if units:
+                units.sort()
+                for _, d, e in units:
+                    settle(nid, label, dep, d, e)
+            if cid >= nn and not bits[j] >> i & 1:
+                settle(nid, label, dep, rep[j * n + i], neg)
         for forall in self.transfer_units[cid]:
             settle(nid, label, dep, forall, neg)
         for clause in self.interner.watch.get(cid, ()):
@@ -960,9 +1076,12 @@ class Tableau:
                 del node.label[cid]
                 order = order_of[cid] if cid < order_ids else None
                 if order is not None:
-                    row, col, i, j = order
-                    node.bits[row] &= ~(1 << j)
-                    node.bits[col] &= ~(1 << i)
+                    _, _, a, x, b, y, c, z, d, w = order
+                    bits = node.bits
+                    bits[a] &= ~x
+                    bits[b] &= ~y
+                    bits[c] &= ~z
+                    bits[d] &= ~w
                 marked |= node.mark
                 relabelled |= node.bit
             elif tag == "node":
@@ -1150,7 +1269,7 @@ class Tableau:
                 # the run holds up to its first open triple in rank order
                 i, k, run = clause
                 run &= ~(bits[n_row + i] | bits[n_col + k])
-                j = next(j for j in self.by_rank if run >> j & 1)
+                j = self._in_block_order(i, k, run)[0]
                 clause = self._triple(i, j, k)
             if self._examine(node.id, clause):
                 return _ACTED
@@ -1330,6 +1449,8 @@ class Tableau:
                     # discard unrelated decisions above the target level
                     if len(stack) > target:
                         self.backjumps += 1
+                        if self.trace:
+                            self.trace(f"backjump {len(stack)} -> {target}")
                     while len(stack) > target:
                         mark, _, _, _ = stack.pop()
                         self._undo_to(mark)
@@ -1367,6 +1488,8 @@ class Tableau:
 
     def _export(self) -> CompletionGraph:
         interner = self.interner
+        parts, kinds, partner = interner.parts, interner.kinds, interner.partner
+        nn = self.order_ids >> 1
         self._refresh()
         blocked_by = {}
         for node in self.nodes:
@@ -1380,8 +1503,10 @@ class Tableau:
             nid = pending.popleft()
             node = self.nodes[nid]
             children = tuple(c for c in node.children if not self.nodes[c].pruned)
+            # both atoms of every antitone pair
             atoms = frozenset(
-                interner.parts[cid] for cid in node.label if interner.kinds[cid] == _KIND_ATOM
+                parts[c] for cid in node.label if kinds[cid] == _KIND_ATOM
+                for c in ((cid, partner[cid]) if cid < nn else (cid,))
             )
             nodes[nid] = GraphNode(
                 id=nid,

@@ -80,14 +80,16 @@ def test_negate_nnf_counting_duals():
 
 
 def test_order_literal_keys_are_the_structural_ones():
-    # the tableau's block of order literals holds the shared literal nodes,
-    # and every key cached on them is the structural one
+    # the tableau's block of order literals holds the shared literal nodes
+    # of the representatives, and every key cached on them is the
+    # structural one
     red = reduce_ontology(parse_ontology("(assert (inst a (some r (and A (not B)))) >= 1/3)"))
     interner = Tableau(red).interner
     objs, lits, n = interner.objs, interner.lits, len(red.order)
     for i, row in enumerate(red.order.table):
         for j, atom in enumerate(row):
             pos, neg = objs[i * n + j], objs[n * n + i * n + j]
-            assert pos is lits.atom(atom) and neg is lits.negated(atom)
+            r = interner.rep[i * n + j]
+            assert objs[r] is lits.atom(atom) and objs[n * n + r] is lits.negated(atom)
             assert sort_key(pos) == _structural_key(pos) and pos == NAtom(atom)
             assert sort_key(neg) == _structural_key(neg) and neg == NNegAtom(atom)

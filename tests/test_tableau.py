@@ -4,7 +4,7 @@ import pathlib
 import random
 
 import pytest
-from conftest import CORPUS, NODE_BUDGET, STEP_BUDGET, classical_concepts
+from conftest import CORPUS, NODE_BUDGET, STEP_BUDGET, by_position_count, classical_concepts
 
 from galcq import (
     And,
@@ -117,8 +117,10 @@ def test_merge_sends_universal_fillers_to_existing_successors(disjoint):
     assert result.consistent != disjoint
     merge = lines.index("merge n1 <- n2")
     if disjoint:
-        # the clash is raised before the forall line is traced
+        # the forall rule's addition of D at n3 clashes, which is traced
+        # instead of the forall line
         assert lines.index("unit n3 NNegAtom(atom=Name(name='D'))") < merge
+        assert lines[merge + 1] == "clash n3 NAtom(atom=Name(name='D'))"
     else:
         assert lines.index("forall n3 NAtom(atom=Name(name='D'))") > merge
         assert D in result.graph.nodes[3].atoms
@@ -277,17 +279,17 @@ def test_agreement_with_brute_force_on_random_ontologies():
 # the printed reduction).  Interning order, base clause order and disjunct
 # order decide the search, so any change to them moves these numbers.  The
 # base clause and interned concept columns count every clause read by
-# position (`_by_position_count`) as one of each, as if it were interned,
-# and none of the triples with two coinciding positions or antitonicity
-# and transfer clauses at i = j, which are not base clauses of the tableau
-# (the inclusion column, from `ClassicalOntology.inclusions`, still counts
-# them).
+# position over representatives (`by_position_count`) as one of each, as
+# if it were interned, and none of the antitonicity clauses, the triples
+# that hold a base fact leq(m, m) or the transfer clauses at i = j, which
+# are not base clauses of the tableau (the inclusion column, from
+# `ClassicalOntology.inclusions`, still counts them).
 PINNED = {
-    "two-roles": (True, 10659, 9100, 10939, 7, 3890, "f3194964bdce0744"),
-    "count-clash": (False, 17251, 15072, 16983, 3, 1796, "d1b452b3b95c29d4"),
-    "duality": (True, 5681, 4674, 5573, 37, 11168, "0404f426a9d5e3ea"),
-    "atmost-res": (True, 10418, 8881, 10233, 11, 4833, "a9838d4e4a85d866"),
-    "forall-clash": (False, 13615, 11767, 13474, 2, 697, "f66013164866c31b"),
+    "two-roles": (True, 10659, 4797, 6208, 7, 2070, "f3194964bdce0744"),
+    "count-clash": (False, 17251, 7869, 9482, 3, 944, "d1b452b3b95c29d4"),
+    "duality": (True, 5681, 2495, 3260, 37, 5998, "0404f426a9d5e3ea"),
+    "atmost-res": (True, 10418, 4678, 5822, 11, 2575, "a9838d4e4a85d866"),
+    "forall-clash": (False, 13615, 6169, 7583, 2, 352, "f66013164866c31b"),
 }
 
 
@@ -297,7 +299,7 @@ def test_search_behaviour_is_pinned(name):
     tab = Tableau(red, NODE_BUDGET, STEP_BUDGET)
     result = tab.run()
     digest = hashlib.sha256(classical_to_sexpr(red).encode("utf-8")).hexdigest()[:16]
-    by_position = _by_position_count(red.order)
+    by_position = by_position_count(red.order)
     observed = (
         result.consistent,
         len(red.inclusions),
@@ -315,40 +317,40 @@ def test_search_behaviour_is_pinned(name):
 # tableau runs; the base clause and interned concept columns count every
 # clause read by position as one of each, as `PINNED` does.
 CORPUS_SEARCH = {
-    "empty": (True, 106, 145, 1, 10),
-    "assert-half": (True, 636, 783, 1, 54),
-    "godel-mid": (True, 1983, 2304, 1, 125),
-    "godel-above": (True, 3096, 3513, 1, 165),
-    "cmp-lt": (True, 1982, 2301, 1, 130),
-    "cmp-eq-neg": (True, 1982, 2303, 1, 131),
-    "implies-deg": (True, 6386, 7075, 1, 294),
-    "gci-chain": (True, 3096, 3511, 1, 171),
-    "gci-top": (True, 1984, 2302, 1, 104),
-    "exists-half": (True, 2067, 2592, 3, 479),
-    "forall-low": (True, 2067, 2594, 3, 482),
-    "atleast-two": (True, 2067, 2590, 5, 798),
-    "atmost-inv": (True, 2067, 2590, 5, 798),
-    "atmost-res": (True, 8881, 10233, 11, 4833),
-    "duality": (True, 4674, 5573, 37, 11168),
-    "crisp-sat": (True, 1983, 2302, 1, 131),
-    "two-roles": (True, 9100, 10939, 7, 3890),
-    "loop-gci": (True, 2068, 2591, 3, 478),
-    "open-interval": (True, 636, 783, 1, 54),
-    "neg-forall": (True, 2067, 2594, 3, 482),
-    "godel-high": (False, 3096, 3513, 1, 5),
-    "squeeze": (False, 1197, 1408, 1, 1),
-    "top-neg": (False, 1984, 2302, 1, 3),
-    "forall-clash": (False, 11767, 13474, 2, 697),
-    "count-clash": (False, 15072, 16983, 3, 1796),
-    "self-implies": (False, 1983, 2308, 1, 0),
-    "top-low": (False, 637, 783, 1, 0),
-    "below-zero": (False, 636, 783, 1, 0),
-    "cmp-circle": (False, 1982, 2301, 1, 1),
-    "res-atmost-midway": (False, 4675, 5567, 1, 8),
-    "gci-force": (False, 1984, 2302, 1, 1),
-    "exists-zero": (False, 8881, 10237, 3, 1445),
-    "chain-squeeze": (False, 1984, 2303, 1, 9),
-    "count-squeeze": (False, 3240, 3985, 1, 2),
+    "empty": (True, 67, 110, 1, 6),
+    "assert-half": (True, 361, 514, 1, 30),
+    "godel-mid": (True, 1080, 1409, 1, 67),
+    "godel-above": (True, 1666, 2098, 1, 87),
+    "cmp-lt": (True, 1079, 1406, 1, 70),
+    "cmp-eq-neg": (True, 1079, 1408, 1, 71),
+    "implies-deg": (True, 3380, 4086, 1, 154),
+    "gci-chain": (True, 1666, 2096, 1, 91),
+    "gci-top": (True, 1081, 1407, 1, 56),
+    "exists-half": (True, 1128, 1577, 3, 263),
+    "forall-low": (True, 1128, 1579, 3, 266),
+    "atleast-two": (True, 1128, 1575, 5, 438),
+    "atmost-inv": (True, 1128, 1575, 5, 438),
+    "atmost-res": (True, 4678, 5822, 11, 2575),
+    "duality": (True, 2495, 3260, 37, 5998),
+    "crisp-sat": (True, 1080, 1407, 1, 71),
+    "two-roles": (True, 4797, 6208, 7, 2070),
+    "loop-gci": (True, 1129, 1576, 3, 262),
+    "open-interval": (True, 361, 514, 1, 30),
+    "neg-forall": (True, 1128, 1579, 3, 266),
+    "godel-high": (False, 1666, 2098, 1, 1),
+    "squeeze": (False, 663, 887, 1, 1),
+    "top-neg": (False, 1081, 1407, 1, 1),
+    "forall-clash": (False, 6169, 7583, 2, 352),
+    "count-clash": (False, 7869, 9482, 3, 944),
+    "self-implies": (False, 1080, 1413, 1, 0),
+    "top-low": (False, 362, 514, 1, 0),
+    "below-zero": (False, 361, 514, 1, 0),
+    "cmp-circle": (False, 1079, 1406, 1, 1),
+    "res-atmost-midway": (False, 2496, 3254, 1, 9),
+    "gci-force": (False, 1081, 1407, 1, 1),
+    "exists-zero": (False, 4678, 5826, 3, 767),
+    "chain-squeeze": (False, 1081, 1408, 1, 10),
+    "count-squeeze": (False, 1746, 2362, 1, 1),
 }
 
 
@@ -369,20 +371,20 @@ def test_corpus_search_is_pinned(corpus_runs):
 # Search on the benchmark's counting family F(k, q) and criterion-5 chain,
 # as (verdict, nodes created, steps).
 FAMILY_SEARCH = {
-    ("counting", 1, "1/4"): (True, 58, 32551),
-    ("counting", 1, "1/2"): (True, 11, 5167),
-    ("counting", 1, "3/4"): (False, 3, 1478),
-    ("counting", 2, "1/4"): (True, 128, 68778),
-    ("counting", 2, "1/2"): (True, 16, 7512),
-    ("counting", 2, "3/4"): (False, 4, 1706),
-    ("counting", 3, "1/4"): (True, 224, 118433),
-    ("counting", 3, "1/2"): (True, 21, 9857),
-    ("counting", 3, "3/4"): (False, 5, 1934),
-    ("chain", 1, None): (True, 1, 54),
-    ("chain", 2, None): (True, 1, 130),
-    ("chain", 3, None): (True, 1, 238),
-    ("chain", 4, None): (True, 1, 378),
-    ("chain", 5, None): (True, 1, 550),
+    ("counting", 1, "1/4"): (True, 58, 17018),
+    ("counting", 1, "1/2"): (True, 11, 2747),
+    ("counting", 1, "3/4"): (False, 3, 741),
+    ("counting", 2, "1/4"): (True, 128, 36063),
+    ("counting", 2, "1/2"): (True, 16, 3992),
+    ("counting", 2, "3/4"): (False, 4, 863),
+    ("counting", 3, "1/4"): (True, 224, 62184),
+    ("counting", 3, "1/2"): (True, 21, 5237),
+    ("counting", 3, "3/4"): (False, 5, 985),
+    ("chain", 1, None): (True, 1, 30),
+    ("chain", 2, None): (True, 1, 70),
+    ("chain", 3, None): (True, 1, 126),
+    ("chain", 4, None): (True, 1, 198),
+    ("chain", 5, None): (True, 1, 286),
 }
 
 
@@ -398,11 +400,11 @@ def test_family_search_is_pinned(family, k, q):
 # prefix of the label's concepts in label order) of the facts every node
 # starts from.  The label order is what new nodes copy and merges iterate.
 STATIC = {
-    "two-roles": (106, 0, "300f76addb573ec8"),
-    "count-clash": (171, 1, "c0495645b283f671"),
-    "duality": (59, 0, "e2994ca21e07f9d3"),
-    "atmost-res": (137, 3, "79e8d8795b4d202f"),
-    "forall-clash": (168, 0, "91a71eeff58289a0"),
+    "two-roles": (58, 0, "7ffe3b47f11517fb"),
+    "count-clash": (91, 1, "7ab8ee7203802bcb"),
+    "duality": (33, 0, "f08877dddc11f403"),
+    "atmost-res": (74, 3, "b0188455abd1f229"),
+    "forall-clash": (90, 0, "c5535932e42b3960"),
 }
 
 
@@ -466,18 +468,65 @@ def _families(ontology):
     ]
 
 
+def _representatives(order):
+    """The rewriting of classical concepts that replaces every atom of the
+    order structure `order` (None for none) by its representative: of
+    `Leq(a, b)` and its antitone partner `Leq(inv b, inv a)`, the one of
+    lower sort key."""
+    if order is None:
+        return lambda c: c
+    t, inv = order.table, order.inverse
+    rep = {}
+    for i, j in itertools.product(range(len(t)), repeat=2):
+        rep[t[i][j]] = min(t[i][j], t[inv[j]][inv[i]], key=lambda a: sort_key(NAtom(a)))
+
+    def rewrite(c):
+        match c:
+            case Leq():
+                return rep[c]
+            case Not(sub):
+                return Not(rewrite(sub))
+            case And() | Or() | Implies():
+                return type(c)(rewrite(c.left), rewrite(c.right))
+            case Exists(role, sub) | Forall(role, sub):
+                return type(c)(role, rewrite(sub))
+            case AtLeast(count, role, sub) | AtMost(count, role, sub):
+                return type(c)(count, role, rewrite(sub))
+        return c
+
+    return rewrite
+
+
+def _rewritten(rewrite, inclusions):
+    return tuple(Inclusion(rewrite(inc.lhs), rewrite(inc.rhs)) for inc in inclusions)
+
+
+def _quotient(ontology):
+    """The structure-less copy of `ontology`: its whole listing
+    `ontology.inclusions` and its assertions with every order atom
+    replaced by its representative."""
+    rewrite = _representatives(ontology.order)
+    return ClassicalOntology(
+        _rewritten(rewrite, ontology.inclusions),
+        tuple((ind, rewrite(c)) for ind, c in ontology.assertions),
+        ontology.individual,
+    )
+
+
 def _read_inclusions(ontology):
-    """The inclusions the tableau reads: all but the transitivity triples
-    with two coinciding positions and the antitonicity and transfer
-    clauses at i = j."""
+    """The inclusions the tableau reads, every order atom replaced by its
+    representative: all but the antitonicity clauses, each `not r or r`,
+    the transfer clauses at i = j, and the transitivity triples (i, j, i),
+    which hold the base fact leq(i, i); the triples (i, i, k) and (i, k,
+    k), i != k, read `r or not r`, and not a base fact."""
     triples, totality, facts, antitone, transfer = _families(ontology)
-    return (
-        *(inc for inc, p in triples if len(set(p)) == 3),
+    read = (
+        *(inc for inc, (i, _, k) in triples if i != k),
         *(inc for inc, _ in totality + facts),
-        *(inc for inc, (i, j) in antitone if i != j),
         *(inc for inc, (i, j, _, _) in transfer if i != j),
         *ontology.axioms,
     )
+    return _rewritten(_representatives(ontology.order), read)
 
 
 def _pair_clause(tab, entry):
@@ -547,19 +596,18 @@ def _assert_base_matches_reference(ontology):
             by_position.add(clause)
             continue
         i, k, run = entry
-        for j in tab.by_rank:
-            if run >> j & 1:
-                lhs = And(Leq(e[i], e[j]), Leq(e[j], e[k]))
-                clause = mk_or((nnf_not(lhs, lits), nnf(Leq(e[i], e[k]), lits)))
-                oid, disjuncts, negs = tab._triple(i, j, k)
-                assert oid is None
-                assert tuple(objs[d] for d in disjuncts) == clause.args
-                assert [objs[d] for d in negs] == [negate_nnf(d, lits) for d in clause.args]
-                assert len({i, j, k}) == 3
-                expanded.append(clause)
-                by_position.add(clause)
+        for j in tab._in_block_order(i, k, run):
+            lhs = And(Leq(e[i], e[j]), Leq(e[j], e[k]))
+            clause = mk_or((nnf_not(lhs, lits), nnf(Leq(e[i], e[k]), lits)))
+            oid, disjuncts, negs = tab._triple(i, j, k)
+            assert oid is None
+            assert tuple(objs[d] for d in disjuncts) == clause.args
+            assert [objs[d] for d in negs] == [negate_nnf(d, lits) for d in clause.args]
+            assert len({i, j, k}) == 3
+            expanded.append(clause)
+            by_position.add(clause)
     assert expanded == [ref.objs[cid] for cid in reference]
-    assert len(by_position) == _by_position_count(ontology.order)
+    assert len(by_position) == by_position_count(ontology.order)
     assert tab.base_list == tuple(c for c in tab.base_order if type(c) is int)
     # the disjunctions of the base order, an interned one as its entry
     ors = [c for c in tab.base_order if type(c) is not int or got.kinds[c] == _KIND_OR]
@@ -631,7 +679,7 @@ def test_name_atoms_merge_with_the_order_literals():
     )
     mixed = ClassicalOntology(red.axioms + given, red.assertions, "a", red.order)
     _assert_base_matches_reference(mixed)
-    _search_alike(mixed, ClassicalOntology(mixed.inclusions, red.assertions, "a"))
+    _search_alike(mixed, _quotient(mixed))
 
 
 def test_clause_path_literal_shapes():
@@ -681,24 +729,29 @@ def _bitset_check(tab):
     the node's own dependency, and that its order bitsets (P_row, P_col,
     N_row, N_col) equal those recomputed from its label plus the base
     atoms: `leq(i, j)`, i != j, sets bit j of P_row[i] and bit i of
-    P_col[j], and `not leq(i, j)` the same bits of N_row and N_col."""
+    P_col[j] and the same for its partner `leq(inv j, inv i)`, and `not
+    leq(i, j)` the same bits of N_row and N_col."""
     n = tab.order_n
     slots = {}  # concept id -> (row, row bit, column, column bit) or None
+
+    inv = tab.inverse
 
     def bits_of(cids):
         bits = [0] * (4 * n)
         for cid in cids:
             if cid not in slots:
-                slots[cid] = None
+                slots[cid] = ()
                 obj = tab.interner.objs[cid]
                 if isinstance(obj, (NAtom, NNegAtom)) and isinstance(obj.atom, Leq):
                     i = tab.order_elements.index(obj.atom.lhs)
                     j = tab.order_elements.index(obj.atom.rhs)
                     offset = 2 * n if isinstance(obj, NNegAtom) else 0
-                    if i != j:
-                        slots[cid] = (offset + i, 1 << j, offset + n + j, 1 << i)
-            if slots[cid] is not None:
-                row, row_bit, col, col_bit = slots[cid]
+                    if i != j:  # the atom and its antitone partner
+                        slots[cid] = tuple(
+                            (offset + a, 1 << b, offset + n + b, 1 << a)
+                            for a, b in ((i, j), (inv[j], inv[i]))
+                        )
+            for row, row_bit, col, col_bit in slots[cid]:
                 bits[row] |= row_bit
                 bits[col] |= col_bit
         return bits
@@ -769,33 +822,54 @@ def test_order_bitsets_match_labels_when_cut_mid_search():
     check()
 
 
-def _reference_order_fact(tab, order, nid, cid):
-    """Process order literal `cid` at node `nid` of `tab`, whose order
-    structure is `order`, as watching every clause would: `_examine` on
-    every triple over distinct positions that has its complement as a
-    disjunct, in (i * n + j) * n + k order, then on every totality and
-    antitonicity entry that has it, then on the literal's transfer clauses
-    in role order, rebuilt here from the structure, then on the interned
-    clauses filed under it."""
+def _watched_by_position(tab, order):
+    """Per literal id, the clause entries read by position that hold its
+    complement, as interning and watching every clause of the listing
+    over representatives would file them: built here from the structure
+    `order`, each class of images once, at its first listing, in the
+    order of the triples over distinct positions (i * n + j) * n + k, the
+    totality clauses (i * n + j) and the transfer clauses ((i, j), role,
+    sign), without the tautologies, which are never watched.  No
+    antitonicity clause is examined: each is `not r or r`."""
     interner, n = tab.interner, tab.order_n
-    nn = n * n
+    nn, objs, negs, rep = n * n, interner.objs, interner.negs, interner.rep
+    filed, seen = {}, set()
+
+    def file(disjuncts):
+        disjuncts = tuple(sorted(set(disjuncts), key=lambda d: sort_key(objs[d])))
+        if disjuncts in seen or any(negs[d] in disjuncts for d in disjuncts):
+            return
+        seen.add(disjuncts)
+        entry = None, disjuncts, tuple(negs[d] for d in disjuncts)
+        for d in disjuncts:
+            filed.setdefault(negs[d], []).append(entry)
+
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if len({i, j, k}) == 3:
+            file((rep[i * n + k], nn + rep[i * n + j], nn + rep[j * n + k]))
+    for i, j in itertools.product(range(n), repeat=2):
+        if i != j:
+            file((rep[i * n + j], rep[j * n + i]))
+    up = order.up
+    for i, j in itertools.product(range(len(up)), repeat=2):
+        a, there = rep[i * n + j], rep[up[i] * n + up[j]]
+        for role in order.roles:
+            file((nn + a, interner.ids[_KIND_FORALL, (role, there)]))
+            file((a, interner.ids[_KIND_FORALL, (role, nn + there)]))
+    return filed
+
+
+def _reference_order_fact(tab, filed, nid, cid):
+    """Process order literal `cid` at node `nid` of `tab` as watching every
+    clause would: `_examine` on each entry of `_watched_by_position` filed
+    under it, then on the interned clauses filed under it."""
     label = tab.nodes[nid].label
-    neg = interner.negs[cid]
+    neg = tab.interner.negs[cid]
     if neg in label:
         raise _Clash(label[cid] | label[neg])
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if len({i, j, k}) == 3 and neg in (i * n + k, nn + i * n + j, nn + j * n + k):
-            tab._examine(nid, tab._triple(i, j, k))
-    for entry in tab.pairs:
-        if entry is not None and neg in entry[1]:
-            tab._examine(nid, entry)
-    i, j = divmod(cid % nn, n)
-    if max(i, j) < len(order.up):
-        there = order.up[i] * n + order.up[j] + (0 if cid < nn else nn)
-        for role in order.roles:
-            forall = interner.ids[_KIND_FORALL, (role, there)]
-            tab._examine(nid, (None, (neg, forall), (cid, interner.negs[forall])))
-    for clause in interner.watch.get(cid, ()):
+    for entry in filed.get(cid, ()):
+        tab._examine(nid, entry)
+    for clause in tab.interner.watch.get(cid, ()):
         if clause[0] in label:
             tab._examine(nid, clause)
 
@@ -807,29 +881,34 @@ KERNEL_INPUTS["chain-2"] = _chain(2)
 
 def test_order_facts_settle_as_watching_every_clause_would():
     # on a fresh node holding a random consistent set of order literals
-    # with random dependencies, processing one more literal adds the same
-    # units with the same dependencies, in the same order, and raises the
-    # same conflict as examining every clause that holds its complement:
-    # the acting clauses can be read off the bitsets up front
+    # (representatives) with random dependencies, processing one more
+    # literal adds the same units with the same dependencies, in the same
+    # order, and raises the same conflict as examining every clause over
+    # representatives that holds its complement: the acting clauses, and
+    # those a unit among them may make act, can be read off the bitsets up
+    # front
     rng = random.Random(0x0C0DE)
     seen = {"unit": 0, "transfer": 0, "clash": 0}
     for name, text in KERNEL_INPUTS.items():
         red = reduce_ontology(parse_ontology(text))
         tab = Tableau(red)
+        filed = _watched_by_position(tab, red.order)
         n = tab.order_n
         nn = n * n
+        reps = [p for p in range(nn) if tab.interner.rep[p] == p]
+        literals = reps + [nn + p for p in reps]
         for _ in range(12):
             start = len(tab.trail)
             nid = tab._new_node(None, frozenset(), rng.getrandbits(6) | 1)
             density = rng.uniform(0.01, 0.3)
-            for lit in rng.sample(range(2 * nn), 2 * nn):
+            for lit in rng.sample(literals, len(literals)):
                 if rng.random() < density:
                     try:
                         tab._add(nid, lit, rng.getrandbits(10))
                     except _Clash:
                         pass
             label, negs = tab.nodes[nid].label, tab.interner.negs
-            fresh = [c for c in range(2 * nn) if c not in label and negs[c] not in label]
+            fresh = [c for c in literals if c not in label and negs[c] not in label]
             if not fresh:
                 tab._undo_to(start)
                 continue
@@ -843,7 +922,7 @@ def test_order_facts_settle_as_watching_every_clause_would():
                     if kernel:
                         tab._process(nid, cid)
                     else:
-                        _reference_order_fact(tab, red.order, nid, cid)
+                        _reference_order_fact(tab, filed, nid, cid)
                     conflict = None
                 except _Clash as clash:
                     conflict = clash.conflict
@@ -860,43 +939,38 @@ def test_order_facts_settle_as_watching_every_clause_would():
     assert min(seen.values()) > 10, seen
 
 
-def _by_position_count(order):
-    """The number of distinct clauses the tableau reads by position from
-    the order structure `order` (None for none): the triples over three
-    distinct positions, the totality clause of every pair, the
-    antitonicity clause of every (i, j), i != j, and the two transfer
-    clauses of every (i, j), i != j, over base positions and role."""
-    if order is None:
-        return 0
-    n, m = len(order), len(order.up)
-    return n * (n - 1) * (n - 2) + 3 * n * (n - 1) // 2 + 2 * m * (m - 1) * len(order.roles)
-
-
 def test_triple_table_holds_every_distinct_vertex_transitivity_clause():
     red = reduce_ontology(parse_ontology(dict(CORPUS)["duality"]))
     tab = Tableau(red)
     assert tab.order_n == len(red.order) and tab.order_elements == red.order.elements
-    # the inclusions it reads without the structure: every triple, totality,
-    # antitonicity and transfer clause is interned, and so are the transfer
-    # clauses at i = j, of which the structure's tableau interns the
-    # quantified parts only
+    # the inclusions it reads without the structure, over representatives:
+    # every triple, totality and transfer clause is interned, and so are the
+    # transfer clauses at i = j, of which the structure's tableau interns
+    # the quantified parts only
     transfer = _families(red)[4]
     diagonal = tuple(inc for inc, (i, j, _, _) in transfer if i == j)
     assert diagonal
-    by_position = _by_position_count(red.order) + len(diagonal)
+    diagonal = _rewritten(_representatives(red.order), diagonal)
+    by_position = by_position_count(red.order) + len(set(diagonal))
     read = _read_inclusions(red) + diagonal
+    # the block numbers the literals of every atom, the plain interner
+    # those of the representatives only
+    unused = 2 * sum(r != p for p, r in enumerate(tab.interner.rep))
     for inclusions in (read, read[::-1]):
         plain = Tableau(ClassicalOntology(inclusions, red.assertions, "a"))
         assert plain.order_n == 0
         assert len(plain.base_list) == len(tab.base_list) + by_position
-        assert len(plain.interner.objs) == len(tab.interner.objs) + by_position
+        assert len(plain.interner.objs) == len(tab.interner.objs) - unused + by_position
 
 
-def test_totality_and_antitonicity_are_read_by_position(corpus_runs):
-    # every totality and antitonicity clause over distinct positions, the
-    # self-partner ones (j = inv i) included, is a clause entry read by
-    # position in the base order and is never interned; the ones at i = j
-    # hold by the base facts leq(m, m)
+def test_totality_is_read_by_position_and_antitonicity_is_quotiented(corpus_runs):
+    # every totality clause over distinct positions, the self-image ones
+    # ({i, inv i}) included, is a clause entry read by position over
+    # representatives in the base order and is never interned, and so are
+    # the triples (i, i, k) and (i, k, k), `r or not r` beside a refuted
+    # base fact; the totality clauses at i = j are the base facts leq(m, m).
+    # Every antitonicity clause, the self-partner ones (j = inv i) included,
+    # reads `not r or r` over the representative r and is not read at all
     self_partners = 0
     for run_ in corpus_runs:
         red = run_.reduction
@@ -908,21 +982,21 @@ def test_totality_and_antitonicity_are_read_by_position(corpus_runs):
         assert len(read) == len(entries)
         units = {tab.interner.ids[_KIND_ATOM, t[m][m]] for m in range(len(t))}
         assert units <= tab.base_set, run_.name
-        _, totality, _, antitone, _ = _families(red)
-        clauses = set()
+        triples, totality, _, antitone, _ = _families(red)
+        clauses = {
+            inclusion_nnf(inc, lits) for inc, (i, j, k) in triples if i != k and (i == j or j == k)
+        }
         for inc, (i, j) in totality:
             clause = inclusion_nnf(inc, lits)
             if i != j:
                 clauses.add(clause)
             else:
-                assert clause == NAtom(t[i][i])
+                assert clause is lits.atom(t[i][i])
         for inc, (i, j) in antitone:
-            clause = inclusion_nnf(inc, lits)
-            if i != j:
-                clauses.add(clause)
-                self_partners += inv[j] == i
-            else:
-                assert NAtom(t[inv[i]][inv[i]]) in clause.args
+            r = lits.atom(t[i][j])
+            assert inclusion_nnf(inc, lits) == NOr((r, lits.negated(t[i][j])))
+            assert r is lits.atom(t[inv[j]][inv[i]])
+            self_partners += i != j and inv[j] == i
         assert read == clauses, run_.name
         assert not clauses & set(tab.interner.objs), run_.name
     assert self_partners
@@ -943,7 +1017,9 @@ def test_transfer_is_read_by_position(corpus_runs):
     # quantified complement, and as a unit of `transfer_units` under its
     # literal complement; the ones at
     # i = j hold by the base facts leq(i, i), at the node and, through the
-    # static fact `all r leq(up i, up i)`, at every successor
+    # static fact `all r leq(up i, up i)`, at every successor.  Over
+    # representatives the clauses of (i, j) are those of (inv j, inv i),
+    # filed once, at the one listed first
     with_roles = 0
     for run_ in corpus_runs:
         red = run_.reduction
@@ -955,16 +1031,20 @@ def test_transfer_is_read_by_position(corpus_runs):
         static = {objs[cid] for cid in tab.static_label}
         clauses, filed = [], {}
         for inc, (i, j, role, negated) in _families(red)[4]:
-            clause = inclusion_nnf(inc, lits)
+            clause = inclusion_nnf(inc, lits)  # over representatives
+            if clause in clauses or clause in filed.get(negate_nnf(clause.args[0], lits), ()):
+                # the clause of (inv j, inv i), filed there
+                assert (u.inverse[j], u.inverse[i]) < (i, j), run_.name
+                continue
             for d in clause.args:
                 filed.setdefault(negate_nnf(d, lits), []).append(clause)
             if i != j:
                 clauses.append(clause)
             elif negated:
-                assert NAtom(t[i][i]) in clause.args
+                assert lits.atom(t[i][i]) in clause.args
             else:
-                forall = NForall(role, NAtom(t[up[i]][up[i]]))
-                assert clause.args == (NNegAtom(t[i][i]), forall)
+                forall = NForall(role, lits.atom(t[up[i]][up[i]]))
+                assert clause.args == (lits.negated(t[i][i]), forall)
                 assert clause.args[1] in static, run_.name
         assert sorted(read, key=sort_key) == sorted(clauses, key=sort_key), run_.name
         assert len(set(read)) == len(read)
@@ -1034,19 +1114,23 @@ BLOCK_INPUTS.update({f"chain-{k}": _chain(k) for k in (6, 7, 8)})
 
 @pytest.mark.parametrize("name", sorted(BLOCK_INPUTS))
 def test_order_literals_are_numbered_by_position(name):
-    # leq(i, j) is id i*n + j and its negation n*n + i*n + j: the shared
-    # literal nodes, each other's complements, found by lookup, and ranked
-    # by position in the order of their sort keys
+    # leq(i, j) is id i*n + j and its negation n*n + i*n + j, each other's
+    # complements, and ranked by position in the order of their sort keys;
+    # of an antitone pair, the atom of lower sort key is the literal of
+    # both: its shared literal nodes and its ids are found by either atom
     red = reduce_ontology(parse_ontology(BLOCK_INPUTS[name]))
     tab = Tableau(red)
-    interner, t, n = tab.interner, red.order.table, len(red.order)
+    interner, t, n, inv = tab.interner, red.order.table, len(red.order), red.order.inverse
     objs, lits, nn = interner.objs, interner.lits, n * n
     for i, j in itertools.product(range(n), repeat=2):
-        p = i * n + j
-        assert objs[p] is lits.atom(t[i][j]) and objs[nn + p] is lits.negated(t[i][j])
+        p, q = i * n + j, inv[j] * n + inv[i]
+        assert objs[p] == NAtom(t[i][j]) and objs[nn + p] == NNegAtom(t[i][j])
         assert (interner.negs[p], interner.negs[nn + p]) == (nn + p, p)
-        assert interner.ids[_KIND_ATOM, t[i][j]] == p
-        assert interner.ids[_KIND_NEGATOM, t[i][j]] == nn + p
+        r = min(p, q, key=lambda x: sort_key(objs[x]))
+        assert interner.rep[p] == interner.rep[q] == r
+        assert lits.atom(t[i][j]) is objs[r] and lits.negated(t[i][j]) is objs[nn + r]
+        assert interner.ids[_KIND_ATOM, t[i][j]] == r
+        assert interner.ids[_KIND_NEGATOM, t[i][j]] == nn + r
     ranks = tab._ranks(())
     by_key = sorted(range(2 * nn), key=lambda c: sort_key(objs[c]))
     assert sorted(range(2 * nn), key=ranks.__getitem__) == by_key
@@ -1070,14 +1154,15 @@ def _search_alike(red, plain):
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_INPUTS))
 def test_structure_and_its_inclusions_search_alike(name):
     # the reduction hands the tableau its order structure; the same
-    # inclusions built by hand have none, so every transitivity, totality,
-    # antitonicity and transfer clause is read, interned and watched as an
-    # ordinary clause
+    # inclusions built by hand over representatives have none, so every
+    # transitivity, totality, antitonicity and transfer clause is read,
+    # interned and watched as an ordinary clause
     red = reduce_ontology(parse_ontology(DIFFERENTIAL_INPUTS[name]))
-    plain = ClassicalOntology(red.inclusions, red.assertions, red.individual)
-    transfer = [inc for inc, _ in _families(red)[4]]
+    plain = _quotient(red)
+    rewrite = _representatives(red.order)
+    transfer = _rewritten(rewrite, [inc for inc, _ in _families(red)[4]])
     given = len(red.axioms)
-    assert plain.axioms[-given - len(transfer) : -given] == tuple(transfer)
+    assert plain.axioms[-given - len(transfer) : -given] == transfer
     assert bool(transfer) == bool(red.order.roles)
     tab = _search_alike(red, plain)
     # nor does the search build a concept equal to a clause read by
@@ -1088,25 +1173,29 @@ def test_structure_and_its_inclusions_search_alike(name):
 
 @pytest.mark.parametrize("name", ["duality", "atmost-res", "counting-k1-q1/4"])
 def test_given_clauses_equal_to_ones_read_by_position_search_alike(name):
-    # a given inclusion equal to a totality, antitonicity or transfer
-    # clause is interned besides the one read by position, which is merged
-    # in and examined ahead of it; without a structure the two are one
+    # a given inclusion equal to a totality or transfer clause is interned
+    # besides the one read by position, which is merged in and examined
+    # ahead of it, and a given antitonicity clause is the tautology `not r
+    # or r`, which never branches; without a structure the two are one
     # clause
     red = reduce_ontology(parse_ontology(DIFFERENTIAL_INPUTS[name]))
     _, totality, _, antitone, transfer = _families(red)
     given = tuple(inc for inc, (i, j) in totality + antitone if i != j)
     given += tuple(inc for inc, _ in transfer)
     both = ClassicalOntology(given + red.axioms, red.assertions, red.individual, red.order)
-    plain = ClassicalOntology(both.inclusions, red.assertions, red.individual)
-    tab = _search_alike(both, plain)
+    tab = _search_alike(both, _quotient(both))
     ref = Tableau(red, NODE_BUDGET, STEP_BUDGET)
     ref.run()
     assert (tab.created, tab.steps, _counters(tab)) == (ref.created, ref.steps, _counters(ref))
-    # the given ones are interned: one clause per pair {i, j}, per (i, j)
-    # and per transfer inclusion
-    n = len(red.order)
+    # the given ones are interned, one clause per class of images: the
+    # totality clause of {i, j} and {inv i, inv j}, `not r or r` for the
+    # antitonicity clauses of each representative r, and the transfer
+    # clauses of (i, j) and (inv j, inv i)
+    n, lits = len(red.order), tab.interner.lits
     assert len(transfer) == 2 * len(red.order.up) ** 2 * len(red.order.roles) > 0
-    assert len(tab.base_list) == len(ref.base_list) + 3 * n * (n - 1) // 2 + len(transfer)
+    read = {inclusion_nnf(inc, lits) for inc in given}
+    assert n * (n - 1) // 2 < len(read) < len(given)
+    assert len(tab.base_list) == len(ref.base_list) + len(read)
 
 
 @pytest.mark.parametrize("name", ["two-roles", "count-clash", "counting-k1-q1/2"])
@@ -1122,11 +1211,16 @@ def test_given_transfer_clause_searches_like_its_plain_copy(name):
         if (i, j, r) in ((0, 1, last), (1, 1, last))
     ]
     assert len(given) == 4
+    rewrite = _representatives(red.order)
     for inc in given:
         axioms = red.axioms + (inc,)
         both = ClassicalOntology(axioms, red.assertions, red.individual, red.order)
-        plain = ClassicalOntology(both.inclusions, red.assertions, red.individual)
-        assert plain.axioms.count(inc) == 2
+        plain = _quotient(both)
+        # the family holds it once, or twice: at (i, j) and at (inv j, inv i)
+        family = _rewritten(rewrite, [x for x, _ in _families(red)[4]])
+        assert plain.axioms.count(_rewritten(rewrite, [inc])[0]) == family.count(
+            _rewritten(rewrite, [inc])[0]
+        ) + 1
         tab = _search_alike(both, plain)
         assert len(tab.base_list) == len(Tableau(red).base_list) + 1
 
@@ -1153,6 +1247,20 @@ def test_search_counters_are_pinned():
     assert _counters(tab) == (3682, 210, 0, 21, 483)
 
 
+def test_trace_shows_clashes_and_backjumps():
+    # the blow-up search clashes and jumps back over unrelated decisions:
+    # each clash of an added concept and each backjump has its line, and
+    # the backjump lines count `backjumps`
+    lines = []
+    tab = Tableau(reduce_ontology(parse_ontology(BLOWUP)), 100, STEP_BUDGET, lines.append)
+    with pytest.raises(BudgetExceededError):
+        tab.run()
+    jumps = [line.split() for line in lines if line.startswith("backjump ")]
+    assert len(jumps) == tab.backjumps > 0
+    assert all(int(src) > int(dst) >= 1 for _, src, _, dst in jumps)
+    assert any(line.startswith("clash n") for line in lines)
+
+
 # Consistent (its one-element model has no r-successor), yet the search
 # grows a deep tree, most of it blocked, until the node budget stops it.
 BLOWUP = "(assert (inst a (atleast 2 r (all r A))) <= 0)"
@@ -1162,8 +1270,8 @@ def test_node_blowup_search_is_pinned():
     tab = Tableau(reduce_ontology(parse_ontology(BLOWUP)), 100, STEP_BUDGET)
     with pytest.raises(BudgetExceededError, match="node budget"):
         tab.run()
-    assert (tab.created, tab.steps) == (101, 32126)
-    assert _counters(tab) == (1406, 213, 30, 14, 1433)
+    assert (tab.created, tab.steps) == (101, 17276)
+    assert _counters(tab) == (1409, 213, 30, 14, 1434)
 
 
 # ---------------------------------------------------------------------------
@@ -1295,3 +1403,50 @@ def test_activity_flips_reach_later_twins():
         assert set(_positions(tab.active)) == _reference_active(tab), step
         observed.append(set(_positions(tab.active)))
     assert observed == [{root, n1, n2}, {root, n3}, {root, n1, n2}]
+
+
+# ---------------------------------------------------------------------------
+# the quotient by antitonicity
+
+
+QUOTIENT_INPUTS = dict(CORPUS)
+QUOTIENT_INPUTS.update({p.stem: p.read_text() for p in sorted(SAMPLES.glob("*.sexp"))})
+QUOTIENT_INPUTS.update({f"chain-{k}": _chain(k) for k in range(1, 5)})
+QUOTIENT_INPUTS.update(
+    {f"counting-k{k}-q{q}": _counting_text(k, q) for k in (1, 2) for q in ("1/4", "1/2", "3/4")}
+)
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_INPUTS))
+def test_labels_hold_representatives_and_graphs_both_atoms(name):
+    # with the given axioms in a seeded order, no label ever holds the
+    # literal of an atom that is not its pair's representative, and every
+    # exported node's atoms are closed under Leq(a, b) <-> Leq(inv b, inv a)
+    red = reduce_ontology(parse_ontology(QUOTIENT_INPUTS[name]))
+    axioms = list(red.axioms)
+    random.Random(f"quotient {name}").shuffle(axioms)
+    red = ClassicalOntology(tuple(axioms), red.assertions, red.individual, red.order)
+    tab = Tableau(red, NODE_BUDGET, STEP_BUDGET)
+    rep, nn = tab.interner.rep, tab.order_n**2
+    add = tab._add
+
+    def checked_add(nid, cid, dep, rule=""):
+        assert cid >= 2 * nn or rep[cid % nn] == cid % nn, (name, cid)
+        add(nid, cid, dep, rule)
+
+    tab._add = checked_add
+    result = tab.run()
+    for node in tab.nodes:
+        assert all(cid >= 2 * nn or rep[cid % nn] == cid % nn for cid in node.label)
+    if not result.consistent:
+        return
+    index, inv = red.order.index, red.order.inverse
+    elements = red.order.elements
+    leqs = 0
+    for node in result.graph.nodes.values():
+        for atom in node.atoms:
+            if isinstance(atom, Leq):
+                leqs += 1
+                i, j = index[atom.lhs], index[atom.rhs]
+                assert Leq(elements[inv[j]], elements[inv[i]]) in node.atoms, (name, atom)
+    assert leqs
