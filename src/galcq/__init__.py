@@ -21,14 +21,9 @@ from .classical_model import (
     ClassicalInterpretation,
     ClassicalOntology,
     Inclusion,
-    antitonicity_axioms,
-    bounds_axioms,
     check_classical_model,
     evaluate_classical,
     fact_axioms,
-    totality_axioms,
-    transfer_axioms,
-    value_order_axioms,
 )
 from .concepts import (
     BOT,

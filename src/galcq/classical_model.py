@@ -11,9 +11,8 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
-from .algebra import ValueSet
 from .concepts import (
     TOP,
     And,
@@ -31,7 +30,7 @@ from .concepts import (
     role_of,
     subconcepts,
 )
-from .orders import AtomFactory, Leq, OrderStructure, ValueElement, _positions
+from .orders import Leq, OrderStructure, _positions
 
 
 def atom_of(c: Concept) -> Optional[Concept]:
@@ -47,63 +46,49 @@ class Inclusion:
     rhs: Concept
 
 
-def totality_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
-    t = u.table
-    span = range(len(u))
-    return tuple(Inclusion(TOP, Or(t[i][j], t[j][i])) for i in span for j in span)
-
-
-def bounds_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
-    # constants come first, ascending
-    t = u.table
-    zero, one = 0, len(u.values) - 1
-    return tuple(Inclusion(TOP, And(t[zero][i], t[i][one])) for i in range(len(u)))
-
-
-def value_order_axioms(values: ValueSet, leq: AtomFactory = Leq) -> tuple[Inclusion, ...]:
-    """Facts between constants: q <= q' for every ordered pair, and the
-    negated converse for every strict pair."""
-    out = []
-    degrees = values.degrees
-    for q in degrees:
-        for p in degrees:
-            if q <= p:
-                out.append(Inclusion(TOP, leq(ValueElement(q), ValueElement(p))))
-            if q < p:
-                out.append(Inclusion(TOP, Not(leq(ValueElement(p), ValueElement(q)))))
-    return tuple(out)
-
-
-def antitonicity_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
-    t, inv = u.table, u.inverse
-    span = range(len(u))
-    return tuple(Inclusion(t[i][j], t[inv[j]][inv[i]]) for i in span for j in span)
-
-
-def transfer_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
-    """Propagate order facts between constants/subconcepts to successors.
-
-    For the complementary relator pair {<=, >}, `a rel b` here forces
-    `shift(a) rel shift(b)` at every role successor; the other relators are
-    Boolean combinations of these.  Listed by base positions (i, j), then
-    role, the `<=` inclusion before the `>` one.
+def order_families(u: OrderStructure) -> tuple[tuple[Iterable[tuple], Callable], ...]:
+    """The six families of crisp axioms that make each element's order
+    atoms over `u` a bounded total preorder, one `(instances, inclusion)`
+    pair per family in `ClassicalOntology.inclusions` order: the instances
+    by position in listing order, a fresh iterator on each call, and the
+    function that builds one instance's inclusion.  The constants come
+    first, ascending, the last of them at `last`:
+      - transitivity (i, j, k): `leq(i, j) and leq(j, k) [= leq(i, k)`;
+      - totality (i, j): `T [= leq(i, j) or leq(j, i)`;
+      - bounds (i,): `T [= leq(0, i) and leq(i, last)`;
+      - the constant order (a, b, flipped), constants a <= b: `T [=
+        leq(a, b)`, or, flipped (a < b only), `T [= not leq(b, a)`;
+      - antitonicity (i, j): `leq(i, j) [= leq(inv j, inv i)`;
+      - transfer (i, j, k, flipped), base positions i, j, role `roles[k]`:
+        `leq(i, j) [= all r leq(up i, up j)`, or, flipped, the same with
+        both atoms negated.
     """
-    t, up = u.table, u.up
-    out = []
-    for i in range(len(up)):
-        for j in range(len(up)):
-            atom = t[i][j]
-            shifted = t[up[i]][up[j]]
-            for r in u.roles:
-                out.append(Inclusion(atom, Forall(r, shifted)))
-                out.append(Inclusion(Not(atom), Forall(r, Not(shifted))))
-    return tuple(out)
+    t, inv, up, roles = u.table, u.inverse, u.up, u.roles
+    span, last, flips = range(len(u)), len(u.values) - 1, (False, True)
+    product = itertools.product
+
+    def transfer(i, j, k, flipped):
+        lhs, rhs = t[i][j], t[up[i]][up[j]]
+        if flipped:
+            lhs, rhs = Not(lhs), Not(rhs)
+        return Inclusion(lhs, Forall(roles[k], rhs))
+
+    values, base = range(last + 1), range(len(up))
+    constants = ((a, b, f) for a in values for b in values[a:] for f in flips[: 1 + (a < b)])
+    return (
+        (product(span, repeat=3), lambda i, j, k: Inclusion(And(t[i][j], t[j][k]), t[i][k])),
+        (product(span, repeat=2), lambda i, j: Inclusion(TOP, Or(t[i][j], t[j][i]))),
+        (((i,) for i in span), lambda i: Inclusion(TOP, And(t[0][i], t[i][last]))),
+        (constants, lambda a, b, flipped: Inclusion(TOP, Not(t[b][a]) if flipped else t[a][b])),
+        (product(span, repeat=2), lambda i, j: Inclusion(t[i][j], t[inv[j]][inv[i]])),
+        (product(base, base, range(len(roles)), flips), transfer),
+    )
 
 
 def fact_axioms(u: OrderStructure) -> tuple[Inclusion, ...]:
     """The bounds and the constant order of `u`: n + O(|values|^2) small
     inclusions, which every reader takes as objects."""
-    return bounds_axioms(u) + value_order_axioms(u.values, u.leq)
+    return tuple(build(*p) for instances, build in order_families(u)[2:4] for p in instances)
 
 
 @dataclass(frozen=True)
@@ -118,11 +103,9 @@ class ClassicalOntology:
     transitivity, totality, antitonicity and transfer from `order` by
     position, and take the bounds and constant facts from `fact_axioms`;
     the brute-force oracle does the same, but for transfer, which it
-    leaves to the model checker.  `inclusions` lists every family as
-    objects, every triple (i, j, k) in position order, then totality, the
-    bounds, the constant order, antitonicity and transfer, followed by
-    `axioms`; it is built on first read, as a reference to compare those
-    readers against.
+    leaves to the model checker.  `inclusions` lists every instance of
+    `order_families`, family by family, followed by `axioms`; it is built
+    on first read, as a reference to compare those readers against.
     """
 
     axioms: tuple[Inclusion, ...]
@@ -135,17 +118,9 @@ class ClassicalOntology:
         u = self.order
         if u is None:
             return self.axioms
-        t = u.table
-        triples = itertools.product(range(len(t)), repeat=3)
-        family = (Inclusion(And(t[i][j], t[j][k]), t[i][k]) for i, j, k in triples)
-        return (
-            *family,
-            *totality_axioms(u),
-            *fact_axioms(u),
-            *antitonicity_axioms(u),
-            *transfer_axioms(u),
-            *self.axioms,
-        )
+        families = order_families(u)
+        listed = (build(*p) for instances, build in families for p in instances)
+        return (*listed, *self.axioms)
 
     def signature(self) -> tuple[tuple, tuple[str, ...]]:
         """Atomic concepts (names and order atoms) and roles, each in
@@ -302,14 +277,13 @@ def check_classical_model(
 
 def _order_violations(i: ClassicalInterpretation, u: OrderStructure, elems) -> list[str]:
     """The violations of the families `u` fixes, as `check_classical_model`
-    reports them, the first failing element of each instance kept and
-    only a failing inclusion rendered, from `u.table` by position: the
-    preorder families by `OrderStructure.broken` on each element's rows,
-    then transfer, which holds along an `r`-edge (d, e), r in `u.roles`,
-    iff bit j of d's row i equals bit `up j` of e's row `up i` for all base
-    positions i, j.  Instance (i, j, r, flipped) is `leq(i, j) [= all r
-    leq(up i, up j)`, or, flipped, the same with both atoms negated."""
-    t, inv, up, last = u.table, u.inverse, u.up, len(u.values) - 1
+    reports them: the first failing element of each instance of
+    `order_families(u)`, in its listing order, and only a failing instance's
+    inclusion built.  The preorder families are tested by
+    `OrderStructure.broken` on each element's rows; transfer holds along an
+    `r`-edge (d, e), r in `u.roles`, iff bit j of d's row i equals bit `up
+    j` of e's row `up i` for all base positions i, j."""
+    up = u.up
     rows = functools.cache(lambda d: u.rows(i.true_atoms.get(d, frozenset())))
 
     @functools.cache
@@ -333,23 +307,9 @@ def _order_violations(i: ClassicalInterpretation, u: OrderStructure, elems) -> l
                     for y in _positions(mine ^ theirs):
                         first[5].setdefault((x, y, k, not mine >> y & 1), d)
 
-    def transfer(x, y, k, flipped):
-        lhs, rhs = t[x][y], t[up[x]][up[y]]
-        if flipped:
-            lhs, rhs = Not(lhs), Not(rhs)
-        return lhs, Forall(u.roles[k], rhs)
-
-    sides = (
-        lambda x, y, z: (And(t[x][y], t[y][z]), t[x][z]),
-        lambda x, y: (TOP, Or(t[x][y], t[y][x])),
-        lambda x: (TOP, And(t[0][x], t[x][last])),
-        lambda a, b, flipped: (TOP, Not(t[b][a]) if flipped else t[a][b]),
-        lambda x, y: (t[x][y], t[inv[y]][inv[x]]),
-        transfer,
-    )
     out = []
-    for seen, side in zip(first, sides):
+    for seen, (_, inclusion) in zip(first, order_families(u)):
         for p, d in sorted(seen.items()):
-            lhs, rhs = side(*p)
-            out.append(f"inclusion fails at {d}: {lhs!r} vs {rhs!r}")
+            inc = inclusion(*p)
+            out.append(f"inclusion fails at {d}: {inc.lhs!r} vs {inc.rhs!r}")
     return out

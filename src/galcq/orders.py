@@ -241,11 +241,9 @@ class OrderStructure:
         """The instances of the preorder families that the bit rows `rows`,
         as `OrderStructure.rows` gives them, fail, by position.
 
-        The five lists come in `ClassicalOntology.inclusions` order, each
-        in its family's listing order: transitivity triples (i, j, k),
-        totality pairs (i, j), bounds (i,), constant facts (a, b, flipped)
-        with a <= b, the fact `leq(a, b)` or, flipped, `not leq(b, a)`, and
-        antitonicity pairs (i, j).  All five are empty exactly when the
+        The five lists are the first five families of
+        `classical_model.order_families`, each in its listing order and
+        with its instance shapes.  All five are empty exactly when the
         rows are a bounded total preorder that orders the constants by
         value and that inversion reverses."""
         n, inv = len(rows), self.inverse

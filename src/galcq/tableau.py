@@ -502,7 +502,6 @@ class Tableau:
         n = self.order_n
         nn = n * n
         interner = self.interner
-        self.order_elements = () if order is None else order.elements
         self.inverse = inv = () if order is None else order.inverse
         self.fixed = sum(1 << p for p in range(n) if inv[p] == p)
         self.order_ids = 2 * nn  # the ids of the block
@@ -684,8 +683,8 @@ class Tableau:
         there means the axioms are contradictory at every element, hence
         inconsistency.  The pass is bounded by the interned concepts and the
         clauses read by position; it is not traced and takes no steps.  The
-        node starts out holding the base concepts; `static_label` is the
-        rest of its label, and new nodes copy both.
+        node, kept as `seed`, starts out holding the base concepts, and new
+        nodes copy its label, restrictions, disjunctions and order bits.
         """
         node = _Node(0, None, frozenset(), 0)
         node.label = dict.fromkeys(self.base_list, 0)
@@ -729,13 +728,7 @@ class Tableau:
             self.static_clash = False
         except _Clash:
             self.static_clash = True
-        self.seed_label = tuple(node.label)
-        self.static_label = self.seed_label[len(self.base_list) :]
-        self.static_foralls = node.foralls
-        self.static_atleasts = frozenset(node.atleasts)
-        self.static_atmosts = frozenset(node.atmosts)
-        self.static_extra_ors = tuple(node.extra_ors)
-        self.static_bits = tuple(node.bits)
+        self.seed = node
         self.nodes.clear()
         queue.clear()
         self.trail.clear()
@@ -1003,12 +996,13 @@ class Tableau:
         node = _Node(nid, parent_id, roles, dep)
         # seed the base concepts and the deterministic consequences of the
         # global axioms
-        node.label = dict.fromkeys(self.seed_label, dep)
-        node.foralls = {r: dict(subs) for r, subs in self.static_foralls.items()}
-        node.atleasts = set(self.static_atleasts)
-        node.atmosts = set(self.static_atmosts)
-        node.extra_ors = list(self.static_extra_ors)
-        node.bits = list(self.static_bits)
+        seed = self.seed
+        node.label = dict.fromkeys(seed.label, dep)
+        node.foralls = {r: dict(subs) for r, subs in seed.foralls.items()}
+        node.atleasts = set(seed.atleasts)
+        node.atmosts = set(seed.atmosts)
+        node.extra_ors = list(seed.extra_ors)
+        node.bits = list(seed.bits)
         self.nodes.append(node)
         self.marked |= node.mark
         self.relabelled |= node.bit

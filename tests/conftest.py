@@ -125,6 +125,12 @@ def by_position_count(order):
     return triples + tautologies + totality + transfer
 
 
+def static_label(tab):
+    """The concept ids that a tableau's static pass adds to its seed node
+    after the base concepts, in label order."""
+    return tuple(tab.seed.label)[len(tab.base_list) :]
+
+
 def classical_concepts(o):
     """Both sides of every `ClassicalOntology.inclusions` entry, then the
     assertions' concepts."""

@@ -393,11 +393,19 @@ def test_no_pipeline_path_builds_the_transitivity_family(
 )
 def test_no_pipeline_path_builds_the_transfer_family(tmp_path, capsys, monkeypatch, text):
     # the tableau, the printer and the model checker that verifies the
-    # brute force's model (an r-loop on the root) read transfer by position
-    def refuse(u):
-        raise AssertionError("the transfer family was built")
+    # brute force's model (an r-loop on the root) read transfer by position;
+    # rendering a failing instance builds only that instance's inclusion
+    class Refused:
+        def __iter__(self):
+            raise AssertionError("the transfer family was built")
 
-    monkeypatch.setattr(galcq.classical_model, "transfer_axioms", refuse)
+    families = galcq.classical_model.order_families
+
+    def refusing(u):
+        *preorder, (_, inclusion) = families(u)
+        return (*preorder, (Refused(), inclusion))
+
+    monkeypatch.setattr(galcq.classical_model, "order_families", refusing)
     path = _write(tmp_path, text)
     out = tmp_path / "model.sexp"
     assert run(["check", path, "--oracle", "brute", "--emit-model", str(out)]) == 0

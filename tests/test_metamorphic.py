@@ -5,10 +5,13 @@ oracle, so it checks inconsistent verdicts as much as consistent ones.
 Every relation holds under Goedel semantics within one `:atmost` mode:
 renaming concept and role names bijectively and permuting the axioms keep
 the verdict; so do replacing a concept C by `(and C C)`, min being
-idempotent, and by `(not (not C))`, negation being involutive; and adding
-an axiom keeps an inconsistent input inconsistent.  The rewrites work on
-the s-expressions of the corpus and the samples, seeded per relation and
-input, and the decision is parse, reduce and tableau.
+idempotent, and by `(not (not C))`, negation being involutive; adding
+an axiom keeps an inconsistent input inconsistent, and weakening one keeps
+a consistent input consistent.  The rewrites work on the s-expressions of
+the corpus and the samples, seeded per relation and input, and the
+decision is parse, reduce and tableau.  Besides, `sat` and `subsumes` are
+monotone in the degree: a positive verdict at d stays positive at every
+lower d, which the CLI shows through its exit codes.
 """
 
 import functools
@@ -18,7 +21,15 @@ import random
 import pytest
 from conftest import CORPUS, NODE_BUDGET
 
-from galcq import BudgetExceededError, check_consistency, parse_ontology, reduce_ontology
+from galcq import (
+    BudgetExceededError,
+    check_consistency,
+    format_degree,
+    parse_degree,
+    parse_ontology,
+    reduce_ontology,
+)
+from galcq.cli import run
 from galcq.syntax import SAtom, SList, read_forms
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
@@ -179,3 +190,97 @@ def test_an_added_axiom_keeps_inconsistency():
                 assert got is False, (name, copy)
                 checked += 1
     assert checked >= 20, checked
+
+
+
+# the relator each strict one weakens to
+LOOSER = {">": ">=", "<": "<="}
+
+
+def _weakenings(forms):
+    """Every way to weaken one axiom of `forms`, each a function of a
+    seeded generator that applies it: lower a `gci` degree (to 0: drop the
+    axiom), lower a `>=` bound or raise a `<=` one, or turn `>` into `>=`
+    or `<` into `<=`, in `assert` and in `assert-cmp`."""
+    out = []
+    for form in forms:
+        head = form.items[0].text
+        if head not in ("gci", "assert", "assert-cmp"):
+            continue
+        rel = form.items[3 if head == "gci" else 2]
+        if rel.text in LOOSER:
+            out.append(lambda rng, rel=rel: setattr(rel, "text", LOOSER[rel.text]))
+            continue
+        if head == "assert-cmp" or rel.text not in (">=", "<="):
+            continue
+        bound = form.items[-1]
+        q = parse_degree(bound.text)
+        if rel.text == ">=" and q > 0:
+
+            def lower(rng, form=form, bound=bound, q=q):
+                bound.text = format_degree(q * rng.randrange(4) / 4)
+                if form.items[0].text == "gci" and bound.text == "0":
+                    forms.remove(form)
+
+            out.append(lower)
+        elif rel.text == "<=" and q < 1:
+
+            def raise_(rng, bound=bound, q=q):
+                bound.text = format_degree(q + (1 - q) * rng.randrange(1, 5) / 4)
+
+            out.append(raise_)
+    return out
+
+
+def test_weakening_keeps_consistency():
+    checked = 0
+    for name, text in sorted(INPUTS.items()):
+        if _verdict(text) is not True:
+            continue
+        for round_ in range(3):
+            rng = random.Random(f"weakened {round_} {name}")
+            forms = read_forms(text)
+            sites = _weakenings(forms)
+            if not sites:
+                break
+            rng.choice(sites)(rng)
+            copy = _text(forms)
+            got = _verdict(copy)
+            if got is not None:
+                assert got is True, (name, copy)
+                checked += 1
+    assert checked >= 40, checked
+
+
+LADDER = ("1/4", "1/2", "3/4", "1")
+
+
+def _concept_texts(text):
+    """The s-expressions of the concepts of `text`, sorted, `top` and `bot`
+    included."""
+    forms = read_forms(text)
+    return sorted({_print(items[k]) for items, k in _slots(forms)} | {"top", "bot"})
+
+
+@pytest.mark.parametrize("command", ["sat", "subsumes"])
+def test_positive_verdicts_are_monotone_in_the_degree(tmp_path, capsys, command):
+    ladders = 0
+    for n, (name, text) in enumerate(sorted(INPUTS.items())):
+        path = tmp_path / f"{n}.sexp"
+        path.write_text(text)
+        rng = random.Random(f"{command} {name}")
+        concepts = _concept_texts(text)
+        for _ in range(2):
+            if command == "sat":
+                query = ["-c", rng.choice(concepts)]
+            else:
+                query = ["--lhs", rng.choice(concepts), "--rhs", rng.choice(concepts)]
+            codes = [run([command, str(path), *query, "-d", d]) for d in LADDER]
+            capsys.readouterr()
+            if 2 in codes:
+                continue
+            # exit 0 is the positive verdict: once a degree fails, every
+            # higher one does
+            assert codes == sorted(codes), (name, query, codes)
+            ladders += 1
+    assert ladders >= 60, ladders

@@ -232,7 +232,7 @@ def _broken_by_definition(u, rows):
     ]
     totality = [(i, j) for i in span for j in span if not (leq(i, j) or leq(j, i))]
     bounds = [(i,) for i in span if not (leq(0, i) and leq(i, last))]
-    constants = []  # `value_order_axioms`: leq(a, b) if a <= b, not leq(b, a) if a < b
+    constants = []  # the constant order: leq(a, b) if a <= b, not leq(b, a) if a < b
     for a in range(last + 1):
         for b in range(last + 1):
             if a <= b and not leq(a, b):

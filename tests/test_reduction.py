@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from galcq import (
     MinExpr,
     Name,
     Not,
+    Or,
     ResExpr,
     check_consistency,
     order_concept,
@@ -20,15 +22,7 @@ from galcq import (
     reduce_ontology,
     semantics_axioms,
 )
-from galcq.classical_model import (
-    Inclusion,
-    antitonicity_axioms,
-    bounds_axioms,
-    fact_axioms,
-    totality_axioms,
-    transfer_axioms,
-    value_order_axioms,
-)
+from galcq.classical_model import Inclusion, fact_axioms, order_families
 from galcq.concepts import TOP, subconcepts
 from galcq.ontology import FuzzyOntology, OrderAssertion, RoleAssertion
 from galcq.orders import EDGE, ConceptElement, OrderStructure, ShiftedElement, ValueElement
@@ -97,64 +91,88 @@ def _structure(text="(assert (inst a A) >= 1/2)"):
     return OrderStructure.from_ontology(parse_ontology(text))
 
 
+TRANSITIVITY, TOTALITY, BOUNDS, CONSTANTS, ANTITONICITY, TRANSFER = range(6)
+
+
+def _family(u, k):
+    """Family k of `order_families(u)` as (instance, inclusion) pairs."""
+    instances, inclusion = order_families(u)[k]
+    return [(p, inclusion(*p)) for p in instances]
+
+
 def test_transitivity_count_is_cubic():
     red = reduce_ontology(parse_ontology("(assert (inst a A) >= 1/2)"))
     n = len(red.order.elements)
     axioms = red.inclusions[: n**3]
     assert len(axioms) == n**3
     assert len(set(axioms)) == n**3  # all instances distinct
+    triples = _family(red.order, TRANSITIVITY)
+    assert [p for p, _ in triples] == sorted(p for p, _ in triples)
+    assert [inc for _, inc in triples] == list(axioms)
 
 
 def test_family_counts():
     u = _structure()
     n = len(u.elements)
-    assert len(totality_axioms(u)) == n * n
-    assert len(bounds_axioms(u)) == n
-    assert len(antitonicity_axioms(u)) == n * n
+    counts = [len(_family(u, k)) for k in (TRANSITIVITY, TOTALITY, BOUNDS, ANTITONICITY)]
+    assert counts == [n**3, n * n, n, n * n]
+    assert fact_axioms(u) == tuple(inc for k in (BOUNDS, CONSTANTS) for _, inc in _family(u, k))
 
 
 def test_bounds_mention_edge_element():
     u = _structure()
     zero, one = ValueElement(F(0)), ValueElement(F(1))
-    assert Inclusion(TOP, And(Leq(zero, EDGE), Leq(EDGE, one))) in bounds_axioms(u)
+    bounds = dict(_family(u, BOUNDS))
+    assert bounds[(u.index[EDGE],)] == Inclusion(TOP, And(Leq(zero, EDGE), Leq(EDGE, one)))
 
 
 def test_value_order_axioms():
     u = _structure()
-    axioms = set(value_order_axioms(u.values))
-    assert Inclusion(TOP, Leq(ValueElement(F(0)), ValueElement(F(1, 2)))) in axioms
-    assert Inclusion(TOP, Not(Leq(ValueElement(F(1, 2)), ValueElement(F(0))))) in axioms
+    family = _family(u, CONSTANTS)
+    facts = dict(family)
+    assert set(facts.values()) <= set(fact_axioms(u))
+    zero, half, one = (ValueElement(F(q)) for q in ("0", "1/2", "1"))
+    i = u.index
+    assert facts[(i[zero], i[half], False)] == Inclusion(TOP, Leq(zero, half))
+    assert facts[(i[zero], i[half], True)] == Inclusion(TOP, Not(Leq(half, zero)))
     # reflexive facts are present, strict converses only for strict pairs
-    assert Inclusion(TOP, Leq(ValueElement(F(1)), ValueElement(F(1)))) in axioms
+    assert facts[(i[one], i[one], False)] == Inclusion(TOP, Leq(one, one))
+    assert (i[one], i[one], True) not in facts
+    values = len(u.values)
+    assert len(family) == values * values  # (v + 1) v / 2 facts, (v - 1) v / 2 converses
+    assert all(a <= b < values for a, b, _ in facts)
 
 
 def test_antitonicity_instance():
     u = _structure()
-    a = ConceptElement(A)
-    up_b = ShiftedElement(Not(A))
-    axioms = set(antitonicity_axioms(u))
-    assert Inclusion(Leq(a, up_b), Leq(ShiftedElement(A), ConceptElement(Not(A)))) in axioms
+    a, up_b = ConceptElement(A), ShiftedElement(Not(A))
+    axioms = dict(_family(u, ANTITONICITY))
+    assert axioms[(u.index[a], u.index[up_b])] == Inclusion(
+        Leq(a, up_b), Leq(ShiftedElement(A), ConceptElement(Not(A)))
+    )
 
 
 def test_transfer_axioms_shape_and_count():
     o = parse_ontology("(assert (inst a (some r A)) >= 1/2)")
     u = OrderStructure.from_ontology(o)
-    axioms = transfer_axioms(u)
+    family = _family(u, TRANSFER)
     base = len(u.values) + len(u.subconcepts)
-    assert len(axioms) == 2 * base * base * len(u.roles)
+    assert len(family) == 2 * base * base * len(u.roles)
+    axioms = dict(family)
     a = ConceptElement(A)
     half = ValueElement(F(1, 2))
-    assert Inclusion(Leq(a, half), Forall("r", Leq(ShiftedElement(A), half))) in set(
-        axioms
+    pair = (u.index[a], u.index[half], u.roles.index("r"))
+    assert axioms[(*pair, False)] == Inclusion(
+        Leq(a, half), Forall("r", Leq(ShiftedElement(A), half))
     )
-    assert Inclusion(
+    assert axioms[(*pair, True)] == Inclusion(
         Not(Leq(a, half)), Forall("r", Not(Leq(ShiftedElement(A), half)))
-    ) in set(axioms)
+    )
 
 
 def test_transfer_axioms_empty_without_roles():
     u = _structure("(assert (inst a A) >= 1/2)")
-    assert transfer_axioms(u) == ()
+    assert _family(u, TRANSFER) == []
 
 
 def test_reduce_abox_and_tbox():
@@ -246,19 +264,36 @@ def test_inclusions_are_the_transitivity_family_then_the_rest():
     # the structure fixes the preorder families and transfer; only the
     # TBox and semantics axioms are given as objects
     assert red.axioms == tbox_axioms(o, u)
-    assert fact_axioms(u) == bounds_axioms(u) + value_order_axioms(u.values, u.leq)
-    t, span = u.table, range(len(u))
-    family = tuple(
-        Inclusion(And(t[i][j], t[j][k]), t[i][k]) for i in span for j in span for k in span
-    )
+    # every family written out here, over the elements rather than the
+    # structure's positions and shared atoms
+    e, inv, up = u.elements, u.inverse, u.up
+    span, base, values = range(len(e)), range(len(up)), range(len(u.values))
+    assert [el.value for el in e[: len(values)]] == list(u.values.degrees)
+
+    def leq(i, j):
+        return Leq(e[i], e[j])
+
+    triples = itertools.product(span, repeat=3)
+    family = [Inclusion(And(leq(i, j), leq(j, k)), leq(i, k)) for i, j, k in triples]
+    totality = [Inclusion(TOP, Or(leq(i, j), leq(j, i))) for i in span for j in span]
+    bounds = [Inclusion(TOP, And(leq(0, i), leq(i, len(values) - 1))) for i in span]
+    constants = []
+    for a in values:
+        for b in values:
+            if a <= b:
+                constants.append(Inclusion(TOP, leq(a, b)))
+            if a < b:
+                constants.append(Inclusion(TOP, Not(leq(b, a))))
+    antitone = [Inclusion(leq(i, j), leq(inv[j], inv[i])) for i in span for j in span]
+    transfer = []
+    for i in base:
+        for j in base:
+            for r in u.roles:
+                transfer.append(Inclusion(leq(i, j), Forall(r, leq(up[i], up[j]))))
+                transfer.append(Inclusion(Not(leq(i, j)), Forall(r, Not(leq(up[i], up[j])))))
+    assert transfer and u.roles == ("r",)
+    written = family + totality + bounds + constants + antitone + transfer
     inclusions = red.inclusions
-    assert inclusions == (
-        family
-        + totality_axioms(u)
-        + bounds_axioms(u)
-        + value_order_axioms(u.values, u.leq)
-        + antitonicity_axioms(u)
-        + transfer_axioms(u)
-        + red.axioms
-    )
+    assert inclusions == tuple(written) + red.axioms
+    assert fact_axioms(u) == tuple(bounds + constants)
     assert inclusions is red.inclusions  # built once

@@ -4,7 +4,14 @@ import pathlib
 import random
 
 import pytest
-from conftest import CORPUS, NODE_BUDGET, STEP_BUDGET, by_position_count, classical_concepts
+from conftest import (
+    CORPUS,
+    NODE_BUDGET,
+    STEP_BUDGET,
+    by_position_count,
+    classical_concepts,
+    static_label,
+)
 
 from galcq import (
     And,
@@ -411,9 +418,10 @@ STATIC = {
 @pytest.mark.parametrize("name", sorted(STATIC))
 def test_static_seed_is_pinned(name):
     tab = Tableau(reduce_ontology(parse_ontology(dict(CORPUS)[name])))
-    label = "\n".join(repr(tab.interner.objs[cid]) for cid in tab.static_label)
+    added = static_label(tab)
+    label = "\n".join(repr(tab.interner.objs[cid]) for cid in added)
     digest = hashlib.sha256(label.encode("utf-8")).hexdigest()[:16]
-    observed = (len(tab.static_label), len(tab.static_extra_ors), digest)
+    observed = (len(added), len(tab.seed.extra_ors), digest)
     assert observed == STATIC[name]
     assert not tab.static_clash
     assert (tab.steps, tab.created, tab.nodes, tab.trail) == (0, 0, [], [])
@@ -581,7 +589,8 @@ def _assert_base_matches_reference(ontology):
     tab = Tableau(ontology)
     reference, ref = _reference_base(ontology)
     got = tab.interner
-    objs, lits, e = got.objs, got.lits, tab.order_elements
+    objs, lits = got.objs, got.lits
+    e = () if ontology.order is None else ontology.order.elements
     # the merged base order, every clause read by position written out by
     # the NNF path
     expanded, by_position = [], set()
@@ -724,13 +733,14 @@ def test_clause_path_literal_shapes():
 # order bitsets and the transitivity presence tables
 
 
-def _bitset_check(tab):
-    """A check that every live node's label holds every base concept with
-    the node's own dependency, and that its order bitsets (P_row, P_col,
-    N_row, N_col) equal those recomputed from its label plus the base
-    atoms: `leq(i, j)`, i != j, sets bit j of P_row[i] and bit i of
-    P_col[j] and the same for its partner `leq(inv j, inv i)`, and `not
-    leq(i, j)` the same bits of N_row and N_col."""
+def _bitset_check(tab, elements):
+    """A check, over the order structure's `elements`, that every live
+    node's label holds every base concept with the node's own dependency,
+    and that its order bitsets (P_row, P_col, N_row, N_col) equal those
+    recomputed from its label plus the base atoms: `leq(i, j)`, i != j,
+    sets bit j of P_row[i] and bit i of P_col[j] and the same for its
+    partner `leq(inv j, inv i)`, and `not leq(i, j)` the same bits of N_row
+    and N_col."""
     n = tab.order_n
     slots = {}  # concept id -> (row, row bit, column, column bit) or None
 
@@ -743,8 +753,8 @@ def _bitset_check(tab):
                 slots[cid] = ()
                 obj = tab.interner.objs[cid]
                 if isinstance(obj, (NAtom, NNegAtom)) and isinstance(obj.atom, Leq):
-                    i = tab.order_elements.index(obj.atom.lhs)
-                    j = tab.order_elements.index(obj.atom.rhs)
+                    i = elements.index(obj.atom.lhs)
+                    j = elements.index(obj.atom.rhs)
                     offset = 2 * n if isinstance(obj, NNegAtom) else 0
                     if i != j:  # the atom and its antitone partner
                         slots[cid] = tuple(
@@ -761,8 +771,8 @@ def _bitset_check(tab):
     def with_base(cids):
         return [b | x for b, x in zip(base_bits, bits_of(cids))]
 
-    assert list(tab.static_bits) == with_base(tab.static_label)
-    assert tab.seed_label == tab.base_list + tab.static_label
+    assert tab.seed.bits == with_base(static_label(tab))
+    assert tuple(tab.seed.label)[: len(tab.base_list)] == tab.base_list
 
     def check():
         for node in tab.nodes:
@@ -793,8 +803,9 @@ BITSET_INPUTS["counting-k1-q1_4"] = _counting_text(1, "1/4")
 def _checked_tableau(text, step_budget):
     """A tableau that checks its order bitsets after every backjump, its
     check, and the list its undo marks go to."""
-    tab = Tableau(reduce_ontology(parse_ontology(text)), NODE_BUDGET, step_budget)
-    check = _bitset_check(tab)
+    red = reduce_ontology(parse_ontology(text))
+    tab = Tableau(red, NODE_BUDGET, step_budget)
+    check = _bitset_check(tab, red.order.elements)
     undo, marks = tab._undo_to, []
 
     def checked_undo(mark):
@@ -811,7 +822,7 @@ def test_order_bitsets_match_labels(name):
     tab, check, _ = _checked_tableau(BITSET_INPUTS[name], STEP_BUDGET)
     tab.run()
     check()
-    assert tab.nodes and tab.order_elements
+    assert tab.nodes and tab.order_n
 
 
 def test_order_bitsets_match_labels_when_cut_mid_search():
@@ -942,7 +953,7 @@ def test_order_facts_settle_as_watching_every_clause_would():
 def test_triple_table_holds_every_distinct_vertex_transitivity_clause():
     red = reduce_ontology(parse_ontology(dict(CORPUS)["duality"]))
     tab = Tableau(red)
-    assert tab.order_n == len(red.order) and tab.order_elements == red.order.elements
+    assert tab.order_n == len(red.order)
     # the inclusions it reads without the structure, over representatives:
     # every triple, totality and transfer clause is interned, and so are the
     # transfer clauses at i = j, of which the structure's tableau interns
@@ -1028,7 +1039,7 @@ def test_transfer_is_read_by_position(corpus_runs):
         t, up = u.table, u.up
         entries = _by_position_entries(tab)
         read = [_pair_clause(tab, e) for e in entries if _is_transfer(tab, e)]
-        static = {objs[cid] for cid in tab.static_label}
+        static = {objs[cid] for cid in static_label(tab)}
         clauses, filed = [], {}
         for inc, (i, j, role, negated) in _families(red)[4]:
             clause = inclusion_nnf(inc, lits)  # over representatives
@@ -1143,7 +1154,7 @@ def _search_alike(red, plain):
     observed, tabs = [], []
     for o in (red, plain):
         tab = Tableau(o, NODE_BUDGET, STEP_BUDGET)
-        static = [tab.interner.objs[cid] for cid in tab.static_label]
+        static = [tab.interner.objs[cid] for cid in static_label(tab)]
         result = tab.run()
         observed.append((result.consistent, tab.created, tab.steps, _counters(tab), static))
         tabs.append(tab)
