@@ -90,7 +90,12 @@ Search organization:
     are asserted negatively before the next try), "choose" tries (not q, q)
     at a successor, "merge" pairs of successors.  The exhaustion dependency
     (the refuted disjuncts', 0, the full mask) joins the conflict once
-    every alternative has failed;
+    every alternative has failed.  An "or" decision also carries its
+    clause's disjuncts, the key of phase saving: the disjunct it applied
+    last, at any node and kept across backjumps, goes first when the
+    clause branches again, so each node of a witness chain does not
+    re-refute the choice the one before it gave up.  Only the order of
+    the alternatives moves, never which are tried;
   - backtracking is conflict-directed: every derived fact carries the set
     of decision levels it rests on, and a clash jumps straight back to the
     deepest involved level, skipping unrelated decisions.  Dependency sets
@@ -374,6 +379,9 @@ class Tableau:
         self.merge_decisions = 0
         self.backjumps = 0
         self.peak_depth = 0
+        # phase saving: a clause's disjuncts -> the alternative last applied
+        # for it, tried first at its next branch; kept across backjumps
+        self.phase: dict = {}
         # the node agenda, bitsets over node ids: `marked` the nodes changed
         # since the last `_find_decision` (a node and its parent on every
         # change), `crowded` the nodes with crowded at-mosts, per later
@@ -1268,19 +1276,19 @@ class Tableau:
             if self._examine(node.id, clause):
                 return _ACTED
             candidates = [d for d, nd in zip(clause[1], clause[2]) if nd not in label]
+            order = self._branch_order(candidates)
+            saved = self.phase.get(clause[1])
+            if saved in candidates:
+                order = (saved,) + tuple(d for d in order if d != saved)
             # the refuted disjuncts' dependency is part of any conflict
             # derived from exhausting the remaining candidates
-            return (
-                "or",
-                node.id,
-                self._branch_order(candidates),
-                self._refuted_dep(node, clause),
-            )
+            return ("or", node.id, order, self._refuted_dep(node, clause), clause[1])
         return None
 
     def _find_decision(self):
         """Return the next `(kind, node id, alternatives, exhaustion dep)`
-        decision, `_ACTED` after a deterministic rule, or None if complete.
+        decision (an "or" one with its clause's disjuncts after them),
+        `_ACTED` after a deterministic rule, or None if complete.
 
         Each phase visits the live nodes of its agenda lowest id first and
         drops those it finds without work, so it decides as a walk over
@@ -1396,12 +1404,13 @@ class Tableau:
     # search
 
     def _apply_alternative(self, decision, idx: int, conf: int):
-        kind, nid, alternatives, _ = decision
+        kind, nid, alternatives = decision[:3]
         if kind == "merge":
             self._merge(*alternatives[idx])
             return
         own = (1 << len(self.stack)) | self.nodes[nid].dep
         if kind == "or":
+            self.phase[decision[4]] = alternatives[idx]
             kinds = self.interner.kinds
             for j in range(idx):
                 # assert failed alternatives negatively, but only atomic

@@ -28,6 +28,7 @@ from galcq import (
     Not,
     Or,
     brute_force_consistency,
+    certify,
     check_classical_model,
     check_consistency,
     classical_to_sexpr,
@@ -294,8 +295,8 @@ def test_agreement_with_brute_force_on_random_ontologies():
 PINNED = {
     "two-roles": (True, 10659, 4797, 6208, 7, 2070, "f3194964bdce0744"),
     "count-clash": (False, 17251, 7869, 9482, 3, 944, "d1b452b3b95c29d4"),
-    "duality": (True, 5681, 2495, 3260, 37, 5998, "0404f426a9d5e3ea"),
-    "atmost-res": (True, 10418, 4678, 5822, 11, 2575, "a9838d4e4a85d866"),
+    "duality": (True, 5681, 2495, 3260, 28, 4683, "0404f426a9d5e3ea"),
+    "atmost-res": (True, 10418, 4678, 5822, 9, 1971, "a9838d4e4a85d866"),
     "forall-clash": (False, 13615, 6169, 7583, 2, 352, "f66013164866c31b"),
 }
 
@@ -337,8 +338,8 @@ CORPUS_SEARCH = {
     "forall-low": (True, 1128, 1579, 3, 266),
     "atleast-two": (True, 1128, 1575, 5, 438),
     "atmost-inv": (True, 1128, 1575, 5, 438),
-    "atmost-res": (True, 4678, 5822, 11, 2575),
-    "duality": (True, 2495, 3260, 37, 5998),
+    "atmost-res": (True, 4678, 5822, 9, 1971),
+    "duality": (True, 2495, 3260, 28, 4683),
     "crisp-sat": (True, 1080, 1407, 1, 71),
     "two-roles": (True, 4797, 6208, 7, 2070),
     "loop-gci": (True, 1129, 1576, 3, 262),
@@ -378,13 +379,13 @@ def test_corpus_search_is_pinned(corpus_runs):
 # Search on the benchmark's counting family F(k, q) and criterion-5 chain,
 # as (verdict, nodes created, steps).
 FAMILY_SEARCH = {
-    ("counting", 1, "1/4"): (True, 58, 17018),
+    ("counting", 1, "1/4"): (True, 13, 3941),
     ("counting", 1, "1/2"): (True, 11, 2747),
     ("counting", 1, "3/4"): (False, 3, 741),
-    ("counting", 2, "1/4"): (True, 128, 36063),
+    ("counting", 2, "1/4"): (True, 19, 5568),
     ("counting", 2, "1/2"): (True, 16, 3992),
     ("counting", 2, "3/4"): (False, 4, 863),
-    ("counting", 3, "1/4"): (True, 224, 62184),
+    ("counting", 3, "1/4"): (True, 25, 7195),
     ("counting", 3, "1/2"): (True, 21, 5237),
     ("counting", 3, "3/4"): (False, 5, 985),
     ("chain", 1, None): (True, 1, 30),
@@ -401,6 +402,37 @@ def test_family_search_is_pinned(family, k, q):
     tab = Tableau(reduce_ontology(parse_ontology(text)), NODE_BUDGET, STEP_BUDGET)
     result = tab.run()
     assert (result.consistent, tab.created, tab.steps) == FAMILY_SEARCH[family, k, q]
+
+
+# The q = 1/4 inputs are the counting ones whose search meets failed
+# branches, so the order in which branches are tried decides their models;
+# each certifies at the benchmark's depth 3.
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_counting_models_certify(k):
+    ontology = parse_ontology(_counting_text(k, "1/4"))
+    red = reduce_ontology(ontology)
+    result = Tableau(red, NODE_BUDGET, STEP_BUDGET).run()
+    assert result.consistent
+    certify(ontology, red, result.graph, depth=3)
+
+
+# Nested counting under the residual at-most reduces to 49 order elements.
+# Each new witness node would try the same refuted disjunct first, so a
+# search that forgets the branch it took last runs out of steps here.
+RESIDUAL_49 = (
+    "(set-option :atmost residual)\n"
+    "(assert-cmp (inst a (atmost 1 s A)) <= (inst a (some s top)))\n"
+    "(gci (atmost 0 s C) (some r (atmost 1 r C)) >= 1/2)"
+)
+
+
+def test_residual_atmost_49_element_input_is_decided():
+    ontology = parse_ontology(RESIDUAL_49)
+    red = reduce_ontology(ontology)
+    assert len(red.order.elements) == 49
+    result = Tableau(red, NODE_BUDGET, 300_000).run()
+    assert result.consistent
+    certify(ontology, red, result.graph, depth=4)
 
 
 # Static seed of the same entries: (label size, extra disjunctions, sha256
@@ -1255,7 +1287,7 @@ def test_search_counters_are_pinned():
     text = _counting_text(3, "1/4")
     tab = Tableau(reduce_ontology(parse_ontology(text)), NODE_BUDGET, STEP_BUDGET)
     assert tab.run().consistent
-    assert _counters(tab) == (3682, 210, 0, 21, 483)
+    assert _counters(tab) == (455, 21, 0, 1, 429)
 
 
 def test_trace_shows_clashes_and_backjumps():
@@ -1281,8 +1313,8 @@ def test_node_blowup_search_is_pinned():
     tab = Tableau(reduce_ontology(parse_ontology(BLOWUP)), 100, STEP_BUDGET)
     with pytest.raises(BudgetExceededError, match="node budget"):
         tab.run()
-    assert (tab.created, tab.steps) == (101, 17276)
-    assert _counters(tab) == (1409, 213, 30, 14, 1434)
+    assert (tab.created, tab.steps) == (101, 16958)
+    assert _counters(tab) == (1551, 191, 22, 16, 1571)
 
 
 # ---------------------------------------------------------------------------
