@@ -758,9 +758,7 @@ class Tableau:
         if neg is None:
             neg = interner.negation(cid)
         if neg in label:
-            if self.trace:
-                self.trace(f"clash n{nid} {interner.objs[cid]!r}"[:200])
-            raise _Clash(dep | label[neg])
+            raise self._clash(nid, cid, dep | label[neg])
         label[cid] = dep
         self.marked |= node.mark
         self.relabelled |= node.bit
@@ -777,6 +775,16 @@ class Tableau:
         self.queue.append((nid, cid))
         if rule and self.trace:
             self.trace(f"{rule} n{nid} {interner.objs[cid]!r}"[:200])
+
+    def _clash(self, nid: int, what, conflict: int) -> _Clash:
+        """The `_Clash` of `conflict` at node `nid`, traced as a `clash` line
+        naming `what`: the concept id whose complement is present, or the
+        disjunct ids of a clause with every disjunct refuted."""
+        if self.trace:
+            objs = self.interner.objs
+            shown = objs[what] if type(what) is int else tuple(objs[d] for d in what)
+            self.trace(f"clash n{nid} {shown!r}"[:200])
+        return _Clash(conflict)
 
     def _process(self, nid: int, cid: int):
         """Apply the rules of concept `cid`, just added at node `nid`: an
@@ -797,14 +805,14 @@ class Tableau:
         if kind == _KIND_ATOM or kind == _KIND_NEGATOM:
             neg = interner.negation(cid)
             if neg in label:
-                raise _Clash(label[cid] | label[neg])
+                raise self._clash(nid, cid, label[cid] | label[neg])
         elif kind == _KIND_AND:
             dep = label[cid]
             for a in part:
                 self._add(nid, a, dep)
         elif kind == _KIND_OR:
             if not part:
-                raise _Clash(label[cid])
+                raise self._clash(nid, cid, label[cid])
             clause = interner.clauses[cid]
             if cid not in self.base_set:
                 node.extra_ors.append(clause)
@@ -863,7 +871,7 @@ class Tableau:
         nn = self.order_ids >> 1
         neg = cid - nn if cid >= nn else cid + nn
         if neg in label:
-            raise _Clash(label[cid] | label[neg])
+            raise self._clash(nid, cid, label[cid] | label[neg])
         dep = node.dep | label[cid]
         settle = self._settle
         order = self.order_of[cid]
@@ -944,7 +952,7 @@ class Tableau:
         elif ne not in label:
             self._add(nid, e, dep | label[nd], "unit")
         else:
-            raise _Clash(dep | label[nd] | label[ne])
+            raise self._clash(nid, (d, e), dep | label[nd] | label[ne])
 
     def _examine(self, nid: int, clause: tuple) -> bool:
         """Settle clause entry `clause` (its id, None for a clause read by
@@ -967,7 +975,7 @@ class Tableau:
         # unit propagation or clash: only now collect the refuter deps
         dep = self._refuted_dep(node, clause)
         if open_count == 0:
-            raise _Clash(dep)
+            raise self._clash(nid, clause[1], dep)
         self._add(nid, unit, dep, rule="unit")
         return True
 
@@ -1315,7 +1323,7 @@ class Tableau:
         for x in _positions(self.crowded):
             conflict, pairs = nodes[x].crowding
             if conflict is not None:
-                raise _Clash(conflict)
+                raise self._clash(x, *conflict)
             if merge_option is None:
                 merge_option = ("merge", x, pairs, self._full_mask())
         # disjunction branching
@@ -1363,7 +1371,7 @@ class Tableau:
 
     def _crowding(self, node: _Node) -> Optional[tuple]:
         """None if no at-most of `node` has more holders than it allows;
-        else (conflict, pairs): the conflict of the first, in id order,
+        else (conflict, pairs): (id, conflict) of the first, in id order,
         whose holders include more pairwise-distinct ones than it allows
         (None for none), and the pairs of the first's holders not known
         distinct."""
@@ -1378,7 +1386,7 @@ class Tableau:
                     for c in holders:
                         child = self.nodes[c]
                         conflict |= child.label[qid] | child.dep
-                    return conflict, pairs
+                    return (amid, conflict), pairs
                 if pairs is None:
                     pairs = tuple(
                         (a, b)

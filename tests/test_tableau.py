@@ -59,6 +59,7 @@ from galcq.tableau import (
     _KIND_FORALL,
     _KIND_NEGATOM,
     _KIND_OR,
+    _CLASHED,
     Tableau,
     _Clash,
     _Interner,
@@ -1292,8 +1293,8 @@ def test_search_counters_are_pinned():
 
 def test_trace_shows_clashes_and_backjumps():
     # the blow-up search clashes and jumps back over unrelated decisions:
-    # each clash of an added concept and each backjump has its line, and
-    # the backjump lines count `backjumps`
+    # each clash and each backjump has its line, and the backjump lines
+    # count `backjumps`
     lines = []
     tab = Tableau(reduce_ontology(parse_ontology(BLOWUP)), 100, STEP_BUDGET, lines.append)
     with pytest.raises(BudgetExceededError):
@@ -1302,6 +1303,27 @@ def test_trace_shows_clashes_and_backjumps():
     assert len(jumps) == tab.backjumps > 0
     assert all(int(src) > int(dst) >= 1 for _, src, _, dst in jumps)
     assert any(line.startswith("clash n") for line in lines)
+
+
+def test_trace_has_a_line_for_every_clash():
+    # every clash the search meets, wherever the rule that finds it is,
+    # ends a step; each prints one `clash` line
+    lines = []
+    tab = Tableau(reduce_ontology(parse_ontology(BLOWUP)), 100, STEP_BUDGET, lines.append)
+    clashes = []
+    step = tab._step
+
+    def counted(*args):
+        outcome = step(*args)
+        if isinstance(outcome, tuple) and outcome and outcome[0] is _CLASHED:
+            clashes.append(outcome[1])
+        return outcome
+
+    tab._step = counted
+    with pytest.raises(BudgetExceededError):
+        tab.run()
+    traced = [line for line in lines if line.startswith("clash ")]
+    assert len(traced) == len(clashes) > tab.backjumps
 
 
 # Consistent (its one-element model has no r-successor), yet the search
