@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 from .algebra import ValueSet, parse_degree
@@ -239,15 +240,23 @@ def run_reduce(args) -> int:
     return 0
 
 
+def _print_warning(message, *_):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     handler = run_reduce if args.command == "reduce" else run_task
-    try:
-        return handler(args)
-    except (ReasonerError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # the library's warnings (a dropped degree-0 inclusion) print as
+        # the CLI's own `warning:` lines, without a source location
+        warnings.showwarning = _print_warning
+        try:
+            return handler(args)
+        except (ReasonerError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 def main():

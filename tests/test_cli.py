@@ -136,6 +136,14 @@ def test_sat_and_subsumes_ignore_assertions_with_a_warning(tmp_path, capsys):
         assert f"input assertions are ignored by {argv[0]}" in captured.err
 
 
+def test_degree_zero_inclusion_warns_on_one_cli_line(tmp_path, capsys):
+    path = _write(tmp_path, "(gci A B >= 0)")
+    assert run(["check", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "CONSISTENT\n"
+    assert captured.err == "warning: dropping inclusion with degree 0: it constrains nothing\n"
+
+
 def test_sat_tautology(tmp_path, capsys):
     path = _write(tmp_path, "")
     assert run(["sat", path, "-c", "top", "-d", "1"]) == 0
