@@ -1371,10 +1371,10 @@ class Tableau:
 
     def _crowding(self, node: _Node) -> Optional[tuple]:
         """None if no at-most of `node` has more holders than it allows;
-        else (conflict, pairs): (id, conflict) of the first, in id order,
-        whose holders include more pairwise-distinct ones than it allows
-        (None for none), and the pairs of the first's holders not known
-        distinct."""
+        else (conflict, pairs): the id and the conflict of the first, in id
+        order, whose holders include more pairwise-distinct ones than it
+        allows (None for none), and the pairs of the first's holders not
+        known distinct."""
         pairs = None
         for amid in sorted(node.atmosts):
             count, role, qid = self.interner.parts[amid]

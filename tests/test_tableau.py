@@ -418,8 +418,9 @@ def test_counting_models_certify(k):
 
 
 # Nested counting under the residual at-most reduces to 49 order elements.
-# Each new witness node would try the same refuted disjunct first, so a
-# search that forgets the branch it took last runs out of steps here.
+# Tried in a fixed order at every node, the branches exhaust the default
+# 2,000,000 steps; trying each clause's last branch first decides it in
+# about 200,000.
 RESIDUAL_49 = (
     "(set-option :atmost residual)\n"
     "(assert-cmp (inst a (atmost 1 s A)) <= (inst a (some s top)))\n"
@@ -1293,21 +1294,9 @@ def test_search_counters_are_pinned():
 
 def test_trace_shows_clashes_and_backjumps():
     # the blow-up search clashes and jumps back over unrelated decisions:
-    # each clash and each backjump has its line, and the backjump lines
-    # count `backjumps`
-    lines = []
-    tab = Tableau(reduce_ontology(parse_ontology(BLOWUP)), 100, STEP_BUDGET, lines.append)
-    with pytest.raises(BudgetExceededError):
-        tab.run()
-    jumps = [line.split() for line in lines if line.startswith("backjump ")]
-    assert len(jumps) == tab.backjumps > 0
-    assert all(int(src) > int(dst) >= 1 for _, src, _, dst in jumps)
-    assert any(line.startswith("clash n") for line in lines)
-
-
-def test_trace_has_a_line_for_every_clash():
-    # every clash the search meets, wherever the rule that finds it is,
-    # ends a step; each prints one `clash` line
+    # every clash the search meets ends a step, wherever the rule that
+    # finds it is, and prints one `clash` line; each backjump has its
+    # line, and the backjump lines count `backjumps`
     lines = []
     tab = Tableau(reduce_ontology(parse_ontology(BLOWUP)), 100, STEP_BUDGET, lines.append)
     clashes = []
@@ -1322,7 +1311,10 @@ def test_trace_has_a_line_for_every_clash():
     tab._step = counted
     with pytest.raises(BudgetExceededError):
         tab.run()
-    traced = [line for line in lines if line.startswith("clash ")]
+    jumps = [line.split() for line in lines if line.startswith("backjump ")]
+    assert len(jumps) == tab.backjumps > 0
+    assert all(int(src) > int(dst) >= 1 for _, src, _, dst in jumps)
+    traced = [line for line in lines if line.startswith("clash n")]
     assert len(traced) == len(clashes) > tab.backjumps
 
 
