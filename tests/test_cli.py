@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -118,6 +121,22 @@ def test_wide_concepts_exit_2_quickly(name, tmp_path, capsys):
 def test_samples_verdicts_match_their_comments(name, code, capsys):
     assert run(["check", str(SAMPLES / f"{name}.sexp")]) == code
     assert capsys.readouterr().out.strip() == ("INCONSISTENT" if code else "CONSISTENT")
+
+
+@pytest.mark.parametrize("module", ["galcq", "galcq.cli"])
+def test_package_runs_as_a_module(module):
+    # `python -m` reaches the same front end as the console script, with
+    # its verdict in the exit code
+    src = str(Path(galcq.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "check", str(SAMPLES / "graded-chain.sexp")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout.strip()) == (1, "INCONSISTENT")
 
 
 def test_sat_and_subsumes_ignore_assertions_with_a_warning(tmp_path, capsys):

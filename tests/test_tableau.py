@@ -4,6 +4,7 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import assume, given, reject, settings
 from conftest import (
     CORPUS,
     NODE_BUDGET,
@@ -12,6 +13,7 @@ from conftest import (
     classical_concepts,
     static_label,
 )
+from test_differential import MAX_ELEMENTS, ONTOLOGIES, STEP_BUDGET as RANDOM_STEP_BUDGET
 
 from galcq import (
     And,
@@ -27,6 +29,7 @@ from galcq import (
     Name,
     Not,
     Or,
+    OrderStructure,
     brute_force_consistency,
     certify,
     check_classical_model,
@@ -1214,6 +1217,22 @@ def test_structure_and_its_inclusions_search_alike(name):
     # position, which the tableau would not know as a base clause
     pairs = _by_position_entries(tab)
     assert not {_pair_clause(tab, e) for e in pairs} & set(tab.interner.objs)
+
+
+@pytest.mark.filterwarnings("ignore:dropping inclusion with degree 0")
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(ONTOLOGIES)
+def test_random_structure_and_its_inclusions_search_alike(text):
+    # beyond the corpus: random inputs within its envelope, decided within
+    # the differential tests' budget, search as their structure-less copies
+    ontology = parse_ontology(text)
+    assume(len(OrderStructure.from_ontology(ontology).elements) <= MAX_ELEMENTS)
+    red = reduce_ontology(ontology)
+    try:
+        Tableau(red, NODE_BUDGET, RANDOM_STEP_BUDGET).run()
+    except BudgetExceededError:
+        reject()
+    _search_alike(red, _quotient(red))
 
 
 @pytest.mark.parametrize("name", ["duality", "atmost-res", "counting-k1-q1/4"])
