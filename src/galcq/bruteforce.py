@@ -2,9 +2,10 @@
 
 Independent oracle for the tableau: enumerates every interpretation over
 domains of size 1..max_domain with the root fixed as the named individual.
-A found model is definitive; exhausting the bound is not a proof of
-inconsistency.  An explicit guard raises when the enumeration would be too
-large.
+A found model is definitive.  Without roles there are no quantifiers, so
+the root alone decides every domain size and a refutation is a proof; with
+roles it is only a domain bound.  An explicit guard raises when the
+enumeration would be too large.
 
 One reader: every constraint is read into negation normal form over one
 shared literal table, the global axioms by `nnf.inclusion_nnf` (the reader
@@ -50,11 +51,13 @@ from .orders import Leq
 @dataclass(frozen=True)
 class BruteForceResult:
     """`consistent` is definitive; otherwise no model exists with at most
-    `completed_domain` elements (the largest fully enumerated size)."""
+    `completed_domain` elements (the largest fully enumerated size), and
+    none at all if `definitive`, which a model found always is."""
 
     consistent: bool
     model: Optional[ClassicalInterpretation]
     completed_domain: int
+    definitive: bool
 
 
 def _value(n, get) -> Optional[bool]:
@@ -248,6 +251,7 @@ def brute_force_consistency(
 
     Raises BudgetExceededError if not even domain size 1 fits the budget;
     otherwise stops early at the largest affordable size and reports it.
+    Without roles, size 1 decides every size: `definitive`, at `max_domain`.
     """
     atoms, roles = o.signature()
     atoms = _prefix_order(atoms)
@@ -271,23 +275,10 @@ def brute_force_consistency(
         for lab in labels
         if all(_value(r, lab.__contains__) is not False for r in roots)
     ]
-
-    if not roles:
-        # no roles means no quantifiers: the ontology is propositional and
-        # a single element decides it for every domain size
-        for lab in root_labels:
-            interp = ClassicalInterpretation(
-                domain=(0,),
-                true_atoms={0: lab},
-                role_edges={},
-                root=0,
-            )
-            if not check_classical_model(interp, o):
-                return BruteForceResult(True, interp, max_domain)
-        return BruteForceResult(False, None, max_domain)
-
     completed = 0
-    for m in range(1, max_domain + 1):
+    # no roles means no quantifiers: one element decides every size
+    for m in range(1, max_domain + 1) if roles else (1,):
+        reach = m if roles else max_domain  # the sizes a result at m covers
         edge_bits = len(roles) * m * m
         total = len(root_labels) * (len(labels) ** (m - 1)) * (2 ** edge_bits)
         if total > budget:
@@ -295,22 +286,17 @@ def brute_force_consistency(
                 raise BudgetExceededError(
                     f"domain size {m} needs {total} interpretations (budget {budget})"
                 )
-            return BruteForceResult(False, None, completed)
+            return BruteForceResult(False, None, completed, False)
         domain = tuple(range(m))
         all_pairs = tuple(itertools.product(domain, domain))
         for root_label in root_labels:
             for rest in itertools.product(labels, repeat=m - 1):
                 label_of = (root_label,) + rest
                 for edge_mask in itertools.product((False, True), repeat=edge_bits):
-                    role_edges = {}
-                    k = 0
-                    for role in roles:
-                        pairs = set()
-                        for pair in all_pairs:
-                            if edge_mask[k]:
-                                pairs.add(pair)
-                            k += 1
-                        role_edges[role] = frozenset(pairs)
+                    role_edges = {
+                        role: frozenset(itertools.compress(all_pairs, edge_mask[k * m * m :]))
+                        for k, role in enumerate(roles)
+                    }
                     interp = ClassicalInterpretation(
                         domain=domain,
                         true_atoms={d: label_of[d] for d in domain},
@@ -318,7 +304,7 @@ def brute_force_consistency(
                         root=0,
                     )
                     if not check_classical_model(interp, o):
-                        return BruteForceResult(True, interp, m)
-        completed = m
-    return BruteForceResult(False, None, completed)
+                        return BruteForceResult(True, interp, reach, True)
+        completed = reach
+    return BruteForceResult(False, None, completed, not roles)
 

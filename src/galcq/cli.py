@@ -158,17 +158,22 @@ def _decide(ontology: FuzzyOntology, args) -> bool:
         except BudgetExceededError as exc:
             print(f"oracle: brute force skipped ({exc})", file=sys.stderr)
             brute = None
-        if brute is not None:
-            if brute.consistent and not result.consistent:
-                raise ReasonerError(
-                    "oracle disagreement: brute force found a classical model "
-                    "but the tableau reports inconsistency"
-                )
-            if not brute.consistent and result.consistent:
+        if brute is not None and brute.consistent != result.consistent:
+            if not brute.definitive:
                 print(
                     f"oracle: no classical model up to domain size "
                     f"{brute.completed_domain} (not a contradiction)",
                     file=sys.stderr,
+                )
+            elif brute.consistent:
+                raise ReasonerError(
+                    "oracle disagreement: brute force found a classical model "
+                    "but the tableau reports inconsistency"
+                )
+            else:
+                raise ReasonerError(
+                    "oracle disagreement: brute force refutes every domain size "
+                    "but the tableau reports consistency"
                 )
 
     if args.emit_model and result.consistent:

@@ -76,15 +76,14 @@ Search organization:
     clause with a present disjunct, a run of triples by bit tests; the
     first clause without one goes to `_examine`, and only a clause that
     stays open becomes a branch;
-  - `_find_decision` walks a node agenda, not every live node: bitsets
-    over node ids (ids are creation order) of the nodes that may have
-    at-most, clause, choose or at-least work.  Every change to a node
-    marks it and its parent; each phase takes its nodes lowest id first,
-    so it decides what a walk over every node would, and drops the ones
-    it finds without work.  Blocking is kept the same way: every live
-    node is filed under its label's key set, in a class with the nodes of
-    equal labels, and only the nodes whose activity may have changed are
-    redecided;
+  - `_find_decision` walks node bitsets, not every live node (ids are
+    creation order).  Every change to a node marks it and its parent.
+    Each phase takes its nodes lowest id first, so it decides what a walk
+    over every node would; the clause and choose phases share one agenda,
+    from which the choose phase drops the nodes without work in either.
+    Blocking is kept the same way: `_refresh` refiles the marked nodes in
+    classes of equal labels, and redecides only the nodes whose activity
+    may have changed;
   - every decision is (kind, node, alternatives, exhaustion dependency):
     "or" tries a clause's open disjuncts semantically (failed atomic ones
     are asserted negatively before the next try), "choose" tries (not q, q)
@@ -291,7 +290,6 @@ class _Node:
         "dep",
         "children",
         "label",
-        "foralls",
         "atleasts",
         "atmosts",
         "extra_ors",
@@ -317,9 +315,8 @@ class _Node:
         self.dep = dep
         self.children = []
         self.label = {}  # concept id -> dependency bitmask
-        self.foralls = {}
-        self.atleasts = set()
-        self.atmosts = set()
+        self.atleasts = []
+        self.atmosts = []
         self.extra_ors = []
         self.bits = []  # order bitsets: P_row, P_col, N_row, N_col
         self.base_ptr = 0
@@ -384,22 +381,18 @@ class Tableau:
         self.phase: dict = {}
         # the node agenda, bitsets over node ids: `marked` the nodes changed
         # since the last `_find_decision` (a node and its parent on every
-        # change), `crowded` the nodes with crowded at-mosts, per later
-        # phase of `_find_decision` the nodes that may have work in it,
-        # and `stale` the nodes marked since the last
-        # `_refresh`, which keeps `unmet`, the live nodes with an unmet
-        # at-least.  Blocking: `relabelled` holds the nodes whose label, or
-        # whether they live, changed since the last `_refresh`; `classes`
-        # files every live node under its label's key set, in the class of
-        # the live nodes with that key set ([bits, key set]); `active` is
-        # the set of active nodes
+        # change), `crowded` the nodes with crowded at-mosts, `agenda` the
+        # nodes that may have clause or choose work, and `stale` the nodes
+        # marked since the last `_refresh`, which refiles them and keeps
+        # `unmet`, the live nodes with an unmet at-least.  Blocking:
+        # `classes` files every live node under its label's key set, in
+        # the class of the live nodes with that key set ([bits, key set]);
+        # `active` is the set of active nodes
         self.marked = 0
         self.crowded = 0
-        self.scan_agenda = 0
-        self.choose_agenda = 0
+        self.agenda = 0
         self.stale = 0
         self.unmet = 0
-        self.relabelled = 0
         self.classes: dict[frozenset, list] = {}
         self.active = 0
 
@@ -761,7 +754,6 @@ class Tableau:
             raise self._clash(nid, cid, dep | label[neg])
         label[cid] = dep
         self.marked |= node.mark
-        self.relabelled |= node.bit
         if cid < self.order_ids:
             order = self.order_of[cid]
             if order is not None:
@@ -820,19 +812,14 @@ class Tableau:
             self._examine(nid, clause)
         elif kind == _KIND_FORALL:
             role, sub = part
-            bucket = node.foralls.setdefault(role, {})
-            if sub not in bucket:
-                bucket[sub] = cid  # remember the forall literal for its dep
-                self.trail.append(("del", bucket, sub))
-                dep = label[cid]
-                for child_id in self._live_children(node, role):
-                    child_dep = self.nodes[child_id].dep
-                    self._add(child_id, sub, dep | child_dep, rule="forall")
+            dep = label[cid]
+            for child_id in self._live_children(node, role):
+                child_dep = self.nodes[child_id].dep
+                self._add(child_id, sub, dep | child_dep, rule="forall")
         elif kind == _KIND_ATLEAST or kind == _KIND_ATMOST:
             counted = node.atleasts if kind == _KIND_ATLEAST else node.atmosts
-            if cid not in counted:
-                counted.add(cid)
-                self.trail.append(("discard", counted, cid))
+            counted.append(cid)
+            self.trail.append(("pop", counted))
         # the clauses it refutes a disjunct of, the transfer ones read by
         # position first: the order of interning them all
         for clause in interner.watch.get(cid, ()):
@@ -1014,23 +1001,22 @@ class Tableau:
         # global axioms
         seed = self.seed
         node.label = dict.fromkeys(seed.label, dep)
-        node.foralls = {r: dict(subs) for r, subs in seed.foralls.items()}
-        node.atleasts = set(seed.atleasts)
-        node.atmosts = set(seed.atmosts)
+        node.atleasts = list(seed.atleasts)
+        node.atmosts = list(seed.atmosts)
         node.extra_ors = list(seed.extra_ors)
         node.bits = list(seed.bits)
         self.nodes.append(node)
         self.marked |= node.mark
-        self.relabelled |= node.bit
         self.trail.append(("node", nid))
         if parent_id is not None:
             parent = self.nodes[parent_id]
             parent.children.append(nid)
-            # the parent's universal fillers over `roles`, each depending on
-            # its restriction and on `dep`
-            for role in roles:
-                for sub, fcid in parent.foralls.get(role, {}).items():
-                    self._add(nid, sub, parent.label[fcid] | dep, rule="forall")
+            # the parent's universal fillers over `roles`, in label order (its
+            # processing order), each depending on its restriction and `dep`
+            kinds, parts = self.interner.kinds, self.interner.parts
+            for fcid, fdep in parent.label.items():
+                if kinds[fcid] == _KIND_FORALL and parts[fcid][0] in roles:
+                    self._add(nid, parts[fcid][1], fdep | dep, rule="forall")
         return nid
 
     def _add_neq(self, a: int, b: int, dep: int):
@@ -1052,7 +1038,6 @@ class Tableau:
             if not node.pruned:
                 node.pruned = True
                 self.marked |= node.mark
-                self.relabelled |= node.bit
                 self.trail.append(("attr", node, "pruned", False))
                 stack.extend(node.children)
         keep = self.nodes[keep_id]
@@ -1066,9 +1051,10 @@ class Tableau:
             self._add(keep_id, cid, dep)
 
     def _undo_to(self, mark: int):
-        """Pop the trail down to `mark`, undoing a label fact, a new node,
-        a dict insertion ("del"), a set insertion ("discard"), a list append
-        ("pop") or an attribute write ("attr": node, name, old value).
+        """Pop the trail down to `mark`, undoing a label fact ("add"), a new
+        node ("node"), a distinctness pair ("del"), an append to a node's
+        at-least, at-most or extra clause list ("pop") or an attribute
+        write ("attr": node, name, old value).
 
         Every node a label fact, a new node or an attribute write touches is
         marked with its parent.  The other entries need no mark: the queue
@@ -1076,7 +1062,7 @@ class Tableau:
         label fact or the new node it came with."""
         trail, nodes = self.trail, self.nodes
         order_of, order_ids = self.order_of, self.order_ids
-        marked, relabelled = self.marked, self.relabelled
+        marked = self.marked
         while len(trail) > mark:
             entry = trail.pop()
             tag = entry[0]
@@ -1093,7 +1079,6 @@ class Tableau:
                     bits[c] &= ~z
                     bits[d] &= ~w
                 marked |= node.mark
-                relabelled |= node.bit
             elif tag == "node":
                 node = nodes.pop()
                 self._unfile(node)
@@ -1102,22 +1087,16 @@ class Tableau:
                 marked |= node.mark
             elif tag == "del":
                 del entry[1][entry[2]]
-            elif tag == "discard":
-                entry[1].discard(entry[2])
             elif tag == "pop":
                 entry[1].pop()
             elif tag == "attr":
                 setattr(entry[1], entry[2], entry[3])
                 marked |= entry[1].mark
-                if entry[2] == "pruned":
-                    relabelled |= entry[1].bit
         # forget the popped nodes
         live = (1 << len(self.nodes)) - 1
         self.marked = marked & live
-        self.relabelled = relabelled
         self.crowded &= live
-        self.scan_agenda &= live
-        self.choose_agenda &= live
+        self.agenda &= live
         self.stale &= live
         self.unmet &= live
         self.queue.clear()
@@ -1152,27 +1131,31 @@ class Tableau:
 
         A node is active when it is live, its parent is active (or it is the
         root) and no earlier active node has its label, so its activity
-        rests only on its own label and on earlier nodes.  The relabelled
-        nodes are refiled and, with the later nodes of the classes they
-        leave and join, redecided in creation order; a node whose activity
-        flips has its children and its later class-mates redecided too.
-        The nodes marked since the last call redecide whether they have an
-        unmet at-least."""
+        rests only on its own label and on earlier nodes.  The nodes marked
+        since the last call (`stale | marked`), every relabelled, pruned or
+        restored node among them, are refiled and decide again whether they
+        have an unmet at-least; they and the later nodes of the classes they
+        leave and join are redecided in creation order, and so are the
+        children and later class-mates of a node whose activity flips."""
         nodes = self.nodes
-        live = (1 << len(nodes)) - 1
-        relabelled = self.relabelled & live  # popped nodes are unfiled
-        self.relabelled = 0
-        active = self.active & live
-        due = relabelled
-        for x in _positions(relabelled):
+        changed = self.stale | self.marked
+        self.stale = 0
+        active = self.active & ((1 << len(nodes)) - 1)
+        due = changed
+        for x in _positions(changed):
             twins = nodes[x].twins
             if twins is not None:
                 due |= twins[0] & ~((2 << x) - 1)
             self._unfile(nodes[x])
-        for x in _positions(relabelled):
-            if not nodes[x].pruned:
-                self._file(nodes[x])
-                due |= nodes[x].twins[0] & ~((2 << x) - 1)
+        for x in _positions(changed):
+            node = nodes[x]
+            if not node.pruned:
+                self._file(node)
+                due |= node.twins[0] & ~((2 << x) - 1)
+            if node.pruned or self._unmet_atleast(node) is None:
+                self.unmet &= ~node.bit
+            else:
+                self.unmet |= node.bit
         while due:
             low = due & -due
             due ^= low
@@ -1189,13 +1172,6 @@ class Tableau:
                 if node.twins is not None:
                     due |= node.twins[0] & ~((low << 1) - 1)
         self.active = active
-        for x in _positions(self.stale):
-            node = nodes[x]
-            if node.pruned or self._unmet_atleast(node) is None:
-                self.unmet &= ~node.bit
-            else:
-                self.unmet |= node.bit
-        self.stale = 0
 
     # ------------------------------------------------------------------
     # rule scanning
@@ -1298,17 +1274,16 @@ class Tableau:
         decision (an "or" one with its clause's disjuncts after them),
         `_ACTED` after a deterministic rule, or None if complete.
 
-        Each phase visits the live nodes of its agenda lowest id first and
-        drops those it finds without work, so it decides as a walk over
-        every live node in creation order would: a node that is not on an
-        agenda has no work there until it, or a child, changes."""
+        The clause and choose phases visit the agenda lowest id first, so
+        each decides as a walk over every live node would.  The choose phase
+        drops the nodes it finds without work in either; a node off the
+        agenda has none until it, or a child, changes."""
         interner = self.interner
         nodes = self.nodes
         marked = self.marked
         if marked:
             self.marked = 0
-            self.scan_agenda |= marked
-            self.choose_agenda |= marked
+            self.agenda |= marked
             self.stale |= marked
         # at-most bookkeeping: crowding is recomputed at the marked nodes;
         # clash detection and merge candidates at the crowded ones
@@ -1327,14 +1302,13 @@ class Tableau:
             if merge_option is None:
                 merge_option = ("merge", x, pairs, self._full_mask())
         # disjunction branching
-        for x in _positions(self.scan_agenda):
+        for x in _positions(self.agenda):
             node = nodes[x]
             decision = None if node.pruned else self._scan_ors(node)
             if decision is not None:
                 return decision
-            self.scan_agenda &= ~node.bit
         # choose: decide at-most qualifiers at every relevant neighbor
-        for x in _positions(self.choose_agenda):
+        for x in _positions(self.agenda):
             node = nodes[x]
             for amid in () if node.pruned else sorted(node.atmosts):
                 _, role, qid = interner.parts[amid]
@@ -1346,7 +1320,7 @@ class Tableau:
                         # satisfies the at-most, and uniform siblings keep
                         # labels convergent; the two are jointly exhaustive
                         return ("choose", child_id, (nqid, qid), 0)
-            self.choose_agenda &= ~node.bit
+            self.agenda &= ~node.bit
         # at-least generation, at the first active node with an unmet one
         self._refresh()
         ready = self.unmet & self.active

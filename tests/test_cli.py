@@ -8,7 +8,8 @@ import pytest
 from conftest import CORPUS
 
 import galcq.classical_model
-from galcq import ClassicalOntology, parse_classical
+import galcq.cli
+from galcq import ClassicalOntology, TableauResult, parse_classical
 from galcq.cli import run
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -324,6 +325,34 @@ def test_oracle_grid_agreement(tmp_path, capsys):
 def test_oracle_brute_small(tmp_path, capsys):
     path = _write(tmp_path, "(assert (inst a A) >= 1/2)")
     assert run(["check", path, "--oracle", "brute", "--max-domain", "1"]) == 0
+
+
+@pytest.mark.parametrize(
+    "oracle, text, said, why",
+    [
+        # a model from either oracle proves consistency
+        ("grid", "(assert (inst a A) >= 1/2)", "INCONSISTENT", "grid search found a model"),
+        ("brute", "(assert (inst a (some r top)) >= 1)", "INCONSISTENT",
+         "brute force found a classical model"),
+        # without roles, a brute-force refutation covers every domain size
+        ("brute", "(assert (inst a top) < 1)", "CONSISTENT",
+         "brute force refutes every domain size"),
+    ],
+)
+def test_oracle_disagreement_exits_2(tmp_path, capsys, monkeypatch, oracle, text, said, why):
+    check = galcq.cli.check_consistency
+
+    def flipped(*args, **kwargs):
+        result = check(*args, **kwargs)
+        assert result.consistent == (said == "INCONSISTENT")
+        return TableauResult(not result.consistent, result.graph)
+
+    monkeypatch.setattr(galcq.cli, "check_consistency", flipped)
+    path = _write(tmp_path, text)
+    assert run(["check", path, "--oracle", oracle, "--max-domain", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: oracle disagreement: {why}")
 
 
 def test_atmost_flag_changes_verdict(tmp_path, capsys):

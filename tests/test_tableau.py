@@ -1383,8 +1383,9 @@ def _has_choose_work(tab, node):
 
 
 def _agenda_checked(tab):
-    """Make `tab` check, on entering `_find_decision`, that every node off a
-    phase's agenda has no work in that phase, and after every `_refresh`,
+    """Make `tab` check, on entering `_find_decision`, that every node off
+    the agenda has its clause pointers at their ends and no choose work,
+    and after every `_refresh`,
     the blocking classes, the active nodes and the unmet at-leasts against a
     walk over every node; returns the list of checked calls."""
     find, refresh = tab._find_decision, tab._refresh
@@ -1400,10 +1401,9 @@ def _agenda_checked(tab):
                 assert bool(tab.crowded & bit) == (crowding is not None), f"n{node.id}"
             if node.pruned:
                 continue
-            if not (tab.scan_agenda | pending) & bit:
+            if not (tab.agenda | pending) & bit:
                 ends = (len(tab.base_ors), len(node.extra_ors))
                 assert (node.base_ptr, node.extra_ptr) == ends, f"n{node.id}"
-            if not (tab.choose_agenda | pending) & bit:
                 assert not _has_choose_work(tab, node), f"n{node.id}"
         calls.append(len(tab.nodes))
         return find()
