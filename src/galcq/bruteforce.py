@@ -27,8 +27,12 @@ pruning assignments that already falsify a quantifier-free global axiom.
 Each atom is a bit position, a partial label one int and a clause a pair
 of int masks, checked once, at its last position, by a few bit
 operations; any other quantifier-free axiom is evaluated at every atom it
-mentions.  Only the labels returned become sets of atoms.  The oracle
-shares no part of the tableau's search.
+mentions.  The clauses checked at one position and value read a fixed set
+of positions, so their verdict is memoised under the values there, one
+memo per enumeration.  Labels stay ints: the root assertions filter them
+by their bits, and a label becomes a set of atoms only when a model is
+built from it, from its set bits.  The oracle shares no part of the
+tableau's search.
 """
 
 from __future__ import annotations
@@ -121,25 +125,30 @@ def _mentions(n) -> Optional[set]:
     return out
 
 
-def _candidate_labels(atoms, clauses, formulas, budget: int) -> list[frozenset]:
-    """All atom subsets compatible with the quantifier-free global axioms.
+def _candidate_labels(atoms, clauses, formulas, budget: int) -> list[int]:
+    """All atom subsets compatible with the quantifier-free global axioms,
+    each as the int whose bit p is the value of `atoms[p]`.
 
-    A partial label is an int `v` whose bit p is the value of `atoms[p]`,
-    extended by backtracking over the positions in order, False first.  A
-    clause is a pair (positives, negatives) of position masks.  A
-    tautology is dropped and an empty clause leaves no label.  Any other
-    clause is filed under its last position q and the value b there that
-    falsifies its literal at q; with `mask` its other positions, it then
-    fails exactly when `v & mask == negatives & mask`.  When at most one
-    literal remains, it folds into the must-be-true or must-be-false mask
-    of (q, b) instead: the remaining literal, or q's own when none does.
-    The other `formulas` are evaluated three-valued whenever one of their
-    atoms is assigned, so each gets a definite verdict at its last mention.
+    A partial label is such an int `v`, extended by backtracking over the
+    positions in order, False first.  A clause is a pair (positives,
+    negatives) of position masks.  A tautology is dropped and an empty
+    clause leaves no label.  Any other clause is filed under its last
+    position q and the value b there that falsifies its literal at q; with
+    `mask` its other positions, it then fails exactly when
+    `v & mask == negatives & mask`.  When at most one literal remains, it
+    folds into the must-be-true or must-be-false mask of (q, b) instead:
+    the remaining literal, or q's own when none does.  The clauses of
+    (q, b) read only the positions in `reads`, so their verdict depends on
+    `v & reads` alone and is memoised under that pattern: one entry per
+    verdict computed, so at most 2 * budget entries, freed on return.  The
+    other `formulas` are evaluated three-valued whenever one of their atoms
+    is assigned, so each gets a definite verdict at its last mention.
     """
     n_atoms = len(atoms)
     must_true = [0] * (2 * n_atoms)  # index 2q + b: the rules of q = b
     must_false = [0] * (2 * n_atoms)
     wide = [[] for _ in must_true]
+    reads = [0] * (2 * n_atoms)  # the positions the rules of q = b read
     for pos, neg in clauses:
         if pos & neg:
             continue
@@ -150,6 +159,7 @@ def _candidate_labels(atoms, clauses, formulas, budget: int) -> list[frozenset]:
         top = 1 << q
         k = 2 * q + (not pos & top)  # b = 1 falsifies a negative literal
         mask ^= top
+        reads[k] |= mask or top
         if mask & (mask - 1):
             wide[k].append((mask, neg & mask))
         else:
@@ -158,26 +168,12 @@ def _candidate_labels(atoms, clauses, formulas, budget: int) -> list[frozenset]:
                 must_true[k] |= one
             else:
                 must_false[k] |= one
+    memo = [{} for _ in must_true]  # index 2q + b: pattern -> verdict
     position = {a: p for p, a in enumerate(atoms)}
     at_each = [[] for _ in atoms]
     for f in formulas:
         for a in _mentions(f):
             at_each[position[a]].append(f)
-
-    def ok(i: int, v: int) -> bool:
-        k = 2 * i + (v >> i & 1)
-        t = must_true[k]
-        if v & t != t or v & must_false[k]:
-            return False
-        for mask, neg in wide[k]:
-            if v & mask == neg:
-                return False  # every literal falsified
-        if at_each[i]:
-            get = lambda a: v >> position[a] & 1 == 1 if position[a] <= i else None
-            for f in at_each[i]:
-                if _value(f, get) is False:
-                    return False
-        return True
 
     out = []
     pending = []  # positions whose True is still to try
@@ -189,19 +185,40 @@ def _candidate_labels(atoms, clauses, formulas, budget: int) -> list[frozenset]:
         if i == n_atoms:
             out.append(v)
         else:
-            pending.append(i)
-            if ok(i, v):
-                i += 1
-                continue
-        while pending:  # back to the deepest False whose True is open
-            i = pending.pop()
+            pending.append(i)  # try False at i first: v's bit i is 0
+        while True:  # the next value at i that passes, else back up
+            if i < n_atoms:
+                k = 2 * i + (v >> i & 1)
+                pattern = v & reads[k]
+                passed = memo[k].get(pattern)
+                if passed is None:
+                    t = must_true[k]
+                    passed = v & t == t and not v & must_false[k]
+                    for mask, neg in wide[k] if passed else ():
+                        if v & mask == neg:
+                            passed = False  # every literal falsified
+                            break
+                    memo[k][pattern] = passed
+                if passed and at_each[i]:
+                    get = lambda a: v >> position[a] & 1 == 1 if position[a] <= i else None
+                    passed = all(_value(f, get) is not False for f in at_each[i])
+                if passed:
+                    break
+            if not pending:
+                return out
+            i = pending.pop()  # back to the deepest False whose True is open
             v = v & ((1 << i) - 1) | 1 << i
-            if ok(i, v):
-                break
-        else:
-            break
         i += 1
-    return [frozenset(a for p, a in enumerate(atoms) if v >> p & 1) for v in out]
+
+
+def _atoms_of(v: int, atoms) -> frozenset:
+    """The atoms at the set bits of the label `v`."""
+    out = []
+    while v:
+        low = v & -v
+        out.append(atoms[low.bit_length() - 1])
+        v ^= low
+    return frozenset(out)
 
 
 def _order_clauses(order, position) -> list:
@@ -270,11 +287,12 @@ def brute_force_consistency(
             formulas.append(read)
     labels = _candidate_labels(atoms, clauses, formulas, budget)
     roots = [nnf(c, lits) for _, c in o.assertions]
-    root_labels = [
-        lab
-        for lab in labels
-        if all(_value(r, lab.__contains__) is not False for r in roots)
-    ]
+    root_labels = []
+    for v in labels:
+        get = lambda a: v >> position[a] & 1 == 1
+        if all(_value(r, get) is not False for r in roots):
+            root_labels.append(v)
+    others = ()  # every label's atoms, built once a size m >= 2 fits
     completed = 0
     # no roles means no quantifiers: one element decides every size
     for m in range(1, max_domain + 1) if roles else (1,):
@@ -289,9 +307,12 @@ def brute_force_consistency(
             return BruteForceResult(False, None, completed, False)
         domain = tuple(range(m))
         all_pairs = tuple(itertools.product(domain, domain))
+        if m == 2:
+            others = [_atoms_of(v, atoms) for v in labels]
         for root_label in root_labels:
-            for rest in itertools.product(labels, repeat=m - 1):
-                label_of = (root_label,) + rest
+            root_atoms = _atoms_of(root_label, atoms)
+            for rest in itertools.product(others, repeat=m - 1):
+                label_of = (root_atoms,) + rest
                 for edge_mask in itertools.product((False, True), repeat=edge_bits):
                     role_edges = {
                         role: frozenset(itertools.compress(all_pairs, edge_mask[k * m * m :]))

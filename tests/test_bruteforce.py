@@ -225,10 +225,36 @@ def _naive_labels(atoms, clauses, formulas):
     return out
 
 
-def _labels(atoms, clauses, formulas):
+def _labels(atoms, clauses, formulas, budget=10_000):
+    """The candidate labels as atom sets; they come back as position masks."""
     position = {a: p for p, a in enumerate(atoms)}
     masks = [_masks(clause, position) for clause in clauses]
-    return _candidate_labels(atoms, masks, formulas, budget=10_000)
+    labels = _candidate_labels(atoms, masks, formulas, budget)
+    return [frozenset(a for p, a in enumerate(atoms) if v >> p & 1) for v in labels]
+
+
+def _naive_visits(atoms, clauses):
+    """The nodes a plain depth-first search enters: every prefix of values
+    that falsifies no clause whose atoms all lie within it."""
+    position = {a: p for p, a in enumerate(atoms)}
+    visits, stack = 0, [()]
+    while stack:
+        prefix = stack.pop()
+        visits += 1
+        if len(prefix) == len(atoms):
+            continue
+        for value in (False, True):
+            values = prefix + (value,)
+            if all(
+                any(
+                    position[d.atom] >= len(values)
+                    or values[position[d.atom]] is (type(d) is NAtom)
+                    for d in clause
+                )
+                for clause in clauses
+            ):
+                stack.append(values)
+    return visits
 
 
 def test_candidate_labels_match_a_naive_filter():
@@ -262,3 +288,8 @@ def test_candidate_labels_match_a_naive_filter():
             for _ in range(rng.randint(1, 6))
         ]
         assert _labels(atoms, clauses, []) == _naive_labels(atoms, clauses, []), clauses
+        # the memoised clause verdicts keep the visits of a plain search
+        visits = _naive_visits(atoms, clauses)
+        with pytest.raises(BudgetExceededError):
+            _labels(atoms, clauses, [], budget=visits - 1)
+        _labels(atoms, clauses, [], budget=visits)
