@@ -17,13 +17,14 @@ re-hashing and re-comparing the concept trees inside the elements.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Union
 
-from .algebra import ONE, ValueSet
-from .concepts import And, Concept, Implies, Not, Or, negate
+from .algebra import HALF, ONE, ValueSet
+from .concepts import And, Concept, Implies, Not, Or, negate, role_of
 from .ontology import FuzzyOntology, roles, sub_closure, value_closure
 
 
@@ -88,6 +89,11 @@ class Leq:
     def __reduce__(self):
         # string hashes differ between processes: rebuild, never copy, _hash
         return (Leq, (self.lhs, self.rhs))
+
+
+def _quantified(c: Concept) -> bool:
+    """Whether `c` or its negation is a quantified concept."""
+    return role_of(c.sub if isinstance(c, Not) else c) is not None
 
 
 def invert(e: OrderElement) -> OrderElement:
@@ -199,8 +205,13 @@ class OrderStructure:
       - `index` maps each element to its position;
       - `table[i][j]` is the one shared atom `Leq(elements[i], elements[j])`;
       - `inverse[i]` is the position of `invert(elements[i])`;
-      - `up[i]` is the position of `shift(elements[i])`, for the base
-        elements (constants and current-level subconcepts), which come first.
+      - `up[i]` is the position of `shift(elements[i])`, for the longest
+        prefix of the base elements (constants, then current-level
+        subconcepts, which come first) whose shifted copy is an element:
+        every base element of a full structure, the constants and the
+        quantified subconcepts of its `cone`;
+      - `cone` is the structure restricted to what some semantics axiom
+        reads (see there).
     """
 
     values: ValueSet
@@ -224,7 +235,100 @@ class OrderStructure:
     @cached_property
     def up(self) -> tuple[int, ...]:
         base = self.elements[: len(self.values) + len(self.subconcepts)]
-        return tuple(self.index[shift(e)] for e in base)
+        shifted = map(self.index.get, map(shift, base))
+        return tuple(itertools.takewhile(lambda p: p is not None, shifted))
+
+    @cached_property
+    def cone(self) -> "OrderStructure":
+        """The structure restricted to the elements some semantics axiom
+        reads: the constants; the subconcepts, the quantified ones (`Forall`,
+        `AtLeast` and their negations) first; the shifted copies of the
+        quantified ones; and the edge pair if there is any.  Every other
+        shifted copy, and the edge pair of a structure without quantifiers,
+        is read only by the order families and transfer.  The cone's table
+        holds this table's atoms; the cone of a cone is itself."""
+        quantified = tuple(c for c in self.subconcepts if _quantified(c))
+        subs = quantified + tuple(c for c in self.subconcepts if not _quantified(c))
+        elements = (
+            tuple(ValueElement(q) for q in self.values)
+            + tuple(ConceptElement(c) for c in subs)
+            + tuple(ShiftedElement(c) for c in quantified)
+            + ((EDGE, EDGE_INV) if quantified else ())
+        )
+        if elements == self.elements:
+            return self
+        cone = OrderStructure(self.values, subs, self.roles, elements)
+        at = [self.index[e] for e in elements]
+        t = self.table
+        # a cached property is read from the instance dict first
+        cone.__dict__["table"] = tuple(tuple(t[i][j] for j in at) for i in at)
+        return cone
+
+    def _ranks(self, atoms) -> list[int]:
+        """The class of each position in the total preorder that `atoms`
+        give, lowest 0: in a total preorder a row is its class's up-set, so
+        a lower class has more bits."""
+        rows = self.rows(atoms)
+        counts = sorted({row.bit_count() for row in rows}, reverse=True)
+        rank = {count: k for k, count in enumerate(counts)}
+        return [rank[row.bit_count()] for row in rows]
+
+    def complete(self, atoms, above=None) -> frozenset:
+        """`atoms`, a tree element's total preorder over the cone, with the
+        atoms of the positions outside the cone added; `above` are its tree
+        parent's atoms over the cone, None at the root.
+
+        A dropped copy `up C` takes the place that the parent gives `C`
+        among the anchors, the constants and quantified subconcepts, whose
+        copies transfer orders at the element as the parent orders them:
+        tied with an anchor, it joins the class of that anchor's copy;
+        otherwise it gets a class of its own, ordered as the parent orders
+        the dropped ones, just above the lower anchor's copy in a gap below
+        1/2 and just below the upper anchor's copy in a gap above 1/2 (1/2
+        is an anchor, so no gap straddles it), which keeps antitonicity.  At
+        the root one copy of each pair {up C, up not C} goes to 0 and the
+        other to 1, and a dropped edge pair goes to 1 and 0 everywhere."""
+        cone = self.cone
+        if cone is self:
+            return atoms
+        # an element's sort key: its class at the element, then, for a
+        # dropped copy in a gap, its side of the anchor and the parent's
+        # class of its concept
+        here = cone._ranks(atoms)
+        key = {e: (k, 0, 0) for e, k in zip(cone.elements, here)}
+        up, anchors = cone.up, range(len(cone.up))
+        zero, one = key[cone.elements[0]], key[cone.elements[len(self.values) - 1]]
+        parent = None if above is None else cone._ranks(above)
+        dropped = [p for p, e in enumerate(self.elements) if e not in key]
+        for p in dropped:
+            e = self.elements[p]
+            if isinstance(e, EdgeElement):
+                key[e] = one if e.positive else zero
+                continue
+            q = cone.index[ConceptElement(e.concept)]
+            if parent is None:
+                key[e] = zero if q < cone.inverse[q] else one
+                continue
+            level = parent[q]
+            low = max((a for a in anchors if parent[a] <= level), key=parent.__getitem__)
+            if parent[low] == level:
+                key[e] = here[up[low]], 0, 0
+                continue
+            high = min((a for a in anchors if parent[a] > level), key=parent.__getitem__)
+            if parent[high] <= parent[self.values.degrees.index(HALF)]:
+                key[e] = here[up[low]], 1, level
+            else:
+                key[e] = here[up[high]], -1, level
+        keys = [key[e] for e in self.elements]
+        t = self.table
+        added = set(atoms)
+        for p in dropped:
+            for j, kj in enumerate(keys):
+                if keys[p] <= kj:
+                    added.add(t[p][j])
+                if kj <= keys[p]:
+                    added.add(t[j][p])
+        return frozenset(added)
 
     def leq(self, a: OrderElement, b: OrderElement) -> Leq:
         """The table atom `Leq(a, b)`; both elements must be in the structure."""

@@ -6,6 +6,17 @@ number restrictions (choose and merge).  Every GCI `C [= D` contributes the
 clause nnf(not C or D) to every node label.
 
 Search organization:
+  - the search reads the cone of the reduction's order structure
+    (`OrderStructure.cone`): the constants, the subconcepts, and the
+    shifted copies and the edge pair only where a quantified subconcept's
+    semantics axiom reads them.  Its clauses are a subset of the full
+    reduction's, so an inconsistent verdict holds for the full reduction,
+    and a model of the cone's clauses extends to one of the full
+    reduction: `extract_classical_model` gives every tree element the atoms
+    of the dropped positions (`OrderStructure.complete`), each where
+    transfer from the tree parent puts it.  A given axiom or assertion
+    over any other element raises ValueError, since its atom would be read
+    as a free name;
   - a node's label is its one record of what holds there: a dict from
     concept id to a dependency bitmask of decision levels, holding the
     base concepts with the node's own dependency.  The global axioms are
@@ -25,7 +36,7 @@ Search organization:
     representatives only, and the antitonicity clauses, `not r or r`, are
     never read.  A node's order bitsets hold both atoms of every literal
     in its label, and `_export` gives both atoms to the completion graph;
-  - the order families that the reduction's order structure
+  - the order families that the cone of the reduction's order structure
     (`ClassicalOntology.order`) fixes by itself are read from it, not
     from inclusions: the transitivity clauses `(and t[i][j] t[j][k]) [=
     t[i][k]` over three distinct positions (the n^3 bulk), the totality
@@ -129,7 +140,7 @@ from .nnf import (
     nnf,
     sort_key,
 )
-from .orders import _positions
+from .orders import Leq, OrderStructure, _positions
 
 # Default resource budgets of a tableau run: nodes created and rule steps.
 NODE_BUDGET = 5000
@@ -336,8 +347,12 @@ class GraphNode:
 
 @dataclass(frozen=True)
 class CompletionGraph:
+    """The nodes of a complete search, whose atoms are over the cone of
+    `order`, the ontology's order structure (None for none)."""
+
     nodes: dict
     root: int
+    order: Optional[OrderStructure] = None
 
 
 @dataclass(frozen=True)
@@ -361,7 +376,12 @@ class Tableau:
         self.node_budget = node_budget
         self.step_budget = step_budget
         self.trace = None  # set after the silent static pre-pass
-        self.interner = _Interner(ontology.order)
+        # the search reads the cone; the graph it exports, the full structure
+        self.structure = ontology.order
+        order = None if ontology.order is None else ontology.order.cone
+        if trace and order is not None:
+            trace(f"structure {len(ontology.order)} elements, cone {len(order)}")
+        self.interner = _Interner(order)
         self.nodes: list[_Node] = []
         self.created = 0
         self.steps = 0
@@ -397,7 +417,7 @@ class Tableau:
         self.active = 0
 
         interner = self.interner
-        base, transfer = self._read_inclusions(ontology)
+        base, transfer = self._read_inclusions(ontology, order)
         self.base_set = frozenset(base)
         self.base_order, self.base_ors = self._base_order(base, transfer)
         # the interned base concepts, in base order
@@ -408,17 +428,24 @@ class Tableau:
         self.root_ids = tuple(
             interner.intern(nnf(c, interner.lits)) for _, c in ontology.assertions
         )
+        nn = self.order_n**2
+        if order is not None and any(
+            kind <= _KIND_NEGATOM and type(part) is Leq
+            for kind, part in zip(interner.kinds[2 * nn :], interner.parts[2 * nn :])
+        ):
+            # it would be read as a free name atom
+            raise ValueError("an axiom or assertion mentions an element outside the cone")
         self._precompute_static()
         self.trace = trace
 
-    def _read_inclusions(self, ontology: ClassicalOntology) -> tuple[set, list]:
+    def _read_inclusions(self, ontology: ClassicalOntology, order) -> tuple[set, list]:
         """Intern the base clauses; return their ids and the transfer
         clauses of `_read_transfer` that go into the base order.
 
         Every given inclusion is read by `nnf.inclusion_nnf`, and so are
-        the bounds and constant facts of the ontology's order structure,
-        if it has one; its totality units `leq(i, i)` are the
-        representatives of ids i * (n + 1).  None of the structure's
+        the bounds and constant facts of the order structure `order`, the
+        cone of the ontology's, if it has one; its totality units `leq(i,
+        i)` are the representatives of ids i * (n + 1).  None of the structure's
         transitivity, totality and transfer clauses is interned: each is
         known by its positions.  The others of the first two families are
         left out, since each is a tautology or holds by the base facts
@@ -431,7 +458,6 @@ class Tableau:
         interner = self.interner
         lits = interner.lits
         base = set()
-        order = ontology.order
         self.order_n = 0 if order is None else len(order)
         axioms = ontology.axioms
         transfer = []
@@ -1502,7 +1528,7 @@ class Tableau:
                 blocked_by=blocked_by.get(nid),
             )
             pending.extend(children)
-        return CompletionGraph(nodes=nodes, root=0)
+        return CompletionGraph(nodes=nodes, root=0, order=self.structure)
 
 
 def check_consistency(
@@ -1524,11 +1550,23 @@ def extract_classical_model(graph: CompletionGraph, depth: int) -> ClassicalInte
 
     Tree nodes at the requested depth whose expansion was truncated are
     recorded in `cut`; axioms are only guaranteed at elements whose distance
-    from those leaves exceeds the ontology's quantifier depth.  Raises
+    from those leaves exceeds the ontology's quantifier depth.  Each element
+    also gets the atoms of the positions outside the search's cone, by
+    `OrderStructure.complete`, once per pair of its node's and its parent's
+    atoms, so the tree is a model of the full reduction.  Raises
     BudgetExceededError as the tree's element count passes TREE_BUDGET.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    completed = {}
+
+    def complete(atoms, above):
+        if graph.order is None:
+            return atoms
+        full = completed.get((atoms, above))
+        if full is None:
+            full = completed[atoms, above] = graph.order.complete(atoms, above)
+        return full
 
     def effective(nid: int) -> int:
         seen = set()
@@ -1548,7 +1586,7 @@ def extract_classical_model(graph: CompletionGraph, depth: int) -> ClassicalInte
     root = next(counter)
     parent[root] = None
     depths[root] = 0
-    true_atoms[root] = graph.nodes[graph.root].atoms
+    true_atoms[root] = complete(graph.nodes[graph.root].atoms, None)
     pending = deque([(root, graph.root)])
     while pending:
         elem, gid = pending.popleft()
@@ -1568,7 +1606,7 @@ def extract_classical_model(graph: CompletionGraph, depth: int) -> ClassicalInte
                 )
             parent[child_elem] = elem
             depths[child_elem] = depths[elem] + 1
-            true_atoms[child_elem] = child.atoms
+            true_atoms[child_elem] = complete(child.atoms, graph.nodes[gid].atoms)
             for role in child.roles:
                 role_edges.setdefault(role, set()).add((elem, child_elem))
             pending.append((child_elem, child_gid))

@@ -125,6 +125,15 @@ def by_position_count(order):
     return triples + tautologies + totality + transfer
 
 
+def cone_of(reduction):
+    """`reduction` with its order structure replaced by the cone that the
+    tableau searches, so that positions read off a tableau index its
+    `order`, and its listing `inclusions` is the one the tableau reads."""
+    return galcq.ClassicalOntology(
+        reduction.axioms, reduction.assertions, reduction.individual, reduction.order.cone
+    )
+
+
 def static_label(tab):
     """The concept ids that a tableau's static pass adds to its seed node
     after the base concepts, in label order."""
@@ -185,7 +194,7 @@ def corpus_runs():
                 len(tab.interner.objs),
                 tab.created,
                 tab.steps,
-                by_position_count(reduction.order),
+                by_position_count(reduction.order.cone),
             ),
         )
         start = time.monotonic()

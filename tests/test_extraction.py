@@ -326,6 +326,8 @@ def test_extraction_hashes_no_order_element_per_tree_element(monkeypatch):
         monkeypatch.setattr(cls, "__hash__", counted)
     hash(ConceptElement(A)), hash(ShiftedElement(A))
     assert len(calls) == 2  # the counters are in place
+    # the structure derives its position tables on first use, once
+    extract_fuzzy_model(trees[0], red.order)
     counts = []
     for tree in trees:
         calls.clear()

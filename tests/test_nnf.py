@@ -85,8 +85,9 @@ def test_order_literal_keys_are_the_structural_ones():
     # structural one
     red = reduce_ontology(parse_ontology("(assert (inst a (some r (and A (not B)))) >= 1/3)"))
     interner = Tableau(red).interner
-    objs, lits, n = interner.objs, interner.lits, len(red.order)
-    for i, row in enumerate(red.order.table):
+    cone = red.order.cone  # the structure the tableau searches
+    objs, lits, n = interner.objs, interner.lits, len(cone)
+    for i, row in enumerate(cone.table):
         for j, atom in enumerate(row):
             pos, neg = objs[i * n + j], objs[n * n + i * n + j]
             r = interner.rep[i * n + j]

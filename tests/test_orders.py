@@ -16,6 +16,7 @@ from conftest import CORPUS, classical_concepts
 
 from galcq import (
     And,
+    Forall,
     Implies,
     Leq,
     MinExpr,
@@ -87,6 +88,44 @@ def test_structure_enumeration():
         EDGE_INV,
     }
     assert set(u.elements) == expected
+
+
+def test_cone_keeps_the_elements_the_semantics_axioms_read():
+    # the quantified subconcepts come first, and only they keep their
+    # shifted copies; the edge pair stays beside them
+    u = OrderStructure.from_ontology(parse_ontology("(assert (inst a (and A (all r B))) >= 1/2)"))
+    B = Name("B")
+    forall = Forall("r", B)
+    cone = u.cone
+    rest = (A, B, And(A, forall), Not(A), Not(B), Not(And(A, forall)))
+    assert cone.subconcepts == (forall, Not(forall)) + rest
+    assert cone.elements == (
+        tuple(ValueElement(q) for q in u.values)
+        + tuple(ConceptElement(c) for c in cone.subconcepts)
+        + (ShiftedElement(forall), ShiftedElement(Not(forall)), EDGE, EDGE_INV)
+    )
+    assert (len(u), len(cone)) == (21, 15)
+    # `up` is the prefix of base elements with a shifted copy: every one of
+    # the full structure, the constants and the quantified ones of the cone
+    assert len(u.up) == len(u.values) + len(u.subconcepts)
+    assert len(cone.up) == len(u.values) + 2
+    for i, p in enumerate(cone.up):
+        assert cone.elements[p] == shift(cone.elements[i])
+    # the cone's atoms are the table's, and it is closed under inversion
+    for i, a in enumerate(cone.elements):
+        assert cone.elements[cone.inverse[i]] == invert(a)
+        for j, b in enumerate(cone.elements):
+            assert cone.table[i][j] is u.leq(a, b)
+    assert cone.cone is cone
+
+
+def test_cone_without_quantifiers_has_no_copies_or_edges():
+    u = OrderStructure.from_ontology(parse_ontology("(assert (inst a (and A B)) >= 1/2)"))
+    cone = u.cone
+    assert cone.subconcepts == u.subconcepts
+    assert cone.elements == u.elements[: len(u.values) + len(u.subconcepts)]
+    assert cone.up == tuple(range(len(u.values)))
+    assert cone.cone is cone
 
 
 def test_macro_min_lower_bound():

@@ -11,6 +11,7 @@ from conftest import (
     STEP_BUDGET,
     by_position_count,
     classical_concepts,
+    cone_of,
     static_label,
 )
 from test_differential import MAX_ELEMENTS, ONTOLOGIES, STEP_BUDGET as RANDOM_STEP_BUDGET
@@ -41,7 +42,7 @@ from galcq import (
 )
 from galcq.classical_model import fact_axioms
 from galcq.concepts import TOP, quantifier_depth
-from galcq.orders import ValueElement
+from galcq.orders import ShiftedElement, ValueElement
 from galcq.nnf import (
     NAtom,
     NForall,
@@ -189,6 +190,21 @@ def test_model_readback_from_completion():
     assert violations == []
 
 
+@pytest.mark.parametrize("k, q", [(k, q) for k in (1, 2, 3) for q in ("1/4", "1/2")])
+def test_counting_model_readback_from_completion(k, q):
+    # the search reads the cone, and the unravelled tree gets the atoms of
+    # the other positions: a model of the full reduction, across the
+    # successors that counting makes
+    red = reduce_ontology(parse_ontology(_counting_text(k, q)))
+    assert len(red.order.cone) < len(red.order)
+    result = check_consistency(red)
+    assert result.consistent
+    tree = extract_classical_model(result.graph, 4)
+    margin = max(quantifier_depth(c) for c in classical_concepts(red))
+    assert len(tree.interior(margin)) > 1
+    assert check_classical_model(tree, red, elements=tree.interior(margin)) == []
+
+
 def test_extract_identity_without_blocking():
     o = ClassicalOntology((), (("a", Exists("r", A)),), "a")
     result = check_consistency(o)
@@ -297,11 +313,11 @@ def test_agreement_with_brute_force_on_random_ontologies():
 # are not base clauses of the tableau (the inclusion column, from
 # `ClassicalOntology.inclusions`, still counts them).
 PINNED = {
-    "two-roles": (True, 10659, 4797, 6208, 7, 2070, "f3194964bdce0744"),
-    "count-clash": (False, 17251, 7869, 9482, 3, 944, "d1b452b3b95c29d4"),
-    "duality": (True, 5681, 2495, 3260, 28, 4683, "0404f426a9d5e3ea"),
-    "atmost-res": (True, 10418, 4678, 5822, 9, 1971, "a9838d4e4a85d866"),
-    "forall-clash": (False, 13615, 6169, 7583, 2, 352, "f66013164866c31b"),
+    "two-roles": (True, 10659, 2511, 3316, 7, 1118, "f3194964bdce0744"),
+    "count-clash": (False, 17251, 3423, 4259, 3, 470, "d1b452b3b95c29d4"),
+    "duality": (True, 5681, 1707, 2277, 24, 2949, "0404f426a9d5e3ea"),
+    "atmost-res": (True, 10418, 1684, 2195, 7, 641, "a9838d4e4a85d866"),
+    "forall-clash": (False, 13615, 3463, 4359, 2, 200, "f66013164866c31b"),
 }
 
 
@@ -311,7 +327,7 @@ def test_search_behaviour_is_pinned(name):
     tab = Tableau(red, NODE_BUDGET, STEP_BUDGET)
     result = tab.run()
     digest = hashlib.sha256(classical_to_sexpr(red).encode("utf-8")).hexdigest()[:16]
-    by_position = by_position_count(red.order)
+    by_position = by_position_count(red.order.cone)
     observed = (
         result.consistent,
         len(red.inclusions),
@@ -329,40 +345,40 @@ def test_search_behaviour_is_pinned(name):
 # tableau runs; the base clause and interned concept columns count every
 # clause read by position as one of each, as `PINNED` does.
 CORPUS_SEARCH = {
-    "empty": (True, 67, 110, 1, 6),
-    "assert-half": (True, 361, 514, 1, 30),
-    "godel-mid": (True, 1080, 1409, 1, 67),
-    "godel-above": (True, 1666, 2098, 1, 87),
-    "cmp-lt": (True, 1079, 1406, 1, 70),
-    "cmp-eq-neg": (True, 1079, 1408, 1, 71),
-    "implies-deg": (True, 3380, 4086, 1, 154),
-    "gci-chain": (True, 1666, 2096, 1, 91),
-    "gci-top": (True, 1081, 1407, 1, 56),
-    "exists-half": (True, 1128, 1577, 3, 263),
-    "forall-low": (True, 1128, 1579, 3, 266),
-    "atleast-two": (True, 1128, 1575, 5, 438),
-    "atmost-inv": (True, 1128, 1575, 5, 438),
-    "atmost-res": (True, 4678, 5822, 9, 1971),
-    "duality": (True, 2495, 3260, 28, 4683),
-    "crisp-sat": (True, 1080, 1407, 1, 71),
-    "two-roles": (True, 4797, 6208, 7, 2070),
-    "loop-gci": (True, 1129, 1576, 3, 262),
-    "open-interval": (True, 361, 514, 1, 30),
-    "neg-forall": (True, 1128, 1579, 3, 266),
-    "godel-high": (False, 1666, 2098, 1, 1),
-    "squeeze": (False, 663, 887, 1, 1),
-    "top-neg": (False, 1081, 1407, 1, 1),
-    "forall-clash": (False, 6169, 7583, 2, 352),
-    "count-clash": (False, 7869, 9482, 3, 944),
-    "self-implies": (False, 1080, 1413, 1, 0),
-    "top-low": (False, 362, 514, 1, 0),
-    "below-zero": (False, 361, 514, 1, 0),
-    "cmp-circle": (False, 1079, 1406, 1, 1),
-    "res-atmost-midway": (False, 2496, 3254, 1, 9),
-    "gci-force": (False, 1081, 1407, 1, 1),
-    "exists-zero": (False, 4678, 5826, 3, 767),
-    "chain-squeeze": (False, 1081, 1408, 1, 10),
-    "count-squeeze": (False, 1746, 2362, 1, 1),
+    "empty": (True, 19, 31, 1, 0),
+    "assert-half": (True, 67, 110, 1, 6),
+    "godel-mid": (True, 174, 266, 1, 13),
+    "godel-above": (True, 370, 517, 1, 21),
+    "cmp-lt": (True, 173, 263, 1, 16),
+    "cmp-eq-neg": (True, 173, 265, 1, 17),
+    "implies-deg": (True, 664, 894, 1, 42),
+    "gci-chain": (True, 370, 515, 1, 25),
+    "gci-top": (True, 175, 264, 1, 8),
+    "exists-half": (True, 680, 982, 3, 167),
+    "forall-low": (True, 680, 984, 3, 170),
+    "atleast-two": (True, 680, 980, 5, 278),
+    "atmost-inv": (True, 680, 980, 5, 278),
+    "atmost-res": (True, 1684, 2195, 7, 641),
+    "duality": (True, 1707, 2277, 24, 2949),
+    "crisp-sat": (True, 174, 264, 1, 17),
+    "two-roles": (True, 2511, 3316, 7, 1118),
+    "loop-gci": (True, 681, 981, 3, 166),
+    "open-interval": (True, 67, 110, 1, 6),
+    "neg-forall": (True, 680, 984, 3, 170),
+    "godel-high": (False, 370, 517, 1, 1),
+    "squeeze": (False, 181, 263, 1, 1),
+    "top-neg": (False, 175, 264, 1, 1),
+    "forall-clash": (False, 3463, 4359, 2, 200),
+    "count-clash": (False, 3423, 4259, 3, 470),
+    "self-implies": (False, 174, 270, 1, 0),
+    "top-low": (False, 68, 110, 1, 0),
+    "below-zero": (False, 67, 110, 1, 0),
+    "cmp-circle": (False, 173, 263, 1, 1),
+    "res-atmost-midway": (False, 1106, 1506, 1, 8),
+    "gci-force": (False, 175, 264, 1, 1),
+    "exists-zero": (False, 2464, 3158, 3, 466),
+    "chain-squeeze": (False, 175, 265, 1, 10),
+    "count-squeeze": (False, 1136, 1573, 1, 1),
 }
 
 
@@ -383,20 +399,20 @@ def test_corpus_search_is_pinned(corpus_runs):
 # Search on the benchmark's counting family F(k, q) and criterion-5 chain,
 # as (verdict, nodes created, steps).
 FAMILY_SEARCH = {
-    ("counting", 1, "1/4"): (True, 13, 3941),
-    ("counting", 1, "1/2"): (True, 11, 2747),
-    ("counting", 1, "3/4"): (False, 3, 741),
-    ("counting", 2, "1/4"): (True, 19, 5568),
-    ("counting", 2, "1/2"): (True, 16, 3992),
-    ("counting", 2, "3/4"): (False, 4, 863),
-    ("counting", 3, "1/4"): (True, 25, 7195),
-    ("counting", 3, "1/2"): (True, 21, 5237),
-    ("counting", 3, "3/4"): (False, 5, 985),
-    ("chain", 1, None): (True, 1, 30),
-    ("chain", 2, None): (True, 1, 70),
-    ("chain", 3, None): (True, 1, 126),
-    ("chain", 4, None): (True, 1, 198),
-    ("chain", 5, None): (True, 1, 286),
+    ("counting", 1, "1/4"): (True, 13, 2358),
+    ("counting", 1, "1/2"): (True, 11, 1603),
+    ("counting", 1, "3/4"): (False, 3, 439),
+    ("counting", 2, "1/4"): (True, 19, 3325),
+    ("counting", 2, "1/2"): (True, 16, 2328),
+    ("counting", 2, "3/4"): (False, 4, 501),
+    ("counting", 3, "1/4"): (True, 25, 4292),
+    ("counting", 3, "1/2"): (True, 21, 3053),
+    ("counting", 3, "3/4"): (False, 5, 563),
+    ("chain", 1, None): (True, 1, 6),
+    ("chain", 2, None): (True, 1, 16),
+    ("chain", 3, None): (True, 1, 30),
+    ("chain", 4, None): (True, 1, 48),
+    ("chain", 5, None): (True, 1, 70),
 }
 
 
@@ -444,11 +460,11 @@ def test_residual_atmost_49_element_input_is_decided():
 # prefix of the label's concepts in label order) of the facts every node
 # starts from.  The label order is what new nodes copy and merges iterate.
 STATIC = {
-    "two-roles": (58, 0, "7ffe3b47f11517fb"),
-    "count-clash": (91, 1, "7ab8ee7203802bcb"),
-    "duality": (33, 0, "f08877dddc11f403"),
-    "atmost-res": (74, 3, "b0188455abd1f229"),
-    "forall-clash": (90, 0, "c5535932e42b3960"),
+    "two-roles": (42, 0, "6454f97209fba50a"),
+    "count-clash": (54, 1, "076c6cf97a7f2820"),
+    "duality": (28, 0, "7a2105c8e05568f1"),
+    "atmost-res": (41, 3, "e5a1e4f4149f2420"),
+    "forall-clash": (60, 0, "877684c41612545b"),
 }
 
 
@@ -462,6 +478,15 @@ def test_static_seed_is_pinned(name):
     assert observed == STATIC[name]
     assert not tab.static_clash
     assert (tab.steps, tab.created, tab.nodes, tab.trail) == (0, 0, [], [])
+
+
+def test_trace_opens_with_the_structure_line():
+    lines = []
+    red = reduce_ontology(parse_ontology(dict(CORPUS)["two-roles"]))
+    assert check_consistency(red, trace=lines.append).consistent
+    assert lines[0] == "structure 21 elements, cone 17"
+    assert (len(red.order), len(red.order.cone)) == (21, 17)
+    assert not any(line.startswith("structure") for line in lines[1:])
 
 
 def test_static_clash_decides_inconsistency():
@@ -709,14 +734,14 @@ def _chain(k):
     ids=[name for name, _ in CORPUS] + [f"chain-{k}" for k in (1, 2, 3)],
 )
 def test_clause_path_matches_nnf_path(text):
-    _assert_base_matches_reference(reduce_ontology(parse_ontology(text)))
+    _assert_base_matches_reference(cone_of(reduce_ontology(parse_ontology(text))))
 
 
 def test_name_atoms_merge_with_the_order_literals():
     # positive names rank before every order literal, negated ones between
     # the positive and the negated order literals, and quantified disjuncts
     # after them all, as their sort keys order them
-    red = reduce_ontology(parse_ontology(dict(CORPUS)["assert-half"]))
+    red = cone_of(reduce_ontology(parse_ontology(dict(CORPUS)["assert-half"])))
     t = red.order.table
     given = (
         Inclusion(TOP, Or(A, Or(Not(B), t[1][2]))),
@@ -840,7 +865,7 @@ BITSET_INPUTS["counting-k1-q1_4"] = _counting_text(1, "1/4")
 def _checked_tableau(text, step_budget):
     """A tableau that checks its order bitsets after every backjump, its
     check, and the list its undo marks go to."""
-    red = reduce_ontology(parse_ontology(text))
+    red = cone_of(reduce_ontology(parse_ontology(text)))
     tab = Tableau(red, NODE_BUDGET, step_budget)
     check = _bitset_check(tab, red.order.elements)
     undo, marks = tab._undo_to, []
@@ -863,7 +888,7 @@ def test_order_bitsets_match_labels(name):
 
 
 def test_order_bitsets_match_labels_when_cut_mid_search():
-    tab, check, marks = _checked_tableau(_counting_text(1, "1/4"), 3000)
+    tab, check, marks = _checked_tableau(_counting_text(1, "1/4"), 2000)
     with pytest.raises(BudgetExceededError):
         tab.run()
     assert len(marks) > 10 and tab.stack  # cut while backtracking
@@ -938,7 +963,7 @@ def test_order_facts_settle_as_watching_every_clause_would():
     rng = random.Random(0x0C0DE)
     seen = {"unit": 0, "transfer": 0, "clash": 0}
     for name, text in KERNEL_INPUTS.items():
-        red = reduce_ontology(parse_ontology(text))
+        red = cone_of(reduce_ontology(parse_ontology(text)))
         tab = Tableau(red)
         filed = _watched_by_position(tab, red.order)
         n = tab.order_n
@@ -988,7 +1013,7 @@ def test_order_facts_settle_as_watching_every_clause_would():
 
 
 def test_triple_table_holds_every_distinct_vertex_transitivity_clause():
-    red = reduce_ontology(parse_ontology(dict(CORPUS)["duality"]))
+    red = cone_of(reduce_ontology(parse_ontology(dict(CORPUS)["duality"])))
     tab = Tableau(red)
     assert tab.order_n == len(red.order)
     # the inclusions it reads without the structure, over representatives:
@@ -1021,7 +1046,7 @@ def test_totality_is_read_by_position_and_antitonicity_is_quotiented(corpus_runs
     # reads `not r or r` over the representative r and is not read at all
     self_partners = 0
     for run_ in corpus_runs:
-        red = run_.reduction
+        red = cone_of(run_.reduction)
         tab = Tableau(red)
         inv, t = red.order.inverse, red.order.table
         lits = tab.interner.lits
@@ -1070,7 +1095,7 @@ def test_transfer_is_read_by_position(corpus_runs):
     # filed once, at the one listed first
     with_roles = 0
     for run_ in corpus_runs:
-        red = run_.reduction
+        red = cone_of(run_.reduction)
         tab = Tableau(red)
         u, objs, lits = red.order, tab.interner.objs, tab.interner.lits
         t, up = u.table, u.up
@@ -1127,7 +1152,7 @@ def test_dropped_triples_are_implied(corpus_runs):
     # its complement, or has the disjunct leq(m, m), which totality makes a
     # base fact: the tableau loses nothing by not reading it
     for run_ in corpus_runs:
-        red = run_.reduction
+        red = cone_of(run_.reduction)
         n, t = len(red.order), red.order.table
         lits = _Interner().lits
         family = red.inclusions[: n**3]
@@ -1166,7 +1191,7 @@ def test_order_literals_are_numbered_by_position(name):
     # complements, and ranked by position in the order of their sort keys;
     # of an antitone pair, the atom of lower sort key is the literal of
     # both: its shared literal nodes and its ids are found by either atom
-    red = reduce_ontology(parse_ontology(BLOCK_INPUTS[name]))
+    red = cone_of(reduce_ontology(parse_ontology(BLOCK_INPUTS[name])))
     tab = Tableau(red)
     interner, t, n, inv = tab.interner, red.order.table, len(red.order), red.order.inverse
     objs, lits, nn = interner.objs, interner.lits, n * n
@@ -1205,7 +1230,7 @@ def test_structure_and_its_inclusions_search_alike(name):
     # inclusions built by hand over representatives have none, so every
     # transitivity, totality, antitonicity and transfer clause is read,
     # interned and watched as an ordinary clause
-    red = reduce_ontology(parse_ontology(DIFFERENTIAL_INPUTS[name]))
+    red = cone_of(reduce_ontology(parse_ontology(DIFFERENTIAL_INPUTS[name])))
     plain = _quotient(red)
     rewrite = _representatives(red.order)
     transfer = _rewritten(rewrite, [inc for inc, _ in _families(red)[4]])
@@ -1232,7 +1257,7 @@ def test_random_structure_and_its_inclusions_search_alike(text):
         Tableau(red, NODE_BUDGET, RANDOM_STEP_BUDGET).run()
     except BudgetExceededError:
         reject()
-    _search_alike(red, _quotient(red))
+    _search_alike(red, _quotient(cone_of(red)))
 
 
 @pytest.mark.parametrize("name", ["duality", "atmost-res", "counting-k1-q1/4"])
@@ -1242,7 +1267,7 @@ def test_given_clauses_equal_to_ones_read_by_position_search_alike(name):
     # ahead of it, and a given antitonicity clause is the tautology `not r
     # or r`, which never branches; without a structure the two are one
     # clause
-    red = reduce_ontology(parse_ontology(DIFFERENTIAL_INPUTS[name]))
+    red = cone_of(reduce_ontology(parse_ontology(DIFFERENTIAL_INPUTS[name])))
     _, totality, _, antitone, transfer = _families(red)
     given = tuple(inc for inc, (i, j) in totality + antitone if i != j)
     given += tuple(inc for inc, _ in transfer)
@@ -1267,7 +1292,7 @@ def test_given_transfer_clause_searches_like_its_plain_copy(name):
     # a TBox inclusion equal to a transfer clause, over distinct positions
     # or at i = j, of either sign, given beside the reduction's own axioms,
     # searches as the structure-less copy, where the two are one clause
-    red = reduce_ontology(parse_ontology(DIFFERENTIAL_INPUTS[name]))
+    red = cone_of(reduce_ontology(parse_ontology(DIFFERENTIAL_INPUTS[name])))
     last = red.order.roles[-1]
     given = [
         inc
@@ -1308,7 +1333,7 @@ def test_search_counters_are_pinned():
     text = _counting_text(3, "1/4")
     tab = Tableau(reduce_ontology(parse_ontology(text)), NODE_BUDGET, STEP_BUDGET)
     assert tab.run().consistent
-    assert _counters(tab) == (455, 21, 0, 1, 429)
+    assert _counters(tab) == (439, 21, 0, 1, 419)
 
 
 def test_trace_shows_clashes_and_backjumps():
@@ -1346,8 +1371,8 @@ def test_node_blowup_search_is_pinned():
     tab = Tableau(reduce_ontology(parse_ontology(BLOWUP)), 100, STEP_BUDGET)
     with pytest.raises(BudgetExceededError, match="node budget"):
         tab.run()
-    assert (tab.created, tab.steps) == (101, 16958)
-    assert _counters(tab) == (1551, 191, 22, 16, 1571)
+    assert (tab.created, tab.steps) == (101, 12427)
+    assert _counters(tab) == (1563, 191, 22, 16, 1583)
 
 
 # ---------------------------------------------------------------------------
@@ -1526,3 +1551,59 @@ def test_labels_hold_representatives_and_graphs_both_atoms(name):
                 i, j = index[atom.lhs], index[atom.rhs]
                 assert Leq(elements[inv[j]], elements[inv[i]]) in node.atoms, (name, atom)
     assert leqs
+
+
+# ---------------------------------------------------------------------------
+# the cone: the search reads only the elements that some axiom reads
+
+
+CONE_INPUTS = dict(CORPUS)
+CONE_INPUTS.update({p.stem: p.read_text() for p in sorted(SAMPLES.glob("*.sexp"))})
+
+
+@pytest.mark.parametrize("name", sorted(CONE_INPUTS))
+def test_cone_decides_as_the_full_listing(name):
+    # the structure-less copy of the reduction has every clause of the
+    # full structure as an ordinary inclusion, so its search reads every
+    # element; the reduction's own search reads the cone only
+    red = reduce_ontology(parse_ontology(CONE_INPUTS[name]))
+    full = ClassicalOntology(red.inclusions, red.assertions, red.individual)
+    verdicts = [check_consistency(o, NODE_BUDGET, STEP_BUDGET).consistent for o in (red, full)]
+    assert verdicts[0] == verdicts[1], name
+
+
+@pytest.mark.filterwarnings("ignore:dropping inclusion with degree 0")
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(ONTOLOGIES)
+def test_random_cone_decides_as_the_full_listing(text):
+    ontology = parse_ontology(text)
+    assume(len(OrderStructure.from_ontology(ontology).elements) <= MAX_ELEMENTS)
+    red = reduce_ontology(ontology)
+    full = ClassicalOntology(red.inclusions, red.assertions, red.individual)
+    try:
+        verdicts = [
+            check_consistency(o, NODE_BUDGET, RANDOM_STEP_BUDGET).consistent for o in (red, full)
+        ]
+    except BudgetExceededError:
+        reject()
+    assert verdicts[0] == verdicts[1], text
+
+
+def test_an_axiom_outside_the_cone_is_refused():
+    # an atom over a dropped shifted copy would be read as a free name atom
+    red = reduce_ontology(parse_ontology("(assert (inst a (and A (all r B))) >= 1/2)"))
+    u = red.order
+    dropped = ShiftedElement(A)
+    assert dropped in u.index and dropped not in u.cone.index
+    atom = u.leq(dropped, ValueElement(Fraction(1, 2)))
+    given = ClassicalOntology(
+        red.axioms + (Inclusion(TOP, atom),), red.assertions, red.individual, u
+    )
+    asserted = ClassicalOntology(
+        red.axioms, red.assertions + (("a", Not(atom)),), red.individual, u
+    )
+    for o in (given, asserted):
+        with pytest.raises(ValueError, match="outside the cone"):
+            Tableau(o)
+    # without a structure it is an atom like any other
+    assert check_consistency(ClassicalOntology((Inclusion(TOP, atom),), (), "a")).consistent
